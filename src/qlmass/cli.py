@@ -8,7 +8,9 @@ verdict, negative identity slack), 1 on internal errors.
 
 import os
 
-_threads = os.environ.get("QLM_THREADS")
+# one BLAS thread unless QLM_THREADS or a *_NUM_THREADS variable asks for
+# more: the dense embedding solves run slower, not faster, on two threads
+_threads = os.environ.get("QLM_THREADS", "1")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
@@ -47,14 +49,16 @@ from .energy import (
     make_observer,
 )
 from .initialdata import (
+    BowenYorkData,
+    FlatData,
     InitialDataError,
+    SchwarzschildData,
     extract_boundary_data,
     fibonacci_directions,
-    provider_bowen_york,
-    provider_flat,
-    provider_schwarzschild,
     read_boundary_fields,
 )
+from .mesh import MeshError
+from .operators import MetricError
 from .search import (
     SearchError,
     asymptotics_driver,
@@ -72,8 +76,8 @@ from .volume import (
 )
 
 PRECONDITION_ERRORS = (ConfigError, InitialDataError, EmbeddingError,
-                       EnergyError, VolumeError, SearchError,
-                       FileNotFoundError)
+                       EnergyError, VolumeError, SearchError, MetricError,
+                       MeshError, FileNotFoundError)
 
 _FLAGS = [
     ("--provider", "provider", "initial data provider"),
@@ -128,11 +132,11 @@ def _grid_rotation(cfg):
 def _provider(cfg):
     name = cfg["provider"]
     if name == "flat":
-        return provider_flat()
+        return FlatData()
     if name == "schwarzschild":
-        return provider_schwarzschild(cfg["provider.mass"])
+        return SchwarzschildData(cfg["provider.mass"])
     if name == "bowen_york":
-        return provider_bowen_york(np.asarray(cfg["provider.momentum"]))
+        return BowenYorkData(np.asarray(cfg["provider.momentum"]))
     if name == "file":
         return None
     raise ConfigError(f"unknown provider {name!r}")
@@ -149,7 +153,7 @@ def _boundary(cfg):
                 f"provider.boundary_file not found: {path!r}"
             )
         # file fields live on the round coordinate sphere of the radius
-        round_geom = extract_boundary_data(provider_flat(), radius,
+        round_geom = extract_boundary_data(FlatData(), radius,
                                            level=level).geom
         return read_boundary_fields(path, round_geom, radius=radius), None
     return extract_boundary_data(data, radius, level=level), data
@@ -161,9 +165,7 @@ def _surface(cfg):
                        degree=cfg["embedding.degree"],
                        tol=cfg["embedding.tol"],
                        max_iterations=cfg["embedding.max_iterations"])
-    if bd.positions is not None:
-        emb = align_embedding(emb, bd.positions)
-    return bd, data, emb
+    return bd, data, align_embedding(emb, bd.positions)
 
 
 def _resolution_context(cfg):
@@ -437,7 +439,7 @@ def _selftest_checks():
     from .mesh import icosphere
 
     mesh = icosphere(2)
-    bd = extract_boundary_data(provider_flat(), 1.0, mesh=mesh)
+    bd = extract_boundary_data(FlatData(), 1.0, mesh=mesh)
     emb = embed_metric(mesh, bd.geom.metric, degree=12, tol=1e-10)
     emb = align_embedding(emb, bd.positions)
     ref = SurfaceData.from_embedding(emb)
@@ -459,7 +461,7 @@ def _selftest_checks():
            verdict == "admissible")
 
     bvals = fill.vertices[fill.boundary_vertices] @ np.array([0.0, 0.0, 1.0])
-    sol = solve_spacetime_harmonic(fill, provider_flat(), bvals)
+    sol = solve_spacetime_harmonic(fill, FlatData(), bvals)
     exact = fill.vertices @ np.array([0.0, 0.0, 1.0])
     yield ("linear boundary data solved exactly",
            float(np.abs(sol.u - exact).max()) <= 1e-12)

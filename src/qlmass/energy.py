@@ -1,5 +1,5 @@
-"""Observer functions, canonical frames, Hamiltonian densities, and the
-regularized quasi-local energy.
+"""Observer functions, canonical frames, the Hamiltonian side integrals,
+and the regularized quasi-local energy.
 
 Both sides of the energy (reference and physical) are reduced to the same
 SurfaceData form: a surface geometry plus the mean curvature vector norm,
@@ -99,7 +99,12 @@ class SurfaceData:
 
 
 class FrameField:
-    """Hyperbolic frame angle measured from the mean-curvature gauge."""
+    """Hyperbolic frame angle measured from the mean-curvature gauge.
+
+    canonical_frame also sets gsq, the vertex-averaged squared observer
+    gradient over the faces outside mask (shared by every frame with the
+    same mask), dead_vertices and critical_fraction.
+    """
 
     def __init__(self, f, eps, mask=None):
         self.f = np.asarray(f, dtype=float)
@@ -154,6 +159,7 @@ def canonical_frame(sd, obs, eps, threshold_fraction=1e-3):
             lap[live] / (sd.field_norm[live] * np.sqrt(gsq[live]))
         )
         frame = FrameField(f, eps, mask=face_mask)
+        frame.gsq = gsq
         frame.dead_vertices = dead | (gsq <= 0.0)
         frame.critical_fraction = frac
         return frame
@@ -162,45 +168,29 @@ def canonical_frame(sd, obs, eps, threshold_fraction=1e-3):
         raise EnergyError("degenerate mean curvature vector")
     f = np.arcsinh(lap / (sd.field_norm * np.sqrt(gsq + eps**2)))
     frame = FrameField(f, eps, mask=None)
+    frame.gsq = gsq
     frame.dead_vertices = np.zeros(len(u), dtype=bool)
     frame.critical_fraction = 0.0
     return frame
 
 
-def hamiltonian_density(sd, obs, frame, eps):
-    """Per-vertex Hamiltonian density in the mean-curvature gauge:
-    sqrt(|grad u|^2 + eps^2) |H_vec| cosh f + grad u . grad f + gauge term.
-    """
-    u = obs.uA
-    ops = sd.ops
-    gsq, _ = _vertex_grad_sq(ops, u, getattr(frame, "mask", None))
-    sqrt_term = np.sqrt(gsq + eps**2) * sd.field_norm * np.cosh(frame.f)
-    gu = ops.gradient(u)
-    gf = ops.gradient(frame.f)
-    cross = ops.vertex_average(np.einsum("fk,fk->f", gu, gf))
-    gauge_cov = ops.face_covector(sd.gauge_edge_values())
-    gauge = ops.vertex_average(ops.pair_fields(gauge_cov, gu))
-    return sqrt_term + cross + gauge
-
-
-def _side_terms(sd, obs, frame, eps):
+def _side_terms(sd, obs, frame):
     """The three integrals of one side: (sqrt term, frame-gradient term by
     parts, gauge term); masked vertices and faces carry zero weight."""
     u = obs.uA
     ops = sd.ops
-    mask = getattr(frame, "mask", None)
-    gsq, _ = _vertex_grad_sq(ops, u, mask)
     w = ops.vertex_areas.copy()
     w[frame.dead_vertices] = 0.0
-    sqrt_vals = np.sqrt(gsq + eps**2) * sd.field_norm * np.cosh(frame.f)
+    sqrt_vals = (np.sqrt(frame.gsq + frame.eps**2) * sd.field_norm
+                 * np.cosh(frame.f))
     sqrt_int = float(sqrt_vals @ w)
     grad_int = ops.dirichlet_pairing(u, frame.f)
     gu = ops.gradient(u)
     gauge_cov = ops.face_covector(sd.gauge_edge_values())
     pair = ops.pair_fields(gauge_cov, gu)
     fa = ops.face_areas.copy()
-    if mask is not None:
-        fa[mask] = 0.0
+    if frame.mask is not None:
+        fa[frame.mask] = 0.0
     gauge_int = float(pair @ fa)
     return sqrt_int, grad_int, gauge_int
 
@@ -209,7 +199,7 @@ def side_integral(sd, obs, eps, frame=None, threshold_fraction=1e-3):
     """Total Hamiltonian integral of one side, canonical frame by default."""
     if frame is None:
         frame = canonical_frame(sd, obs, eps, threshold_fraction)
-    return sum(_side_terms(sd, obs, frame, eps)), frame
+    return sum(_side_terms(sd, obs, frame)), frame
 
 
 class EnergyReport:
@@ -264,19 +254,19 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
     if ref_sd.mesh.n_vertices != phys_sd.mesh.n_vertices:
         raise EnergyError("reference and physical data on different meshes")
     warnings = []
-    breakdown = {}
     eps_sequence = []
 
-    ref0, frame_r = side_integral(ref_sd, obs, 0.0, None, threshold_fraction)
-    phys0, frame_p = side_integral(phys_sd, obs, 0.0, None, threshold_fraction)
-    breakdown["reference"] = list(_side_terms(ref_sd, obs, frame_r, 0.0))
-    breakdown["physical"] = list(_side_terms(phys_sd, obs, frame_p, 0.0))
-    ref_term = ref0 / (8.0 * np.pi)
-    phys_term = phys0 / (8.0 * np.pi)
+    frame_r = canonical_frame(ref_sd, obs, 0.0, threshold_fraction)
+    frame_p = canonical_frame(phys_sd, obs, 0.0, threshold_fraction)
+    terms_r = _side_terms(ref_sd, obs, frame_r)
+    terms_p = _side_terms(phys_sd, obs, frame_p)
+    breakdown = {"reference": list(terms_r), "physical": list(terms_p)}
+    ref_term = sum(terms_r) / (8.0 * np.pi)
+    phys_term = sum(terms_p) / (8.0 * np.pi)
     e_explicit = ref_term - phys_term
     crit_frac = max(frame_r.critical_fraction, frame_p.critical_fraction)
 
-    e_limit = None
+    e_val = e_explicit
     if mode in ("epsLimit", "both"):
         if eps_list is None:
             eps_list = default_eps_list(ref_sd, obs)
@@ -294,15 +284,10 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
                 f"explicit and eps-limit routes disagree: "
                 f"{e_explicit:.6e} vs {e_limit:.6e}"
             )
-
-    e_val = e_limit if mode == "epsLimit" else e_explicit
-    if mode == "epsLimit":
-        ref_term, phys_term = None, None
-        # terms reported from the smallest eps evaluation
-        r, fr = side_integral(ref_sd, obs, eps_list[-1])
-        p, fp = side_integral(phys_sd, obs, eps_list[-1])
-        ref_term, phys_term = r / (8.0 * np.pi), p / (8.0 * np.pi)
-        e_val = ref_term - phys_term if e_limit is None else e_limit
+        if mode == "epsLimit":
+            # terms reported from the last (smallest) eps of the sequence
+            e_val = e_limit
+            ref_term, phys_term = r / (8.0 * np.pi), p / (8.0 * np.pi)
     return EnergyReport(
         e_val, ref_term, phys_term, breakdown, eps_sequence, crit_frac,
         warnings=warnings, context=context,
@@ -356,9 +341,8 @@ def _slice_gauge_integral(sd, obs, eps):
     frame = canonical_frame(sd, obs, eps)
     u = obs.uA
     ops = sd.ops
-    gsq, _ = _vertex_grad_sq(ops, u, getattr(frame, "mask", None))
     q = sd.phi - frame.f
-    vals = np.sqrt(gsq + eps**2) * (
+    vals = np.sqrt(frame.gsq + eps**2) * (
         sd.H * np.cosh(q) + sd.trk * np.sinh(q)
     )
     w = ops.vertex_areas.copy()
@@ -379,13 +363,14 @@ def optimal_frame_gap(sd, obs, eps, trial_frames):
     """Functional gaps of trial frame angles against the canonical frame;
     convexity makes every gap nonnegative up to round-off."""
     base_frame = canonical_frame(sd, obs, eps)
-    base = sum(_side_terms(sd, obs, base_frame, eps))
+    base = sum(_side_terms(sd, obs, base_frame))
     gaps = []
     for f in trial_frames:
         trial = FrameField(np.asarray(f, dtype=float), eps,
                            mask=base_frame.mask)
+        trial.gsq = base_frame.gsq
         trial.dead_vertices = base_frame.dead_vertices
-        gaps.append(sum(_side_terms(sd, obs, trial, eps)) - base)
+        gaps.append(sum(_side_terms(sd, obs, trial)) - base)
     return gaps
 
 

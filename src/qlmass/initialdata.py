@@ -19,6 +19,25 @@ class InitialDataError(ValueError):
     """Raised for out-of-domain evaluation or invalid provider input."""
 
 
+def central_partials(fn, points, h):
+    """Fourth-order central partials of the pointwise field fn at points,
+    stacked on axis 1: shape (N, 3) + fn's value shape.  The step h is a
+    scalar or one value per point."""
+    h = np.asarray(h, dtype=float)
+    step = h[:, None] if h.ndim else h
+    out = []
+    for c in range(3):
+        e = np.zeros(3)
+        e[c] = 1.0
+        fp1 = fn(points + step * e)
+        fm1 = fn(points - step * e)
+        fp2 = fn(points + 2.0 * step * e)
+        fm2 = fn(points - 2.0 * step * e)
+        d = 8.0 * (fp1 - fm1) - (fp2 - fm2)
+        out.append(d / (12.0 * h).reshape(h.shape + (1,) * (d.ndim - 1)))
+    return np.stack(out, axis=1)
+
+
 class InitialDataSample:
     """Closed-form initial data (g, k) with asymptotic decay order tau."""
 
@@ -46,17 +65,7 @@ class InitialDataSample:
         """d_c g_ij by fourth-order central differences, shape (N, 3, 3, 3)
         indexed [point, c, i, j]."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        h = self._fd_scale(x)
-        out = np.empty((len(x), 3, 3, 3))
-        for c in range(3):
-            e = np.zeros(3)
-            e[c] = 1.0
-            gp1 = self.metric(x + h[:, None] * e)
-            gm1 = self.metric(x - h[:, None] * e)
-            gp2 = self.metric(x + 2.0 * h[:, None] * e)
-            gm2 = self.metric(x - 2.0 * h[:, None] * e)
-            out[:, c] = (8.0 * (gp1 - gm1) - (gp2 - gm2)) / (12.0 * h)[:, None, None]
-        return out
+        return central_partials(self.metric, x, self._fd_scale(x))
 
     def christoffels(self, x):
         """Gamma^a_bc at points x, shape (N, 3, 3, 3) indexed [point, a, b, c]."""
@@ -72,18 +81,7 @@ class InitialDataSample:
     def scalar_curvature(self, x):
         """Scalar curvature of g by differencing the Christoffel symbols."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        h = self._fd_scale(x)
-        dgamma = np.empty((len(x), 3, 3, 3, 3))
-        for c in range(3):
-            e = np.zeros(3)
-            e[c] = 1.0
-            gp1 = self.christoffels(x + h[:, None] * e)
-            gm1 = self.christoffels(x - h[:, None] * e)
-            gp2 = self.christoffels(x + 2.0 * h[:, None] * e)
-            gm2 = self.christoffels(x - 2.0 * h[:, None] * e)
-            dgamma[:, c] = (8.0 * (gp1 - gm1) - (gp2 - gm2)) / (
-                12.0 * h
-            )[:, None, None, None]
+        dgamma = central_partials(self.christoffels, x, self._fd_scale(x))
         gam = self.christoffels(x)
         ginv = np.linalg.inv(self.metric(x))
         # Ricci_bc = d_a Gamma^a_bc - d_b Gamma^a_ac + G^a_ad G^d_bc - G^a_cd G^d_ab
@@ -108,22 +106,14 @@ class InitialDataSample:
     def sphere_mean_curvature(self, x):
         """Mean curvature H = div_g(nu) of the coordinate sphere through x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        h = self._fd_scale(x)
 
         def flux(y):
             # sqrt(det g) nu^i
             s = np.sqrt(np.linalg.det(self.metric(y)))
             return s[:, None] * self.sphere_normal(y)
 
-        div = np.zeros(len(x))
-        for c in range(3):
-            e = np.zeros(3)
-            e[c] = 1.0
-            fp1 = flux(x + h[:, None] * e)[:, c]
-            fm1 = flux(x - h[:, None] * e)[:, c]
-            fp2 = flux(x + 2.0 * h[:, None] * e)[:, c]
-            fm2 = flux(x - 2.0 * h[:, None] * e)[:, c]
-            div += (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+        d = central_partials(flux, x, self._fd_scale(x))
+        div = d[:, 0, 0] + d[:, 1, 1] + d[:, 2, 2]
         return div / np.sqrt(np.linalg.det(self.metric(x)))
 
     # -- constraint quantities -------------------------------------------
@@ -145,16 +135,7 @@ class InitialDataSample:
             trky = np.einsum("nij,nij->n", np.linalg.inv(gy), ky)
             return ky - trky[:, None, None] * gy
 
-        h = self._fd_scale(x)
-        dpi = np.empty((len(x), 3, 3, 3))
-        for c in range(3):
-            e = np.zeros(3)
-            e[c] = 1.0
-            p1 = pi(x + h[:, None] * e)
-            m1 = pi(x - h[:, None] * e)
-            p2 = pi(x + 2.0 * h[:, None] * e)
-            m2 = pi(x - 2.0 * h[:, None] * e)
-            dpi[:, c] = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)[:, None, None]
+        dpi = central_partials(pi, x, self._fd_scale(x))
         gam = self.christoffels(x)
         pix = pi(x)
         # J_i = g^{ab}(d_a pi_bi - G^c_ab pi_ci - G^c_ai pi_bc)
@@ -306,18 +287,6 @@ class BowenYorkData(InitialDataSample):
         return k
 
 
-def provider_flat():
-    return FlatData()
-
-
-def provider_schwarzschild(mass):
-    return SchwarzschildData(mass)
-
-
-def provider_bowen_york(momentum):
-    return BowenYorkData(momentum)
-
-
 # -- boundary-data extraction ---------------------------------------------
 
 
@@ -336,10 +305,6 @@ class CovectorField:
         avg = 0.5 * (self.ambient[i] + self.ambient[j])
         return np.einsum("ek,ek->e", avg, chord)
 
-    @classmethod
-    def zero(cls, n_vertices):
-        return cls(np.zeros((n_vertices, 3)))
-
 
 class QuasiLocalBoundaryData:
     """Boundary quintuple (sigma, H, trK, alpha) on a surface mesh.
@@ -348,14 +313,12 @@ class QuasiLocalBoundaryData:
     in the slice gauge, alpha(X) = -k(X, nu).
     """
 
-    def __init__(self, geom, H, trk, alpha, positions=None, normals=None,
-                 name=""):
+    def __init__(self, geom, H, trk, alpha, positions, name=""):
         self.geom = geom
         self.H = np.asarray(H, dtype=float)
         self.trk = np.asarray(trk, dtype=float)
         self.alpha = alpha
         self.positions = positions
-        self.normals = normals
         self.name = name
         bad = self.H <= np.abs(self.trk)
         if np.any(bad):
@@ -364,14 +327,7 @@ class QuasiLocalBoundaryData:
                 f"vertex {int(np.argmax(bad))}"
             )
 
-    @property
-    def field_norm(self):
-        """|H_vec| = sqrt(H^2 - trK^2), the mean curvature vector norm."""
-        return np.sqrt(self.H**2 - self.trk**2)
-
     def alpha_edge_values(self):
-        if self.positions is None:
-            return self._alpha_edge_values
         return self.alpha.edge_values(self.geom.mesh, self.positions)
 
 
@@ -405,7 +361,7 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
     nu_low = np.einsum("nij,nj->ni", g, nu)
     a = a - np.einsum("ni,ni->n", a, nu)[:, None] * nu_low
     return QuasiLocalBoundaryData(
-        geom, H, trk, CovectorField(a), positions=X, normals=nu,
+        geom, H, trk, CovectorField(a), positions=X,
         name=f"{data.name}_r{radius:g}",
     )
 
@@ -413,30 +369,28 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
 # -- ADM surface integrals --------------------------------------------------
 
 
-def _sphere_quadrature(n_theta=48, n_phi=96):
+def _sphere_quadrature(radius=1.0, n_theta=48, n_phi=96):
+    """Gauss-Legendre in cos(theta) times the midpoint rule in phi: points
+    on the sphere of the given radius, unit-sphere weights, and the
+    sin(theta) and cos(theta) columns of the points."""
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    theta_w = weights
-    cos_t = nodes
-    sin_t = np.sqrt(1.0 - cos_t**2)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    phi_w = 2.0 * np.pi / n_phi
-    dirs = np.stack(
-        [
-            np.outer(sin_t, np.cos(phi)),
-            np.outer(sin_t, np.sin(phi)),
-            np.outer(cos_t, np.ones(n_phi)),
-        ],
-        axis=-1,
+    theta = np.arccos(nodes)
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    st, ct = np.sin(th), np.cos(th)
+    points = radius * np.stack(
+        [st * np.cos(ph), st * np.sin(ph), ct], axis=-1
     ).reshape(-1, 3)
-    w = (np.outer(theta_w, np.full(n_phi, phi_w))).ravel()
-    return dirs, w
+    # leggauss weights absorb sin(theta) d theta through the cos substitution
+    w = (weights[:, None] * np.full(n_phi, 2.0 * np.pi / n_phi)).reshape(-1)
+    return points, w, st.reshape(-1), ct.reshape(-1)
 
 
 def adm_integrals(data, radii):
     """ADM energy and momentum surface integrals per radius, with a 1/r
     Richardson extrapolation across the given radii."""
     radii = sorted(radii)
-    dirs, w = _sphere_quadrature()
+    dirs, w, _, _ = _sphere_quadrature()
     energies, momenta = [], []
     for R in radii:
         X = R * dirs
@@ -508,11 +462,8 @@ def write_boundary_fields(path, bd):
     the parameterization sphere, scaled by the ambient radius."""
     mesh = bd.geom.mesh
     e_th, e_ph = _sphere_frames(mesh.vertices)
-    amb = bd.alpha.ambient if bd.alpha is not None else np.zeros(
-        (mesh.n_vertices, 3)
-    )
-    scale = np.linalg.norm(bd.positions, axis=1) if bd.positions is not None \
-        else np.ones(mesh.n_vertices)
+    amb = bd.alpha.ambient
+    scale = np.linalg.norm(bd.positions, axis=1)
     a1 = np.einsum("ni,ni->n", amb, e_th) * scale
     a2 = np.einsum("ni,ni->n", amb, e_ph) * scale
     with open(path, "w") as fh:

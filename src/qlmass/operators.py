@@ -326,11 +326,6 @@ class SurfaceGeometry:
         return self.ops.total_area
 
 
-def build_operators(mesh, metric):
-    """Assemble the operator set for a mesh/metric pair."""
-    return OperatorSet(mesh, metric)
-
-
 def unit_sphere_geometry(level):
     """Icosphere with its induced round metric; test workhorse."""
     from .mesh import icosphere

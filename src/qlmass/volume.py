@@ -17,7 +17,11 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg, splu
 from scipy.spatial import cKDTree
 
-from .initialdata import fibonacci_directions
+from .initialdata import (
+    _sphere_quadrature,
+    central_partials,
+    fibonacci_directions,
+)
 
 
 class VolumeError(RuntimeError):
@@ -33,15 +37,25 @@ def _tet_volumes(vertices, tets):
     return np.einsum("ti,ti->t", np.cross(a, b), c) / 6.0
 
 
+# vertex triples of the four faces, face m opposite vertex m, ordered so
+# that the cross product points outward on a positively oriented tet
+_TET_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+
+
+def _face_normals(vertices, tets):
+    """Outward normals of the four faces per tet, twice the face area
+    long, (T, 4, 3)."""
+    p = vertices[tets]
+    normals = np.empty((len(tets), 4, 3))
+    for m, (i, j, k) in enumerate(_TET_FACES):
+        normals[:, m] = np.cross(p[:, j] - p[:, i], p[:, k] - p[:, i])
+    return normals
+
+
 def _min_dihedral_degrees(vertices, tets):
     """Smallest dihedral angle over the mesh, in degrees."""
-    corners = vertices[tets]
-    # outward normals of the four faces opposite each vertex
-    normals = np.empty((len(tets), 4, 3))
-    for m, (i, j, k) in enumerate(((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))):
-        n = np.cross(corners[:, j] - corners[:, i],
-                     corners[:, k] - corners[:, i])
-        normals[:, m] = n / np.linalg.norm(n, axis=1, keepdims=True)
+    normals = _face_normals(vertices, tets)
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
     # dihedral angle along a shared edge is arccos(-n1.n2); the smallest
     # angle corresponds to the largest value of -n1.n2
     largest = -1.0
@@ -252,12 +266,8 @@ def read_volume_mesh(path, quality_floor=1.0):
 
 def _hat_gradients(vertices, tets):
     """Constant gradients of the four hat functions per tet, (T, 4, 3)."""
-    p = vertices[tets]
     vols = _tet_volumes(vertices, tets)
-    grads = np.empty((len(tets), 4, 3))
-    for m, (i, j, k) in enumerate(((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))):
-        n = np.cross(p[:, j] - p[:, i], p[:, k] - p[:, i])
-        grads[:, m] = -n / (6.0 * vols)[:, None]
+    grads = -_face_normals(vertices, tets) / (6.0 * vols)[:, None, None]
     return grads, vols
 
 
@@ -391,17 +401,23 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
                                      cg_iterations, splu_fallbacks)
 
 
+def _vertex_average(vol, per_tet, vols):
+    """Volume-weighted vertex averages of a per-tet field."""
+    w = np.repeat(vols, 4)
+    idx = vol.tets.reshape(-1)
+    tail = (1,) * (per_tet.ndim - 1)
+    num = np.zeros((vol.n_vertices,) + per_tet.shape[1:])
+    den = np.zeros(vol.n_vertices)
+    np.add.at(num, idx, np.repeat(per_tet, 4, axis=0) * w.reshape(-1, *tail))
+    np.add.at(den, idx, w)
+    return num / den.reshape(-1, *tail)
+
+
 def recovered_gradients(vol, u):
     """Volume-weighted vertex averages of the per-tet solution gradients."""
     grads, vols = _hat_gradients(vol.vertices, vol.tets)
     du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
-    num = np.zeros((vol.n_vertices, 3))
-    den = np.zeros(vol.n_vertices)
-    w = np.repeat(vols, 4)
-    idx = vol.tets.reshape(-1)
-    np.add.at(num, idx, np.repeat(du, 4, axis=0) * w[:, None])
-    np.add.at(den, idx, w)
-    return num / den[:, None]
+    return _vertex_average(vol, du, vols)
 
 
 def recovered_hessians(vol, u):
@@ -411,13 +427,7 @@ def recovered_hessians(vol, u):
     dU = recovered_gradients(vol, u)
     hess = np.einsum("tmj,tmi->tij", dU[vol.tets], grads)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    num = np.zeros((vol.n_vertices, 3, 3))
-    den = np.zeros(vol.n_vertices)
-    w = np.repeat(vols, 4)
-    idx = vol.tets.reshape(-1)
-    np.add.at(num, idx, np.repeat(hess, 4, axis=0) * w[:, None, None])
-    np.add.at(den, idx, w)
-    return hess, num / den[:, None, None]
+    return hess, _vertex_average(vol, hess, vols)
 
 
 # -- level-set topology ---------------------------------------------------
@@ -453,6 +463,22 @@ class LevelSetTopology:
         return float(vals.sum() * self.ds)
 
 
+def _shared_pairs(raw, owner):
+    """Unique sub-simplices of the rows of raw, row r being a sub-simplex
+    of the simplex owner[r], and the owners that share one: (unique
+    sub-simplices, indices of those shared by exactly two owners, first
+    owner, second owner)."""
+    keys, inv = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    order = np.argsort(inv, kind="stable")
+    kinv, kown = inv[order], owner[order]
+    starts = np.searchsorted(kinv, np.arange(len(keys)))
+    counts = np.diff(np.append(starts, len(kinv)))
+    pair_mask = counts == 2
+    first = kown[starts[pair_mask]]
+    second = kown[starts[pair_mask] + 1]
+    return keys, np.flatnonzero(pair_mask), first, second
+
+
 def _volume_topology_arrays(vol):
     if vol._topo_cache is not None:
         return vol._topo_cache
@@ -462,39 +488,24 @@ def _volume_topology_arrays(vol):
         tets[:, [1, 2]], tets[:, [1, 3]], tets[:, [2, 3]],
     ])
     edges = np.unique(np.sort(raw_edges, axis=1), axis=0)
+    # tets adjacent through each interior face
     raw_faces = np.vstack([
         tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
         tets[:, [0, 1, 3]], tets[:, [0, 1, 2]],
     ])
-    faces, inv = np.unique(np.sort(raw_faces, axis=1), axis=0,
-                           return_inverse=True)
-    # tets adjacent through each interior face
-    T = len(tets)
-    owner = np.tile(np.arange(T), 4)
-    order = np.argsort(inv, kind="stable")
-    finv, fown = inv[order], owner[order]
-    starts = np.searchsorted(finv, np.arange(len(faces)))
-    counts = np.diff(np.append(starts, len(finv)))
-    pair_mask = counts == 2
-    t1 = fown[starts[pair_mask]]
-    t2 = fown[starts[pair_mask] + 1]
-    pair_faces = np.flatnonzero(pair_mask)
-
+    faces, pair_faces, t1, t2 = _shared_pairs(
+        raw_faces, np.tile(np.arange(len(tets)), 4)
+    )
+    # boundary faces adjacent through each shared boundary edge
     bfaces = np.sort(vol.boundary_faces, axis=1)
-    bedges = np.unique(np.vstack([
+    raw_bedges = np.vstack([
         bfaces[:, [0, 1]], bfaces[:, [0, 2]], bfaces[:, [1, 2]],
-    ]), axis=0)
-    # boundary faces adjacent through shared boundary edges
-    key = {}
-    badj = []
-    for fi, f in enumerate(bfaces):
-        for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-            if e in key:
-                badj.append((key[e], fi))
-            else:
-                key[e] = fi
+    ])
+    bedges, shared, b1, b2 = _shared_pairs(
+        raw_bedges, np.tile(np.arange(len(bfaces)), 3)
+    )
     vol._topo_cache = (edges, faces, pair_faces, t1, t2, bfaces,
-                       np.array(badj, dtype=np.int64))
+                       bedges[shared], b1, b2)
     return vol._topo_cache
 
 
@@ -514,7 +525,7 @@ def _component_count(n_items, links):
 def _level_stats(vol, u, s):
     """(chi, surface components, boundary-trace components) of the
     marching-tetrahedra level set u = s."""
-    edges, faces, pair_faces, t1, t2, bfaces, badj = \
+    edges, faces, pair_faces, t1, t2, bfaces, bshared, b1, b2 = \
         _volume_topology_arrays(vol)
     above = u > s
     cut_edges = above[edges[:, 0]] != above[edges[:, 1]]
@@ -539,13 +550,8 @@ def _level_stats(vol, u, s):
     bactive = np.flatnonzero(bcut)
     bremap = -np.ones(len(bfaces), dtype=np.int64)
     bremap[bactive] = np.arange(len(bactive))
-    if len(badj):
-        bkeep = bcut[badj[:, 0]] & bcut[badj[:, 1]]
-        blinks = np.column_stack([
-            bremap[badj[bkeep, 0]], bremap[badj[bkeep, 1]]
-        ])
-    else:
-        blinks = np.empty((0, 2), dtype=np.int64)
+    bkeep = above[bshared[:, 0]] != above[bshared[:, 1]]
+    blinks = np.column_stack([bremap[b1[bkeep]], bremap[b2[bkeep]]])
     bcomp = _component_count(len(bactive), blinks)
     return chi, ncomp, bcomp
 
@@ -648,19 +654,6 @@ def _harmonic_poly_coeffs(degree):
     return out
 
 
-def _monomial_values(mons, pts):
-    """Values of the monomials x^a y^b z^c at pts, (N, M)."""
-    n = len(pts)
-    lmax = int(mons.sum(axis=1).max()) if len(mons) else 0
-    # per-axis power ladders pw[i, :, e] = pts[:, i] ** e
-    pw = np.empty((3, n, lmax + 1))
-    pw[:, :, 0] = 1.0
-    for e in range(1, lmax + 1):
-        pw[:, :, e] = pw[:, :, e - 1] * pts.T
-    a, b, c = mons[:, 0], mons[:, 1], mons[:, 2]
-    return pw, pw[0][:, a] * pw[1][:, b] * pw[2][:, c]
-
-
 def _poly_eval(mons, coeff, pts, derivatives):
     """Value, gradient, and Hessian of the polynomial sum(coeff * mono)
     contracted per monomial component, avoiding per-monomial tensors."""
@@ -756,27 +749,26 @@ class _RadialProfiles:
 
 def _conformal_structure(data, radius):
     """(psi, dpsi) callables for vacuum time-symmetric conformally flat
-    data; (None, None) for flat data; raises otherwise."""
+    data that provide conformal_factor and conformal_factor_derivative;
+    (None, None) for flat data; raises otherwise."""
     dirs = fibonacci_directions(8)
     pts = np.vstack([0.2 * radius * dirs, 0.7 * radius * dirs])
     if np.abs(data.extrinsic(pts)).max() > 1e-13:
         raise VolumeError("harmonic basis needs time-symmetric data")
     g = data.metric(pts)
     psi = getattr(data, "conformal_factor", None)
-    if psi is None:
+    dpsi = getattr(data, "conformal_factor_derivative", None)
+    if psi is None or dpsi is None:
         if np.abs(g - np.eye(3)).max() > 1e-13:
-            raise VolumeError("harmonic basis needs (conformally) flat data")
+            raise VolumeError(
+                "harmonic basis needs flat data or a conformal factor "
+                "with its derivative"
+            )
         return None, None
     r = np.linalg.norm(pts, axis=1)
     model = np.asarray(psi(r))[:, None, None] ** 4 * np.eye(3)
     if np.abs(g - model).max() > 1e-10 * np.abs(model).max():
         raise VolumeError("metric is not conformally flat")
-    dpsi = getattr(data, "conformal_factor_derivative", None)
-    if dpsi is None:
-        def dpsi(r, psi=psi):
-            h = 1e-5 * np.maximum(np.asarray(r, dtype=float), 1e-8)
-            return (8.0 * (psi(r + h) - psi(r - h))
-                    - (psi(r + 2 * h) - psi(r - 2 * h))) / (12.0 * h)
     return psi, dpsi
 
 
@@ -805,9 +797,9 @@ class HarmonicRepresentative:
         r = np.linalg.norm(pts, axis=1)
         for l in range(degree + 1):
             mons, C = self.polys[l]
-            _, val = _monomial_values(mons, pts)
+            block, _, _ = _poly_eval(mons, C.T, pts, derivatives=False)
             g, _, _ = self.radial.eval(l, r)
-            block = (val @ C.T) * g[:, None]
+            block = block * g[:, None]
             for k in range(C.shape[0]):
                 cols.append(block[:, k])
                 self.index.append((l, k))
@@ -966,34 +958,6 @@ def _exact_coarea(rep, vol, u_samples, radius):
 
 # -- the integral identity ------------------------------------------------
 
-def _fd_field(fn, points, h):
-    """Fourth-order central partials of a pointwise field, (N, 3, ...)."""
-    out = []
-    for c in range(3):
-        e = np.zeros(3)
-        e[c] = 1.0
-        fp1 = fn(points + h * e)
-        fm1 = fn(points - h * e)
-        fp2 = fn(points + 2.0 * h * e)
-        fm2 = fn(points - 2.0 * h * e)
-        out.append((8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h))
-    return np.stack(out, axis=1)
-
-
-def _sphere_quadrature(radius, n_theta, n_phi):
-    nodes, weights = leggauss(n_theta)
-    theta = np.arccos(nodes)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    st, ct = np.sin(th), np.cos(th)
-    points = radius * np.stack(
-        [st * np.cos(ph), st * np.sin(ph), ct], axis=-1
-    ).reshape(-1, 3)
-    # leggauss weights absorb sin(theta) d theta through the cos substitution
-    w = (weights[:, None] * np.full(n_phi, 2.0 * np.pi / n_phi)).reshape(-1)
-    return points, w, st.reshape(-1), ct.reshape(-1)
-
-
 def _interpolate_boundary(vol, surface_positions, surface_faces,
                           vertex_field, directions):
     """Linear interpolation of a per-vertex field at boundary directions
@@ -1032,8 +996,7 @@ def _boundary_identity_integral(data, radius, quadrature, solution_fields,
                                 delta=0.0):
     """Both boundary integrals of the identity on the coordinate sphere,
     by smooth quadrature; solution_fields(points) -> (grad u, Hess u)."""
-    n_th, n_ph = quadrature
-    points, wq, st, ct = _sphere_quadrature(radius, n_th, n_ph)
+    points, wq, st, ct = _sphere_quadrature(radius, *quadrature)
     dU, HU = solution_fields(points)
 
     gq = data.metric(points)
@@ -1056,7 +1019,7 @@ def _boundary_identity_integral(data, radius, quadrature, solution_fields,
              - gu * Hq - nu_u * trk_surf)
 
     h_fd = 1e-4 * max(1.0, radius)
-    dnu = _fd_field(data.sphere_normal, points, h_fd)        # (N, j, i)
+    dnu = central_partials(data.sphere_normal, points, h_fd)        # (N, j, i)
     dg = data.metric_derivatives(points)                      # (N, c, a, b)
     dginv = -np.einsum("nia,ncab,nbj->ncij", ginv_q, dg, ginv_q)
     # W(nu(u)) and W(|grad u|^2) from the solution Hessian and analytic

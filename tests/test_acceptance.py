@@ -18,11 +18,11 @@ from qlmass.energy import (
     side_integral,
 )
 from qlmass.initialdata import (
+    BowenYorkData,
+    FlatData,
+    SchwarzschildData,
     extract_boundary_data,
     fibonacci_directions,
-    provider_bowen_york,
-    provider_flat,
-    provider_schwarzschild,
 )
 from qlmass.mesh import icosphere
 from qlmass.search import asymptotics_driver
@@ -104,7 +104,7 @@ def test_criterion_01_ground_state_zero():
     t0 = time.perf_counter()
     peaks = {}
     for level in (3, 4):
-        _, emb, ref, phys = _surface(provider_flat(), 1.0, level)
+        _, emb, ref, phys = _surface(FlatData(), 1.0, level)
         es = [energy(ref, phys, make_observer(emb, a)).E
               for a in fibonacci_directions(16)]
         peaks[level] = max(abs(e) for e in es)
@@ -118,7 +118,7 @@ def test_criterion_01_ground_state_zero():
 def test_criterion_02_energy_limit_schwarzschild():
     t0 = time.perf_counter()
     a_list = list(fibonacci_directions(8))
-    rep = asymptotics_driver(provider_schwarzschild(1.0), a_list,
+    rep = asymptotics_driver(SchwarzschildData(1.0), a_list,
                              list(SCHW_ORACLE), mesh_level=4)
     limit_err = max(abs(f["E_inf"] - 1.0) for f in rep.fits)
     oracle_err = max(
@@ -137,7 +137,7 @@ def test_criterion_03_momentum_term():
     t0 = time.perf_counter()
     up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
     rep = asymptotics_driver(
-        provider_bowen_york(np.array([0.0, 0.0, 0.1])),
+        BowenYorkData(np.array([0.0, 0.0, 0.1])),
         [up, down], [10.0, 20.0, 40.0], mesh_level=3)
     anti = rep.fits[0]["E_inf"] - rep.fits[1]["E_inf"]
     ok = abs(anti + 0.2) <= 0.05 * 0.2
@@ -151,9 +151,9 @@ def test_criterion_04_optimal_frame():
     rng = np.random.default_rng(11)
     worst = np.inf
     setups = [
-        _surface(provider_flat(), 1.0, 3),
-        _surface(provider_schwarzschild(1.0), 10.0, 3),
-        _surface(provider_bowen_york(np.array([0.0, 0.0, 0.1])), 10.0, 3),
+        _surface(FlatData(), 1.0, 3),
+        _surface(SchwarzschildData(1.0), 10.0, 3),
+        _surface(BowenYorkData(np.array([0.0, 0.0, 0.1])), 10.0, 3),
     ]
     for _, emb, _, phys in setups:
         obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
@@ -179,7 +179,7 @@ def test_criterion_04_optimal_frame():
 
 def test_criterion_05_integral_identity():
     t0 = time.perf_counter()
-    flat = provider_flat()
+    flat = FlatData()
     vol = _ball(2)
     z = vol.vertices[vol.boundary_vertices, 2]
 
@@ -191,7 +191,7 @@ def test_criterion_05_integral_identity():
     quad = integral_identity_check(flat, vol, sol, 1.0)
     quad_ok = quad["slack"] >= -1e-6 * quad["scale"]
 
-    schw = provider_schwarzschild(1.0)
+    schw = SchwarzschildData(1.0)
     vol_s = _ball(2, radius=10.0)
     bvals = vol_s.vertices[vol_s.boundary_vertices, 2] / 10.0
     sol = solve_spacetime_harmonic(vol_s, schw, bvals)
@@ -208,7 +208,7 @@ def test_criterion_05_integral_identity():
 
 def test_criterion_06_harmonic_solver():
     t0 = time.perf_counter()
-    flat = provider_flat()
+    flat = FlatData()
 
     vol = _ball(2)
     bpos = vol.vertices[vol.boundary_vertices]
@@ -271,9 +271,9 @@ def test_criterion_07_admissibility_topology():
 def test_criterion_08_hamilton_jacobi():
     t0 = time.perf_counter()
     worst = 0.0
-    for provider, radius in ((provider_flat(), 1.0),
-                             (provider_schwarzschild(1.0), 10.0),
-                             (provider_bowen_york(
+    for provider, radius in ((FlatData(), 1.0),
+                             (SchwarzschildData(1.0), 10.0),
+                             (BowenYorkData(
                                  np.array([0.0, 0.0, 0.1])), 10.0)):
         _, emb, ref, phys = _surface(provider, radius, 3)
         obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
@@ -291,7 +291,7 @@ def test_criterion_09_el_residual():
     charges_ok = True
     total_ok = True
     for level in (3, 4):
-        _, emb, ref, _ = _surface(provider_flat(), 1.0, level)
+        _, emb, ref, _ = _surface(FlatData(), 1.0, level)
         obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
         out = euler_lagrange_residual(ref, obs)
         scale = 8.0 * np.pi
@@ -313,8 +313,8 @@ def test_criterion_09_el_residual():
 def test_criterion_10_positivity():
     t0 = time.perf_counter()
     worst = np.inf
-    for provider, radius in ((provider_flat(), 1.0),
-                             (provider_schwarzschild(1.0), 10.0)):
+    for provider, radius in ((FlatData(), 1.0),
+                             (SchwarzschildData(1.0), 10.0)):
         bd, emb, ref, phys = _surface(provider, radius, 3)
         fill = build_fill_in(emb)
         h = float(np.mean(ref.ops.metric.edge_lengths))

@@ -242,3 +242,13 @@ def test_unknown_provider_exits_two(runner, tmp_path):
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 2
     assert "unknown provider" in result.output
+
+
+def test_degenerate_metric_exits_two(runner, tmp_path):
+    # radius 0 collapses every edge of the extracted metric
+    result = runner.invoke(main, ["energy", "--provider", "flat",
+                                  "--radius", "0", "--level", "1",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "edge lengths must be finite and positive" in result.output
+    assert "internal error" not in result.output

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qlmass.embedding import EmbeddingResult, align_embedding, embed_metric
 from qlmass.energy import (
@@ -19,10 +21,10 @@ from qlmass.energy import (
     write_sweep_csv,
 )
 from qlmass.initialdata import (
+    BowenYorkData,
+    FlatData,
+    SchwarzschildData,
     extract_boundary_data,
-    provider_bowen_york,
-    provider_flat,
-    provider_schwarzschild,
 )
 from qlmass.mesh import icosphere
 
@@ -33,7 +35,7 @@ SCHW_E_R10 = 1.068044510
 
 def _flat_setup(level):
     mesh = icosphere(level)
-    bd = extract_boundary_data(provider_flat(), 1.0, mesh=mesh)
+    bd = extract_boundary_data(FlatData(), 1.0, mesh=mesh)
     emb = embed_metric(mesh, bd.geom.metric, degree=16, tol=1e-10)
     emb = align_embedding(emb, bd.positions)
     return bd, emb
@@ -47,7 +49,7 @@ def flat3():
 @pytest.fixture(scope="module")
 def schw4():
     mesh = icosphere(4)
-    bd = extract_boundary_data(provider_schwarzschild(1.0), 10.0, mesh=mesh)
+    bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, mesh=mesh)
     emb = embed_metric(mesh, bd.geom.metric, degree=16, tol=1e-10)
     emb = align_embedding(emb, bd.positions)
     return bd, emb
@@ -143,7 +145,7 @@ def test_sqrt_term_monotone_in_eps(flat3):
 def test_hamilton_jacobi_identity():
     # nonzero trK and alpha exercise every term of both routes
     mesh = icosphere(3)
-    by = provider_bowen_york(np.array([0.03, -0.02, 0.1]))
+    by = BowenYorkData(np.array([0.03, -0.02, 0.1]))
     bd = extract_boundary_data(by, 10.0, mesh=mesh)
     emb = embed_metric(mesh, bd.geom.metric, degree=16, tol=1e-10)
     emb = align_embedding(emb, bd.positions)
@@ -189,7 +191,7 @@ def test_eps_limit_route_agrees(schw4):
 
 
 def test_bowen_york_antisymmetry():
-    by = provider_bowen_york(np.array([0.0, 0.0, 0.1]))
+    by = BowenYorkData(np.array([0.0, 0.0, 0.1]))
     mesh = icosphere(3)
     bd = extract_boundary_data(by, 10.0, mesh=mesh)
     emb = embed_metric(mesh, bd.geom.metric, degree=16, tol=1e-10)
@@ -273,10 +275,55 @@ def test_report_serialization(tmp_path, flat3):
 def test_mesh_mismatch_rejected(flat3):
     bd, emb = flat3
     small = icosphere(2)
-    bd2 = extract_boundary_data(provider_flat(), 1.0, mesh=small)
+    bd2 = extract_boundary_data(FlatData(), 1.0, mesh=small)
     with pytest.raises(EnergyError):
         energy(
             SurfaceData.from_embedding(emb),
             SurfaceData.from_boundary(bd2),
             make_observer(emb, np.array([0.0, 0.0, 1.0])),
         )
+
+
+@pytest.fixture(scope="module")
+def sides2():
+    # level-2 round sphere: embedded reference side, flat and Bowen-York
+    # physical sides
+    mesh = icosphere(2)
+    flat = extract_boundary_data(FlatData(), 1.0, mesh=mesh)
+    emb = embed_metric(mesh, flat.geom.metric, degree=12, tol=1e-10)
+    emb = align_embedding(emb, flat.positions)
+    by = extract_boundary_data(BowenYorkData(np.array([0.03, -0.02, 0.1])),
+                               1.0, mesh=mesh)
+    return emb, SurfaceData.from_embedding(emb), [
+        SurfaceData.from_boundary(flat), SurfaceData.from_boundary(by)]
+
+
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
+
+
+def _unit(a):
+    a = np.asarray(a)
+    assume(np.linalg.norm(a) > 0.1)
+    return a / np.linalg.norm(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DIRECTIONS)
+def test_identical_data_energy_is_exactly_zero(sides2, a):
+    emb, ref, _ = sides2
+    assert energy(ref, ref, make_observer(emb, _unit(a))).E == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DIRECTIONS, st.sampled_from(["explicit", "both"]))
+def test_term_breakdown_sums_to_side_terms(sides2, a, mode):
+    emb, ref, physicals = sides2
+    obs = make_observer(emb, _unit(a))
+    for phys in physicals:
+        rep = energy(ref, phys, obs, mode=mode)
+        for side, term in (("reference", rep.reference_term),
+                           ("physical", rep.physical_term)):
+            parts = rep.term_breakdown[side]
+            assert len(parts) == 3
+            assert sum(parts) == pytest.approx(8.0 * np.pi * term,
+                                               rel=1e-14, abs=0.0)

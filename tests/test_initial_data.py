@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlmass.initialdata import (
+    BowenYorkData,
     CovectorField,
+    FlatData,
     InitialDataError,
     QuasiLocalBoundaryData,
+    SchwarzschildData,
     UniformExpansionData,
     adm_integrals,
+    central_partials,
     extract_boundary_data,
     fibonacci_directions,
     fit_decay_order,
-    provider_bowen_york,
-    provider_flat,
-    provider_schwarzschild,
     read_boundary_fields,
     write_boundary_fields,
 )
@@ -21,7 +24,7 @@ from qlmass.mesh import icosphere
 
 @pytest.fixture(scope="module")
 def schw():
-    return provider_schwarzschild(1.0)
+    return SchwarzschildData(1.0)
 
 
 def test_schwarzschild_metric_factor(schw):
@@ -31,7 +34,7 @@ def test_schwarzschild_metric_factor(schw):
 
 
 def test_flat_provider_trivial():
-    flat = provider_flat()
+    flat = FlatData()
     x = np.array([[1.0, 2.0, 3.0], [0.1, 0.0, -4.0]])
     mu, J = flat.constraint_fields(x)
     assert np.all(mu == 0.0) and np.all(J == 0.0)
@@ -54,7 +57,7 @@ def test_schwarzschild_scalar_curvature_vanishes(schw):
 
 
 def test_bowen_york_constraints():
-    by = provider_bowen_york(np.array([0.0, 0.0, 0.1]))
+    by = BowenYorkData(np.array([0.0, 0.0, 0.1]))
     pts = 7.0 * fibonacci_directions(16)
     mu, J = by.constraint_fields(pts)
     k = by.extrinsic(pts)
@@ -65,7 +68,7 @@ def test_bowen_york_constraints():
 
 
 def test_dec_classifier(schw):
-    assert provider_flat().dec_satisfied()
+    assert FlatData().dec_satisfied()
     assert schw.dec_satisfied()
 
 
@@ -73,7 +76,7 @@ def test_decay_orders(schw):
     tau_g, tau_k = fit_decay_order(schw)
     assert abs(tau_g - 1.0) < 0.1
     tau_g2, tau_k2 = fit_decay_order(
-        provider_bowen_york(np.array([0.1, 0.0, 0.0]))
+        BowenYorkData(np.array([0.1, 0.0, 0.0]))
     )
     assert tau_g2 is None
     assert abs(tau_k2 - 1.0) < 0.1
@@ -83,9 +86,9 @@ def test_domain_errors(schw):
     with pytest.raises(InitialDataError):
         schw.metric(np.zeros((1, 3)))
     with pytest.raises(InitialDataError):
-        provider_schwarzschild(-1.0)
+        SchwarzschildData(-1.0)
     with pytest.raises(InitialDataError):
-        provider_bowen_york(np.array([np.inf, 0.0, 0.0]))
+        BowenYorkData(np.array([np.inf, 0.0, 0.0]))
 
 
 def test_sphere_mean_curvature_closed_form(schw):
@@ -100,7 +103,7 @@ def test_sphere_mean_curvature_closed_form(schw):
 
 
 def test_flat_boundary_data_trivial():
-    bd = extract_boundary_data(provider_flat(), 1.0, level=3)
+    bd = extract_boundary_data(FlatData(), 1.0, level=3)
     np.testing.assert_allclose(bd.H, 2.0, rtol=2e-3)
     assert np.abs(bd.trk).max() == 0.0
     assert np.abs(bd.alpha.ambient).max() == 0.0
@@ -123,7 +126,7 @@ def test_schwarzschild_boundary_data(schw):
         bd.geom.metric.edge_lengths, psi_mid**2 * chord, rtol=1e-12
     )
     # and agrees with the constant-factor scaling at the sphere radius
-    flat_bd = extract_boundary_data(provider_flat(), R, level=3)
+    flat_bd = extract_boundary_data(FlatData(), R, level=3)
     np.testing.assert_allclose(
         bd.geom.metric.edge_lengths,
         psi**2 * flat_bd.geom.metric.edge_lengths,
@@ -133,7 +136,7 @@ def test_schwarzschild_boundary_data(schw):
 
 def test_bowen_york_boundary_data():
     p = 0.1
-    by = provider_bowen_york(np.array([0.0, 0.0, p]))
+    by = BowenYorkData(np.array([0.0, 0.0, p]))
     R = 10.0
     bd = extract_boundary_data(by, R, level=3)
     np.testing.assert_allclose(bd.H, 2.0 / R, rtol=1e-10)
@@ -161,14 +164,14 @@ def test_adm_schwarzschild(schw):
 
 
 def test_adm_flat():
-    rep = adm_integrals(provider_flat(), [5.0, 10.0])
+    rep = adm_integrals(FlatData(), [5.0, 10.0])
     assert abs(rep["E"]) < 1e-12
     assert np.abs(rep["P"]).max() < 1e-12
 
 
 def test_adm_bowen_york():
     p = np.array([0.0, 0.0, 0.1])
-    rep = adm_integrals(provider_bowen_york(p), [10.0, 20.0])
+    rep = adm_integrals(BowenYorkData(p), [10.0, 20.0])
     np.testing.assert_allclose(rep["P"], p, atol=1e-3)
     assert abs(rep["E"]) < 1e-3
 
@@ -179,7 +182,7 @@ def test_boundary_consistency_with_embedding():
     from qlmass.embedding import EmbeddingResult
 
     mesh = icosphere(3)
-    bd = extract_boundary_data(provider_flat(), 1.0, mesh=mesh)
+    bd = extract_boundary_data(FlatData(), 1.0, mesh=mesh)
     emb = EmbeddingResult(mesh, mesh.vertices, 0.0, 0)
     # the analytic H is exactly 2; the discrete mean curvature matches it
     # to the scheme's second-order accuracy
@@ -192,7 +195,7 @@ def test_boundary_consistency_with_embedding():
 
 
 def test_boundary_fields_roundtrip(tmp_path):
-    by = provider_bowen_york(np.array([0.03, -0.02, 0.1]))
+    by = BowenYorkData(np.array([0.03, -0.02, 0.1]))
     bd = extract_boundary_data(by, 10.0, level=2)
     path = tmp_path / "fields.txt"
     write_boundary_fields(path, bd)
@@ -202,3 +205,38 @@ def test_boundary_fields_roundtrip(tmp_path):
     np.testing.assert_allclose(
         back.alpha_edge_values(), bd.alpha_edge_values(), atol=1e-12
     )
+
+
+# exponents (a, b, c) of the 35 monomials x^a y^b z^c of degree <= 4
+_QUARTIC = np.array([(a, b, c) for a in range(5) for b in range(5 - a)
+                     for c in range(5 - a - b)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=70,
+                max_size=70),
+       st.floats(1e-3, 0.5), st.booleans())
+def test_central_partials_exact_on_quartics(coefs, h, per_point):
+    # a fourth-order central difference is exact through degree 4, so
+    # only round-off separates it from the analytic gradient
+    c = np.reshape(coefs, (35, 2))
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(40, 3))
+
+    def field(x):
+        mono = np.prod(x[:, None, :] ** _QUARTIC[None], axis=2)
+        return mono @ c
+
+    grad = np.empty((len(pts), 3, 2))
+    for i in range(3):
+        e = _QUARTIC.copy()
+        scale = e[:, i].astype(float)
+        e[:, i] = np.maximum(e[:, i] - 1, 0)
+        grad[:, i] = np.prod(pts[:, None, :] ** e[None], axis=2) \
+            @ (scale[:, None] * c)
+    step = np.full(len(pts), h) if per_point else h
+    d = central_partials(field, pts, step)
+    assert d.shape == grad.shape
+    # values on the stencil are at most sum|c| 3^4; differencing divides
+    # their round-off by h
+    bound = 16.0 * np.finfo(float).eps * np.abs(c).sum() * 3.0**4 / h
+    assert np.abs(d - grad).max() <= bound

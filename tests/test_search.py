@@ -9,11 +9,11 @@ import pytest
 from qlmass.embedding import EmbeddingResult, align_embedding, embed_metric
 from qlmass.energy import SurfaceData
 from qlmass.initialdata import (
+    BowenYorkData,
+    FlatData,
+    SchwarzschildData,
     extract_boundary_data,
     fibonacci_directions,
-    provider_bowen_york,
-    provider_flat,
-    provider_schwarzschild,
 )
 from qlmass.mesh import icosphere
 from qlmass.search import (
@@ -37,18 +37,18 @@ def _setup(provider, radius, level):
 
 @pytest.fixture(scope="module")
 def flat3():
-    ref, phys, emb = _setup(provider_flat(), 1.0, 3)
+    ref, phys, emb = _setup(FlatData(), 1.0, 3)
     return ref, phys, emb, build_fill_in(emb)
 
 
 @pytest.fixture(scope="module")
 def schw4():
-    return _setup(provider_schwarzschild(1.0), 10.0, 4)
+    return _setup(SchwarzschildData(1.0), 10.0, 4)
 
 
 @pytest.fixture(scope="module")
 def by3():
-    return _setup(provider_bowen_york(np.array([0.0, 0.0, 0.1])), 40.0, 3)
+    return _setup(BowenYorkData(np.array([0.0, 0.0, 0.1])), 40.0, 3)
 
 
 def _spherical_shell(level=2, inner=0.5, n_layers=4):
@@ -140,7 +140,7 @@ def test_mass_grid_csv(flat3, tmp_path):
 # -- asymptotics -----------------------------------------------------------
 
 def test_flat_energies_vanish_at_all_radii():
-    rep = asymptotics_driver(provider_flat(),
+    rep = asymptotics_driver(FlatData(),
                              [np.array([0.0, 0.0, 1.0])],
                              [1.0, 2.0], mesh_level=2)
     assert np.abs(np.asarray(rep.energies)).max() < 1e-3
@@ -149,7 +149,7 @@ def test_flat_energies_vanish_at_all_radii():
 
 def test_schwarzschild_limit_matches_mass():
     a_list = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
-    rep = asymptotics_driver(provider_schwarzschild(1.0), a_list,
+    rep = asymptotics_driver(SchwarzschildData(1.0), a_list,
                              [10.0, 20.0, 40.0, 80.0], mesh_level=3)
     for fit, target in zip(rep.fits, rep.adm_target):
         assert abs(fit["E_inf"] - 1.0) < 0.01
@@ -163,7 +163,7 @@ def test_schwarzschild_limit_matches_mass():
 def test_bowen_york_antisymmetric_limit():
     up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
     rep = asymptotics_driver(
-        provider_bowen_york(np.array([0.0, 0.0, 0.1])),
+        BowenYorkData(np.array([0.0, 0.0, 0.1])),
         [up, down], [10.0, 20.0, 40.0], mesh_level=3)
     anti = rep.fits[0]["E_inf"] - rep.fits[1]["E_inf"]
     assert abs(anti + 0.2) < 0.01
@@ -172,7 +172,7 @@ def test_bowen_york_antisymmetric_limit():
 
 
 def test_failed_radius_dropped_with_notice():
-    rep = asymptotics_driver(provider_schwarzschild(1.0),
+    rep = asymptotics_driver(SchwarzschildData(1.0),
                              [np.array([0.0, 0.0, 1.0])],
                              [0.3, 4.0, 8.0, 16.0], mesh_level=2)
     assert rep.radii == [4.0, 8.0, 16.0]
@@ -180,7 +180,7 @@ def test_failed_radius_dropped_with_notice():
 
 
 def test_asymptotics_csv(tmp_path):
-    rep = asymptotics_driver(provider_flat(),
+    rep = asymptotics_driver(FlatData(),
                              [np.array([0.0, 0.0, 1.0])],
                              [1.0, 2.0], mesh_level=2)
     path = tmp_path / "asymptotics.csv"

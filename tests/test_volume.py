@@ -5,8 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
-from scipy.sparse import lil_matrix
+from scipy.sparse import csr_matrix, lil_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay
 
@@ -352,6 +355,59 @@ def test_torus_height_levels_are_annuli():
     mid = np.abs(topo.levels) < 0.5
     assert np.all(topo.chi[mid] == 0)
     assert np.all(topo.boundary_components[mid] == 2)
+
+
+def _trace_curve_oracle(vol, u, levels):
+    """Curves of {u = s} on a genus-0 boundary, counted apart from the
+    marching-triangles faces: the sphere minus k disjoint curves has k + 1
+    pieces, and the pieces are the components of the boundary vertex
+    subgraphs induced by u > s and by u < s."""
+    f = vol.boundary_faces
+    edges = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    bverts = vol.boundary_vertices
+    n = vol.n_vertices
+    counts = []
+    for s in levels:
+        pieces = 0
+        for side in (u > s, u < s):
+            keep = side[edges[:, 0]] & side[edges[:, 1]]
+            graph = csr_matrix(
+                (np.ones(keep.sum()), (edges[keep, 0], edges[keep, 1])),
+                shape=(n, n),
+            )
+            _, labels = connected_components(graph, directed=False)
+            pieces += len(np.unique(labels[bverts[side[bverts]]]))
+        counts.append(pieces - 1)
+    return np.array(counts)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_boundary_trace_counts_separate_curves(level):
+    # u = -z^2 cuts the sphere in two circles of latitude; near the poles
+    # they run through one strip of triangles without sharing a cut edge
+    _, vol = _ball_fill_in(level, layers=4)
+    u = -vol.vertices[:, 2] ** 2
+    topo = level_set_topology(vol, u, n_levels=64)
+    oracle = _trace_curve_oracle(vol, u, topo.levels)
+    assert np.array_equal(topo.boundary_components, oracle)
+    assert np.all(topo.boundary_components[topo.levels < -0.05] == 2)
+
+
+_SMALL_BALL = _ball_fill_in(2, layers=4)[1]
+_WAVES = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15,
+                  max_size=15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_WAVES)
+def test_boundary_trace_counts_match_oracle_on_smooth_fields(coefs):
+    # three plane waves a sin(k.x + p) with random wave vectors
+    c = np.reshape(coefs, (3, 5))
+    x = _SMALL_BALL.vertices
+    u = sum(a * np.sin(x @ k + p) for *k, p, a in c) + 1e-3 * x[:, 0]
+    topo = level_set_topology(_SMALL_BALL, u, n_levels=32)
+    oracle = _trace_curve_oracle(_SMALL_BALL, u, topo.levels)
+    assert np.array_equal(topo.boundary_components, oracle)
 
 
 # -- admissibility ---------------------------------------------------------
