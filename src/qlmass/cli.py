@@ -109,19 +109,15 @@ def _with_flags(fn):
     return fn
 
 
-def _build_config(config_path, flags):
-    cfg = read_config(config_path) if config_path else default_config()
-    for name, raw in flags.items():
-        if raw is None:
-            continue
-        key = _FLAG_KEYS[name]
-        cfg[key] = _parse_value(key, SCHEMA[key][0], str(raw), "<flag>")
+def _build_config(kwargs):
+    """Config file (or defaults) with the given flags applied."""
+    path = kwargs["config_path"]
+    cfg = read_config(path) if path else default_config()
+    for name, key in _FLAG_KEYS.items():
+        if kwargs[name] is not None:
+            cfg[key] = _parse_value(key, SCHEMA[key][0], str(kwargs[name]),
+                                    "<flag>")
     return cfg
-
-
-def _split_kwargs(kwargs):
-    flags = {k: v for k, v in kwargs.items() if k.startswith("flag_")}
-    return kwargs["config_path"], flags
 
 
 def _grid_rotation(cfg):
@@ -178,10 +174,11 @@ def _resolution_context(cfg):
     }
 
 
-def _write_json(path, payload):
+def _write_json(manifest, path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=_json_default)
         fh.write("\n")
+    manifest.add_output(path)
 
 
 def _json_default(obj):
@@ -201,9 +198,9 @@ def _fill_in(cfg, emb):
     return build_fill_in(emb, layers=cfg["volume.layers"])
 
 
-def _execute(command, config_path, flags, body):
+def _execute(command, kwargs, body):
     try:
-        cfg = _build_config(config_path, flags)
+        cfg = _build_config(kwargs)
         outdir = Path(cfg["output.dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest(command, cfg)
@@ -233,8 +230,6 @@ def print_config():
 @_with_flags
 def embed(**kwargs):
     """Solve the isometric embedding of the extracted boundary metric."""
-    config_path, flags = _split_kwargs(kwargs)
-
     def body(cfg, outdir, manifest):
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
@@ -247,20 +242,17 @@ def embed(**kwargs):
             "radius": cfg["radius"],
             "resolution": _resolution_context(cfg),
         }
-        _write_json(outdir / "embed.json", payload)
-        manifest.add_output(outdir / "embed.json")
+        _write_json(manifest, outdir / "embed.json", payload)
         click.echo(f"defectL2={emb.defect_l2:.3e} "
                    f"iterations={emb.iterations}")
 
-    _execute("embed", config_path, flags, body)
+    _execute("embed", kwargs, body)
 
 
 @main.command("energy")
 @_with_flags
 def energy_cmd(**kwargs):
     """Quasi-local energy of one observer direction."""
-    config_path, flags = _split_kwargs(kwargs)
-
     def body(cfg, outdir, manifest):
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
@@ -270,19 +262,16 @@ def energy_cmd(**kwargs):
                      mode=cfg["energy.mode"],
                      context=_resolution_context(cfg))
         manifest.record("energy")
-        _write_json(outdir / "energy.json", rep.to_dict())
-        manifest.add_output(outdir / "energy.json")
+        _write_json(manifest, outdir / "energy.json", rep.to_dict())
         click.echo(f"E={rep.E:.10e}")
 
-    _execute("energy", config_path, flags, body)
+    _execute("energy", kwargs, body)
 
 
 @main.command()
 @_with_flags
 def mass(**kwargs):
     """Energy infimum over admissible observer directions."""
-    config_path, flags = _split_kwargs(kwargs)
-
     def body(cfg, outdir, manifest):
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
@@ -300,20 +289,17 @@ def mass(**kwargs):
         manifest.record("massSearch")
         write_mass_grid_csv(outdir / "mass_grid.csv", report)
         manifest.add_output(outdir / "mass_grid.csv")
-        _write_json(outdir / "mass.json", report.to_dict())
-        manifest.add_output(outdir / "mass.json")
+        _write_json(manifest, outdir / "mass.json", report.to_dict())
         click.echo(f"mass={report.mass_value:.10e} "
                    f"argmin={report.argmin_a.tolist()}")
 
-    _execute("mass", config_path, flags, body)
+    _execute("mass", kwargs, body)
 
 
 @main.command()
 @_with_flags
 def asymptotics(**kwargs):
     """Energies over a radius ladder with the fitted large-radius limit."""
-    config_path, flags = _split_kwargs(kwargs)
-
     def body(cfg, outdir, manifest):
         data = _provider(cfg)
         if data is None:
@@ -331,23 +317,20 @@ def asymptotics(**kwargs):
         manifest.record("asymptotics")
         write_asymptotics_csv(outdir / "asymptotics.csv", report)
         manifest.add_output(outdir / "asymptotics.csv")
-        _write_json(outdir / "asymptotics.json", report.to_dict())
-        manifest.add_output(outdir / "asymptotics.json")
+        _write_json(manifest, outdir / "asymptotics.json", report.to_dict())
         for notice in report.notices:
             click.echo(f"notice: {notice}")
         limits = [fit["E_inf"] for fit in report.fits]
         click.echo(f"E_inf={np.mean(limits):.6f} "
                    f"(spread {np.ptp(limits):.2e})")
 
-    _execute("asymptotics", config_path, flags, body)
+    _execute("asymptotics", kwargs, body)
 
 
 @main.command()
 @_with_flags
 def admissibility(**kwargs):
     """Level-set topology verdict for one observer direction."""
-    config_path, flags = _split_kwargs(kwargs)
-
     def body(cfg, outdir, manifest):
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
@@ -363,12 +346,11 @@ def admissibility(**kwargs):
             "generalizedIntegral": report["generalizedIntegral"],
             "resolution": _resolution_context(cfg),
         }
-        _write_json(outdir / "admissibility.json", payload)
-        manifest.add_output(outdir / "admissibility.json")
+        _write_json(manifest, outdir / "admissibility.json", payload)
         click.echo(f"verdict={report['verdict']}")
         return 0 if report["verdict"] == "admissible" else 2
 
-    _execute("admissibility", config_path, flags, body)
+    _execute("admissibility", kwargs, body)
 
 
 @main.command("verify-identity")
@@ -376,8 +358,6 @@ def admissibility(**kwargs):
 def verify_identity(**kwargs):
     """Integral identity terms for the interior spacetime-harmonic
     extension of the observer function."""
-    config_path, flags = _split_kwargs(kwargs)
-
     def body(cfg, outdir, manifest):
         data = _provider(cfg)
         if data is None:
@@ -399,21 +379,18 @@ def verify_identity(**kwargs):
         manifest.record("identity")
         payload = {k: v for k, v in report.items() if k != "topology"}
         payload["resolution"] = _resolution_context(cfg)
-        _write_json(outdir / "identity.json", payload)
-        manifest.add_output(outdir / "identity.json")
+        _write_json(manifest, outdir / "identity.json", payload)
         click.echo(f"slack={report['slack']:.3e} scale={report['scale']:.3e} "
                    f"method={report['method']}")
         return 0 if report["slack"] >= -1e-6 * report["scale"] else 2
 
-    _execute("verify-identity", config_path, flags, body)
+    _execute("verify-identity", kwargs, body)
 
 
 @main.command("el-residual")
 @_with_flags
 def el_residual(**kwargs):
     """First-variation residual diagnostics for one observer."""
-    config_path, flags = _split_kwargs(kwargs)
-
     def body(cfg, outdir, manifest):
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
@@ -427,12 +404,11 @@ def el_residual(**kwargs):
             "warnings": out["warnings"],
             "resolution": _resolution_context(cfg),
         }
-        _write_json(outdir / "el_residual.json", payload)
-        manifest.add_output(outdir / "el_residual.json")
+        _write_json(manifest, outdir / "el_residual.json", payload)
         click.echo(f"charges={out['distributionalCharges']} "
                    f"interiorL2={out['interiorL2']:.3e}")
 
-    _execute("el-residual", config_path, flags, body)
+    _execute("el-residual", kwargs, body)
 
 
 def _selftest_checks():

@@ -1,9 +1,9 @@
 """Plain-text experiment configuration and run manifests.
 
 Config files are `key = value` lines with `#` comments.  Every key has a
-documented default; unknown and duplicate keys are rejected with the
-offending line number.  serialize_config(parse_config(text)) is lossless
-for all value types (floats round-trip through repr).
+default; unknown or duplicate keys and values outside LIMITS are rejected
+with the offending line number.  serialize_config(parse_config(text)) is
+lossless for all value types (floats round-trip through repr).
 """
 
 import hashlib
@@ -73,6 +73,19 @@ SCHEMA = {
 }
 
 
+# key -> (rule, test) for the values a key admits
+LIMITS = {
+    "radius": ("> 0", lambda v: v > 0.0),
+    "radii": ("> 0 each", lambda v: all(r > 0.0 for r in v)),
+    "mesh.level": (">= 0", lambda v: v >= 0),
+    "observers.grid": (">= 1", lambda v: v >= 1),
+    "volume.layers": (">= 1", lambda v: v >= 1),
+    "topology.levels": (">= 1", lambda v: v >= 1),
+    "energy.mode": ("one of explicit, epsLimit, both",
+                    lambda v: v in ("explicit", "epsLimit", "both")),
+}
+
+
 def default_config():
     return {key: spec[1] for key, spec in SCHEMA.items()}
 
@@ -80,19 +93,22 @@ def default_config():
 def _parse_value(key, kind, raw, where):
     try:
         if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw
-        parts = tuple(float(p) for p in raw.split(","))
-        if kind == "vec3":
-            if len(parts) != 3:
+            value = int(raw)
+        elif kind == "float":
+            value = float(raw)
+        elif kind == "str":
+            value = raw
+        else:
+            value = tuple(float(p) for p in raw.split(","))
+            if kind == "vec3" and len(value) != 3:
                 raise ValueError("expected three components")
-            return parts
-        return parts  # floats
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for key {key}: {exc}")
+    rule, test = LIMITS.get(key, (None, None))
+    if rule is not None and not test(value):
+        raise ConfigError(f"{where}: bad value for key {key}: {value!r} "
+                          f"(must be {rule})")
+    return value
 
 
 def _format_value(kind, value):

@@ -12,6 +12,21 @@ class MeshError(ValueError):
     """Raised for non-manifold, non-closed, or degenerate mesh input."""
 
 
+def unique_rows(raw):
+    """np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True) for
+    rows of vertex indices, through one int64 key per row."""
+    rows = np.sort(raw, axis=1)
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] - 1 > np.iinfo(np.int64).max:
+        raise MeshError(f"{base} vertices overflow the int64 keys of "
+                        f"{rows.shape[1]}-vertex rows")
+    keys = rows[:, 0].astype(np.int64)
+    for j in range(1, rows.shape[1]):
+        keys = keys * base + rows[:, j]
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inv
+
+
 class SurfaceMesh:
     """Closed oriented manifold triangulation.
 
@@ -41,11 +56,8 @@ class SurfaceMesh:
     def _build_edges(self):
         f = self.faces
         halfedges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        key = np.sort(halfedges, axis=1)
-        self.edges, inv, counts = np.unique(
-            key, axis=0, return_inverse=True, return_counts=True
-        )
-        self._edge_counts = counts
+        self.edges, inv = unique_rows(halfedges)
+        self._edge_counts = np.bincount(inv, minlength=len(self.edges))
         self._halfedges = halfedges
         # face_edges[i, k] = edge index of halfedge k of face i
         self.face_edges = inv.reshape(3, len(f)).T
@@ -118,11 +130,9 @@ def icosphere(level):
 
 
 def _subdivide(verts, faces):
-    edges = np.sort(
-        np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]),
-        axis=1,
+    uniq, inv = unique_rows(
+        np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     )
-    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
     mids = verts[uniq[:, 0]] + verts[uniq[:, 1]]
     mids /= np.linalg.norm(mids, axis=1, keepdims=True)
     mid_idx = len(verts) + np.arange(len(uniq))

@@ -99,12 +99,9 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     for a in dirs:
         obs = make_observer(emb, a)
         rep = energy(ref_sd, phys_sd, obs)
-        if fill_in is not None:
-            verdict = admissibility_verdict(
-                fill_in, obs, n_levels=admissibility_levels
-            )["verdict"]
-        else:
-            verdict = "unchecked"
+        verdict = admissibility_verdict(
+            fill_in, obs, n_levels=admissibility_levels
+        )["verdict"]
         rows.append({"a": a, "E": rep.E, "admissible": verdict})
 
     feasible = [r for r in rows if r["admissible"] != "not admissible"]
@@ -148,13 +145,10 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     if trace:
         refined = min(trace, key=lambda it: it["E"])
         if refined["E"] < mass_value:
-            if fill_in is not None:
-                verdict = admissibility_verdict(
-                    fill_in, make_observer(emb, refined["a"]),
-                    n_levels=admissibility_levels,
-                )["verdict"]
-            else:
-                verdict = "unchecked"
+            verdict = admissibility_verdict(
+                fill_in, make_observer(emb, refined["a"]),
+                n_levels=admissibility_levels,
+            )["verdict"]
             if verdict == "not admissible":
                 notes.append(
                     "refined direction rejected as not admissible; "

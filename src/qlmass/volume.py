@@ -22,6 +22,7 @@ from .initialdata import (
     central_partials,
     fibonacci_directions,
 )
+from .mesh import unique_rows
 
 
 class VolumeError(RuntimeError):
@@ -468,99 +469,104 @@ def _shared_pairs(raw, owner):
     of the simplex owner[r], and the owners that share one: (unique
     sub-simplices, indices of those shared by exactly two owners, first
     owner, second owner)."""
-    keys, inv = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
-    order = np.argsort(inv, kind="stable")
-    kinv, kown = inv[order], owner[order]
-    starts = np.searchsorted(kinv, np.arange(len(keys)))
-    counts = np.diff(np.append(starts, len(kinv)))
-    pair_mask = counts == 2
-    first = kown[starts[pair_mask]]
-    second = kown[starts[pair_mask] + 1]
-    return keys, np.flatnonzero(pair_mask), first, second
+    keys, inv = unique_rows(raw)
+    kown = owner[np.argsort(inv, kind="stable")]
+    counts = np.bincount(inv, minlength=len(keys))
+    pairs = np.flatnonzero(counts == 2)
+    starts = (np.cumsum(counts) - counts)[pairs]
+    return keys, pairs, kown[starts], kown[starts + 1]
 
 
 def _volume_topology_arrays(vol):
     if vol._topo_cache is not None:
         return vol._topo_cache
     tets = vol.tets
-    raw_edges = np.vstack([
+    edges, _ = unique_rows(np.vstack([
         tets[:, [0, 1]], tets[:, [0, 2]], tets[:, [0, 3]],
         tets[:, [1, 2]], tets[:, [1, 3]], tets[:, [2, 3]],
-    ])
-    edges = np.unique(np.sort(raw_edges, axis=1), axis=0)
+    ]))
     # tets adjacent through each interior face
-    raw_faces = np.vstack([
+    faces, pair_faces, t1, t2 = _shared_pairs(np.vstack([
         tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
         tets[:, [0, 1, 3]], tets[:, [0, 1, 2]],
-    ])
-    faces, pair_faces, t1, t2 = _shared_pairs(
-        raw_faces, np.tile(np.arange(len(tets)), 4)
-    )
+    ]), np.tile(np.arange(len(tets)), 4))
     # boundary faces adjacent through each shared boundary edge
     bfaces = np.sort(vol.boundary_faces, axis=1)
-    raw_bedges = np.vstack([
+    bedges, shared, b1, b2 = _shared_pairs(np.vstack([
         bfaces[:, [0, 1]], bfaces[:, [0, 2]], bfaces[:, [1, 2]],
-    ])
-    bedges, shared, b1, b2 = _shared_pairs(
-        raw_bedges, np.tile(np.arange(len(bfaces)), 3)
-    )
+    ]), np.tile(np.arange(len(bfaces)), 3))
     vol._topo_cache = (edges, faces, pair_faces, t1, t2, bfaces,
                        bedges[shared], b1, b2)
     return vol._topo_cache
 
 
-def _component_count(n_items, links):
-    if n_items == 0:
-        return 0
-    if len(links) == 0:
-        return n_items
-    graph = csr_matrix(
-        (np.ones(len(links)), (links[:, 0], links[:, 1])),
-        shape=(n_items, n_items),
-    )
-    count, _ = connected_components(graph, directed=False)
-    return int(count)
+def _cut_ranges(rank, simplices):
+    """Index range [first, stop) of the ascending levels s that cut each
+    simplex, from the count rank[v] of levels below u[v]: min u <= s <
+    max u over its vertices, so that u > s at some but not all of them."""
+    first = stop = rank[simplices[:, 0]]
+    for j in range(1, simplices.shape[1]):
+        col = rank[simplices[:, j]]
+        first, stop = np.minimum(first, col), np.maximum(stop, col)
+    return first, stop
 
 
-def _level_stats(vol, u, s):
+def _expand(first, stop):
+    """(simplex, level) of every pair in the ranges [first, stop), simplex
+    by simplex, and node0 with pair (i, k) at position node0[i] + k."""
+    node0 = np.cumsum(stop - first) - stop
+    owner = np.repeat(np.arange(len(first)), stop - first)
+    return owner, np.arange(len(owner)) - node0[owner], node0
+
+
+def _components_per_level(first, stop, a, b, link_first, link_stop,
+                          n_levels):
+    """Connected components at each level of the simplices cut there,
+    simplices a[j] and b[j] being linked at the levels that cut link j:
+    one graph whose nodes are the (simplex, level) pairs."""
+    _, level, node0 = _expand(first, stop)
+    j, k, _ = _expand(link_first, link_stop)
+    graph = csr_matrix((np.ones(len(j)), (node0[a[j]] + k, node0[b[j]] + k)),
+                       shape=(len(level), len(level)))
+    n_comp, labels = connected_components(graph, directed=False)
+    comp_level = np.empty(n_comp, dtype=np.int64)
+    comp_level[labels] = level
+    return np.bincount(comp_level, minlength=n_levels)
+
+
+def _level_topology(vol, u, levels):
     """(chi, surface components, boundary-trace components) of the
-    marching-tetrahedra level set u = s."""
+    marching-tetrahedra level sets u = s for all s in levels at once:
+    surface pieces are cut tets linked through cut interior faces, trace
+    curves cut boundary faces linked through cut boundary edges."""
     edges, faces, pair_faces, t1, t2, bfaces, bshared, b1, b2 = \
         _volume_topology_arrays(vol)
-    above = u > s
-    cut_edges = above[edges[:, 0]] != above[edges[:, 1]]
-    fsig = above[faces]
-    cut_faces = ~(fsig.all(axis=1) | (~fsig).all(axis=1))
-    tsig = above[vol.tets]
-    cut_tets = ~(tsig.all(axis=1) | (~tsig).all(axis=1))
-    chi = (int(cut_edges.sum()) - int(cut_faces.sum())
-           + int(cut_tets.sum()))
-    # components of the extracted surface: cut tets linked through shared
-    # cut interior faces
-    active = np.flatnonzero(cut_tets)
-    remap = -np.ones(vol.n_tets, dtype=np.int64)
-    remap[active] = np.arange(len(active))
-    keep = cut_faces[pair_faces] & cut_tets[t1] & cut_tets[t2]
-    links = np.column_stack([remap[t1[keep]], remap[t2[keep]]])
-    ncomp = _component_count(len(active), links)
-    # boundary trace curves: cut boundary faces linked through shared cut
-    # boundary edges
-    bsig = above[bfaces]
-    bcut = ~(bsig.all(axis=1) | (~bsig).all(axis=1))
-    bactive = np.flatnonzero(bcut)
-    bremap = -np.ones(len(bfaces), dtype=np.int64)
-    bremap[bactive] = np.arange(len(bactive))
-    bkeep = above[bshared[:, 0]] != above[bshared[:, 1]]
-    blinks = np.column_stack([bremap[b1[bkeep]], bremap[b2[bkeep]]])
-    bcomp = _component_count(len(bactive), blinks)
-    return chi, ncomp, bcomp
+    order = np.argsort(levels, kind="stable")
+    rank, n = np.searchsorted(np.asarray(levels)[order], u), len(order)
+    (ef, es), (ff, fs), (tf, ts), (bf, bs), (sf, ss) = (
+        _cut_ranges(rank, simplices)
+        for simplices in (edges, faces, vol.tets, bfaces, bshared)
+    )
+
+    def cut(first, stop):  # simplices cut at each level
+        return np.cumsum(np.bincount(first, minlength=n + 1)
+                         - np.bincount(stop, minlength=n + 1))[:n]
+
+    chi = cut(ef, es) - cut(ff, fs) + cut(tf, ts)
+    ncomp = _components_per_level(tf, ts, t1, t2, ff[pair_faces],
+                                  fs[pair_faces], n)
+    bcomp = _components_per_level(bf, bs, b1, b2, sf, ss, n)
+    return np.stack([chi, ncomp, bcomp])[:, np.argsort(order)]
 
 
 def level_set_topology(vol, u, n_levels=64):
     """Marching-tetrahedra topology of the sampled level sets of u."""
+    if n_levels < 1:
+        raise VolumeError(
+            f"level-set topology needs at least one level, got {n_levels}")
     u = np.asarray(u, dtype=float)
-    if np.ptp(u) == 0.0:
-        raise VolumeError("level-set topology needs a non-constant field")
+    if not 0.0 < np.ptp(u) < np.inf:
+        raise VolumeError("level sets need a finite non-constant field")
     u_min, u_max = float(u.min()), float(u.max())
     rng = u_max - u_min
     ds = rng / n_levels
@@ -570,12 +576,7 @@ def level_set_topology(vol, u, n_levels=64):
         while np.abs(u - levels[i]).min() < 1e-9 * rng:
             levels[i] += 1e-8 * rng
             notes.append(f"level {i} nudged to avoid a vertex value")
-
-    chi = np.empty(n_levels, dtype=np.int64)
-    ncomp = np.empty(n_levels, dtype=np.int64)
-    bcomp = np.empty(n_levels, dtype=np.int64)
-    for i, s in enumerate(levels):
-        chi[i], ncomp[i], bcomp[i] = _level_stats(vol, u, s)
+    chi, ncomp, bcomp = _level_topology(vol, u, levels)
     return LevelSetTopology(levels, chi, ncomp, bcomp, u_min, u_max, notes)
 
 
@@ -946,10 +947,10 @@ def _exact_coarea(rep, vol, u_samples, radius):
     vals = np.sort(vals)
     keep = np.concatenate([[True], np.diff(vals) > 1e-10 * rng])
     vals = vals[keep]
+    chis = _level_topology(vol, u_samples, 0.5 * (vals[:-1] + vals[1:]))[0]
     total = 0.0
     intervals = []
-    for lo, hi in zip(vals[:-1], vals[1:]):
-        chi, _, _ = _level_stats(vol, u_samples, 0.5 * (lo + hi))
+    for lo, hi, chi in zip(vals[:-1], vals[1:], chis):
         total += chi * (hi - lo)
         intervals.append({"lo": float(lo), "hi": float(hi),
                           "chi": int(chi)})
@@ -983,6 +984,9 @@ def _interpolate_boundary(vol, surface_positions, surface_faces,
                 best, best_min = (fi, lam), lam_min
             if lam_min >= -1e-12:
                 break
+        if best is None:
+            raise VolumeError(f"every boundary face near direction "
+                              f"{directions[p]} is degenerate")
         fi, lam = best
         lam = np.clip(lam, 0.0, None)
         lam /= lam.sum()

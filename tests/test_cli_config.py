@@ -245,10 +245,66 @@ def test_unknown_provider_exits_two(runner, tmp_path):
 
 
 def test_degenerate_metric_exits_two(runner, tmp_path):
-    # radius 0 collapses every edge of the extracted metric
+    # squared edge lengths of a radius 1e-200 sphere underflow to zero
     result = runner.invoke(main, ["energy", "--provider", "flat",
-                                  "--radius", "0", "--level", "1",
+                                  "--radius", "1e-200", "--level", "1",
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 2, result.output
     assert "edge lengths must be finite and positive" in result.output
     assert "internal error" not in result.output
+
+
+def _rejected(runner, tmp_path, args, config_text=None):
+    """Runs `qlm energy` with args (and a config file holding
+    config_text) and returns the error output of the exit-2 rejection."""
+    if config_text is not None:
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config_text)
+        args = args + ["--config", str(cfg_path)]
+    result = runner.invoke(main, ["energy", "--out", str(tmp_path / "run")]
+                           + args)
+    assert result.exit_code == 2, result.output
+    assert "internal error" not in result.output
+    assert not (tmp_path / "run" / "energy.json").exists()
+    return result.output
+
+
+def test_nonpositive_radius_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, ["--radius", "-1", "--level", "2"])
+    assert "<flag>: bad value for key radius: -1.0 (must be > 0)" in out
+    out = _rejected(runner, tmp_path, [], "# sphere\nradius = 0\n")
+    assert "exp.cfg:2: bad value for key radius" in out
+
+
+def test_nonpositive_radii_entry_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, ["--radii", "10,-20,40"])
+    assert "bad value for key radii" in out and "> 0 each" in out
+
+
+def test_negative_mesh_level_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, ["--level", "-1"])
+    assert "<flag>: bad value for key mesh.level: -1 (must be >= 0)" in out
+
+
+def test_empty_observer_grid_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, ["--grid", "0"])
+    assert "bad value for key observers.grid: 0 (must be >= 1)" in out
+
+
+def test_no_volume_layers_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, [], "volume.layers = 0\n")
+    assert "exp.cfg:1: bad value for key volume.layers: 0" in out
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_topology_levels_below_one_rejected(runner, tmp_path, levels):
+    out = _rejected(runner, tmp_path, [], f"topology.levels = {levels}\n")
+    assert (f"exp.cfg:1: bad value for key topology.levels: {levels} "
+            f"(must be >= 1)") in out
+
+
+def test_unknown_energy_mode_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, [],
+                    "radius = 2.0\nenergy.mode = epslimit\n")
+    assert "exp.cfg:2: bad value for key energy.mode: 'epslimit'" in out
+    assert "one of explicit, epsLimit, both" in out

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qlmass.mesh import MeshError, SurfaceMesh, icosphere, read_off, write_off
+from qlmass.mesh import (
+    MeshError,
+    SurfaceMesh,
+    icosphere,
+    read_off,
+    unique_rows,
+    write_off,
+)
 from qlmass.operators import (
     MetricError,
     OperatorSet,
@@ -187,3 +194,28 @@ def test_vertex_average_roundtrip(sphere4):
     const = np.full(sphere4.mesh.n_faces, 3.25)
     out = sphere4.ops.vertex_average(const)
     np.testing.assert_allclose(out, 3.25, rtol=1e-12)
+
+
+def test_unique_rows_matches_numpy_unique():
+    raw = np.random.default_rng(7).integers(0, 40, size=(3000, 3))
+    keys, inv = unique_rows(raw)
+    ref_keys, ref_inv = np.unique(np.sort(raw, 1), axis=0,
+                                  return_inverse=True)
+    assert np.array_equal(keys, ref_keys)
+    assert np.array_equal(inv, ref_inv.reshape(-1))
+    edges = raw[:, :2]
+    keys, inv = unique_rows(edges)
+    ref_keys, ref_inv = np.unique(np.sort(edges, 1), axis=0,
+                                  return_inverse=True)
+    assert np.array_equal(keys, ref_keys)
+    assert np.array_equal(inv, ref_inv.reshape(-1))
+
+
+def test_unique_rows_refuses_overflowing_keys():
+    # 2^21 vertices still fit three-vertex keys in int64, one more does not
+    fits = np.array([[0, 1, 2 ** 21 - 1], [2 ** 21 - 1, 0, 1]])
+    keys, inv = unique_rows(fits)
+    assert np.array_equal(keys, [[0, 1, 2 ** 21 - 1]])
+    assert np.array_equal(inv, [0, 0])
+    with pytest.raises(MeshError, match="overflow"):
+        unique_rows(np.array([[0, 1, 2 ** 21]]))

@@ -23,7 +23,10 @@ from qlmass.mesh import icosphere
 from qlmass.volume import (
     VolumeError,
     VolumeMesh,
+    _interpolate_boundary,
+    _level_topology,
     _split_prism,
+    _volume_topology_arrays,
     admissibility_verdict,
     build_fill_in,
     integral_identity_check,
@@ -349,6 +352,16 @@ def test_constant_field_rejected():
         level_set_topology(vol, np.ones(vol.n_vertices))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_field_rejected(bad):
+    # a NaN field used to give chi = 0 = boundary_components at every
+    # level, which admissibility_verdict read as admissible
+    u = _SMALL_BALL.vertices[:, 2].copy()
+    u[5] = bad
+    with pytest.raises(VolumeError, match="finite"):
+        level_set_topology(_SMALL_BALL, u)
+
+
 def test_torus_height_levels_are_annuli():
     vol = _solid_torus()
     topo = level_set_topology(vol, vol.vertices[:, 2], n_levels=16)
@@ -408,6 +421,125 @@ def test_boundary_trace_counts_match_oracle_on_smooth_fields(coefs):
     topo = level_set_topology(_SMALL_BALL, u, n_levels=32)
     oracle = _trace_curve_oracle(_SMALL_BALL, u, topo.levels)
     assert np.array_equal(topo.boundary_components, oracle)
+
+
+def _component_count(n_items, links):
+    if n_items == 0:
+        return 0
+    if len(links) == 0:
+        return n_items
+    graph = csr_matrix(
+        (np.ones(len(links)), (links[:, 0], links[:, 1])),
+        shape=(n_items, n_items),
+    )
+    count, _ = connected_components(graph, directed=False)
+    return int(count)
+
+
+def _level_stats(vol, u, s):
+    """Reference: (chi, surface components, boundary-trace components) of
+    the marching-tetrahedra level set u = s, one level at a time."""
+    edges, faces, pair_faces, t1, t2, bfaces, bshared, b1, b2 = \
+        _volume_topology_arrays(vol)
+    above = u > s
+    cut_edges = above[edges[:, 0]] != above[edges[:, 1]]
+    fsig = above[faces]
+    cut_faces = ~(fsig.all(axis=1) | (~fsig).all(axis=1))
+    tsig = above[vol.tets]
+    cut_tets = ~(tsig.all(axis=1) | (~tsig).all(axis=1))
+    chi = (int(cut_edges.sum()) - int(cut_faces.sum())
+           + int(cut_tets.sum()))
+    # components of the extracted surface: cut tets linked through shared
+    # cut interior faces
+    active = np.flatnonzero(cut_tets)
+    remap = -np.ones(vol.n_tets, dtype=np.int64)
+    remap[active] = np.arange(len(active))
+    keep = cut_faces[pair_faces] & cut_tets[t1] & cut_tets[t2]
+    links = np.column_stack([remap[t1[keep]], remap[t2[keep]]])
+    ncomp = _component_count(len(active), links)
+    # boundary trace curves: cut boundary faces linked through shared cut
+    # boundary edges
+    bsig = above[bfaces]
+    bcut = ~(bsig.all(axis=1) | (~bsig).all(axis=1))
+    bactive = np.flatnonzero(bcut)
+    bremap = -np.ones(len(bfaces), dtype=np.int64)
+    bremap[bactive] = np.arange(len(bactive))
+    bkeep = above[bshared[:, 0]] != above[bshared[:, 1]]
+    blinks = np.column_stack([bremap[b1[bkeep]], bremap[b2[bkeep]]])
+    bcomp = _component_count(len(bactive), blinks)
+    return chi, ncomp, bcomp
+
+
+def _assert_matches_level_stats(vol, u, levels, topo):
+    expected = np.array([_level_stats(vol, u, s) for s in levels],
+                        dtype=np.int64).reshape(-1, 3).T
+    for got, want in zip(topo, expected):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+_TORUS = _solid_torus(n_major=24)
+_MESHES = st.sampled_from(["ball", "torus"])
+_COEFS = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15,
+                  max_size=15)
+
+
+def _mesh(name):
+    return _SMALL_BALL if name == "ball" else _TORUS
+
+
+def _plane_waves(x, coefs):
+    c = np.reshape(coefs, (3, 5))
+    return sum(a * np.sin(x @ k + p) for *k, p, a in c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_MESHES, _COEFS, st.sampled_from(["affine", "waves"]))
+def test_level_set_topology_matches_per_level_reference(name, coefs, kind):
+    vol = _mesh(name)
+    x = vol.vertices
+    if kind == "affine":
+        u = x @ np.array(coefs[:3]) + coefs[3]
+    else:
+        u = _plane_waves(x, coefs) + 1e-3 * x[:, 0]
+    if np.ptp(u) == 0.0:
+        return
+    topo = level_set_topology(vol, u, n_levels=24)
+    _assert_matches_level_stats(
+        vol, u, topo.levels,
+        (topo.chi, topo.n_components, topo.boundary_components))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_MESHES, _COEFS, st.integers(2, 6))
+def test_level_topology_matches_reference_at_vertex_values(name, coefs,
+                                                            steps):
+    # quantized fields put many vertices on each level exactly, and the
+    # levels are not nudged (as at the midpoints of the exact coarea)
+    vol = _mesh(name)
+    u = np.round(_plane_waves(vol.vertices, coefs) * steps) / steps
+    values = np.unique(u)
+    levels = np.concatenate([values, 0.5 * (values[:-1] + values[1:])])
+    levels = np.random.default_rng(steps).permutation(levels)
+    _assert_matches_level_stats(vol, u, levels,
+                                _level_topology(vol, u, levels))
+
+
+@pytest.mark.parametrize("n_levels", [0, -3])
+def test_level_set_topology_needs_a_level(n_levels):
+    with pytest.raises(VolumeError, match="at least one level"):
+        level_set_topology(_SMALL_BALL, _SMALL_BALL.vertices[:, 2],
+                           n_levels=n_levels)
+
+
+def test_interpolate_boundary_rejects_degenerate_faces():
+    # all vertices on the equator: no face spans a cone around a direction
+    pos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                    [0.0, -1.0, 0.0]])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [1, 2, 3], [0, 1, 3]])
+    with pytest.raises(VolumeError, match=r"direction \[0\. 0\. 1\.\]"):
+        _interpolate_boundary(None, pos, faces, np.ones(4),
+                              np.array([[0.0, 0.0, 1.0]]))
 
 
 # -- admissibility ---------------------------------------------------------
