@@ -377,9 +377,8 @@ def verify_identity(**kwargs):
         report = integral_identity_check(data, fill, sol, cfg["radius"],
                                          n_levels=cfg["topology.levels"])
         manifest.record("identity")
-        payload = {k: v for k, v in report.items() if k != "topology"}
-        payload["resolution"] = _resolution_context(cfg)
-        _write_json(manifest, outdir / "identity.json", payload)
+        report["resolution"] = _resolution_context(cfg)
+        _write_json(manifest, outdir / "identity.json", report)
         click.echo(f"slack={report['slack']:.3e} scale={report['scale']:.3e} "
                    f"method={report['method']}")
         return 0 if report["slack"] >= -1e-6 * report["scale"] else 2

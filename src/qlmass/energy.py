@@ -318,8 +318,8 @@ def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
         eb = 0.0
         scale = 0.0
         for sign, sd in ((1.0, ref_sd), (-1.0, phys_sd)):
-            a, _ = side_integral(sd, obs, eps)
-            b = _slice_gauge_integral(sd, obs, eps)
+            a, frame = side_integral(sd, obs, eps)
+            b = _slice_gauge_integral(sd, obs, frame)
             ea += sign * a
             eb += sign * b
             scale = max(scale, abs(a), abs(b))
@@ -335,14 +335,14 @@ def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
     return rows
 
 
-def _slice_gauge_integral(sd, obs, eps):
-    """One side evaluated entirely in the slice gauge: the frame angle from
-    the slice normal is phi - f and the connection form is alpha_nu."""
-    frame = canonical_frame(sd, obs, eps)
+def _slice_gauge_integral(sd, obs, frame):
+    """One side evaluated entirely in the slice gauge, given its canonical
+    frame: the frame angle from the slice normal is phi - f and the
+    connection form is alpha_nu."""
     u = obs.uA
     ops = sd.ops
     q = sd.phi - frame.f
-    vals = np.sqrt(frame.gsq + eps**2) * (
+    vals = np.sqrt(frame.gsq + frame.eps**2) * (
         sd.H * np.cosh(q) + sd.trk * np.sinh(q)
     )
     w = ops.vertex_areas.copy()

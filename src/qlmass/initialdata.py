@@ -322,9 +322,10 @@ class QuasiLocalBoundaryData:
         self.name = name
         bad = self.H <= np.abs(self.trk)
         if np.any(bad):
+            i = int(np.argmax(bad))
             raise InitialDataError(
                 "mean curvature vector not outward spacelike: H <= |trK| at "
-                f"vertex {int(np.argmax(bad))}"
+                f"vertex {i} (H = {self.H[i]:.6g}, trK = {self.trk[i]:.6g})"
             )
 
     def alpha_edge_values(self):

@@ -83,7 +83,28 @@ class VolumeMesh:
     def __init__(self, vertices, tets, boundary_faces, boundary_map,
                  times=None, quality_floor=1.0):
         self.vertices = np.asarray(vertices, dtype=float)
+        n = len(self.vertices)
+        self.times = np.asarray(np.zeros(n) if times is None else times,
+                                dtype=float)
         tets = np.asarray(tets, dtype=np.int64)
+        self.boundary_faces = np.asarray(boundary_faces, dtype=np.int64)
+        self.boundary_map = np.asarray(boundary_map, dtype=np.int64)
+        for name, rows in (("tet", tets),
+                           ("boundary face", self.boundary_faces)):
+            bad = (rows < 0) | (rows >= n)
+            if np.any(bad):
+                i, j = np.argwhere(bad)[0]
+                raise VolumeError(f"{name} {i} names vertex {rows[i, j]}, "
+                                  f"outside [0, {n})")
+        if len(self.boundary_map) != len(self.boundary_faces):
+            raise VolumeError(
+                f"boundary_map has {len(self.boundary_map)} entries for "
+                f"{len(self.boundary_faces)} boundary faces")
+        bad = ~(np.isfinite(self.vertices).all(axis=1)
+                & np.isfinite(self.times))
+        if np.any(bad):
+            raise VolumeError(f"vertex {np.argmax(bad)} has a non-finite "
+                              f"coordinate or time")
         vols = _tet_volumes(self.vertices, tets)
         flip = vols < 0.0
         if np.any(flip):
@@ -94,11 +115,6 @@ class VolumeMesh:
             raise VolumeError("degenerate tetrahedra in volume mesh")
         self.tets = tets
         self.tet_volumes = vols
-        self.boundary_faces = np.asarray(boundary_faces, dtype=np.int64)
-        self.boundary_map = np.asarray(boundary_map, dtype=np.int64)
-        if times is None:
-            times = np.zeros(len(self.vertices))
-        self.times = np.asarray(times, dtype=float)
         self.min_dihedral = _min_dihedral_degrees(self.vertices, self.tets)
         if self.min_dihedral < quality_floor:
             raise VolumeError(
@@ -127,28 +143,32 @@ class VolumeMesh:
 
 # prism splitting: rotate the smallest global index into slot 0, then pick
 # the compatible 3-tet pattern (quad diagonals toward smallest vertices)
-_PRISM_MAPS = (
+_PRISM_MAPS = np.array([
     (0, 1, 2, 3, 4, 5),
     (1, 2, 0, 4, 5, 3),
     (2, 0, 1, 5, 3, 4),
     (3, 5, 4, 0, 2, 1),
     (4, 3, 5, 1, 0, 2),
     (5, 4, 3, 2, 1, 0),
-)
+])
+# the two patterns in rotated slots, the first taken when
+# min(v1, v5) < min(v2, v4)
+_PRISM_SPLITS = np.array([
+    [(0, 1, 2, 5), (0, 1, 5, 4), (0, 4, 5, 3)],
+    [(0, 1, 2, 4), (0, 4, 2, 5), (0, 4, 5, 3)],
+])
 
 
 def _split_prism(ids):
-    """Split a prism (bottom i0,i1,i2; top i3,i4,i5 with i3 above i0) into
-    three tets, compatibly with neighboring prisms."""
-    local = int(np.argmin(ids))
-    v = [ids[m] for m in _PRISM_MAPS[local]]
-    if min(v[1], v[5]) < min(v[2], v[4]):
-        return [(v[0], v[1], v[2], v[5]),
-                (v[0], v[1], v[5], v[4]),
-                (v[0], v[4], v[5], v[3])]
-    return [(v[0], v[1], v[2], v[4]),
-            (v[0], v[4], v[2], v[5]),
-            (v[0], v[4], v[5], v[3])]
+    """Split prisms (rows bottom i0,i1,i2; top i3,i4,i5 with i3 above i0)
+    into three tets each, compatibly with neighboring prisms: (P, 6) or
+    one 6-tuple -> (3P, 4), prism by prism."""
+    prisms = np.atleast_2d(np.asarray(ids, dtype=np.int64))
+    v = np.take_along_axis(prisms, _PRISM_MAPS[prisms.argmin(axis=1)],
+                           axis=1)
+    second = np.minimum(v[:, 1], v[:, 5]) >= np.minimum(v[:, 2], v[:, 4])
+    rows = np.arange(len(v))[:, None, None]
+    return v[rows, _PRISM_SPLITS[second.astype(np.intp)]].reshape(-1, 4)
 
 
 def build_fill_in(emb, mesh=None, layers=8, quality_floor=1.0):
@@ -203,21 +223,17 @@ def build_fill_in(emb, mesh=None, layers=8, quality_floor=1.0):
     vertices = np.vstack(verts + [center])
     all_times = np.concatenate(all_t + [[t_center]])
     center_id = layers * V
-
-    tets = []
-    for l in range(layers - 1):
-        lo, hi = l * V, (l + 1) * V
-        for f in surface.faces:
-            ids = (lo + f[0], lo + f[1], lo + f[2],
-                   hi + f[0], hi + f[1], hi + f[2])
-            tets.extend(_split_prism(ids))
-    lo = (layers - 1) * V
-    for f in surface.faces:
-        tets.append((lo + f[0], lo + f[1], lo + f[2], center_id))
+    faces = surface.faces
+    shells = V * np.arange(layers - 1)[:, None, None]
+    prisms = np.concatenate([faces + shells, faces + shells + V], axis=2)
+    tets = np.vstack([
+        _split_prism(prisms.reshape(-1, 6)),
+        np.column_stack([faces + (layers - 1) * V,
+                         np.full(len(faces), center_id)]),
+    ])
 
     return VolumeMesh(
-        vertices, np.array(tets, dtype=np.int64),
-        surface.faces.copy(), np.arange(len(surface.faces)),
+        vertices, tets, faces.copy(), np.arange(len(faces)),
         times=all_times, quality_floor=quality_floor,
     )
 
@@ -240,27 +256,26 @@ def read_volume_mesh(path, quality_floor=1.0):
     with open(path) as fh:
         tokens = fh.read().split()
     pos = 0
-
-    def expect(word):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != word:
-            raise VolumeError(f"malformed volume mesh file: expected {word}")
-        pos += 1
-        n = int(tokens[pos])
-        pos += 1
-        return n
-
-    n = expect("vertices")
-    data = np.array(tokens[pos:pos + 4 * n], dtype=float).reshape(n, 4)
-    pos += 4 * n
-    times, vertices = data[:, 0], data[:, 1:]
-    t = expect("tets")
-    tets = np.array(tokens[pos:pos + 4 * t], dtype=np.int64).reshape(t, 4)
-    pos += 4 * t
-    f = expect("boundary")
-    rows = np.array(tokens[pos:pos + 4 * f], dtype=np.int64).reshape(f, 4)
-    return VolumeMesh(vertices, tets, rows[:, :3], rows[:, 3], times=times,
-                      quality_floor=quality_floor)
+    sections = []
+    for word, dtype in (("vertices", float), ("tets", np.int64),
+                        ("boundary", np.int64)):
+        try:
+            n = int(tokens[pos + 1])
+            if tokens[pos] != word or n < 0:
+                raise ValueError
+            pos += 2 + 4 * n
+            sections.append(np.array(tokens[pos - 4 * n:pos],
+                                     dtype=dtype).reshape(n, 4))
+        except (IndexError, ValueError):
+            raise VolumeError(f"malformed volume mesh file: expected "
+                              f"`{word} <count>` and that many rows of "
+                              f"four numbers") from None
+    if pos != len(tokens):
+        raise VolumeError("malformed volume mesh file: content after the "
+                          "boundary rows")
+    data, tets, rows = sections
+    return VolumeMesh(data[:, 1:], tets, rows[:, :3], rows[:, 3],
+                      times=data[:, 0], quality_floor=quality_floor)
 
 
 # -- P1 finite elements ---------------------------------------------------
@@ -270,6 +285,15 @@ def _hat_gradients(vertices, tets):
     vols = _tet_volumes(vertices, tets)
     grads = -_face_normals(vertices, tets) / (6.0 * vols)[:, None, None]
     return grads, vols
+
+
+def _point_fields(data, points):
+    """(g, g^-1, sqrt det g, k) of the data at points."""
+    g = data.metric(points)
+    dets = np.linalg.det(g)
+    if np.any(dets <= 0.0):
+        raise VolumeError("metric not positive definite on the volume")
+    return g, np.linalg.inv(g), np.sqrt(dets), data.extrinsic(points)
 
 
 class SpacetimeHarmonicSolution:
@@ -312,14 +336,8 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     bverts = vol.boundary_vertices
     if len(boundary_values) != len(bverts):
         raise VolumeError("boundary value count does not match the mesh")
-    centroids = vol.vertices[vol.tets].mean(axis=1)
-    g = data.metric(centroids)
-    dets = np.linalg.det(g)
-    if np.any(dets <= 0.0):
-        raise VolumeError("metric not positive definite on the volume")
-    ginv = np.linalg.inv(g)
-    sqrtdet = np.sqrt(dets)
-    k = data.extrinsic(centroids)
+    _, ginv, sqrtdet, k = _point_fields(
+        data, vol.vertices[vol.tets].mean(axis=1))
     trk = np.einsum("tij,tij->t", ginv, k)
     grads, vols = _hat_gradients(vol.vertices, vol.tets)
     weight = vols * sqrtdet
@@ -414,21 +432,17 @@ def _vertex_average(vol, per_tet, vols):
     return num / den.reshape(-1, *tail)
 
 
-def recovered_gradients(vol, u):
-    """Volume-weighted vertex averages of the per-tet solution gradients."""
+def recovered_fields(vol, u):
+    """Per-tet P1 gradients of u and the recovered fields: (per-tet
+    gradients, vertex gradients (volume-weighted averages), per-tet and
+    vertex symmetric coordinate Hessians from the gradient of the vertex
+    gradients, tet volumes)."""
     grads, vols = _hat_gradients(vol.vertices, vol.tets)
     du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
-    return _vertex_average(vol, du, vols)
-
-
-def recovered_hessians(vol, u):
-    """Per-tet and per-vertex symmetric coordinate Hessians of u, from the
-    gradient of the recovered vertex-gradient field."""
-    grads, vols = _hat_gradients(vol.vertices, vol.tets)
-    dU = recovered_gradients(vol, u)
+    dU = _vertex_average(vol, du, vols)
     hess = np.einsum("tmj,tmi->tij", dU[vol.tets], grads)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    return hess, _vertex_average(vol, hess, vols)
+    return du, dU, hess, _vertex_average(vol, hess, vols), vols
 
 
 # -- level-set topology ---------------------------------------------------
@@ -457,11 +471,9 @@ class LevelSetTopology:
     def ds(self):
         return (self.u_max - self.u_min) / len(self.levels)
 
-    def coarea_integral(self, values=None):
-        """Midpoint-rule integral of a per-level quantity (chi by default)
-        over the field range."""
-        vals = self.chi if values is None else np.asarray(values)
-        return float(vals.sum() * self.ds)
+    def coarea_integral(self):
+        """Midpoint-rule integral of chi over the field range."""
+        return float(self.chi.sum() * self.ds)
 
 
 def _shared_pairs(raw, owner):
@@ -876,6 +888,22 @@ class HarmonicRepresentative:
         return u, du, hess
 
 
+def _newton_steps(jac, rhs, cap, normals=None):
+    """Batched Newton steps -jac^-1 rhs (by pseudo-inverse if a matrix is
+    singular), less their components along the normals if given, each
+    shortened to at most cap."""
+    try:
+        step = -np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = -np.einsum("nij,nj->ni", np.linalg.pinv(jac), rhs)
+    if normals is not None:
+        step -= np.einsum("ni,ni->n", step, normals)[:, None] * normals
+    norm = np.linalg.norm(step, axis=1)
+    big = norm > cap
+    step[big] *= (cap / norm[big])[:, None]
+    return step
+
+
 def _interior_critical_values(rep, radius, g_scale):
     seeds = [f * radius * fibonacci_directions(48, rotation=f)
              for f in (0.05, 0.2, 0.4, 0.6, 0.8)]
@@ -883,17 +911,7 @@ def _interior_critical_values(rep, radius, g_scale):
     for _ in range(60):
         _, gr, hs = rep.evaluate(x)
         hs = hs + 1e-12 * g_scale / radius * np.eye(3)
-        try:
-            step = -np.linalg.solve(hs, gr[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = -np.einsum(
-                "nij,nj->ni", np.linalg.pinv(hs), gr
-            )
-        norm = np.linalg.norm(step, axis=1)
-        cap = 0.1 * radius
-        big = norm > cap
-        step[big] *= (cap / norm[big])[:, None]
-        x = x + step
+        x = x + _newton_steps(hs, gr, 0.1 * radius)
     vals, gr, _ = rep.evaluate(x)
     r = np.linalg.norm(x, axis=1)
     ok = (np.linalg.norm(gr, axis=1) < 1e-9 * g_scale) \
@@ -912,15 +930,7 @@ def _boundary_critical_values(rep, radius, g_scale):
             - nu_g[:, None, None] * proj \
             + np.einsum("ni,nj->nij", w, w) * radius
         jac += 1e-12 * g_scale * np.eye(3)
-        try:
-            step = -np.linalg.solve(jac, tang[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = -np.einsum("nij,nj->ni", np.linalg.pinv(jac), tang)
-        step -= np.einsum("ni,ni->n", step, w)[:, None] * w
-        norm = np.linalg.norm(step, axis=1)
-        big = norm > 0.3
-        step[big] *= (0.3 / norm[big])[:, None]
-        w = w + step
+        w = w + _newton_steps(jac, tang, 0.3, normals=w)
         w /= np.linalg.norm(w, axis=1, keepdims=True)
     vals, gr, _ = rep.evaluate(radius * w)
     tang = gr - np.einsum("ni,ni->n", w, gr)[:, None] * w
@@ -1003,9 +1013,7 @@ def _boundary_identity_integral(data, radius, quadrature, solution_fields,
     points, wq, st, ct = _sphere_quadrature(radius, *quadrature)
     dU, HU = solution_fields(points)
 
-    gq = data.metric(points)
-    ginv_q = np.linalg.inv(gq)
-    kq = data.extrinsic(points)
+    gq, ginv_q, _, kq = _point_fields(data, points)
     nu = data.sphere_normal(points)
     Hq = data.sphere_mean_curvature(points)
     trk_full = np.einsum("nij,nij->n", ginv_q, kq)
@@ -1071,134 +1079,74 @@ def _ball_quadrature(radius, n_theta=24, n_phi=48, panels=10, n_gauss=10):
     return pts, w
 
 
-def _conformal_christoffels(psi, dpsi, pts):
-    """Gamma^a_bc of psi^4 delta (zero for flat psi=None)."""
-    if psi is None:
+def _conformal_christoffels(radial, pts):
+    """Gamma^a_bc of psi^4 delta from the radial profiles' q = 2 psi'/psi
+    (zero for flat data)."""
+    if radial.flat:
         return np.zeros((len(pts), 3, 3, 3))
     r = np.linalg.norm(pts, axis=1)
     xhat = pts / r[:, None]
-    w = (2.0 * np.asarray(dpsi(r)) / np.asarray(psi(r)))[:, None] * xhat
+    w = radial.q(r)[:, None] * xhat
     eye = np.eye(3)
     return (np.einsum("ab,nc->nabc", eye, w)
             + np.einsum("ac,nb->nabc", eye, w)
             - np.einsum("bc,na->nabc", eye, w))
 
 
-def _identity_check_spectral(data, vol, sol, rep, radius, n_levels,
-                             quadrature):
-    psi, dpsi = _conformal_structure(data, radius)
+def _harmonic_fit_terms(vol, rep, radius):
+    """harmonicFit route: the Euler term by exact coarea between the
+    critical values of the fitted representative, the bulk fields on the
+    ball quadrature and the boundary fields from the representative."""
     u_samples, _, _ = rep.evaluate(vol.vertices, derivatives=False)
-    topo = level_set_topology(vol, u_samples, n_levels)
-    rhs_euler, intervals, (u_min, u_max) = _exact_coarea(
-        rep, vol, u_samples, radius
-    )
-
+    rhs_euler, intervals, u_range = _exact_coarea(rep, vol, u_samples,
+                                                  radius)
     pts, w = _ball_quadrature(radius)
-    g = data.metric(pts)
-    ginv = np.linalg.inv(g)
-    sqrtdet = np.sqrt(np.linalg.det(g))
-    k = data.extrinsic(pts)
-    gamma = _conformal_christoffels(psi, dpsi, pts)
     _, du, hess = rep.evaluate(pts)
-    gnorm2 = np.einsum("ni,nij,nj->n", du, ginv, du)
-    gnorm = np.sqrt(np.maximum(gnorm2, 1e-300))
-    cov_hess = hess - np.einsum("ncij,nc->nij", gamma, du)
-    st_hess = cov_hess + k * gnorm[:, None, None]
-    hsq = np.einsum("nia,njb,nij,nab->n", ginv, ginv, st_hess, st_hess)
-    bulk_dirichlet = float(np.sum(w * sqrtdet * 0.5 * hsq / gnorm))
-    mu, J = data.constraint_fields(pts)
-    j_du = np.einsum("ni,nij,nj->n", J, ginv, du)
-    bulk_energy = float(np.sum(w * sqrtdet * (mu * gnorm + j_du)))
-
-    def solution_fields(points):
-        _, dU, HU = rep.evaluate(points)
-        return dU, HU
-
-    lhs_boundary = _boundary_identity_integral(
-        data, radius, quadrature, solution_fields
-    )
-
-    scale = max(abs(lhs_boundary), abs(rhs_euler), abs(bulk_dirichlet),
-                abs(bulk_energy), 1e-30)
-    slack = lhs_boundary + rhs_euler - bulk_dirichlet - bulk_energy
-    return {
-        "lhsBoundary": lhs_boundary,
-        "rhsEuler": rhs_euler,
-        "bulkDirichlet": bulk_dirichlet,
-        "bulkEnergy": bulk_energy,
-        "slack": slack,
-        "scale": scale,
-        "topology": topo,
-        "method": "harmonicFit",
-        "fitResidual": rep.fit_rms,
-        "coareaIntervals": intervals,
-        "range": [u_min, u_max],
-    }
+    bulk = (pts, w, du, hess, _conformal_christoffels(rep.radial, pts))
+    report = {"method": "harmonicFit", "fitResidual": rep.fit_rms,
+              "coareaIntervals": intervals, "range": list(u_range)}
+    return (rhs_euler, bulk, lambda points: rep.evaluate(points)[1:], 0.0,
+            report)
 
 
-def _identity_check_recovery(data, vol, sol, radius, n_levels, quadrature):
-    u = sol.u
-    topo = level_set_topology(vol, u, n_levels)
-    rhs_euler = 2.0 * np.pi * topo.coarea_integral()
-
-    centroids = vol.vertices[vol.tets].mean(axis=1)
-    g = data.metric(centroids)
-    ginv = np.linalg.inv(g)
-    sqrtdet = np.sqrt(np.linalg.det(g))
-    k = data.extrinsic(centroids)
-    grads, vols = _hat_gradients(vol.vertices, vol.tets)
-    weight = vols * sqrtdet
-    du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
-    gnorm = np.sqrt(
-        np.einsum("ti,tij,tj->t", du, ginv, du) + sol.delta**2
-    )
-
-    hess_t, hess_v = recovered_hessians(vol, u)
-    gamma = data.christoffels(centroids)
-    cov_hess = hess_t - np.einsum("tcij,tc->tij", gamma, du)
-    st_hess = cov_hess + k * gnorm[:, None, None]
-    hsq = np.einsum(
-        "tia,tjb,tij,tab->t", ginv, ginv, st_hess, st_hess
-    )
-    bulk_dirichlet = float(np.sum(weight * 0.5 * hsq / gnorm))
-    mu, J = data.constraint_fields(centroids)
-    j_du = np.einsum("ti,tij,tj->t", J, ginv, du)
-    bulk_energy = float(np.sum(weight * (mu * gnorm + j_du)))
-
-    bverts = vol.boundary_vertices
-    if not np.array_equal(bverts, np.arange(len(bverts))):
+def _field_recovery_terms(data, vol, sol, radius, n_levels):
+    """fieldRecovery route: the Euler term from the sampled level-set
+    topology of the finite element solution, the bulk fields per tet and
+    the boundary fields interpolated from the recovered vertex fields."""
+    nb = len(vol.boundary_vertices)
+    if not np.array_equal(vol.boundary_vertices, np.arange(nb)):
         raise VolumeError(
             "identity check expects fill-in-ordered boundary vertices"
         )
-    dU_vertex = recovered_gradients(vol, u)
-    surf_pos = vol.vertices[:len(bverts)]
-    faces = vol.boundary_faces
+    topo = level_set_topology(vol, sol.u, n_levels)
+    centroids = vol.vertices[vol.tets].mean(axis=1)
+    du, dU, hess, hess_v, vols = recovered_fields(vol, sol.u)
+    bulk = (centroids, vols, du, hess, data.christoffels(centroids))
 
     def solution_fields(points):
-        dirs = points / radius
-        dU = _interpolate_boundary(vol, surf_pos, faces,
-                                   dU_vertex[:len(bverts)], dirs)
-        HU = _interpolate_boundary(vol, surf_pos, faces,
-                                   hess_v[:len(bverts)], dirs)
-        return dU, HU
+        return [_interpolate_boundary(vol, vol.vertices[:nb],
+                                      vol.boundary_faces, field[:nb],
+                                      points / radius)
+                for field in (dU, hess_v)]
 
-    lhs_boundary = _boundary_identity_integral(
-        data, radius, quadrature, solution_fields, delta=sol.delta
-    )
+    return (2.0 * np.pi * topo.coarea_integral(), bulk, solution_fields,
+            sol.delta, {"method": "fieldRecovery"})
 
-    scale = max(abs(lhs_boundary), abs(rhs_euler), abs(bulk_dirichlet),
-                abs(bulk_energy), 1e-30)
-    slack = lhs_boundary + rhs_euler - bulk_dirichlet - bulk_energy
-    return {
-        "lhsBoundary": lhs_boundary,
-        "rhsEuler": rhs_euler,
-        "bulkDirichlet": bulk_dirichlet,
-        "bulkEnergy": bulk_energy,
-        "slack": slack,
-        "scale": scale,
-        "topology": topo,
-        "method": "fieldRecovery",
-    }
+
+def _bulk_terms(data, points, weight, du, hess, gamma, delta):
+    """(bulkDirichlet, bulkEnergy) from the gradient and coordinate
+    Hessian of u at points with coordinate quadrature weights."""
+    _, ginv, sqrtdet, k = _point_fields(data, points)
+    weight = weight * sqrtdet
+    gnorm = np.sqrt(np.maximum(
+        np.einsum("ni,nij,nj->n", du, ginv, du) + delta**2, 1e-300))
+    st_hess = (hess - np.einsum("ncij,nc->nij", gamma, du)
+               + k * gnorm[:, None, None])
+    hsq = np.einsum("nia,njb,nij,nab->n", ginv, ginv, st_hess, st_hess)
+    mu, J = data.constraint_fields(points)
+    j_du = np.einsum("ni,nij,nj->n", J, ginv, du)
+    return (float(np.sum(weight * 0.5 * hsq / gnorm)),
+            float(np.sum(weight * (mu * gnorm + j_du))))
 
 
 def integral_identity_check(data, vol, sol, radius, n_levels=64,
@@ -1222,8 +1170,25 @@ def integral_identity_check(data, vol, sol, radius, n_levels=64,
         rep = HarmonicRepresentative(data, vol, sol.u, degree=fit_degree)
     except VolumeError:
         rep = None
+    # each route gives (rhsEuler, the bulk sample for _bulk_terms, the
+    # boundary solution fields, delta, its own report keys)
     if rep is not None:
-        return _identity_check_spectral(data, vol, sol, rep, radius,
-                                        n_levels, quadrature)
-    return _identity_check_recovery(data, vol, sol, radius, n_levels,
-                                    quadrature)
+        route = _harmonic_fit_terms(vol, rep, radius)
+    else:
+        route = _field_recovery_terms(data, vol, sol, radius, n_levels)
+    rhs_euler, bulk, solution_fields, delta, extra = route
+    bulk_dirichlet, bulk_energy = _bulk_terms(data, *bulk, delta)
+    lhs_boundary = _boundary_identity_integral(
+        data, radius, quadrature, solution_fields, delta=delta
+    )
+    scale = max(abs(lhs_boundary), abs(rhs_euler), abs(bulk_dirichlet),
+                abs(bulk_energy), 1e-30)
+    return {
+        "lhsBoundary": lhs_boundary,
+        "rhsEuler": rhs_euler,
+        "bulkDirichlet": bulk_dirichlet,
+        "bulkEnergy": bulk_energy,
+        "slack": lhs_boundary + rhs_euler - bulk_dirichlet - bulk_energy,
+        "scale": scale,
+        **extra,
+    }

@@ -17,7 +17,12 @@ from qlmass.config import (
     serialize_config,
 )
 from qlmass.mesh import icosphere
-from qlmass.volume import VolumeMesh, _split_prism, write_volume_mesh
+from qlmass.volume import (
+    VolumeMesh,
+    _split_prism,
+    build_fill_in,
+    write_volume_mesh,
+)
 
 
 def _spherical_shell(level=2, inner=0.5, n_layers=4):
@@ -218,6 +223,61 @@ def test_admissibility_verdict_failure_exits_two(runner, tmp_path):
                                   str(cfg_path)])
     assert result.exit_code == 2, result.output
     assert "not admissible" in result.output
+
+
+def _edit_row(section, row, column, value):
+    """Edit of a .vmesh file: sets entry `column` of row `row` after the
+    `section <count>` header line."""
+    def edit(lines):
+        head = next(i for i, l in enumerate(lines) if l.startswith(section))
+        fields = lines[head + 1 + row].split()
+        fields[column] = value
+        lines[head + 1 + row] = " ".join(fields)
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_row("tets", 0, 1, "1000000"),
+     "tet 0 names vertex 1000000, outside [0, 487)"),
+    (_edit_row("tets", 3, 2, "-1"), "tet 3 names vertex -1, outside"),
+    (_edit_row("boundary", 5, 0, "487"),
+     "boundary face 5 names vertex 487, outside [0, 487)"),
+    (_edit_row("vertices", 7, 2, "nan"),
+     "vertex 7 has a non-finite coordinate or time"),
+    (_edit_row("vertices", 9, 0, "inf"),
+     "vertex 9 has a non-finite coordinate or time"),
+    (lambda lines: lines[:-1], "malformed volume mesh file: expected "
+                               "`boundary <count>`"),
+    (lambda lines: lines + ["boundary 1", "0 1 2 0"],
+     "malformed volume mesh file: content after the boundary rows"),
+], ids=["tet-index-too-large", "tet-index-negative",
+        "boundary-index-too-large", "nan-coordinate", "inf-time",
+        "truncated", "trailing-content"])
+def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
+    mesh = icosphere(2)
+    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                         keepdims=True)
+    mesh_path = tmp_path / "ball.vmesh"
+    write_volume_mesh(mesh_path, build_fill_in(pos, mesh=mesh, layers=3))
+    lines = edit(mesh_path.read_text().splitlines())
+    mesh_path.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n")
+    result = runner.invoke(main, ["admissibility", "--config",
+                                  str(cfg_path), "--out",
+                                  str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "internal error" not in result.output
+
+
+def test_sphere_inside_horizon_reports_h_and_trk(runner, tmp_path):
+    result = runner.invoke(main, ["energy", "--provider", "schwarzschild",
+                                  "--radius", "0.3", "--level", "1",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "H <= |trK| at vertex 0 (H = -0.234375, trK = 0)" in result.output
 
 
 def test_bad_config_exits_two(runner, tmp_path):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse import csr_matrix, lil_matrix
@@ -146,6 +146,78 @@ def test_volume_mesh_file_malformed(tmp_path):
     path.write_text("nodes 3\n0 0 0 0\n")
     with pytest.raises(VolumeError, match="malformed"):
         read_volume_mesh(path)
+
+
+def test_volume_mesh_rejects_boundary_map_length_mismatch():
+    _, vol = _ball_fill_in(1)
+    with pytest.raises(VolumeError, match="boundary_map has 79 entries "
+                                          "for 80 boundary faces"):
+        VolumeMesh(vol.vertices, vol.tets, vol.boundary_faces,
+                   vol.boundary_map[:-1])
+
+
+# the per-prism split rule, kept as the oracle of the vectorized split
+_REFERENCE_PRISM_MAPS = (
+    (0, 1, 2, 3, 4, 5),
+    (1, 2, 0, 4, 5, 3),
+    (2, 0, 1, 5, 3, 4),
+    (3, 5, 4, 0, 2, 1),
+    (4, 3, 5, 1, 0, 2),
+    (5, 4, 3, 2, 1, 0),
+)
+
+
+def _split_prism_reference(ids):
+    v = [ids[m] for m in _REFERENCE_PRISM_MAPS[int(np.argmin(ids))]]
+    if min(v[1], v[5]) < min(v[2], v[4]):
+        return [(v[0], v[1], v[2], v[5]),
+                (v[0], v[1], v[5], v[4]),
+                (v[0], v[4], v[5], v[3])]
+    return [(v[0], v[1], v[2], v[4]),
+            (v[0], v[4], v[2], v[5]),
+            (v[0], v[4], v[5], v[3])]
+
+
+_PRISMS = st.lists(
+    st.lists(st.integers(0, 10**6), min_size=6, max_size=6, unique=True),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRISMS)
+@example([[0, 1, 2, 3, 4, 5]])
+# solid-torus wrap-around: the last section's prism has its smallest ids
+# on the top triangle
+@example([[47 * 19 + 3, 47 * 19 + 7, 47 * 19 + 4, 3, 7, 4],
+          [960, 950, 955, 12, 5, 9]])
+def test_split_prism_matches_per_prism_rule(prisms):
+    expected = [tet for ids in prisms for tet in _split_prism_reference(ids)]
+    assert _split_prism(np.array(prisms)).tolist() == \
+        [list(t) for t in expected]
+    assert _split_prism(tuple(prisms[0])).tolist() == \
+        [list(t) for t in _split_prism_reference(prisms[0])]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_fill_in_tets_match_per_prism_reference(level):
+    mesh, vol = _ball_fill_in(level)
+    V = mesh.n_vertices
+    layers = (vol.n_vertices - 1) // V
+    tets = []
+    for l in range(layers - 1):
+        lo, hi = l * V, (l + 1) * V
+        for f in mesh.faces:
+            tets.extend(_split_prism_reference(
+                (lo + f[0], lo + f[1], lo + f[2],
+                 hi + f[0], hi + f[1], hi + f[2])))
+    lo = (layers - 1) * V
+    tets.extend((lo + a, lo + b, lo + c, layers * V)
+                for a, b, c in mesh.faces)
+    # the mesh orients the reference tets as it oriented the fill-in's
+    reference = VolumeMesh(vol.vertices, np.array(tets, dtype=np.int64),
+                           vol.boundary_faces, vol.boundary_map)
+    assert np.array_equal(vol.tets, reference.tets)
 
 
 # -- interior solver -------------------------------------------------------
