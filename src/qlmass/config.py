@@ -1,9 +1,11 @@
 """Plain-text experiment configuration and run manifests.
 
 Config files are `key = value` lines with `#` comments.  Every key has a
-default; unknown or duplicate keys and values outside LIMITS are rejected
-with the offending line number.  serialize_config(parse_config(text)) is
-lossless for all value types (floats round-trip through repr).
+default; unknown or duplicate keys, non-finite numbers, strings holding
+`#`, a line break or surrounding whitespace, and values outside LIMITS
+are rejected with the offending line number (or `<flag>`).  Every
+accepted config round-trips: parse_config(serialize_config(cfg)) == cfg
+(floats round-trip through repr), so its hash names what ran.
 """
 
 import hashlib
@@ -98,10 +100,16 @@ def _parse_value(key, kind, raw, where):
             value = float(raw)
         elif kind == "str":
             value = raw
+            # anything else would not read back from serialize_config
+            if "#" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
+                raise ValueError(f"{raw!r} holds '#', a line break or "
+                                 f"surrounding whitespace")
         else:
             value = tuple(float(p) for p in raw.split(","))
             if kind == "vec3" and len(value) != 3:
                 raise ValueError("expected three components")
+        if kind not in ("int", "str") and not np.all(np.isfinite(value)):
+            raise ValueError(f"{raw!r} is not finite")
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for key {key}: {exc}")
     rule, test = LIMITS.get(key, (None, None))

@@ -223,9 +223,6 @@ class SchwarzschildData(InitialDataSample):
     def conformal_factor(self, r):
         return 1.0 + self.mass / (2.0 * np.asarray(r, dtype=float))
 
-    def conformal_factor_derivative(self, r):
-        return -self.mass / (2.0 * np.asarray(r, dtype=float) ** 2)
-
     def _check_domain(self, x):
         r = np.linalg.norm(np.atleast_2d(x), axis=1)
         if np.any(r < 1e-12):

@@ -11,7 +11,7 @@ polygonal complex exactly from its cut-cell counts.
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
+from scipy.linalg import null_space
 from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg, splu
@@ -634,258 +634,153 @@ def admissibility_verdict(fill_in, obs, physical=None, n_levels=64):
 
 # -- exactly harmonic smooth representatives -------------------------------
 
-def _monomial_exponents(l):
-    return np.array(
-        [(a, b, l - a - b)
-         for a in range(l, -1, -1) for b in range(l - a, -1, -1)],
-        dtype=np.int64,
-    ).reshape(-1, 3)
+# the representative phi(r) P(x) has a polynomial P of degree <= 8 and is
+# evaluated _CHUNK points at a time
+_FIT_DEGREE = 8
+_CHUNK = 8192
+
+# exponents of the 165 monomials of degree <= 8, one row each
+_EXPONENTS = np.array([e for e in np.ndindex((_FIT_DEGREE + 1,) * 3)
+                       if sum(e) <= _FIT_DEGREE])
+
+# the six Hessian columns (xx, xy, xz, yy, yz, zz) of the coefficient
+# matrix as a symmetric 3 x 3 index
+_HESSIAN = 4 + np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _harmonic_poly_coeffs(degree):
-    """Monomial-coefficient rows of real harmonic homogeneous polynomials
-    per degree, from the nullspace of the Laplacian on monomials."""
-    out = {}
-    for l in range(degree + 1):
-        mons = _monomial_exponents(l)
-        if l < 2:
-            out[l] = (mons, np.eye(len(mons)))
-            continue
-        target = _monomial_exponents(l - 2)
-        tidx = {tuple(m): i for i, m in enumerate(target)}
-        lap = np.zeros((len(target), len(mons)))
-        for j, (a, b, c) in enumerate(mons):
-            if a >= 2:
-                lap[tidx[(a - 2, b, c)], j] += a * (a - 1)
-            if b >= 2:
-                lap[tidx[(a, b - 2, c)], j] += b * (b - 1)
-            if c >= 2:
-                lap[tidx[(a, b, c - 2)], j] += c * (c - 1)
-        _, s, vt = np.linalg.svd(lap)
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        out[l] = (mons, vt[rank:])
-    return out
+def _derivative_matrices():
+    """(3, 165, 165): matrix i maps the monomial coefficients of a
+    polynomial to those of its x_i derivative."""
+    index = np.zeros((_FIT_DEGREE + 1,) * 3, dtype=np.int64)
+    index[tuple(_EXPONENTS.T)] = np.arange(len(_EXPONENTS))
+    D = np.zeros((3, len(_EXPONENTS), len(_EXPONENTS)))
+    for i, step in enumerate(np.eye(3, dtype=np.int64)):
+        cols = np.flatnonzero(_EXPONENTS[:, i])
+        lower = _EXPONENTS[cols] - step
+        D[i, index[tuple(lower.T)], cols] = _EXPONENTS[cols, i]
+    return D
 
 
-def _poly_eval(mons, coeff, pts, derivatives):
-    """Value, gradient, and Hessian of the polynomial sum(coeff * mono)
-    contracted per monomial component, avoiding per-monomial tensors."""
-    n = len(pts)
-    lmax = int(mons.sum(axis=1).max()) if len(mons) else 0
-    pw = np.empty((3, n, lmax + 1))
-    pw[:, :, 0] = 1.0
-    for e in range(1, lmax + 1):
-        pw[:, :, e] = pw[:, :, e - 1] * pts.T
-    a, b, c = mons[:, 0], mons[:, 1], mons[:, 2]
-    f = [pw[0][:, a], pw[1][:, b], pw[2][:, c]]
-    P = (f[0] * f[1] * f[2]) @ coeff
-    if not derivatives:
-        return P, None, None
-    # integer prefactors vanish exactly where the clamped index is wrong
-    d = [e * pw[i][:, np.maximum(e - 1, 0)]
-         for i, e in enumerate((a, b, c))]
-    dd = [e * (e - 1) * pw[i][:, np.maximum(e - 2, 0)]
-          for i, e in enumerate((a, b, c))]
-    others = [f[1] * f[2], f[0] * f[2], f[0] * f[1]]
-    dP = np.stack([(d[i] * others[i]) @ coeff for i in range(3)], axis=1)
-    ddP = np.empty((n, 3, 3))
-    for i in range(3):
-        ddP[:, i, i] = (dd[i] * others[i]) @ coeff
-    ddP[:, 0, 1] = ddP[:, 1, 0] = (d[0] * d[1] * f[2]) @ coeff
-    ddP[:, 0, 2] = ddP[:, 2, 0] = (d[0] * f[1] * d[2]) @ coeff
-    ddP[:, 1, 2] = ddP[:, 2, 1] = (f[0] * d[1] * d[2]) @ coeff
-    return P, dP, ddP
-
-
-class _RadialProfiles:
-    """Radial factors so that g_l(r) P_l(x) is exactly harmonic for the
-    metric psi^4 delta; the flat case uses g_l = 1.  Supports puncture
-    conformal factors psi ~ m/(2r) near the origin (regular branch
-    g ~ r - 2 r^2 / m there)."""
-
-    def __init__(self, psi, dpsi, degree, r_max):
-        self.flat = psi is None
-        self.degree = degree
-        if self.flat:
-            return
-        r_probe = 1e-6 * r_max
-        m_hat = 2.0 * r_probe * (float(psi(r_probe)) - 1.0)
-        if not np.isfinite(m_hat) or m_hat <= 0.0:
-            raise VolumeError(
-                "conformal factor is not of puncture type; no harmonic "
-                "basis available"
-            )
-        self.r0 = 1e-5 * min(m_hat, r_max)
-        self.alpha = -2.0 / m_hat
-
-        def q(r):
-            return 2.0 * np.asarray(dpsi(r)) / np.asarray(psi(r))
-
-        self.q = q
-        self.sols = []
-        self.scales = []
-        r0, alpha = self.r0, self.alpha
-        for l in range(degree + 1):
-            def rhs(r, y, l=l):
-                qq = float(q(r))
-                return [y[1],
-                        -((2.0 + 2.0 * l) / r + qq) * y[1]
-                        - qq * l * y[0] / r]
-
-            y0 = [r0 + alpha * r0**2, 1.0 + 2.0 * alpha * r0]
-            ode = solve_ivp(rhs, (r0, 1.001 * r_max), y0, rtol=1e-12,
-                            atol=1e-16, dense_output=True)
-            if not ode.success:
-                raise VolumeError(
-                    f"radial profile integration failed at degree {l}"
-                )
-            self.sols.append(ode)
-            self.scales.append(1.0 / ode.sol(r_max)[0])
-
-    def eval(self, l, r):
-        """(g, g', g'') of the degree-l profile at radii r."""
-        r = np.asarray(r, dtype=float)
-        if self.flat:
-            return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
-        rr = np.maximum(r, self.r0)
-        y = self.sols[l].sol(rr) * self.scales[l]
-        g, gp = y[0].copy(), y[1].copy()
-        small = r < self.r0
-        if np.any(small):
-            rs = r[small]
-            g[small] = (rs + self.alpha * rs**2) * self.scales[l]
-            gp[small] = (1.0 + 2.0 * self.alpha * rs) * self.scales[l]
-        qq = self.q(rr)
-        gpp = -((2.0 + 2.0 * l) / rr + qq) * gp - qq * l * g / rr
-        return g, gp, gpp
+def _monomials(y):
+    """The 165 monomials of degree <= 8 at points y, (165, N), from one
+    power ladder (powers 0 to 8 of each coordinate)."""
+    pw = np.ones((_FIT_DEGREE + 1, 3, len(y)))
+    pw[1:] = y.T
+    pw = np.cumprod(pw, axis=0)
+    e = _EXPONENTS
+    return pw[e[:, 0], 0] * pw[e[:, 1], 1] * pw[e[:, 2], 2]
 
 
 def _conformal_structure(data, radius):
-    """(psi, dpsi) callables for vacuum time-symmetric conformally flat
-    data that provide conformal_factor and conformal_factor_derivative;
-    (None, None) for flat data; raises otherwise."""
+    """(a, b) such that g = psi^4 delta with psi = a + b/r on the ball of
+    the radius, for time-symmetric data; flat data without a
+    conformal_factor give (1, 0).
+
+    Such data are vacuum (psi is flat-harmonic), and u is g-harmonic
+    exactly when psi u is flat-harmonic.  a and b come from
+    conformal_factor at the smallest and largest of five radii, and psi
+    must equal a + b/r at all five and be positive on the ball; any other
+    data raise VolumeError.
+    """
+    r = radius * np.array([0.05, 0.2, 0.45, 0.7, 1.0])
     dirs = fibonacci_directions(8)
-    pts = np.vstack([0.2 * radius * dirs, 0.7 * radius * dirs])
+    pts = (r[:, None, None] * dirs).reshape(-1, 3)
     if np.abs(data.extrinsic(pts)).max() > 1e-13:
         raise VolumeError("harmonic basis needs time-symmetric data")
-    g = data.metric(pts)
-    psi = getattr(data, "conformal_factor", None)
-    dpsi = getattr(data, "conformal_factor_derivative", None)
-    if psi is None or dpsi is None:
-        if np.abs(g - np.eye(3)).max() > 1e-13:
-            raise VolumeError(
-                "harmonic basis needs flat data or a conformal factor "
-                "with its derivative"
-            )
-        return None, None
-    r = np.linalg.norm(pts, axis=1)
-    model = np.asarray(psi(r))[:, None, None] ** 4 * np.eye(3)
-    if np.abs(g - model).max() > 1e-10 * np.abs(model).max():
-        raise VolumeError("metric is not conformally flat")
-    return psi, dpsi
+    conformal_factor = getattr(data, "conformal_factor", np.ones_like)
+    psi = np.asarray(conformal_factor(r), dtype=float)
+    b = (psi[0] - psi[-1]) / (1.0 / r[0] - 1.0 / r[-1])
+    a = psi[-1] - b / r[-1]
+    if (np.abs(a + b / r - psi).max() > 1e-12 * np.abs(psi).max()
+            or b < 0.0 or psi[-1] <= 0.0):
+        raise VolumeError(
+            "harmonic basis needs a conformal factor a + b/r with b >= 0, "
+            "positive on the ball"
+        )
+    model = np.repeat(psi**4, len(dirs))[:, None, None] * np.eye(3)
+    if np.abs(data.metric(pts) - model).max() > 1e-10 * model.max():
+        raise VolumeError("harmonic basis needs the metric psi^4 delta")
+    return float(a), float(b)
 
 
 class HarmonicRepresentative:
-    """Least-squares fit of a volume solution by smooth functions that
-    satisfy the spacetime-harmonic equation exactly (harmonic homogeneous
-    polynomials times radial conformal profiles).
+    """Least-squares fit of a volume solution by u = P / psi, with P one
+    harmonic polynomial of degree <= 8 and psi = a + b/r the conformal
+    factor of time-symmetric vacuum data g = psi^4 delta (a = 1, b = 0
+    for flat data).
 
-    The integral identity is a theorem about smooth solutions; evaluating
-    its terms on this representative keeps the inequality direction intact
-    up to quadrature error, which pointwise recovery from the finite
-    element solution cannot do.
+    Since Lap_g u = psi^-5 (Lap(psi u) - u Lap psi) and Lap psi = 0, u
+    solves the spacetime-harmonic equation exactly.  The integral identity
+    is a theorem about smooth solutions; evaluating its terms on this
+    representative keeps the inequality direction intact up to quadrature
+    error, which pointwise recovery from the finite element solution
+    cannot do.
+
+    Points are scaled by the fill-in radius, y = x / length.  P is fitted
+    in the harmonic subspace of the monomials of y; its value, gradient
+    and Hessian are one monomial table times the (165, 10) matrix
+    `columns` of their monomial coefficients.
     """
 
-    def __init__(self, data, vol, u, degree=8):
-        radius = float(np.linalg.norm(vol.vertices, axis=1).max())
-        psi, dpsi = _conformal_structure(data, radius)
-        self.radius = radius
-        self.polys = _harmonic_poly_coeffs(degree)
-        self.radial = _RadialProfiles(psi, dpsi, degree, radius)
-        self.degree = degree
-
-        cols = []
-        self.index = []
-        pts = vol.vertices
-        r = np.linalg.norm(pts, axis=1)
-        for l in range(degree + 1):
-            mons, C = self.polys[l]
-            block, _, _ = _poly_eval(mons, C.T, pts, derivatives=False)
-            g, _, _ = self.radial.eval(l, r)
-            block = block * g[:, None]
-            for k in range(C.shape[0]):
-                cols.append(block[:, k])
-                self.index.append((l, k))
-        A = np.column_stack(cols)
-        col_scale = np.abs(A).max(axis=0)
-        col_scale[col_scale == 0.0] = 1.0
+    def __init__(self, data, vol, u):
+        self.length = float(np.linalg.norm(vol.vertices, axis=1).max())
+        self.a, self.b = _conformal_structure(data, self.length)
+        D = _derivative_matrices()
+        # orthonormal coefficient basis of the kernel of the Laplacian
+        basis = null_space(np.einsum("iab,ibc->ac", D, D))
+        y = vol.vertices / self.length
+        A = self._radial(y)[0][:, None] * (basis.T @ _monomials(y)).T
         w = np.zeros(vol.n_vertices)
         np.add.at(w, vol.tets.reshape(-1),
                   np.repeat(vol.tet_volumes / 4.0, 4))
         sw = np.sqrt(w)
-        coefs, *_ = np.linalg.lstsq(
-            A / col_scale * sw[:, None], np.asarray(u) * sw, rcond=None
-        )
-        self.coefs = coefs / col_scale
-        resid = A @ self.coefs - u
+        coefs, *_ = np.linalg.lstsq(A * sw[:, None], np.asarray(u) * sw,
+                                    rcond=None)
+        resid = A @ coefs - u
         self.fit_rms = float(np.sqrt(np.sum(w * resid**2) / w.sum()))
+        value = basis @ coefs
+        iu, ju = np.triu_indices(3)
+        self.columns = np.column_stack(
+            [value, *(D @ value), *(D[iu] @ D[ju] @ value)])
 
-    def _eval_chunk(self, pts, derivatives):
-        n = len(pts)
+    def _radial(self, y):
+        """phi = 1/psi at scaled points y and the factors phi'/rho and
+        (phi'' - phi'/rho)/rho^2 of its derivatives, rho = |y|."""
+        beta = self.b / self.length
+        rho = np.maximum(np.linalg.norm(y, axis=1), 1e-30)
+        s = self.a * rho + beta
+        return (rho / s, beta / (rho * s**2),
+                -beta * (3.0 * self.a * rho + beta) / (rho * s) ** 3)
+
+    def _eval_chunk(self, y):
+        phi, d1, d2 = self._radial(y)
+        vals = (self.columns.T @ _monomials(y)).T
+        P, dP, H = vals[:, 0], vals[:, 1:4], vals[:, _HESSIAN]
+        yy = y[:, :, None] * y[:, None, :]
+        ydP = y[:, :, None] * dP[:, None, :]
+        du = (d1 * P)[:, None] * y + phi[:, None] * dP
+        hess = ((d2 * P)[:, None, None] * yy
+                + d1[:, None, None] * (P[:, None, None] * np.eye(3) + ydP
+                                       + np.swapaxes(ydP, 1, 2))
+                + phi[:, None, None] * H)
+        return phi * P, du / self.length, hess / self.length**2
+
+    def evaluate(self, pts):
+        """u, its gradient and its coordinate Hessian at points."""
+        y = np.atleast_2d(np.asarray(pts, dtype=float)) / self.length
+        parts = [self._eval_chunk(y[s:s + _CHUNK])
+                 for s in range(0, len(y), _CHUNK)]
+        return tuple(np.concatenate(f) for f in zip(*parts))
+
+    def christoffels(self, pts):
+        """Gamma^a_bc of psi^4 delta at points, from
+        w = grad log psi^2 = -2 b x / (r^2 (a r + b))."""
         r = np.linalg.norm(pts, axis=1)
-        u = np.zeros(n)
-        du = np.zeros((n, 3)) if derivatives else None
-        hess = np.zeros((n, 3, 3)) if derivatives else None
-        if not self.radial.flat and derivatives:
-            rr = np.maximum(r, 1e-300)
-            xhat = pts / rr[:, None]
-            proj = np.eye(3) - np.einsum("ni,nj->nij", xhat, xhat)
-        pos = 0
-        for l in range(self.degree + 1):
-            mons, C = self.polys[l]
-            nk = C.shape[0]
-            c = self.coefs[pos:pos + nk]
-            pos += nk
-            if not np.any(c):
-                continue
-            coeff = C.T @ c
-            P, dP, ddP = _poly_eval(mons, coeff, pts, derivatives)
-            g, gp, gpp = self.radial.eval(l, r)
-            u += g * P
-            if not derivatives:
-                continue
-            if self.radial.flat:
-                du += dP
-                hess += ddP
-                continue
-            du += gp[:, None] * xhat * P[:, None] + g[:, None] * dP
-            hess += (
-                gpp[:, None, None] * np.einsum("ni,nj->nij", xhat, xhat)
-                * P[:, None, None]
-                + (gp / rr)[:, None, None] * proj * P[:, None, None]
-                + gp[:, None, None] * (
-                    np.einsum("ni,nj->nij", xhat, dP)
-                    + np.einsum("ni,nj->nij", dP, xhat)
-                )
-                + g[:, None, None] * ddP
-            )
-        return u, du, hess
-
-    def evaluate(self, pts, derivatives=True, chunk=60000):
-        """u (and optionally gradient and Hessian) at points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = len(pts)
-        u = np.empty(n)
-        du = np.empty((n, 3)) if derivatives else None
-        hess = np.empty((n, 3, 3)) if derivatives else None
-        for s in range(0, n, chunk):
-            sl = slice(s, min(s + chunk, n))
-            uu, dd, hh = self._eval_chunk(pts[sl], derivatives)
-            u[sl] = uu
-            if derivatives:
-                du[sl] = dd
-                hess[sl] = hh
-        return u, du, hess
+        w = (-2.0 * self.b / (r**2 * (self.a * r + self.b)))[:, None] * pts
+        eye = np.eye(3)
+        return (np.einsum("ab,nc->nabc", eye, w)
+                + np.einsum("ac,nb->nabc", eye, w)
+                - np.einsum("bc,na->nabc", eye, w))
 
 
 def _newton_steps(jac, rhs, cap, normals=None):
@@ -969,48 +864,50 @@ def _exact_coarea(rep, vol, u_samples, radius):
 
 # -- the integral identity ------------------------------------------------
 
-def _interpolate_boundary(vol, surface_positions, surface_faces,
-                          vertex_field, directions):
-    """Linear interpolation of a per-vertex field at boundary directions
-    (star-shaped boundary, radial projection onto boundary faces)."""
+def _interpolate_boundary(surface_positions, surface_faces, fields,
+                          directions):
+    """Linear interpolation of per-vertex fields at boundary directions
+    (star-shaped boundary, radial projection onto boundary faces).
+
+    Each direction takes the first of its 16 nearest faces (by face
+    direction) whose barycentric weights are all at least -1e-12, else the
+    face whose smallest weight is largest; singular faces are skipped.
+    """
     center = surface_positions.mean(axis=0)
     d_verts = surface_positions - center
     d_verts /= np.linalg.norm(d_verts, axis=1, keepdims=True)
     face_dirs = d_verts[surface_faces].mean(axis=1)
     face_dirs /= np.linalg.norm(face_dirs, axis=1, keepdims=True)
-    tree = cKDTree(face_dirs)
-    _, candidates = tree.query(directions, k=min(16, len(face_dirs)))
-    out = np.empty((len(directions),) + vertex_field.shape[1:])
-    for p, cand in enumerate(candidates):
-        best, best_min = None, -np.inf
-        for fi in np.atleast_1d(cand):
-            tri = d_verts[surface_faces[fi]]
-            try:
-                lam = np.linalg.solve(tri.T, directions[p])
-            except np.linalg.LinAlgError:
-                continue
-            lam_min = lam.min()
-            if lam_min > best_min:
-                best, best_min = (fi, lam), lam_min
-            if lam_min >= -1e-12:
-                break
-        if best is None:
-            raise VolumeError(f"every boundary face near direction "
-                              f"{directions[p]} is degenerate")
-        fi, lam = best
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum()
-        out[p] = np.einsum(
-            "m,m...->...", lam, vertex_field[surface_faces[fi]]
-        )
-    return out
+    _, cand = cKDTree(face_dirs).query(directions,
+                                       k=min(16, len(face_dirs)))
+    cand = cand.reshape(len(directions), -1)
+    # one 3 x 3 system per candidate: the corner directions as columns
+    tri = np.swapaxes(d_verts[surface_faces[cand]], -1, -2)
+    singular = np.linalg.det(tri) == 0.0
+    stuck = singular.all(axis=1)
+    if stuck.any():
+        raise VolumeError(f"every boundary face near direction "
+                          f"{directions[stuck.argmax()]} is degenerate")
+    tri[singular] = np.eye(3)
+    rhs = np.broadcast_to(directions[:, None, :, None], tri.shape[:3] + (1,))
+    lam = np.linalg.solve(tri, rhs)[..., 0]
+    lam_min = np.where(singular, -np.inf, lam.min(axis=-1))
+    inside = lam_min >= -1e-12
+    pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
+                    lam_min.argmax(axis=1))
+    rows = np.arange(len(directions))
+    lam = np.clip(lam[rows, pick], 0.0, None)
+    lam /= lam.sum(axis=1, keepdims=True)
+    corners = surface_faces[cand[rows, pick]]
+    return [np.einsum("pm,pm...->p...", lam, field[corners])
+            for field in fields]
 
 
-def _boundary_identity_integral(data, radius, quadrature, solution_fields,
-                                delta=0.0):
+def _boundary_identity_integral(data, radius, solution_fields, delta=0.0):
     """Both boundary integrals of the identity on the coordinate sphere,
-    by smooth quadrature; solution_fields(points) -> (grad u, Hess u)."""
-    points, wq, st, ct = _sphere_quadrature(radius, *quadrature)
+    by smooth (48 x 96) quadrature; solution_fields(points) -> (grad u,
+    Hess u)."""
+    points, wq, st, ct = _sphere_quadrature(radius)
     dU, HU = solution_fields(points)
 
     gq, ginv_q, _, kq = _point_fields(data, points)
@@ -1079,30 +976,15 @@ def _ball_quadrature(radius, n_theta=24, n_phi=48, panels=10, n_gauss=10):
     return pts, w
 
 
-def _conformal_christoffels(radial, pts):
-    """Gamma^a_bc of psi^4 delta from the radial profiles' q = 2 psi'/psi
-    (zero for flat data)."""
-    if radial.flat:
-        return np.zeros((len(pts), 3, 3, 3))
-    r = np.linalg.norm(pts, axis=1)
-    xhat = pts / r[:, None]
-    w = radial.q(r)[:, None] * xhat
-    eye = np.eye(3)
-    return (np.einsum("ab,nc->nabc", eye, w)
-            + np.einsum("ac,nb->nabc", eye, w)
-            - np.einsum("bc,na->nabc", eye, w))
-
-
 def _harmonic_fit_terms(vol, rep, radius):
     """harmonicFit route: the Euler term by exact coarea between the
     critical values of the fitted representative, the bulk fields on the
     ball quadrature and the boundary fields from the representative."""
-    u_samples, _, _ = rep.evaluate(vol.vertices, derivatives=False)
-    rhs_euler, intervals, u_range = _exact_coarea(rep, vol, u_samples,
-                                                  radius)
+    rhs_euler, intervals, u_range = _exact_coarea(
+        rep, vol, rep.evaluate(vol.vertices)[0], radius)
     pts, w = _ball_quadrature(radius)
     _, du, hess = rep.evaluate(pts)
-    bulk = (pts, w, du, hess, _conformal_christoffels(rep.radial, pts))
+    bulk = (pts, w, du, hess, rep.christoffels(pts))
     report = {"method": "harmonicFit", "fitResidual": rep.fit_rms,
               "coareaIntervals": intervals, "range": list(u_range)}
     return (rhs_euler, bulk, lambda points: rep.evaluate(points)[1:], 0.0,
@@ -1124,10 +1006,8 @@ def _field_recovery_terms(data, vol, sol, radius, n_levels):
     bulk = (centroids, vols, du, hess, data.christoffels(centroids))
 
     def solution_fields(points):
-        return [_interpolate_boundary(vol, vol.vertices[:nb],
-                                      vol.boundary_faces, field[:nb],
-                                      points / radius)
-                for field in (dU, hess_v)]
+        return _interpolate_boundary(vol.vertices[:nb], vol.boundary_faces,
+                                     (dU[:nb], hess_v[:nb]), points / radius)
 
     return (2.0 * np.pi * topo.coarea_integral(), bulk, solution_fields,
             sol.delta, {"method": "fieldRecovery"})
@@ -1149,8 +1029,7 @@ def _bulk_terms(data, points, weight, du, hess, gamma, delta):
             float(np.sum(weight * (mu * gnorm + j_du))))
 
 
-def integral_identity_check(data, vol, sol, radius, n_levels=64,
-                            quadrature=(48, 96), fit_degree=8):
+def integral_identity_check(data, vol, sol, radius, n_levels=64):
     """All terms of the level-set integral identity for a spacetime
     harmonic function on a coordinate-ball volume.
 
@@ -1160,27 +1039,27 @@ def integral_identity_check(data, vol, sol, radius, n_levels=64,
     slack = lhsBoundary + rhsEuler - bulkDirichlet - bulkEnergy, which the
     identity makes nonnegative under the dominant energy condition.
 
-    When the data admit an exactly harmonic smooth basis (flat or
-    puncture conformally flat, time-symmetric) the terms are evaluated on
-    a fitted smooth representative, so the slack carries only quadrature
-    error; otherwise pointwise recovery from the finite element solution
-    is used and the slack carries discretization error.
+    For time-symmetric vacuum data g = psi^4 delta with psi = a + b/r
+    (flat data included) the terms are evaluated on the fitted smooth
+    representative P / psi (method harmonicFit), so the slack carries
+    only quadrature error.  Any other data take pointwise recovery from
+    the finite element solution (method fieldRecovery), whose slack
+    carries discretization error; the report then names the reason under
+    harmonicFitUnavailable.
     """
-    try:
-        rep = HarmonicRepresentative(data, vol, sol.u, degree=fit_degree)
-    except VolumeError:
-        rep = None
     # each route gives (rhsEuler, the bulk sample for _bulk_terms, the
     # boundary solution fields, delta, its own report keys)
-    if rep is not None:
-        route = _harmonic_fit_terms(vol, rep, radius)
-    else:
+    try:
+        rep = HarmonicRepresentative(data, vol, sol.u)
+    except VolumeError as exc:
         route = _field_recovery_terms(data, vol, sol, radius, n_levels)
+        route[-1]["harmonicFitUnavailable"] = str(exc)
+    else:
+        route = _harmonic_fit_terms(vol, rep, radius)
     rhs_euler, bulk, solution_fields, delta, extra = route
     bulk_dirichlet, bulk_energy = _bulk_terms(data, *bulk, delta)
-    lhs_boundary = _boundary_identity_integral(
-        data, radius, quadrature, solution_fields, delta=delta
-    )
+    lhs_boundary = _boundary_identity_integral(data, radius, solution_fields,
+                                               delta=delta)
     scale = max(abs(lhs_boundary), abs(rhs_euler), abs(bulk_dirichlet),
                 abs(bulk_energy), 1e-30)
     return {

@@ -6,9 +6,14 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlmass.cli import main
 from qlmass.config import (
+    LIMITS,
+    SCHEMA,
+    SCHEMA_VERSION,
     ConfigError,
     config_hash,
     default_config,
@@ -61,6 +66,54 @@ def test_modified_values_round_trip():
     back = parse_config(serialize_config(cfg))
     assert back == cfg
     assert config_hash(back) == config_hash(cfg)
+
+
+def _valid_configs():
+    """Configs with random values that every check accepts."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    text = st.text(st.characters(exclude_characters="#"), max_size=12)
+    by_kind = {
+        "int": st.integers(),
+        "float": finite,
+        "str": text.filter(
+            lambda s: s == s.strip() and len(s.splitlines()) <= 1),
+        "floats": st.lists(finite, min_size=1, max_size=4).map(tuple),
+        "vec3": st.tuples(finite, finite, finite),
+    }
+    limited = {
+        "radius": positive,
+        "radii": st.lists(positive, min_size=1, max_size=4).map(tuple),
+        "mesh.level": st.integers(min_value=0),
+        "observers.grid": st.integers(min_value=1),
+        "volume.layers": st.integers(min_value=1),
+        "topology.levels": st.integers(min_value=1),
+        "energy.mode": st.sampled_from(["explicit", "epsLimit", "both"]),
+    }
+    assert set(LIMITS) <= set(limited)
+    limited["schemaVersion"] = st.just(SCHEMA_VERSION)
+    return st.fixed_dictionaries({
+        key: limited.get(key, by_kind[kind])
+        for key, (kind, _, _) in SCHEMA.items()
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_valid_configs())
+def test_valid_configs_round_trip(cfg):
+    back = parse_config(serialize_config(cfg))
+    assert back == cfg
+    assert config_hash(back) == config_hash(cfg)
+
+
+@pytest.mark.parametrize("key, raw", [("provider.mass", "nan"),
+                                      ("radius", "inf"),
+                                      ("radii", "10,-inf"),
+                                      ("observer.a", "0,nan,1")])
+def test_non_finite_number_rejected(key, raw):
+    with pytest.raises(ConfigError,
+                       match=f"bad value for key {key}: .* is not finite"):
+        parse_config(f"{key} = {raw}\n")
 
 
 def test_partial_config_gets_defaults():
@@ -368,3 +421,27 @@ def test_unknown_energy_mode_rejected(runner, tmp_path):
                     "radius = 2.0\nenergy.mode = epslimit\n")
     assert "exp.cfg:2: bad value for key energy.mode: 'epslimit'" in out
     assert "one of explicit, epsLimit, both" in out
+
+
+def test_out_dir_with_hash_rejected(runner, tmp_path):
+    # `run#1` would be recorded as `run` in the config the hash is made of
+    out = tmp_path / "run#1"
+    result = runner.invoke(main, ["energy", "--level", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "<flag>: bad value for key output.dir" in result.output
+    assert not out.exists()
+
+
+def test_nan_mass_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, ["--provider", "schwarzschild",
+                                       "--mass", "nan", "--level", "1"])
+    assert "<flag>: bad value for key provider.mass: 'nan' is not finite" \
+        in out
+
+
+@pytest.mark.parametrize("raw", ["a#b", " a", "a ", "a\nb", "a\x1cb"])
+def test_string_that_cannot_round_trip_rejected(runner, tmp_path, raw):
+    out = _rejected(runner, tmp_path, ["--boundary-file", raw])
+    assert ("<flag>: bad value for key provider.boundary_file: "
+            f"{raw!r} holds '#'") in out

@@ -11,7 +11,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse import csr_matrix, lil_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from qlmass.initialdata import (
     BowenYorkData,
@@ -21,8 +21,10 @@ from qlmass.initialdata import (
 )
 from qlmass.mesh import icosphere
 from qlmass.volume import (
+    HarmonicRepresentative,
     VolumeError,
     VolumeMesh,
+    _conformal_structure,
     _interpolate_boundary,
     _level_topology,
     _split_prism,
@@ -604,13 +606,55 @@ def test_level_set_topology_needs_a_level(n_levels):
                            n_levels=n_levels)
 
 
+def _interpolate_boundary_loop(pos, faces, field, directions):
+    """Per-direction reference for _interpolate_boundary: candidate faces
+    in KD order, one solve each, stopping at the first inside face."""
+    d_verts = pos - pos.mean(axis=0)
+    d_verts /= np.linalg.norm(d_verts, axis=1, keepdims=True)
+    face_dirs = d_verts[faces].mean(axis=1)
+    face_dirs /= np.linalg.norm(face_dirs, axis=1, keepdims=True)
+    _, candidates = cKDTree(face_dirs).query(directions, k=16)
+    out = []
+    for direction, cand in zip(directions, candidates):
+        best, best_min = None, -np.inf
+        for fi in cand:
+            lam = np.linalg.solve(d_verts[faces[fi]].T, direction)
+            if lam.min() > best_min:
+                best, best_min = (fi, lam), lam.min()
+            if lam.min() >= -1e-12:
+                break
+        fi, lam = best
+        lam = np.clip(lam, 0.0, None)
+        lam /= lam.sum()
+        out.append(np.einsum("m,m...->...", lam, field[faces[fi]]))
+    return np.array(out)
+
+
+def test_interpolate_boundary_matches_per_direction_loop():
+    # the upper half of a bumpy star-shaped boundary: directions below it
+    # fall outside every candidate face and take the largest smallest weight
+    mesh, pos = _unit_sphere(2)
+    rng = np.random.default_rng(7)
+    pos = pos * rng.uniform(0.7, 1.3, (len(pos), 1))
+    faces = mesh.faces[pos[mesh.faces, 2].mean(axis=1) > 0.0]
+    dirs = rng.normal(size=(300, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # the shapes of the recovered gradient and Hessian fields
+    fields = [rng.normal(size=(len(pos), 3)),
+              rng.normal(size=(len(pos), 3, 3))]
+    got = _interpolate_boundary(pos, faces, fields, dirs)
+    for field, values in zip(fields, got):
+        assert np.array_equal(
+            values, _interpolate_boundary_loop(pos, faces, field, dirs))
+
+
 def test_interpolate_boundary_rejects_degenerate_faces():
     # all vertices on the equator: no face spans a cone around a direction
     pos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
                     [0.0, -1.0, 0.0]])
     faces = np.array([[0, 1, 2], [0, 2, 3], [1, 2, 3], [0, 1, 3]])
     with pytest.raises(VolumeError, match=r"direction \[0\. 0\. 1\.\]"):
-        _interpolate_boundary(None, pos, faces, np.ones(4),
+        _interpolate_boundary(pos, faces, [np.ones(4)],
                               np.array([[0.0, 0.0, 1.0]]))
 
 
@@ -689,6 +733,57 @@ def test_identity_falls_back_to_recovery_for_generic_data():
     sol = solve_spacetime_harmonic(vol, data, bvals)
     report = integral_identity_check(data, vol, sol, 10.0)
     assert report["method"] == "fieldRecovery"
+    assert (report["harmonicFitUnavailable"]
+            == "harmonic basis needs time-symmetric data")
     for key in ("lhsBoundary", "rhsEuler", "bulkDirichlet", "bulkEnergy",
                 "slack", "scale"):
         assert np.isfinite(report[key])
+
+
+# -- harmonic representative -----------------------------------------------
+
+@pytest.fixture(scope="module")
+def schwarzschild_rep():
+    """Representative fitted to a smooth function outside its span on a
+    radius-10 ball of Schwarzschild data with m = 1."""
+    _, vol = _ball_fill_in(1, radius=10.0)
+    x, y, z = vol.vertices.T / 10.0
+    u = np.exp(x) * np.cos(y) + z**3
+    return HarmonicRepresentative(SchwarzschildData(1.0), vol, u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_representative_is_harmonic_for_schwarzschild(schwarzschild_rep,
+                                                      seed):
+    # Lap_g u = psi^-4 (tr Hess u + (2 psi'/psi) d_r u) for g = psi^4 delta;
+    # 32 interior points with log-uniform radii from 1e-9 R to R, four in
+    # nine of them below 1e-5 R on average
+    rng = np.random.default_rng(seed)
+    xhat = rng.normal(size=(32, 3))
+    xhat /= np.linalg.norm(xhat, axis=1, keepdims=True)
+    r = 10.0 * 10.0 ** rng.uniform(-9.0, 0.0, 32)
+    _, du, hess = schwarzschild_rep.evaluate(r[:, None] * xhat)
+    psi = 1.0 + 0.5 / r
+    radial = (-1.0 / r**2) / psi * np.einsum("ni,ni->n", xhat, du)
+    trace = np.einsum("nii->n", hess)
+    size = np.abs(np.einsum("nii->ni", hess)).sum(axis=1) + np.abs(radial)
+    assert np.all(np.abs(trace + radial) <= 1e-12 * size)
+
+
+class _QuadraticConformalData(FlatData):
+    """Time-symmetric g = psi^4 delta with psi = 1 + r^2/200, which is not
+    of the form a + b/r."""
+
+    def conformal_factor(self, r):
+        return 1.0 + np.asarray(r, dtype=float) ** 2 / 200.0
+
+    def metric(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        psi = self.conformal_factor(np.linalg.norm(x, axis=1))
+        return psi[:, None, None] ** 4 * np.eye(3)
+
+
+def test_conformal_factor_not_a_plus_b_over_r_is_rejected():
+    with pytest.raises(VolumeError, match=r"conformal factor a \+ b/r"):
+        _conformal_structure(_QuadraticConformalData(), 10.0)
