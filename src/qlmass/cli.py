@@ -312,6 +312,7 @@ def asymptotics(**kwargs):
             data, a_list, list(cfg["radii"]),
             mesh_level=cfg["mesh.level"],
             degree=cfg["embedding.degree"], tol=cfg["embedding.tol"],
+            max_iterations=cfg["embedding.max_iterations"],
             context=_resolution_context(cfg),
         )
         manifest.record("asymptotics")

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .energy import ENERGY_MODES
 
 
 class ConfigError(ValueError):
@@ -80,11 +81,19 @@ LIMITS = {
     "radius": ("> 0", lambda v: v > 0.0),
     "radii": ("> 0 each", lambda v: all(r > 0.0 for r in v)),
     "mesh.level": (">= 0", lambda v: v >= 0),
+    "embedding.degree": (">= 1", lambda v: v >= 1),
+    "embedding.tol": ("> 0", lambda v: v > 0.0),
+    "embedding.max_iterations": (">= 1", lambda v: v >= 1),
     "observers.grid": (">= 1", lambda v: v >= 1),
+    "observers.refine_iters": (">= 0", lambda v: v >= 0),
+    "asymptotics.observers": (">= 1", lambda v: v >= 1),
     "volume.layers": (">= 1", lambda v: v >= 1),
+    "harmonic.delta": (">= 0", lambda v: v >= 0.0),
+    "harmonic.tol": ("> 0", lambda v: v > 0.0),
+    "harmonic.max_picard": (">= 1", lambda v: v >= 1),
     "topology.levels": (">= 1", lambda v: v >= 1),
-    "energy.mode": ("one of explicit, epsLimit, both",
-                    lambda v: v in ("explicit", "epsLimit", "both")),
+    "energy.mode": ("one of " + ", ".join(ENERGY_MODES),
+                    lambda v: v in ENERGY_MODES),
 }
 
 

@@ -9,6 +9,7 @@ repeated runs produce bitwise-comparable output.
 
 import numpy as np
 from scipy import linalg, special
+from scipy.spatial import cKDTree
 
 from .operators import OperatorSet, SurfaceMetric
 
@@ -236,6 +237,10 @@ def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200,
         mesh, SurfaceMetric.from_positions(mesh, positions)
     ).vertex_areas
     positions = gauge_fix(positions, areas)
+    pair = crossing_pair(positions, mesh.faces)
+    if pair is not None:
+        raise EmbeddingError(f"embedded surface crosses itself: faces "
+                             f"{pair[0]} and {pair[1]} intersect")
     return EmbeddingResult(mesh, positions, rms, iterations,
                            target_metric=metric)
 
@@ -290,79 +295,53 @@ def _polish_positions(mesh, lengths, positions, scale, tol, max_iterations):
     return x, rms
 
 
-class ReferenceSurfaceData:
-    """Extrinsic reference quantities of an embedded convex surface.
+def crossing_pair(positions, faces):
+    """First pair (i, j), i < j, of triangles that share no vertex and
+    intersect, or None when the surface is embedded.
 
-    H0 is the mean curvature field (equal to the mean curvature vector
-    norm on a time slice); nu_hat the outward unit normal field.
+    Two triangles touch only if their centroids lie within the sum of
+    their radii.  One fixed-radius query finds the pairs of triangles no
+    wider than the reach (at most twice the median radius); each wider
+    triangle queries twice its own radius, so a long triangle adds O(F)
+    candidates, not O(F^2).  Candidates are tested by Moeller-Trumbore,
+    each edge of one triangle against the other.
     """
-
-    def __init__(self, H0, nu_hat):
-        if np.min(H0) <= 0.0:
-            raise EmbeddingError(
-                f"non-convex image: H0 <= 0 at vertex {int(np.argmin(H0))}"
-            )
-        self.H0 = np.asarray(H0, dtype=float)
-        self.nu_hat = np.asarray(nu_hat, dtype=float)
-
-
-def reference_data(emb):
-    """Reference mean curvature and normals of a converged embedding."""
-    return ReferenceSurfaceData(emb.mean_curvature, emb.normals)
-
-
-def self_intersection_check(positions, faces):
-    """True when no two non-adjacent triangles intersect.
-
-    Candidate pairs come from a KD-tree radius query on face centroids;
-    each candidate pair is tested edge-against-triangle both ways.
-    """
-    from scipy.spatial import cKDTree
-
     tri = positions[faces]
     cent = tri.mean(axis=1)
     rad = np.linalg.norm(tri - cent[:, None, :], axis=2).max(axis=1)
     tree = cKDTree(cent)
-    pairs = tree.query_pairs(2.0 * rad.max(), output_type="ndarray")
-    share = np.array([
-        len(set(faces[i]) & set(faces[j])) > 0 for i, j in pairs
-    ])
-    pairs = pairs[~share]
-    for i, j in pairs:
-        if np.linalg.norm(cent[i] - cent[j]) > rad[i] + rad[j]:
-            continue
-        if _tri_tri_intersect(tri[i], tri[j]):
-            return False
-    return True
+    reach = min(rad.max(), 2.0 * np.median(rad))
+    near = tree.query_pairs(2.0 * reach, output_type="ndarray")
+    wide = np.flatnonzero(rad > reach)
+    hits = tree.query_ball_point(cent[wide], 2.0 * rad[wide])
+    i = np.concatenate([near[:, 0], np.repeat(wide, [len(h) for h in hits])])
+    j = np.concatenate([near[:, 1], *hits]).astype(np.int64)
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    close = (i < j) & (np.linalg.norm(cent[i] - cent[j], axis=1)
+                       <= rad[i] + rad[j])
+    i, j = i[close], j[close]
+    apart = ~(faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
+    pairs = np.unique(np.column_stack([i[apart], j[apart]]), axis=0)
+    a, b = tri[pairs[:, 0]], tri[pairs[:, 1]]
+    hit = np.zeros(len(pairs), dtype=bool)
+    for k in range(3):
+        hit |= _segments_cross(a[:, k], a[:, (k + 1) % 3], b)
+        hit |= _segments_cross(b[:, k], b[:, (k + 1) % 3], a)
+    return tuple(map(int, pairs[np.argmax(hit)])) if hit.any() else None
 
 
-def _seg_tri_intersect(p, q, tri):
-    # Moeller-Trumbore against segment pq
-    e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
-    d = q - p
-    h = np.cross(d, e2)
-    a = e1 @ h
-    if abs(a) < 1e-15:
-        return False
-    s = p - tri[0]
-    u = (s @ h) / a
-    if u < 0.0 or u > 1.0:
-        return False
-    qv = np.cross(s, e1)
-    v = (d @ qv) / a
-    if v < 0.0 or u + v > 1.0:
-        return False
-    t = (e2 @ qv) / a
-    return 0.0 <= t <= 1.0
-
-
-def _tri_tri_intersect(t1, t2):
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        if _seg_tri_intersect(t1[a], t1[b], t2):
-            return True
-        if _seg_tri_intersect(t2[a], t2[b], t1):
-            return True
-    return False
+def _segments_cross(p, q, tri):
+    """Moeller-Trumbore test of each segment pq against its triangle."""
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    s, d = p - tri[:, 0], q - p
+    h, qv = np.cross(d, e2), np.cross(s, e1)
+    a = np.einsum("nk,nk->n", e1, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.einsum("nk,nk->n", s, h) / a
+        v = np.einsum("nk,nk->n", d, qv) / a
+        t = np.einsum("nk,nk->n", e2, qv) / a
+        return ((np.abs(a) >= 1e-15) & (u >= 0.0) & (u <= 1.0)
+                & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0) & (t <= 1.0))
 
 
 # -- embedding file I/O -------------------------------------------------

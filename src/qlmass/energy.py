@@ -10,11 +10,15 @@ bit-stable.
 
 import csv
 import json
+from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, diags
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
+
+from .embedding import EmbeddingError
 
 
 class EnergyError(RuntimeError):
@@ -27,8 +31,7 @@ class Observer:
     Attributes
     ----------
     a : unit 3-vector.
-    uA : per-vertex observer function from the embedding.
-    embedding : the EmbeddingResult supplying positions and times.
+    uA : per-vertex observer function on the embedding.
     """
 
     def __init__(self, embedding, a):
@@ -39,7 +42,6 @@ class Observer:
         if abs(norm - 1.0) > 1e-6:
             raise EnergyError(f"observer direction far from unit: |a| = {norm}")
         self.a = a / norm
-        self.embedding = embedding
         self.uA = -embedding.times + embedding.positions @ self.a
 
 
@@ -85,11 +87,13 @@ class SurfaceData:
 
     @classmethod
     def from_embedding(cls, emb):
-        from .embedding import reference_data
-
-        ref = reference_data(emb)
-        return cls(emb.ops, ref.H0, np.zeros(len(ref.H0)), None,
-                   name="reference")
+        # on a time slice |H_vec| is the mean curvature H0 of the image
+        H0 = emb.mean_curvature
+        if np.min(H0) <= 0.0:
+            raise EmbeddingError(
+                f"non-convex image: H0 <= 0 at vertex {int(np.argmin(H0))}"
+            )
+        return cls(emb.ops, H0, np.zeros(len(H0)), None, name="reference")
 
     def gauge_edge_values(self):
         """Pairings of the connection form in the mean-curvature gauge:
@@ -98,123 +102,129 @@ class SurfaceData:
         return self.alpha_edges - (self.phi[j] - self.phi[i])
 
 
-class FrameField:
-    """Hyperbolic frame angle measured from the mean-curvature gauge.
-
-    canonical_frame also sets gsq, the vertex-averaged squared observer
-    gradient over the faces outside mask (shared by every frame with the
-    same mask), dead_vertices and critical_fraction.
-    """
-
-    def __init__(self, f, eps, mask=None):
-        self.f = np.asarray(f, dtype=float)
-        self.eps = float(eps)
-        self.mask = mask
+# hyperbolic frame angle f from the mean-curvature gauge, with the squared
+# observer gradient gsq, the vertices the integrands skip, and the masked
+# critical faces (None for eps > 0)
+FrameField = namedtuple("FrameField", "f eps gsq dead_vertices mask")
 
 
-def _vertex_grad_sq(ops, u, face_mask=None):
-    """Vertex-averaged squared gradient magnitude, optionally ignoring
-    masked faces."""
-    g = ops.gradient(u)
-    gsq = np.einsum("fk,fk->f", g, g)
+def _vertex_grad_sq(ops, grad, face_mask=None):
+    """Vertex-averaged squared magnitude of a per-face gradient,
+    optionally ignoring masked faces."""
+    gsq = np.einsum("fk,fk->f", grad, grad)
     w = ops.face_areas.copy()
     if face_mask is not None:
         w[face_mask] = 0.0
-    num = np.bincount(
-        ops.mesh.faces.ravel(),
-        weights=np.repeat(w * gsq, 3) / 3.0,
-        minlength=ops.mesh.n_vertices,
-    )
-    den = np.bincount(
-        ops.mesh.faces.ravel(),
-        weights=np.repeat(w, 3) / 3.0,
-        minlength=ops.mesh.n_vertices,
-    )
-    out = np.zeros(ops.mesh.n_vertices)
+    faces, n = ops.mesh.faces.ravel(), ops.mesh.n_vertices
+    num = np.bincount(faces, weights=np.repeat(w * gsq, 3) / 3.0, minlength=n)
+    den = np.bincount(faces, weights=np.repeat(w, 3) / 3.0, minlength=n)
+    out = np.zeros(n)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok]
     return np.maximum(out, 0.0), ~ok
 
 
-def canonical_frame(sd, obs, eps, threshold_fraction=1e-3):
+# the eps = 0 frame masks faces whose |grad u| is below this share of its
+# median
+CRITICAL_FRACTION = 1e-3
+
+
+class ObserverFields:
+    """The observer function u on one side and its fields, each computed
+    once for every frame of that side: grad u, laplace(u) and the gauge
+    covector on construction, the rest when first read."""
+
+    def __init__(self, sd, obs):
+        self.sd, self.ops, self.u = sd, sd.ops, obs.uA
+        self.grad = self.ops.gradient(self.u)
+        self.lap = self.ops.laplace(self.u)
+        self.gauge_cov = self.ops.face_covector(sd.gauge_edge_values())
+        self.gauge_pairing = self.ops.pair_fields(self.gauge_cov, self.grad)
+
+    @cached_property
+    def masked(self):
+        """(critical face mask, its area fraction, gsq, dead vertices)."""
+        mask, frac = self.ops.critical_set_mask(self.u, CRITICAL_FRACTION)
+        return (mask, frac) + _vertex_grad_sq(self.ops, self.grad, mask)
+
+    @cached_property
+    def unmasked(self):
+        """(gsq, dead vertices) over every face."""
+        return _vertex_grad_sq(self.ops, self.grad)
+
+    @cached_property
+    def slice_pairing(self):
+        """grad u paired with the slice-gauge connection form alpha_nu."""
+        return self.ops.pair_fields(
+            self.ops.face_covector(self.sd.alpha_edges), self.grad)
+
+
+def canonical_frame(fields, eps):
     """Energy-minimizing frame angle from the mean-curvature gauge:
     sinh f = laplace(u) / (|H_vec| sqrt(|grad u|^2 + eps^2)).
 
-    With eps = 0 the critical set is masked and f set to zero there.
+    With eps = 0 the critical set is masked and f is zero on the vertices
+    it leaves without gradient.
     """
-    u = obs.uA
-    ops = sd.ops
     if eps < 0:
         raise EnergyError("eps must be nonnegative")
-    lap = ops.laplace(u)
     if eps == 0.0:
-        face_mask, frac = ops.critical_set_mask(u, threshold_fraction)
-        gsq, dead = _vertex_grad_sq(ops, u, face_mask)
-        if np.any(sd.field_norm[~dead] < 1e-14):
-            raise EnergyError("degenerate mean curvature vector on the "
-                              "unmasked set")
-        f = np.zeros(len(u))
-        live = ~dead & (gsq > 0.0)
-        f[live] = np.arcsinh(
-            lap[live] / (sd.field_norm[live] * np.sqrt(gsq[live]))
-        )
-        frame = FrameField(f, eps, mask=face_mask)
-        frame.gsq = gsq
-        frame.dead_vertices = dead | (gsq <= 0.0)
-        frame.critical_fraction = frac
-        return frame
-    gsq, _ = _vertex_grad_sq(ops, u)
-    if np.any(sd.field_norm < 1e-14):
-        raise EnergyError("degenerate mean curvature vector")
-    f = np.arcsinh(lap / (sd.field_norm * np.sqrt(gsq + eps**2)))
-    frame = FrameField(f, eps, mask=None)
-    frame.gsq = gsq
-    frame.dead_vertices = np.zeros(len(u), dtype=bool)
-    frame.critical_fraction = 0.0
-    return frame
+        mask, _, gsq, dead = fields.masked
+    else:
+        mask, (gsq, dead) = None, fields.unmasked
+    norm = fields.sd.field_norm
+    if np.any(norm[~dead] < 1e-14):
+        raise EnergyError("degenerate mean curvature vector on the "
+                          "unmasked set")
+    live = ~dead & (gsq + eps**2 > 0.0)
+    f = np.zeros(len(gsq))
+    f[live] = np.arcsinh(
+        fields.lap[live] / (norm[live] * np.sqrt(gsq[live] + eps**2))
+    )
+    return FrameField(f, eps, gsq, ~live, mask)
 
 
-def _side_terms(sd, obs, frame):
-    """The three integrals of one side: (sqrt term, frame-gradient term by
-    parts, gauge term); masked vertices and faces carry zero weight."""
-    u = obs.uA
-    ops = sd.ops
+def _weights(ops, frame):
+    """Vertex and face areas, zero on the frame's dead and masked parts."""
     w = ops.vertex_areas.copy()
     w[frame.dead_vertices] = 0.0
-    sqrt_vals = (np.sqrt(frame.gsq + frame.eps**2) * sd.field_norm
-                 * np.cosh(frame.f))
-    sqrt_int = float(sqrt_vals @ w)
-    grad_int = ops.dirichlet_pairing(u, frame.f)
-    gu = ops.gradient(u)
-    gauge_cov = ops.face_covector(sd.gauge_edge_values())
-    pair = ops.pair_fields(gauge_cov, gu)
     fa = ops.face_areas.copy()
     if frame.mask is not None:
         fa[frame.mask] = 0.0
-    gauge_int = float(pair @ fa)
+    return w, fa
+
+
+def _side_terms(fields, frame):
+    """The three integrals of one side: (sqrt term, frame-gradient term by
+    parts, gauge term); masked vertices and faces carry zero weight."""
+    w, fa = _weights(fields.ops, frame)
+    sqrt_vals = (np.sqrt(frame.gsq + frame.eps**2) * fields.sd.field_norm
+                 * np.cosh(frame.f))
+    sqrt_int = float(sqrt_vals @ w)
+    grad_int = fields.ops.dirichlet_pairing(fields.u, frame.f)
+    gauge_int = float(fields.gauge_pairing @ fa)
     return sqrt_int, grad_int, gauge_int
 
 
-def side_integral(sd, obs, eps, frame=None, threshold_fraction=1e-3):
-    """Total Hamiltonian integral of one side, canonical frame by default."""
-    if frame is None:
-        frame = canonical_frame(sd, obs, eps, threshold_fraction)
-    return sum(_side_terms(sd, obs, frame)), frame
+def side_integral(sd, obs, eps):
+    """(Hamiltonian integral of one side in its canonical frame, frame)."""
+    fields = ObserverFields(sd, obs)
+    frame = canonical_frame(fields, eps)
+    return sum(_side_terms(fields, frame)), frame
 
 
 class EnergyReport:
     """Energy evaluation record; E = reference_term - physical_term."""
 
     def __init__(self, E, reference_term, physical_term, term_breakdown,
-                 eps_sequence, critical_area_fraction,
-                 admissible_flag="unchecked", warnings=None, context=None):
+                 eps_sequence, critical_area_fraction, warnings=None,
+                 context=None):
         self.E = E
         self.reference_term = reference_term
         self.physical_term = physical_term
         self.term_breakdown = term_breakdown
         self.eps_sequence = eps_sequence
         self.critical_area_fraction = critical_area_fraction
-        self.admissible_flag = admissible_flag
         self.warnings = warnings or []
         self.context = context or {}
 
@@ -226,7 +236,7 @@ class EnergyReport:
             "termBreakdown": self.term_breakdown,
             "epsSequence": self.eps_sequence,
             "criticalAreaFraction": self.critical_area_fraction,
-            "admissibleFlag": self.admissible_flag,
+            "admissibleFlag": "unchecked",
             "warnings": self.warnings,
             "context": self.context,
         }
@@ -235,15 +245,19 @@ class EnergyReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def default_eps_list(sd, obs, n=7):
-    """Geometric sequence 1e-1 .. 1e-4 times the mean gradient scale."""
-    gsq, _ = _vertex_grad_sq(sd.ops, obs.uA)
+def default_eps_list(fields, n=7):
+    """Geometric sequence 1e-1 .. 1e-4 times the mean gradient scale of
+    one side's observer fields."""
+    gsq, _ = fields.unmasked
     scale = float(np.sqrt(gsq).mean())
     return list(scale * np.logspace(-1, -4, n))
 
 
+ENERGY_MODES = ("explicit", "epsLimit", "both")
+
+
 def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
-           threshold_fraction=1e-3, context=None):
+           context=None):
     """Quasi-local energy of the observer.
 
     mode "explicit" evaluates the limit formula on the complement of the
@@ -251,28 +265,30 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
     mode "both" reports the explicit value with the sequence attached and
     warns when the routes disagree beyond the discretization estimate.
     """
+    if mode not in ENERGY_MODES:
+        raise EnergyError(f"energy mode {mode!r} not in {ENERGY_MODES}")
     if ref_sd.mesh.n_vertices != phys_sd.mesh.n_vertices:
         raise EnergyError("reference and physical data on different meshes")
     warnings = []
     eps_sequence = []
 
-    frame_r = canonical_frame(ref_sd, obs, 0.0, threshold_fraction)
-    frame_p = canonical_frame(phys_sd, obs, 0.0, threshold_fraction)
-    terms_r = _side_terms(ref_sd, obs, frame_r)
-    terms_p = _side_terms(phys_sd, obs, frame_p)
+    ref, phys = ObserverFields(ref_sd, obs), ObserverFields(phys_sd, obs)
+    frame_r, frame_p = canonical_frame(ref, 0.0), canonical_frame(phys, 0.0)
+    terms_r = _side_terms(ref, frame_r)
+    terms_p = _side_terms(phys, frame_p)
     breakdown = {"reference": list(terms_r), "physical": list(terms_p)}
     ref_term = sum(terms_r) / (8.0 * np.pi)
     phys_term = sum(terms_p) / (8.0 * np.pi)
     e_explicit = ref_term - phys_term
-    crit_frac = max(frame_r.critical_fraction, frame_p.critical_fraction)
+    crit_frac = max(ref.masked[1], phys.masked[1])
 
     e_val = e_explicit
-    if mode in ("epsLimit", "both"):
+    if mode != "explicit":
         if eps_list is None:
-            eps_list = default_eps_list(ref_sd, obs)
+            eps_list = default_eps_list(ref)
         for eps in eps_list:
-            r, _ = side_integral(ref_sd, obs, eps)
-            p, _ = side_integral(phys_sd, obs, eps)
+            r, p = (sum(_side_terms(fields, canonical_frame(fields, eps)))
+                    for fields in (ref, phys))
             eps_sequence.append((float(eps), (r - p) / (8.0 * np.pi)))
         e_limit = _extrapolate_eps(eps_sequence)
         scale = max(abs(ref_term), abs(phys_term), 1e-30)
@@ -312,19 +328,17 @@ def _extrapolate_eps(seq):
 def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
     """Cross-check of the density route against the surface-Hamiltonian
     route (slice gauge with the total frame angle), per eps."""
+    sides = (ObserverFields(ref_sd, obs), ObserverFields(phys_sd, obs))
     rows = []
     for eps in eps_list:
-        ea = 0.0
-        eb = 0.0
-        scale = 0.0
-        for sign, sd in ((1.0, ref_sd), (-1.0, phys_sd)):
-            a, frame = side_integral(sd, obs, eps)
-            b = _slice_gauge_integral(sd, obs, frame)
-            ea += sign * a
-            eb += sign * b
-            scale = max(scale, abs(a), abs(b))
-        ea /= 8.0 * np.pi
-        eb /= 8.0 * np.pi
+        density, hamiltonian = [], []
+        for fields in sides:
+            frame = canonical_frame(fields, eps)
+            density.append(sum(_side_terms(fields, frame)))
+            hamiltonian.append(_slice_gauge_integral(fields, frame))
+        ea = (density[0] - density[1]) / (8.0 * np.pi)
+        eb = (hamiltonian[0] - hamiltonian[1]) / (8.0 * np.pi)
+        scale = max(map(abs, density + hamiltonian))
         denom = max(scale / (8.0 * np.pi), 1e-30)
         rows.append({
             "eps": float(eps),
@@ -335,47 +349,32 @@ def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
     return rows
 
 
-def _slice_gauge_integral(sd, obs, frame):
+def _slice_gauge_integral(fields, frame):
     """One side evaluated entirely in the slice gauge, given its canonical
     frame: the frame angle from the slice normal is phi - f and the
     connection form is alpha_nu."""
-    u = obs.uA
-    ops = sd.ops
+    sd = fields.sd
+    w, fa = _weights(fields.ops, frame)
     q = sd.phi - frame.f
     vals = np.sqrt(frame.gsq + frame.eps**2) * (
         sd.H * np.cosh(q) + sd.trk * np.sinh(q)
     )
-    w = ops.vertex_areas.copy()
-    w[frame.dead_vertices] = 0.0
-    total = float(vals @ w)
-    total -= ops.dirichlet_pairing(u, q)
-    gu = ops.gradient(u)
-    cov = ops.face_covector(sd.alpha_edges)
-    pair = ops.pair_fields(cov, gu)
-    fa = ops.face_areas.copy()
-    if frame.mask is not None:
-        fa[frame.mask] = 0.0
-    total += float(pair @ fa)
-    return total
+    return (float(vals @ w) - fields.ops.dirichlet_pairing(fields.u, q)
+            + float(fields.slice_pairing @ fa))
 
 
 def optimal_frame_gap(sd, obs, eps, trial_frames):
     """Functional gaps of trial frame angles against the canonical frame;
     convexity makes every gap nonnegative up to round-off."""
-    base_frame = canonical_frame(sd, obs, eps)
-    base = sum(_side_terms(sd, obs, base_frame))
-    gaps = []
-    for f in trial_frames:
-        trial = FrameField(np.asarray(f, dtype=float), eps,
-                           mask=base_frame.mask)
-        trial.gsq = base_frame.gsq
-        trial.dead_vertices = base_frame.dead_vertices
-        gaps.append(sum(_side_terms(sd, obs, trial)) - base)
-    return gaps
+    fields = ObserverFields(sd, obs)
+    base_frame = canonical_frame(fields, eps)
+    base = sum(_side_terms(fields, base_frame))
+    return [sum(_side_terms(fields, base_frame._replace(f=f))) - base
+            for f in trial_frames]
 
 
-def euler_lagrange_residual(sd, obs, threshold_fraction=1e-3,
-                            cap_fraction=0.2, mollification_fraction=0.15):
+def euler_lagrange_residual(sd, obs, cap_fraction=0.2,
+                            mollification_fraction=0.15):
     """Residual of the first-variation equation in u and the point charges
     at the observer extrema.
 
@@ -388,18 +387,16 @@ def euler_lagrange_residual(sd, obs, threshold_fraction=1e-3,
     at the fixed physical scale mollification_fraction * (area radius);
     the raw field stays noisy at fourth-difference level by construction.
     """
-    u = obs.uA
-    ops = sd.ops
-    frame = canonical_frame(sd, obs, 0.0, threshold_fraction)
-    gu = ops.gradient(u)
-    gmag = np.linalg.norm(gu, axis=1)
-    gmag = np.maximum(gmag, 1e-300)
+    fields = ObserverFields(sd, obs)
+    u, ops = fields.u, fields.ops
+    frame = canonical_frame(fields, 0.0)
+    gmag = np.maximum(np.linalg.norm(fields.grad, axis=1), 1e-300)
     coshf_face = ops.face_average(np.cosh(frame.f))
     hvec_face = ops.face_average(sd.field_norm)
     gf = ops.gradient(frame.f)
-    gauge_cov = ops.face_covector(sd.gauge_edge_values())
     flux = (
-        (hvec_face * coshf_face / gmag)[:, None] * gu + gf + gauge_cov
+        (hvec_face * coshf_face / gmag)[:, None] * fields.grad + gf
+        + fields.gauge_cov
     )
     residual = ops.divergence(flux)
 

@@ -43,6 +43,8 @@ class InitialDataSample:
 
     name = "abstract"
     decay_order = 1.0
+    # punctured providers are singular at the origin
+    excludes_origin = False
 
     def metric(self, x):
         """Metric tensor g_ij at points x, shape (N, 3, 3)."""
@@ -53,7 +55,15 @@ class InitialDataSample:
         raise NotImplementedError
 
     def _check_domain(self, x):
-        pass
+        if self.excludes_origin and np.any(
+                np.linalg.norm(np.atleast_2d(x), axis=1) < 1e-12):
+            raise InitialDataError("evaluation at r = 0")
+
+    def _zeros(self, x, shape):
+        """Exact zeros of the given per-point shape at points x."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._check_domain(x)
+        return np.zeros((len(x),) + shape)
 
     # -- finite-difference machinery ------------------------------------
 
@@ -172,47 +182,53 @@ def fibonacci_directions(n, rotation=0.0):
 # -- providers -----------------------------------------------------------
 
 
-class FlatData(InitialDataSample):
-    """Euclidean slice: g = delta, k = 0."""
-
-    name = "flat"
-    decay_order = 1.0
+class FlatMetricData(InitialDataSample):
+    """Data on the Euclidean metric g = delta, whose derivatives,
+    Christoffel symbols and scalar curvature are exact zeros."""
 
     def metric(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._check_domain(x)
         return np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
 
+    def metric_derivatives(self, x):
+        return self._zeros(x, (3, 3, 3))
+
+    def christoffels(self, x):
+        return self._zeros(x, (3, 3, 3))
+
+    def scalar_curvature(self, x):
+        return self._zeros(x, ())
+
+
+class FlatData(FlatMetricData):
+    """Euclidean slice: g = delta, k = 0."""
+
+    name = "flat"
+
     def extrinsic(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.zeros((len(x), 3, 3))
+        return self._zeros(x, (3, 3))
 
     def constraint_fields(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.zeros(len(x)), np.zeros((len(x), 3))
+        # vacuum; the generic route differences k to return the same zeros
+        return self._zeros(x, ()), self._zeros(x, (3,))
 
 
-class UniformExpansionData(InitialDataSample):
+class UniformExpansionData(FlatMetricData):
     """Flat metric with k = c * delta; exercises the Tr k terms alone."""
-
-    decay_order = 1.0
 
     def __init__(self, c=1.0):
         self.c = float(c)
         self.name = "uniform_expansion"
 
-    def metric(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
-
     def extrinsic(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.c * np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
+        return self.c * self.metric(x)
 
 
 class SchwarzschildData(InitialDataSample):
     """Time-symmetric isotropic slice: g = psi^4 delta, psi = 1 + m/2r."""
 
-    decay_order = 1.0
+    excludes_origin = True
 
     def __init__(self, mass):
         if mass <= 0:
@@ -223,11 +239,6 @@ class SchwarzschildData(InitialDataSample):
     def conformal_factor(self, r):
         return 1.0 + self.mass / (2.0 * np.asarray(r, dtype=float))
 
-    def _check_domain(self, x):
-        r = np.linalg.norm(np.atleast_2d(x), axis=1)
-        if np.any(r < 1e-12):
-            raise InitialDataError("evaluation at r = 0")
-
     def metric(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         self._check_domain(x)
@@ -236,20 +247,17 @@ class SchwarzschildData(InitialDataSample):
         return psi4[:, None, None] * np.eye(3)
 
     def extrinsic(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.zeros((len(x), 3, 3))
+        return self._zeros(x, (3, 3))
 
     def constraint_fields(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_domain(x)
-        return np.zeros(len(x)), np.zeros((len(x), 3))
+        return self._zeros(x, ()), self._zeros(x, (3,))
 
 
-class BowenYorkData(InitialDataSample):
+class BowenYorkData(FlatMetricData):
     """Flat metric with the momentum-carrying extrinsic curvature
     k_ij = (3/2r^2)(P_i n_j + P_j n_i - (delta_ij - n_i n_j) P.n)."""
 
-    decay_order = 1.0
+    excludes_origin = True
 
     def __init__(self, momentum):
         momentum = np.asarray(momentum, dtype=float)
@@ -257,16 +265,6 @@ class BowenYorkData(InitialDataSample):
             raise InitialDataError("momentum must be a finite 3-vector")
         self.momentum = momentum
         self.name = "bowen_york"
-
-    def _check_domain(self, x):
-        r = np.linalg.norm(np.atleast_2d(x), axis=1)
-        if np.any(r < 1e-12):
-            raise InitialDataError("evaluation at r = 0")
-
-    def metric(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_domain(x)
-        return np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
 
     def extrinsic(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -473,11 +471,25 @@ def read_boundary_fields(path, geom, radius=None):
     """Inverse of write_boundary_fields; reconstructs ambient alpha on the
     coordinate sphere of the given radius (default: unit sphere)."""
     mesh = geom.mesh
-    data = np.loadtxt(path, dtype=float, ndmin=2)
-    if data.shape != (mesh.n_vertices, 4):
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = [float(v) for v in line.split()]
+            except ValueError as exc:
+                raise InitialDataError(f"{path}:{lineno}: {exc}") from None
+            if len(row) != 4 or not np.all(np.isfinite(row)):
+                raise InitialDataError(
+                    f"{path}:{lineno}: expected four finite numbers "
+                    f"`H trK a1 a2`, got {line.strip()!r}")
+            rows.append(row)
+    if len(rows) != mesh.n_vertices:
         raise InitialDataError(
             f"{path}: expected {mesh.n_vertices} rows of `H trK a1 a2`"
         )
+    data = np.array(rows)
     e_th, e_ph = _sphere_frames(mesh.vertices)
     if radius is None:
         radius = 1.0

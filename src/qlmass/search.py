@@ -243,7 +243,7 @@ class AsymptoticsReport:
 
 
 def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
-                       tol=1e-10, context=None):
+                       tol=1e-10, max_iterations=200, context=None):
     """Energy of coordinate spheres per observer direction and radius,
     with the fitted limit E(r) = E_inf + c r^(-p).
 
@@ -259,7 +259,7 @@ def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
         try:
             bd = extract_boundary_data(data, r, level=mesh_level)
             emb = embed_metric(bd.geom.mesh, bd.geom.metric, degree=degree,
-                               tol=tol)
+                               tol=tol, max_iterations=max_iterations)
             emb = align_embedding(emb, bd.positions)
             ref_sd = SurfaceData.from_embedding(emb)
             phys_sd = SurfaceData.from_boundary(bd)

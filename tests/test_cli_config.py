@@ -21,6 +21,11 @@ from qlmass.config import (
     read_config,
     serialize_config,
 )
+from qlmass.initialdata import (
+    FlatData,
+    extract_boundary_data,
+    write_boundary_fields,
+)
 from qlmass.mesh import icosphere
 from qlmass.volume import (
     VolumeMesh,
@@ -85,8 +90,16 @@ def _valid_configs():
         "radius": positive,
         "radii": st.lists(positive, min_size=1, max_size=4).map(tuple),
         "mesh.level": st.integers(min_value=0),
+        "embedding.degree": st.integers(min_value=1),
+        "embedding.tol": positive,
+        "embedding.max_iterations": st.integers(min_value=1),
         "observers.grid": st.integers(min_value=1),
+        "observers.refine_iters": st.integers(min_value=0),
+        "asymptotics.observers": st.integers(min_value=1),
         "volume.layers": st.integers(min_value=1),
+        "harmonic.delta": st.floats(min_value=0.0, max_value=1e300),
+        "harmonic.tol": positive,
+        "harmonic.max_picard": st.integers(min_value=1),
         "topology.levels": st.integers(min_value=1),
         "energy.mode": st.sampled_from(["explicit", "epsLimit", "both"]),
     }
@@ -414,6 +427,70 @@ def test_topology_levels_below_one_rejected(runner, tmp_path, levels):
     out = _rejected(runner, tmp_path, [], f"topology.levels = {levels}\n")
     assert (f"exp.cfg:1: bad value for key topology.levels: {levels} "
             f"(must be >= 1)") in out
+
+
+@pytest.mark.parametrize("key, raw, rule", [
+    ("embedding.degree", "-1", ">= 1"),
+    ("embedding.tol", "-1.0", "> 0"),
+    ("embedding.max_iterations", "0", ">= 1"),
+    ("asymptotics.observers", "0", ">= 1"),
+    ("observers.refine_iters", "-5", ">= 0"),
+    ("harmonic.delta", "-1.0", ">= 0"),
+    ("harmonic.tol", "-1.0", "> 0"),
+    ("harmonic.max_picard", "0", ">= 1"),
+])
+def test_solver_setting_out_of_range_rejected(runner, tmp_path, key, raw,
+                                              rule):
+    out = _rejected(runner, tmp_path, [], f"{key} = {raw}\n")
+    assert (f"exp.cfg:1: bad value for key {key}: {raw} "
+            f"(must be {rule})") in out
+
+
+def test_asymptotics_passes_embedding_iteration_cap(runner, tmp_path,
+                                                    monkeypatch):
+    import qlmass.search as search_mod
+
+    caps = []
+    embed = search_mod.embed_metric
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs.get("max_iterations"))
+        return embed(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "embed_metric", spy)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("asymptotics.observers = 1\n"
+                        "embedding.max_iterations = 77\n")
+    result = runner.invoke(main, [
+        "asymptotics", "--config", str(cfg_path), "--radii", "1,2",
+        "--level", "1", "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert caps == [77, 77]
+    caps.clear()
+    search_mod.asymptotics_driver(FlatData(), [np.array([0.0, 0.0, 1.0])],
+                                  [1.0], mesh_level=1)
+    assert caps == [200]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("nan", "expected four finite numbers `H trK a1 a2`, got '2 nan 0 0'"),
+    ("abc", "could not convert string to float: 'abc'"),
+])
+def test_bad_boundary_fields_file_exits_two(runner, tmp_path, bad, message):
+    path = tmp_path / "fields.txt"
+    bd = extract_boundary_data(FlatData(), 1.0, level=2)
+    write_boundary_fields(path, bd)
+    lines = path.read_text().splitlines()
+    lines[4] = f"2 {bad} 0 0"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, [
+        "energy", "--provider", "file", "--boundary-file", str(path),
+        "--radius", "1", "--level", "2", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{path}:5: {message}" in result.output
+    assert "internal error" not in result.output
+    assert not (out / "energy.json").exists()
 
 
 def test_unknown_energy_mode_rejected(runner, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from qlmass.embedding import (
     EmbeddingError,
+    crossing_pair,
     embed_metric,
     embeddability_check,
     gauge_fix,
@@ -136,14 +137,87 @@ def test_embedding_file_roundtrip(tmp_path, mesh3):
     np.testing.assert_allclose(times, 0.0, atol=1e-15)
 
 
-def test_self_intersection_check(mesh3):
-    from qlmass.embedding import self_intersection_check
+def _segment_crosses_triangle(p, q, tri):
+    # Moeller-Trumbore against segment pq, one pair at a time
+    e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+    d = q - p
+    h = np.cross(d, e2)
+    a = e1 @ h
+    if abs(a) < 1e-15:
+        return False
+    s = p - tri[0]
+    u = (s @ h) / a
+    if u < 0.0 or u > 1.0:
+        return False
+    qv = np.cross(s, e1)
+    v = (d @ qv) / a
+    if v < 0.0 or u + v > 1.0:
+        return False
+    t = (e2 @ qv) / a
+    return 0.0 <= t <= 1.0
 
-    assert self_intersection_check(mesh3.vertices, mesh3.faces)
+
+def _crossing_pairs_reference(positions, faces):
+    """Every crossing pair of triangles sharing no vertex, by a loop over
+    all pairs whose centroids lie within the sum of their radii."""
+    tri = positions[faces]
+    cent = tri.mean(axis=1)
+    rad = np.linalg.norm(tri - cent[:, None, :], axis=2).max(axis=1)
+    found = []
+    for i in range(len(faces)):
+        for j in range(i + 1, len(faces)):
+            if set(faces[i]) & set(faces[j]):
+                continue
+            if np.linalg.norm(cent[i] - cent[j]) > rad[i] + rad[j]:
+                continue
+            t1, t2 = tri[i], tri[j]
+            if any(_segment_crosses_triangle(t1[a], t1[b], t2)
+                   or _segment_crosses_triangle(t2[a], t2[b], t1)
+                   for a, b in ((0, 1), (1, 2), (2, 0))):
+                found.append((i, j))
+    return found
+
+
+def test_self_intersection_check(mesh3):
+    assert crossing_pair(mesh3.vertices, mesh3.faces) is None
     # collapse one vertex deep into the opposite hemisphere
     bad = mesh3.vertices.copy()
     bad[0] = -1.2 * bad[0]
-    assert not self_intersection_check(bad, mesh3.faces)
+    assert crossing_pair(bad, mesh3.faces) is not None
+
+
+@pytest.mark.parametrize("shape", ["round", "collapsed", "jittered",
+                                   "crumpled"])
+def test_crossing_pair_matches_reference_loop(shape):
+    mesh = icosphere(2)
+    pos = mesh.vertices.copy()
+    rng = np.random.default_rng(3)
+    if shape == "collapsed":
+        pos[0] = -1.2 * pos[0]
+    elif shape == "jittered":
+        pos *= 1.0 + 0.02 * rng.uniform(-1.0, 1.0, size=(len(pos), 1))
+    elif shape == "crumpled":
+        pos += 0.1 * rng.normal(size=pos.shape)
+    found = _crossing_pairs_reference(pos, mesh.faces)
+    pair = crossing_pair(pos, mesh.faces)
+    if found:
+        assert pair == found[0]
+    else:
+        assert pair is None
+    assert (shape in ("collapsed", "crumpled")) == bool(found)
+
+
+def test_self_crossing_embedding_rejected(monkeypatch, mesh3):
+    # a fit that lands on a crossing surface is not an embedding
+    import qlmass.embedding as embedding_mod
+
+    crossed = mesh3.vertices.copy()
+    crossed[0] = -1.2 * crossed[0]
+    monkeypatch.setattr(embedding_mod, "gauge_fix",
+                        lambda positions, weights: crossed)
+    met = SurfaceMetric.from_positions(mesh3, mesh3.vertices)
+    with pytest.raises(EmbeddingError, match="crosses itself: faces 0 and"):
+        embed_metric(mesh3, met, degree=8)
 
 
 def test_linear_consistency_residual_contracts():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qlmass.embedding import EmbeddingResult, align_embedding, embed_metric
 from qlmass.energy import (
     EnergyError,
-    FrameField,
+    ObserverFields,
     SurfaceData,
     canonical_frame,
     default_eps_list,
@@ -74,7 +74,7 @@ def test_canonical_frame_closed_form(flat3):
     _, emb = flat3
     sd = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    frame = canonical_frame(sd, obs, 0.0)
+    frame = canonical_frame(ObserverFields(sd, obs), 0.0)
     z = emb.positions[:, 2]
     s = np.sqrt(np.maximum(1.0 - z**2, 0.0))
     sel = (~frame.dead_vertices) & (s > 0.3)
@@ -86,8 +86,9 @@ def test_frame_vanishes_for_large_eps(flat3):
     _, emb = flat3
     sd = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    f_small = canonical_frame(sd, obs, 1.0).f
-    f_tiny = canonical_frame(sd, obs, 100.0).f
+    fields = ObserverFields(sd, obs)
+    f_small = canonical_frame(fields, 1.0).f
+    f_tiny = canonical_frame(fields, 100.0).f
     # f decays like 1/eps once eps dominates the gradient scale
     assert np.abs(f_tiny).max() < np.abs(f_small).max() / 50.0
     assert np.abs(f_tiny).max() < 1.5e-2
@@ -124,7 +125,7 @@ def test_integration_by_parts_identity(flat3):
     sd = SurfaceData.from_embedding(emb)
     ops = sd.ops
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    frame = canonical_frame(sd, obs, 0.1)
+    frame = canonical_frame(ObserverFields(sd, obs), 0.1)
     gu = ops.gradient(obs.uA)
     gf = ops.gradient(frame.f)
     direct = ops.integrate_faces(np.einsum("fk,fk->f", gu, gf))
@@ -152,7 +153,7 @@ def test_hamilton_jacobi_identity():
     phys = SurfaceData.from_boundary(bd)
     ref = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    eps_list = default_eps_list(phys, obs) + [
+    eps_list = default_eps_list(ObserverFields(phys, obs)) + [
         10.0 * float(np.abs(obs.uA).max())
     ]
     rows = hamilton_jacobi_check(ref, phys, obs, eps_list)
@@ -327,3 +328,82 @@ def test_term_breakdown_sums_to_side_terms(sides2, a, mode):
             assert len(parts) == 3
             assert sum(parts) == pytest.approx(8.0 * np.pi * term,
                                                rel=1e-14, abs=0.0)
+
+
+def _count_calls(monkeypatch):
+    """Counts the calls of the per-side field primitives."""
+    import qlmass.energy as energy_mod
+    from qlmass.operators import OperatorSet
+
+    counts = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(energy_mod, "_vertex_grad_sq")
+    for name in ("gradient", "laplace", "face_covector"):
+        counted(OperatorSet, name)
+    return counts
+
+
+def test_each_side_builds_its_observer_fields_once(monkeypatch, sides2):
+    emb, ref, physicals = sides2
+    obs = make_observer(emb, np.array([0.0, 0.6, 0.8]))
+    counts = _count_calls(monkeypatch)
+    rep = energy(ref, physicals[1], obs, mode="both")
+    assert len(rep.eps_sequence) == 7
+    assert counts == {"_vertex_grad_sq": 4, "gradient": 4, "laplace": 2,
+                      "face_covector": 2}
+    counts.update(dict.fromkeys(counts, 0))
+    eps_list = list(np.logspace(-1, -4, 7))
+    assert len(hamilton_jacobi_check(ref, physicals[1], obs, eps_list)) == 7
+    assert counts["_vertex_grad_sq"] == 2
+    assert counts["laplace"] == 2
+    assert counts["face_covector"] == 4
+
+
+def test_unknown_energy_mode_raises(sides2):
+    emb, ref, physicals = sides2
+    obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(EnergyError, match="energy mode 'epslimit' not in"):
+        energy(ref, physicals[0], obs, mode="epslimit")
+
+
+@settings(max_examples=20, deadline=None)
+@given(_DIRECTIONS, _DIRECTIONS, _DIRECTIONS)
+def test_energy_invariant_under_rigid_motion(sides2, a, rotvec, shift):
+    # the reference side and the observer move together; the physical
+    # side is intrinsic and stays as it is.  E changes sign as a turns,
+    # so the bound is relative to the energy scale of the two terms
+    from scipy.spatial.transform import Rotation
+
+    emb, ref, physicals = sides2
+    a = _unit(a)
+    R = Rotation.from_rotvec(np.pi * np.asarray(rotvec)).as_matrix()
+    moved = EmbeddingResult(emb.mesh, emb.positions @ R.T + np.asarray(shift),
+                            emb.defect_l2, emb.iterations, times=emb.times)
+    moved_ref = SurfaceData.from_embedding(moved)
+    for phys in physicals:
+        base = energy(ref, phys, make_observer(emb, a))
+        motion = energy(moved_ref, phys, make_observer(moved, R @ a))
+        scale = max(abs(base.reference_term), abs(base.physical_term))
+        assert abs(motion.E - base.E) <= 1e-12 * scale
+
+
+def test_non_convex_reference_image_rejected():
+    # a vertex pushed far inward makes the image concave there
+    from qlmass.embedding import EmbeddingError
+
+    mesh = icosphere(2)
+    pos = mesh.vertices.copy()
+    pos[0] *= 0.5
+    dented = EmbeddingResult(mesh, pos, 0.0, 0)
+    with pytest.raises(EmbeddingError, match="non-convex image: H0 <= 0 at "
+                                             "vertex 0"):
+        SurfaceData.from_embedding(dented)

@@ -240,3 +240,26 @@ def test_central_partials_exact_on_quartics(coefs, h, per_point):
     # their round-off by h
     bound = 16.0 * np.finfo(float).eps * np.abs(c).sum() * 3.0**4 / h
     assert np.abs(d - grad).max() <= bound
+
+
+@pytest.mark.parametrize("data", [
+    FlatData(), UniformExpansionData(0.7),
+    BowenYorkData(np.array([0.03, -0.02, 0.1]))])
+def test_flat_metric_curvature_is_exactly_the_difference_quotients(data):
+    # the finite differences of a constant metric are exact +0.0, so the
+    # closed-form zeros change no output
+    from qlmass.initialdata import InitialDataSample
+
+    pts = np.concatenate([r * fibonacci_directions(50)
+                          for r in (0.5, 3.0, 40.0)])
+    for name in ("metric_derivatives", "christoffels", "scalar_curvature"):
+        exact = getattr(data, name)(pts)
+        generic = getattr(InitialDataSample, name)(data, pts)
+        assert np.array_equal(exact, generic)
+        assert not np.signbit(generic).any()
+    mu, J = data.constraint_fields(pts)
+    mu_g, J_g = InitialDataSample.constraint_fields(data, pts)
+    assert np.array_equal(mu, mu_g) and np.array_equal(J, J_g)
+    if data.excludes_origin:
+        with pytest.raises(InitialDataError, match="r = 0"):
+            data.christoffels(np.zeros((1, 3)))

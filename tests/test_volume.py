@@ -677,6 +677,37 @@ def test_torus_not_admissible_through_hole():
     assert report["verdict"] == "not admissible"
 
 
+@pytest.fixture(scope="module")
+def torus24():
+    return _solid_torus(n_major=24)
+
+
+_VECTORS = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=_VECTORS, rotvec=_VECTORS, shift=_VECTORS)
+def test_verdict_invariant_under_rigid_motion(torus24, a, rotvec, shift):
+    from scipy.spatial.transform import Rotation
+
+    a = np.asarray(a)
+    if np.linalg.norm(a) < 0.1:
+        a = np.array([0.0, 0.0, 1.0])
+    a = a / np.linalg.norm(a)
+    R = Rotation.from_rotvec(np.pi * np.asarray(rotvec)).as_matrix()
+    vol = torus24
+    moved = VolumeMesh(vol.vertices @ R.T + np.asarray(shift), vol.tets,
+                       vol.boundary_faces, vol.boundary_map,
+                       times=vol.times, quality_floor=1.0)
+    base = admissibility_verdict(vol, SimpleNamespace(a=a), n_levels=16)
+    motion = admissibility_verdict(moved, SimpleNamespace(a=R @ a),
+                                   n_levels=16)
+    assert motion["verdict"] == base["verdict"]
+    topo, ref = motion["fillInTopology"], base["fillInTopology"]
+    assert np.array_equal(topo.chi, ref.chi)
+    assert np.array_equal(topo.boundary_components, ref.boundary_components)
+
+
 def test_missing_fill_in_is_unchecked():
     report = admissibility_verdict(
         None, SimpleNamespace(a=np.array([0.0, 0.0, 1.0])))
