@@ -9,7 +9,7 @@ verdict, negative identity slack), 1 on internal errors.
 import os
 
 # one BLAS thread unless QLM_THREADS or a *_NUM_THREADS variable asks for
-# more: the dense embedding solves run slower, not faster, on two threads
+# more: the dense solves are small and gain nothing from a second thread
 _threads = os.environ.get("QLM_THREADS", "1")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -113,6 +113,12 @@ def _parse_value(key, kind, raw, where):
             if "#" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
                 raise ValueError(f"{raw!r} holds '#', a line break or "
                                  f"surrounding whitespace")
+            # a lone surrogate (an undecodable byte of a flag) has no UTF-8
+            # form, so the config hash could not be taken
+            try:
+                raw.encode()
+            except UnicodeEncodeError:
+                raise ValueError(f"{raw!r} is not UTF-8 text") from None
         else:
             value = tuple(float(p) for p in raw.split(","))
             if kind == "vec3" and len(value) != 3:

@@ -1,14 +1,17 @@
 """Isometric embedding of metric spheres into Euclidean 3-space.
 
-Positions are parameterized by real spherical-harmonic coefficients on the
-parameterization sphere and fitted to the prescribed edge lengths with a
-damped Gauss-Newton iteration.  The converged shape is gauge-fixed
+Vertex positions are fitted to the prescribed edge lengths in two damped
+Gauss-Newton stages: a band-limited spectral fit over spherical-harmonic
+coefficients brings the surface near its target, and a sparse fit over
+the free vertex positions finishes it.  The converged shape is gauge-fixed
 (centroid at the origin, principal axes aligned, deterministic signs) so
 repeated runs produce bitwise-comparable output.
 """
 
 import numpy as np
 from scipy import linalg, special
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import lsqr
 from scipy.spatial import cKDTree
 
 from .operators import OperatorSet, SurfaceMetric
@@ -83,25 +86,25 @@ class EmbeddingResult:
     Attributes
     ----------
     positions : (V, 3) gauge-fixed vertex positions.
-    times : (V,) time coordinates (constant `time_offset` for solved
-        embeddings; general for file-supplied ones).
+    times : (V,) time coordinates (zero for solved embeddings; general
+        for file-supplied ones).
     mean_curvature : (V,) discrete mean curvature of the embedded surface.
     normals : (V, 3) outward unit normals.
     defect_l2 : RMS relative edge-length mismatch against the target metric.
     defect_max : max relative edge-length mismatch.
-    iterations : Gauss-Newton iterations used.
+    iterations : Gauss-Newton steps taken, spectral and vertex stages
+        together (0 for an exact start).
     """
 
     def __init__(self, mesh, positions, defect_l2, iterations,
-                 times=None, time_offset=0.0, target_metric=None):
+                 times=None, target_metric=None):
         self.mesh = mesh
         self.positions = positions
         self.defect_l2 = defect_l2
         self.residual = defect_l2
         self.iterations = iterations
-        self.time_offset = float(time_offset)
         if times is None:
-            times = np.full(len(positions), self.time_offset)
+            times = np.zeros(len(positions))
         self.times = np.asarray(times, dtype=float)
         self._derive()
         if target_metric is not None:
@@ -138,97 +141,43 @@ class EmbeddingResult:
         return self.ops.laplace(u) + self.mean_curvature * (self.normals @ a)
 
 
-def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200,
-                 initial_positions=None):
+# RMS relative edge residual at which the spectral stage hands over to the
+# vertex stage: close enough for the vertex Gauss-Newton to converge to the
+# right isometric shape, far above the band-limited floor of the spectral
+# fit, which it would otherwise grind against.
+SPECTRAL_BASIN = 1e-3
+
+
+def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200):
     """Fit vertex positions in R^3 whose edge lengths match `metric`.
+
+    Two damped Gauss-Newton stages run in turn from the area-matched
+    scaling of the parameterization sphere.  The spectral stage fits
+    spherical-harmonic coefficients of the position field until the RMS
+    relative edge residual is below `SPECTRAL_BASIN`; it carries a far
+    start into the basin of the right shape.  The vertex stage then moves
+    every vertex freely until the residual is below `tol`.
 
     Parameters
     ----------
     mesh : SurfaceMesh with genus 0.
     metric : SurfaceMetric of target edge lengths.
-    degree : spherical-harmonic cutoff for the position field.
+    degree : spherical-harmonic cutoff of the spectral stage.
     tol : convergence threshold on the RMS relative edge residual.
-    max_iterations : damped Gauss-Newton iteration cap.
-    initial_positions : optional (V, 3) warm start; default is the
-        area-matched scaling of the parameterization sphere.
+    max_iterations : Gauss-Newton step cap of each stage.
     """
     if mesh.genus != 0:
         raise EmbeddingError("only genus-0 surfaces admit this embedding")
-    B = real_harmonic_basis(mesh.vertices, degree)
     lengths = metric.edge_lengths
     scale = float(np.mean(lengths))
     ei, ej = mesh.edges[:, 0], mesh.edges[:, 1]
-    dB = B[ei] - B[ej]
-
-    if initial_positions is None:
-        param_len = np.linalg.norm(
-            mesh.vertices[ei] - mesh.vertices[ej], axis=1
-        )
-        s = np.median(lengths / param_len)
-        initial_positions = s * mesh.vertices
-    coeffs, *_ = np.linalg.lstsq(B, initial_positions, rcond=None)
-
-    def residual(c):
-        d = dB @ c
-        norms = np.linalg.norm(d, axis=1)
-        return d, norms, (norms - lengths) / scale
-
-    lam = 1e-6
-    d, norms, r = residual(coeffs)
-    cost = float(r @ r)
-    n_basis = B.shape[1]
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        rms = np.sqrt(cost / len(r))
-        if rms < tol:
-            break
-        unit = d / norms[:, None]
-        # J[(e), (k, m)] = unit[e, k] * dB[e, m] / scale
-        JtJ = np.zeros((3 * n_basis, 3 * n_basis))
-        Jtr = np.zeros(3 * n_basis)
-        for k in range(3):
-            wk = dB * unit[:, k, None]
-            Jtr[k * n_basis:(k + 1) * n_basis] = wk.T @ r
-            for k2 in range(k, 3):
-                wk2 = dB * unit[:, k2, None]
-                block = wk.T @ wk2
-                JtJ[k * n_basis:(k + 1) * n_basis,
-                    k2 * n_basis:(k2 + 1) * n_basis] = block
-                if k2 != k:
-                    JtJ[k2 * n_basis:(k2 + 1) * n_basis,
-                        k * n_basis:(k + 1) * n_basis] = block.T
-        JtJ /= scale**2
-        Jtr /= scale
-        accepted = False
-        for _ in range(40):
-            A = JtJ + lam * np.diag(np.maximum(np.diag(JtJ), 1e-12))
-            try:
-                step = linalg.cho_solve(linalg.cho_factor(A), -Jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = coeffs + step.reshape(3, n_basis).T
-            d_t, norms_t, r_t = residual(trial)
-            cost_t = float(r_t @ r_t)
-            if cost_t < cost:
-                coeffs, d, norms, r, cost = trial, d_t, norms_t, r_t, cost_t
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 4.0
-        if not accepted:
-            break
-    else:
-        iterations = max_iterations
-
-    positions = B @ coeffs
-    rms = np.sqrt(cost / len(r))
-    if rms >= tol:
-        # the band-limited least-squares floor is above tol: polish with a
-        # sparse Gauss-Newton step over the free vertex positions
-        positions, rms = _polish_positions(
-            mesh, lengths, positions, scale, tol, max_iterations
-        )
+    s = np.median(lengths / np.linalg.norm(
+        mesh.vertices[ei] - mesh.vertices[ej], axis=1))
+    positions, spectral_steps = _spectral_fit(
+        mesh, lengths, scale, s * mesh.vertices, degree, max_iterations)
+    positions, rms, vertex_steps = _polish_positions(
+        mesh, lengths, positions, scale, tol, max_iterations)
+    iterations = spectral_steps + vertex_steps
     if rms >= tol:
         raise EmbeddingError(
             f"no convergence after {iterations} iterations (rms {rms:.3e})"
@@ -262,37 +211,75 @@ def align_embedding(emb, target_positions):
                            times=emb.times)
 
 
-def _polish_positions(mesh, lengths, positions, scale, tol, max_iterations):
-    """Damped Gauss-Newton over all vertex coordinates, starting from the
-    spectral solution; the sparse Jacobian has one row per edge."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.linalg import lsqr
+def _edge_residual(d, lengths, scale):
+    """Unit vectors of the edge vectors `d` and their relative length
+    residuals against the target `lengths`."""
+    norms = np.linalg.norm(d, axis=1)
+    return d / norms[:, None], (norms - lengths) / scale
 
-    ei, ej = mesh.edges[:, 0], mesh.edges[:, 1]
-    n = mesh.n_vertices
-    x = positions.copy()
-    rms = np.inf
-    for _ in range(max_iterations):
-        d = x[ei] - x[ej]
-        norms = np.linalg.norm(d, axis=1)
-        r = (norms - lengths) / scale
-        rms = np.sqrt(np.mean(r**2))
-        if rms < 0.1 * tol:
+
+def _rms(r):
+    return float(np.sqrt(r @ r / len(r)))
+
+
+def _spectral_fit(mesh, lengths, scale, start, degree, max_iterations):
+    """Levenberg-Marquardt over the spherical-harmonic coefficients of the
+    position field, from the least-squares fit of `start`, until the RMS
+    residual is below `SPECTRAL_BASIN`.  Returns the fitted positions and
+    the number of steps taken."""
+    B = real_harmonic_basis(mesh.vertices, degree)
+    dB = B[mesh.edges[:, 0]] - B[mesh.edges[:, 1]]
+    n_basis = B.shape[1]
+    coeffs, *_ = np.linalg.lstsq(B, start, rcond=None)
+    unit, r = _edge_residual(dB @ coeffs, lengths, scale)
+    lam = 1e-6
+    steps = 0
+    while steps < max_iterations and _rms(r) >= SPECTRAL_BASIN:
+        # J[e, k * n_basis + m] = unit[e, k] * dB[e, m] / scale
+        J = (unit[:, :, None] * dB[:, None, :]).reshape(len(r), -1) / scale
+        JtJ, Jtr = J.T @ J, J.T @ r
+        for _ in range(40):
+            A = JtJ + lam * np.diag(np.maximum(np.diag(JtJ), 1e-12))
+            try:
+                step = linalg.cho_solve(linalg.cho_factor(A), -Jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = coeffs + step.reshape(3, n_basis).T
+            unit_t, r_t = _edge_residual(dB @ trial, lengths, scale)
+            if _rms(r_t) < _rms(r):
+                coeffs, unit, r = trial, unit_t, r_t
+                lam = max(lam / 3.0, 1e-12)
+                break
+            lam *= 4.0
+        else:
             break
-        unit = d / norms[:, None]
-        rows = np.repeat(np.arange(len(ei)), 6)
-        cols = np.concatenate(
-            [np.stack([3 * ei + k for k in range(3)], axis=1),
-             np.stack([3 * ej + k for k in range(3)], axis=1)], axis=1
-        ).ravel()
+        steps += 1
+    return B @ coeffs, steps
+
+
+def _polish_positions(mesh, lengths, positions, scale, tol, max_iterations):
+    """Gauss-Newton over all vertex coordinates until the RMS residual is
+    below a tenth of `tol`; the sparse Jacobian has one row of six entries
+    per edge.
+    Returns the positions, their RMS residual and the steps taken."""
+    ei, ej = mesh.edges[:, 0], mesh.edges[:, 1]
+    n_edges, n = len(ei), mesh.n_vertices
+    cols = np.column_stack([3 * ei[:, None] + np.arange(3),
+                            3 * ej[:, None] + np.arange(3)]).ravel()
+    indptr = np.arange(0, 6 * n_edges + 1, 6)
+    x = positions
+    unit, r = _edge_residual(x[ei] - x[ej], lengths, scale)
+    steps = 0
+    while steps < max_iterations and _rms(r) >= 0.1 * tol:
         vals = np.concatenate([unit, -unit], axis=1).ravel() / scale
-        J = coo_matrix((vals, (rows, cols)), shape=(len(ei), 3 * n)).tocsr()
+        J = csr_matrix((vals, cols, indptr), shape=(n_edges, 3 * n))
         step = lsqr(J, -r, damp=1e-10, atol=1e-14, btol=1e-14,
                     iter_lim=400)[0]
         x = x + step.reshape(n, 3)
-    d = x[ei] - x[ej]
-    rms = np.sqrt(np.mean(((np.linalg.norm(d, axis=1) - lengths) / scale) ** 2))
-    return x, rms
+        unit, r = _edge_residual(x[ei] - x[ej], lengths, scale)
+        steps += 1
+    return x, _rms(r), steps
 
 
 def crossing_pair(positions, faces):

@@ -286,6 +286,9 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
     if mode != "explicit":
         if eps_list is None:
             eps_list = default_eps_list(ref)
+        if len(eps_list) == 0:
+            raise EnergyError(f"energy mode {mode!r} needs at least one eps, "
+                              f"got an empty eps_list")
         for eps in eps_list:
             r, p = (sum(_side_terms(fields, canonical_frame(fields, eps)))
                     for fields in (ref, phys))

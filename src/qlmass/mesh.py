@@ -164,19 +164,44 @@ def write_off(path, mesh):
 
 
 def read_off(path):
+    """Read a triangle mesh written by `write_off`: an `OFF` line, a
+    `V F E` counts line, V lines of three finite coordinates and F lines
+    `3 i j k` of vertex indices.  The first line that breaks this is named
+    in the error."""
     with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens or tokens[0] != "OFF":
+        lines = [(no, line.split()) for no, line in enumerate(fh, start=1)
+                 if line.strip()]
+    if not lines or lines[0][1] != ["OFF"]:
         raise MeshError(f"{path}: not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise MeshError(f"{path}: only triangle faces supported")
-        faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
-        pos += 4
-    return SurfaceMesh(verts, np.array(faces, dtype=np.int64))
+    try:
+        nv, nf, _ = (int(t) for t in lines[1][1])
+        if nv < 0 or nf < 0:
+            raise ValueError
+    except (IndexError, ValueError):
+        raise MeshError(f"{path}: the line after OFF must be the counts "
+                        f"`V F E`") from None
+    rows = lines[2:]
+    if len(rows) != nv + nf:
+        raise MeshError(f"{path}: {nv} vertex and {nf} face lines expected "
+                        f"after the counts, {len(rows)} found")
+    verts = np.empty((nv, 3))
+    for k, (no, row) in enumerate(rows[:nv]):
+        try:
+            verts[k] = [float(t) for t in row]
+        except ValueError:
+            verts[k] = np.nan
+        if not np.all(np.isfinite(verts[k])):
+            raise MeshError(f"{path}, line {no}: vertex {k} is not three "
+                            f"finite numbers")
+    faces = np.empty((nf, 3), dtype=np.int64)
+    for k, (no, row) in enumerate(rows[nv:]):
+        try:
+            if row[0] != "3":
+                raise ValueError
+            faces[k] = [int(t) for t in row[1:]]
+        except ValueError:
+            faces[k] = -1
+        if faces[k].min() < 0 or faces[k].max() >= nv:
+            raise MeshError(f"{path}, line {no}: face {k} is not `3 i j k` "
+                            f"with indices below {nv}")
+    return SurfaceMesh(verts, faces)

@@ -41,9 +41,6 @@ class SurfaceMetric:
         d = positions[mesh.edges[:, 0]] - positions[mesh.edges[:, 1]]
         return cls(mesh, np.linalg.norm(d, axis=1))
 
-    def scaled(self, factor):
-        return SurfaceMetric(self.mesh, self.edge_lengths * factor)
-
 
 def write_metric(path, metric):
     """Per-edge lengths, one line per edge: `i j length` with i < j."""
@@ -54,21 +51,42 @@ def write_metric(path, metric):
 
 
 def read_metric(path, mesh):
+    """Per-edge lengths written by `write_metric`, permuted onto the mesh
+    edge table.  The first line is the edge count; every mesh edge must
+    then be listed exactly once as `i j length` with a finite positive
+    length.  The first line that breaks this is named in the error."""
     with open(path) as fh:
-        tokens = fh.read().split()
-    n = int(tokens[0])
-    if n != mesh.n_edges:
-        raise MetricError(f"{path}: {n} edges in file, mesh has {mesh.n_edges}")
-    data = np.array(tokens[1:], dtype=float).reshape(n, 3)
-    pairs = np.sort(data[:, :2].astype(np.int64), axis=1)
-    # permute file rows onto the mesh edge table
-    order = {tuple(e): k for k, e in enumerate(mesh.edges)}
+        lines = [(no, line.split()) for no, line in enumerate(fh, start=1)
+                 if line.strip()]
+    if not lines or len(lines[0][1]) != 1 or not lines[0][1][0].isdigit():
+        raise MetricError(f"{path}: first line must be the edge count")
+    n = int(lines[0][1][0])
+    if n != mesh.n_edges or len(lines) != n + 1:
+        raise MetricError(f"{path}: header says {n} edges and {len(lines) - 1}"
+                          f" rows follow; the mesh has {mesh.n_edges} edges")
+    order = {tuple(e): k for k, e in enumerate(mesh.edges.tolist())}
     lengths = np.empty(n)
-    for row, pair in enumerate(pairs):
-        k = order.get(tuple(pair))
+    line_of = {}
+    for no, row in lines[1:]:
+        try:
+            i, j, length = int(row[0]), int(row[1]), float(row[2])
+            if len(row) != 3:
+                raise ValueError
+        except (IndexError, ValueError):
+            raise MetricError(f"{path}, line {no}: expected `i j length`, "
+                              f"got {' '.join(row)!r}") from None
+        k = order.get((min(i, j), max(i, j)))
         if k is None:
-            raise MetricError(f"{path}: edge {pair} not present in mesh")
-        lengths[k] = data[row, 2]
+            raise MetricError(f"{path}, line {no}: edge ({i}, {j}) not "
+                              f"present in mesh")
+        if k in line_of:
+            raise MetricError(f"{path}, line {no}: edge ({i}, {j}) already "
+                              f"listed on line {line_of[k]}")
+        if not (np.isfinite(length) and length > 0.0):
+            raise MetricError(f"{path}, line {no}: edge ({i}, {j}) length "
+                              f"{length} is not finite and positive")
+        line_of[k] = no
+        lengths[k] = length
     return SurfaceMetric(mesh, lengths)
 
 

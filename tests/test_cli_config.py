@@ -77,7 +77,8 @@ def _valid_configs():
     """Configs with random values that every check accepts."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     positive = st.floats(min_value=1e-300, max_value=1e300)
-    text = st.text(st.characters(exclude_characters="#"), max_size=12)
+    text = st.text(st.characters(codec="utf-8", exclude_characters="#"),
+                   max_size=12)
     by_kind = {
         "int": st.integers(),
         "float": finite,
@@ -507,6 +508,17 @@ def test_out_dir_with_hash_rejected(runner, tmp_path):
                                   "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "<flag>: bad value for key output.dir" in result.output
+    assert not out.exists()
+
+
+def test_out_dir_not_utf8_rejected(runner, tmp_path):
+    # an undecodable byte of a flag arrives as a lone surrogate
+    out = tmp_path / "run\udcff"
+    result = runner.invoke(main, ["energy", "--level", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "<flag>: bad value for key output.dir: " in result.output
+    assert "is not UTF-8 text" in result.output
     assert not out.exists()
 
 

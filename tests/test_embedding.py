@@ -11,6 +11,7 @@ from qlmass.embedding import (
     real_harmonic_basis,
     write_embedding,
 )
+from qlmass.initialdata import SchwarzschildData, extract_boundary_data
 from qlmass.mesh import icosphere
 from qlmass.operators import OperatorSet, SurfaceMetric
 
@@ -32,6 +33,8 @@ def test_round_sphere_recovered(mesh3):
     rho = 1.7
     met = SurfaceMetric.from_positions(mesh3, rho * mesh3.vertices)
     res = embed_metric(mesh3, met, degree=12)
+    # the area-matched round start is exact: no Gauss-Newton step is taken
+    assert res.iterations == 0
     assert res.residual < 1e-10
     assert res.consistency_residual(met) < 1e-10
     radii = np.linalg.norm(res.positions, axis=1)
@@ -49,6 +52,35 @@ def test_ellipsoid_recovered_up_to_gauge(mesh3):
     assert res.residual < 1e-8
     ref = gauge_fix(pos, res.ops.vertex_areas)
     assert np.abs(res.positions - ref).max() < 1e-6
+
+
+@pytest.mark.parametrize("axes, level", [((1.0, 0.5, 0.3), 3),
+                                         ((1.0, 0.6, 0.4), 4)])
+def test_far_ellipsoid_recovered_up_to_gauge(axes, level):
+    # from the round start the vertex stage alone lands on another
+    # isometric shape 1e-2 away; the spectral stage must first bring the
+    # surface into its basin
+    mesh = icosphere(level)
+    pos = mesh.vertices * np.array(axes)
+    res = embed_metric(mesh, SurfaceMetric.from_positions(mesh, pos))
+    ref = gauge_fix(pos, res.ops.vertex_areas)
+    assert np.abs(res.positions - ref).max() < 1e-6
+
+
+def test_near_start_needs_no_spectral_factorization(monkeypatch):
+    # a Schwarzschild sphere starts inside the spectral basin, so only the
+    # vertex stage runs and no dense normal matrix is factorized
+    import qlmass.embedding as embedding_mod
+
+    calls = []
+    factor = embedding_mod.linalg.cho_factor
+    monkeypatch.setattr(embedding_mod.linalg, "cho_factor",
+                        lambda *a, **k: calls.append(1) or factor(*a, **k))
+    bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=3)
+    res = embed_metric(bd.geom.mesh, bd.geom.metric)
+    assert res.residual < 1e-8
+    assert res.iterations > 0
+    assert calls == []
 
 
 def test_ellipsoid_mean_curvature_oracle():

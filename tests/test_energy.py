@@ -375,6 +375,14 @@ def test_unknown_energy_mode_raises(sides2):
         energy(ref, physicals[0], obs, mode="epslimit")
 
 
+@pytest.mark.parametrize("mode", ["epsLimit", "both"])
+def test_empty_eps_list_raises(sides2, mode):
+    emb, ref, physicals = sides2
+    obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(EnergyError, match="empty eps_list"):
+        energy(ref, physicals[1], obs, eps_list=[], mode=mode)
+
+
 @settings(max_examples=20, deadline=None)
 @given(_DIRECTIONS, _DIRECTIONS, _DIRECTIONS)
 def test_energy_invariant_under_rigid_motion(sides2, a, rotvec, shift):

@@ -54,6 +54,54 @@ def test_metric_roundtrip(tmp_path, sphere4):
                                rtol=1e-15)
 
 
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda ls: [], "first line must be the edge count"),
+    (lambda ls: ls[:-1], "header says 120 edges and 119 rows follow"),
+    # one edge listed twice, another omitted: same row count
+    (lambda ls: ls[:2] + [ls[1]] + ls[3:], "line 3: edge .* already listed "
+                                           "on line 2"),
+    (lambda ls: ls[:1] + ["0 1\n"] + ls[2:], "line 2: expected `i j length`"),
+    (lambda ls: ls[:1] + ["0 0 1.0\n"] + ls[2:], "line 2: edge \\(0, 0\\) "
+                                                  "not present"),
+    (lambda ls: ls[:1] + [ls[1].rsplit(" ", 1)[0] + " nan\n"] + ls[2:],
+     "line 2: .* not finite and positive"),
+], ids=["empty", "short", "duplicate", "bad-row", "unknown-edge", "nan"])
+def test_malformed_metric_file_rejected(tmp_path, edit, match):
+    mesh = icosphere(1)
+    path = tmp_path / "metric.txt"
+    write_metric(path, SurfaceMetric.from_positions(mesh, mesh.vertices))
+    _edit_lines(path, edit)
+    with pytest.raises(MetricError, match=match):
+        read_metric(path, mesh)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda ls: [], "not an OFF file"),
+    (lambda ls: ls[:1] + ["42 x 120\n"] + ls[2:], "must be the counts"),
+    (lambda ls: ls[:-1], "42 vertex and 80 face lines expected after the "
+                         "counts, 121 found"),
+    (lambda ls: ls[:2] + ["nan 0 1\n"] + ls[3:],
+     "line 3: vertex 0 is not three finite numbers"),
+    (lambda ls: ls[:2] + ["0 1\n"] + ls[3:],
+     "line 3: vertex 0 is not three finite numbers"),
+    (lambda ls: ls[:44] + ["4 0 1 2 3\n"] + ls[45:], "line 45: face 0 is not"),
+    (lambda ls: ls[:44] + ["3 0 1 42\n"] + ls[45:],
+     "line 45: face 0 is not `3 i j k` with indices below 42"),
+], ids=["empty", "bad-counts", "short", "nan-vertex", "short-vertex", "quad",
+        "index-range"])
+def test_malformed_off_file_rejected(tmp_path, edit, match):
+    path = tmp_path / "mesh.off"
+    write_off(path, icosphere(1))
+    _edit_lines(path, edit)
+    with pytest.raises(MeshError, match=match):
+        read_off(path)
+
+
 def test_degenerate_face_rejected():
     m = icosphere(1)
     lengths = SurfaceMetric.from_positions(m, m.vertices).edge_lengths.copy()
