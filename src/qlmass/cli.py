@@ -340,10 +340,18 @@ def admissibility(**kwargs):
         obs = make_observer(emb, observer_vector(cfg))
         report = admissibility_verdict(fill, obs,
                                        n_levels=cfg["topology.levels"])
+        topo = report["fillInTopology"]
+        levels = [
+            {"s": float(s), "chi": int(c), "n": int(nb),
+             "components": int(nc)}
+            for s, c, nb, nc in zip(topo.levels, topo.chi,
+                                    topo.boundary_components,
+                                    topo.n_components)
+        ]
         manifest.record("topology")
         payload = {
             "verdict": report["verdict"],
-            "levels": report["levels"],
+            "levels": levels,
             "generalizedIntegral": report["generalizedIntegral"],
             "resolution": _resolution_context(cfg),
         }

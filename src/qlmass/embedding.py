@@ -147,6 +147,12 @@ class EmbeddingResult:
 # fit, which it would otherwise grind against.
 SPECTRAL_BASIN = 1e-3
 
+# relative stop tolerance of each LSQR solve of the vertex stage: a
+# Gauss-Newton step solved to this share of its residual still converges
+# to rounding, while 1e-14 is not met on a level-4 sphere within the
+# 400-iteration cap
+LSQR_TOL = 1e-10
+
 
 def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200):
     """Fit vertex positions in R^3 whose edge lengths match `metric`.
@@ -225,8 +231,11 @@ def _rms(r):
 def _spectral_fit(mesh, lengths, scale, start, degree, max_iterations):
     """Levenberg-Marquardt over the spherical-harmonic coefficients of the
     position field, from the least-squares fit of `start`, until the RMS
-    residual is below `SPECTRAL_BASIN`.  Returns the fitted positions and
-    the number of steps taken."""
+    residual is below `SPECTRAL_BASIN`; a start already inside it is kept
+    as it is.  Returns the fitted positions and the number of steps taken."""
+    d = start[mesh.edges[:, 0]] - start[mesh.edges[:, 1]]
+    if _rms(_edge_residual(d, lengths, scale)[1]) < SPECTRAL_BASIN:
+        return start, 0
     B = real_harmonic_basis(mesh.vertices, degree)
     dB = B[mesh.edges[:, 0]] - B[mesh.edges[:, 1]]
     n_basis = B.shape[1]
@@ -274,7 +283,7 @@ def _polish_positions(mesh, lengths, positions, scale, tol, max_iterations):
     while steps < max_iterations and _rms(r) >= 0.1 * tol:
         vals = np.concatenate([unit, -unit], axis=1).ravel() / scale
         J = csr_matrix((vals, cols, indptr), shape=(n_edges, 3 * n))
-        step = lsqr(J, -r, damp=1e-10, atol=1e-14, btol=1e-14,
+        step = lsqr(J, -r, damp=1e-10, atol=LSQR_TOL, btol=LSQR_TOL,
                     iter_lim=400)[0]
         x = x + step.reshape(n, 3)
         unit, r = _edge_residual(x[ei] - x[ej], lengths, scale)

@@ -82,7 +82,7 @@ class SurfaceData:
         # slice normal of the provider convention; the density formulas
         # take the opposite time orientation so that the large-sphere
         # energy limit comes out as (ADM energy) - <a, ADM momentum>.
-        return cls(bd.geom.ops, bd.H, -bd.trk, -bd.alpha_edge_values(),
+        return cls(bd.geom, bd.H, -bd.trk, -bd.alpha_edge_values(),
                    name=bd.name)
 
     @classmethod

@@ -10,7 +10,7 @@ coordinate sphere for the energy machinery.
 import numpy as np
 
 from .mesh import icosphere
-from .operators import SurfaceGeometry, SurfaceMetric
+from .operators import OperatorSet, SurfaceMetric
 
 FD_STEP = 1e-3
 
@@ -341,7 +341,7 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
     mid = 0.5 * (X[i] + X[j])
     gmid = data.metric(mid)
     lengths = np.sqrt(np.einsum("ei,eij,ej->e", chord, gmid, chord))
-    geom = SurfaceGeometry(mesh, SurfaceMetric(mesh, lengths))
+    geom = OperatorSet(mesh, SurfaceMetric(mesh, lengths))
 
     H = data.sphere_mean_curvature(X)
     g = data.metric(X)

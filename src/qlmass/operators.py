@@ -327,26 +327,10 @@ class OperatorSet:
         return mask, frac
 
 
-class SurfaceGeometry:
-    """Bundle of mesh, metric and assembled operators."""
-
-    def __init__(self, mesh, metric):
-        self.mesh = mesh
-        self.metric = metric
-        self.ops = OperatorSet(mesh, metric)
-
-    @classmethod
-    def from_positions(cls, mesh, positions):
-        return cls(mesh, SurfaceMetric.from_positions(mesh, positions))
-
-    @property
-    def total_area(self):
-        return self.ops.total_area
-
-
 def unit_sphere_geometry(level):
     """Icosphere with its induced round metric; test workhorse."""
     from .mesh import icosphere
 
     mesh = icosphere(level)
-    return SurfaceGeometry.from_positions(mesh, mesh.vertices)
+    return OperatorSet(mesh,
+                       SurfaceMetric.from_positions(mesh, mesh.vertices))

@@ -9,6 +9,8 @@ marching tetrahedra and counts the Euler characteristic of the extracted
 polygonal complex exactly from its cut-cell counts.
 """
 
+from functools import cached_property
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import null_space
@@ -448,24 +450,49 @@ def recovered_fields(vol, u):
 # -- level-set topology ---------------------------------------------------
 
 class LevelSetTopology:
-    """Per-level topology of the sampled regular values of a volume field.
+    """Marching-tetrahedra topology of the level sets u = s of a volume
+    field for the ascending levels s.
 
-    chi is the Euler characteristic of the marching-tetrahedra surface
-    (V - E + F over cut edges, cut faces, cut tets); n_components counts
-    its connected pieces and boundary_components the trace curves on the
-    volume boundary.
+    chi, the Euler characteristic of each level (V - E + F over cut edges,
+    cut faces, cut tets), is counted on construction; n_components (its
+    connected pieces) and boundary_components (its trace curves on the
+    volume boundary) each build their component graph when first read.
     """
 
-    def __init__(self, levels, chi, n_components, boundary_components,
-                 u_min, u_max, notes):
-        self.levels = np.asarray(levels, dtype=float)
-        self.chi = np.asarray(chi, dtype=np.int64)
-        self.n_components = np.asarray(n_components, dtype=np.int64)
-        self.boundary_components = np.asarray(boundary_components,
-                                              dtype=np.int64)
-        self.u_min = float(u_min)
-        self.u_max = float(u_max)
-        self.notes = notes
+    def __init__(self, vol, u, levels, notes=()):
+        self.vol, self.levels = vol, np.asarray(levels, dtype=float)
+        if np.any(np.diff(self.levels) < 0.0):
+            raise VolumeError("level-set topology needs ascending levels")
+        self.u_min, self.u_max = float(np.min(u)), float(np.max(u))
+        self.notes = list(notes)
+        self._rank = np.searchsorted(self.levels, u)
+        edges, faces, *_ = _volume_topology_arrays(vol)
+        self.chi = (self._cut(edges) - self._cut(faces)
+                    + self._cut(vol.tets))
+
+    def _cut(self, simplices):
+        """Number of the simplices cut at each level."""
+        n = len(self.levels) + 1
+        first, stop = _cut_ranges(self._rank, simplices)
+        return np.cumsum(np.bincount(first, minlength=n)
+                         - np.bincount(stop, minlength=n))[:-1]
+
+    @cached_property
+    def n_components(self):
+        """Surface pieces: cut tets linked through cut interior faces."""
+        _, faces, pair_faces, t1, t2, *_ = _volume_topology_arrays(self.vol)
+        return _components_per_level(
+            *_cut_ranges(self._rank, self.vol.tets), t1, t2,
+            *_cut_ranges(self._rank, faces[pair_faces]), len(self.levels))
+
+    @cached_property
+    def boundary_components(self):
+        """Trace curves: cut boundary faces linked through cut boundary
+        edges."""
+        *_, bfaces, bshared, b1, b2 = _volume_topology_arrays(self.vol)
+        return _components_per_level(
+            *_cut_ranges(self._rank, bfaces), b1, b2,
+            *_cut_ranges(self._rank, bshared), len(self.levels))
 
     @property
     def ds(self):
@@ -546,31 +573,6 @@ def _components_per_level(first, stop, a, b, link_first, link_stop,
     return np.bincount(comp_level, minlength=n_levels)
 
 
-def _level_topology(vol, u, levels):
-    """(chi, surface components, boundary-trace components) of the
-    marching-tetrahedra level sets u = s for all s in levels at once:
-    surface pieces are cut tets linked through cut interior faces, trace
-    curves cut boundary faces linked through cut boundary edges."""
-    edges, faces, pair_faces, t1, t2, bfaces, bshared, b1, b2 = \
-        _volume_topology_arrays(vol)
-    order = np.argsort(levels, kind="stable")
-    rank, n = np.searchsorted(np.asarray(levels)[order], u), len(order)
-    (ef, es), (ff, fs), (tf, ts), (bf, bs), (sf, ss) = (
-        _cut_ranges(rank, simplices)
-        for simplices in (edges, faces, vol.tets, bfaces, bshared)
-    )
-
-    def cut(first, stop):  # simplices cut at each level
-        return np.cumsum(np.bincount(first, minlength=n + 1)
-                         - np.bincount(stop, minlength=n + 1))[:n]
-
-    chi = cut(ef, es) - cut(ff, fs) + cut(tf, ts)
-    ncomp = _components_per_level(tf, ts, t1, t2, ff[pair_faces],
-                                  fs[pair_faces], n)
-    bcomp = _components_per_level(bf, bs, b1, b2, sf, ss, n)
-    return np.stack([chi, ncomp, bcomp])[:, np.argsort(order)]
-
-
 def level_set_topology(vol, u, n_levels=64):
     """Marching-tetrahedra topology of the sampled level sets of u."""
     if n_levels < 1:
@@ -586,10 +588,11 @@ def level_set_topology(vol, u, n_levels=64):
     notes = []
     for i in range(n_levels):
         while np.abs(u - levels[i]).min() < 1e-9 * rng:
-            levels[i] += 1e-8 * rng
+            # at least one ulp, so that a range at rounding level ends
+            levels[i] = max(levels[i] + 1e-8 * rng,
+                            np.nextafter(levels[i], np.inf))
             notes.append(f"level {i} nudged to avoid a vertex value")
-    chi, ncomp, bcomp = _level_topology(vol, u, levels)
-    return LevelSetTopology(levels, chi, ncomp, bcomp, u_min, u_max, notes)
+    return LevelSetTopology(vol, u, levels, notes)
 
 
 # -- admissibility --------------------------------------------------------
@@ -603,21 +606,12 @@ def admissibility_verdict(fill_in, obs, physical=None, n_levels=64):
     nonnegative) is evaluated as well.
     """
     if fill_in is None:
-        return {"verdict": "unchecked", "levels": None,
-                "generalizedIntegral": None}
+        return {"verdict": "unchecked", "generalizedIntegral": None}
     uhat = -fill_in.times + fill_in.vertices @ obs.a
     topo = level_set_topology(fill_in, uhat, n_levels)
-    matches = topo.chi == topo.boundary_components
-    verdict = "admissible" if bool(matches.all()) else "not admissible"
+    admissible = np.array_equal(topo.chi, topo.boundary_components)
     report = {
-        "verdict": verdict,
-        "levels": [
-            {"s": float(s), "chi": int(c), "n": int(nb),
-             "components": int(nc)}
-            for s, c, nb, nc in zip(topo.levels, topo.chi,
-                                    topo.boundary_components,
-                                    topo.n_components)
-        ],
+        "verdict": "admissible" if admissible else "not admissible",
         "generalizedIntegral": None,
         "fillInTopology": topo,
     }
@@ -852,7 +846,7 @@ def _exact_coarea(rep, vol, u_samples, radius):
     vals = np.sort(vals)
     keep = np.concatenate([[True], np.diff(vals) > 1e-10 * rng])
     vals = vals[keep]
-    chis = _level_topology(vol, u_samples, 0.5 * (vals[:-1] + vals[1:]))[0]
+    chis = LevelSetTopology(vol, u_samples, 0.5 * (vals[:-1] + vals[1:])).chi
     total = 0.0
     intervals = []
     for lo, hi, chi in zip(vals[:-1], vals[1:], chis):

@@ -69,18 +69,43 @@ def test_far_ellipsoid_recovered_up_to_gauge(axes, level):
 
 def test_near_start_needs_no_spectral_factorization(monkeypatch):
     # a Schwarzschild sphere starts inside the spectral basin, so only the
-    # vertex stage runs and no dense normal matrix is factorized
+    # vertex stage runs: no harmonic basis is built and no dense normal
+    # matrix is factorized
     import qlmass.embedding as embedding_mod
 
     calls = []
     factor = embedding_mod.linalg.cho_factor
+    basis = embedding_mod.real_harmonic_basis
     monkeypatch.setattr(embedding_mod.linalg, "cho_factor",
                         lambda *a, **k: calls.append(1) or factor(*a, **k))
+    monkeypatch.setattr(embedding_mod, "real_harmonic_basis",
+                        lambda *a: calls.append(2) or basis(*a))
     bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=3)
     res = embed_metric(bd.geom.mesh, bd.geom.metric)
     assert res.residual < 1e-8
     assert res.iterations > 0
     assert calls == []
+
+
+def test_vertex_steps_stop_by_tolerance(monkeypatch):
+    # each LSQR solve of a level-4 Schwarzschild sphere meets its stop
+    # tolerance (istop 1 or 2) well inside the iteration cap (istop 7)
+    import qlmass.embedding as embedding_mod
+
+    stops = []
+    solve = embedding_mod.lsqr
+
+    def spy(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        stops.append(out[1:3])
+        return out
+
+    monkeypatch.setattr(embedding_mod, "lsqr", spy)
+    bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=4)
+    res = embed_metric(bd.geom.mesh, bd.geom.metric)
+    assert res.residual < 1e-8
+    assert stops
+    assert all(istop in (1, 2) and itn < 300 for istop, itn in stops)
 
 
 def test_ellipsoid_mean_curvature_oracle():

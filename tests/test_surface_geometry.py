@@ -112,7 +112,7 @@ def test_degenerate_face_rejected():
 
 def test_round_sphere_eigenfunction(sphere4):
     z = sphere4.mesh.vertices[:, 2]
-    err = np.abs(sphere4.ops.laplace(z) + 2.0 * z)
+    err = np.abs(sphere4.laplace(z) + 2.0 * z)
     assert err.max() < 1e-2
 
 
@@ -121,12 +121,12 @@ def test_laplace_error_decreases_under_refinement():
     for lvl in (3, 4, 5):
         g = unit_sphere_geometry(lvl)
         z = g.mesh.vertices[:, 2]
-        errs.append(np.abs(g.ops.laplace(z) + 2.0 * z).max())
+        errs.append(np.abs(g.laplace(z) + 2.0 * z).max())
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_gauss_bonnet_exact(sphere4):
-    assert abs(sphere4.ops.angle_defects.sum() - 4.0 * np.pi) < 1e-10
+    assert abs(sphere4.angle_defects.sum() - 4.0 * np.pi) < 1e-10
 
 
 def test_gauss_bonnet_scaled_sphere():
@@ -137,11 +137,10 @@ def test_gauss_bonnet_scaled_sphere():
 
 
 def test_integrate_constants_and_odd(sphere4):
-    ops = sphere4.ops
     one = np.ones(sphere4.mesh.n_vertices)
-    assert abs(ops.integrate(one) - 4.0 * np.pi) < 4.0 * np.pi * 5e-3
+    assert abs(sphere4.integrate(one) - 4.0 * np.pi) < 4.0 * np.pi * 5e-3
     z = sphere4.mesh.vertices[:, 2]
-    assert abs(ops.integrate(z)) < 1e-12
+    assert abs(sphere4.integrate(z)) < 1e-12
 
 
 def test_integrate_z_squared(sphere4):
@@ -149,14 +148,14 @@ def test_integrate_z_squared(sphere4):
     nodes, weights = np.polynomial.legendre.leggauss(20)
     exact = 2.0 * np.pi * float(weights @ nodes**2)
     z = sphere4.mesh.vertices[:, 2]
-    assert abs(sphere4.ops.integrate(z**2) - exact) < exact * 6e-3
+    assert abs(sphere4.integrate(z**2) - exact) < exact * 6e-3
 
 
 def test_integrate_rejects_nonfinite(sphere4):
     bad = np.zeros(sphere4.mesh.n_vertices)
     bad[17] = np.nan
     with pytest.raises(ValueError, match="17"):
-        sphere4.ops.integrate(bad)
+        sphere4.integrate(bad)
 
 
 def test_second_order_contraction_of_integrated_errors():
@@ -167,9 +166,9 @@ def test_second_order_contraction_of_integrated_errors():
     for lvl in (3, 4, 5):
         g = unit_sphere_geometry(lvl)
         z = g.mesh.vertices[:, 2]
-        area_err.append(abs(g.ops.total_area - 4.0 * np.pi))
-        zz_err.append(abs(g.ops.integrate(z**2) - zz_exact))
-        dir_err.append(abs(g.ops.dirichlet_pairing(z, z) - 8.0 * np.pi / 3.0))
+        area_err.append(abs(g.total_area - 4.0 * np.pi))
+        zz_err.append(abs(g.integrate(z**2) - zz_exact))
+        dir_err.append(abs(g.dirichlet_pairing(z, z) - 8.0 * np.pi / 3.0))
     for errs in (area_err, zz_err, dir_err):
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] / errs[2] >= 3.5
@@ -181,8 +180,8 @@ def test_laplace_is_div_grad(sphere4):
     for _ in range(20):
         c = rng.normal(size=3)
         u = np.sin(v @ c) + np.cos(2.0 * (v @ c[::-1]))
-        lap = sphere4.ops.laplace(u)
-        dg = sphere4.ops.divergence(sphere4.ops.gradient(u))
+        lap = sphere4.laplace(u)
+        dg = sphere4.divergence(sphere4.gradient(u))
         scale = np.abs(lap).max()
         assert np.abs(lap - dg).max() < 1e-12 * max(scale, 1.0)
 
@@ -193,8 +192,8 @@ def test_self_adjointness(sphere4):
     for _ in range(20):
         u = np.sin(v @ rng.normal(size=3))
         w = np.cos(v @ rng.normal(size=3))
-        a = sphere4.ops.integrate(u * sphere4.ops.laplace(w))
-        b = sphere4.ops.integrate(w * sphere4.ops.laplace(u))
+        a = sphere4.integrate(u * sphere4.laplace(w))
+        b = sphere4.integrate(w * sphere4.laplace(u))
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
 
@@ -203,22 +202,22 @@ def test_divergence_theorem(sphere4):
     v = sphere4.mesh.vertices
     for _ in range(20):
         u = np.sin(v @ rng.normal(size=3))
-        total = sphere4.ops.integrate(sphere4.ops.laplace(u))
+        total = sphere4.integrate(sphere4.laplace(u))
         assert abs(total) < 1e-10 * max(abs(u).max(), 1.0)
 
 
 def test_critical_mask_poles(sphere4):
     z = sphere4.mesh.vertices[:, 2]
-    mask, frac = sphere4.ops.critical_set_mask(z, 0.05)
+    mask, frac = sphere4.critical_set_mask(z, 0.05)
     # masked faces (if any) concentrate at the poles
     if mask.any():
-        face_z = np.abs(sphere4.ops.face_average(z)[mask])
+        face_z = np.abs(sphere4.face_average(z)[mask])
         assert face_z.min() > 0.99
     assert frac < 0.01
 
 
 def test_critical_mask_zero_field(sphere4):
-    mask, frac = sphere4.ops.critical_set_mask(
+    mask, frac = sphere4.critical_set_mask(
         np.zeros(sphere4.mesh.n_vertices), 0.01
     )
     assert mask.all()
@@ -230,8 +229,8 @@ def test_critical_mask_area_scales_with_threshold():
     g = unit_sphere_geometry(5)
     z = g.mesh.vertices[:, 2]
     for t in (0.05, 0.1, 0.2):
-        mask, frac = g.ops.critical_set_mask(z, t)
-        gmag_med = np.median(np.linalg.norm(g.ops.gradient(z), axis=1))
+        mask, frac = g.critical_set_mask(z, t)
+        gmag_med = np.median(np.linalg.norm(g.gradient(z), axis=1))
         # exact spherical-cap area fraction where sin(theta) < t * median
         s = t * gmag_med
         cap_frac = 1.0 - np.sqrt(1.0 - s**2)
@@ -240,7 +239,7 @@ def test_critical_mask_area_scales_with_threshold():
 
 def test_vertex_average_roundtrip(sphere4):
     const = np.full(sphere4.mesh.n_faces, 3.25)
-    out = sphere4.ops.vertex_average(const)
+    out = sphere4.vertex_average(const)
     np.testing.assert_allclose(out, 3.25, rtol=1e-12)
 
 

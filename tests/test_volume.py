@@ -1,6 +1,7 @@
 """Tests for the fill-in builder, the interior solver, level-set
 topology, admissibility verdicts, and the integral identity check."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,22 +12,29 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse import csr_matrix, lil_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
+from click.testing import CliRunner
 from scipy.spatial import Delaunay, cKDTree
 
+from qlmass import volume
+from qlmass.cli import main
+from qlmass.config import default_config
+from qlmass.embedding import align_embedding, embed_metric
 from qlmass.initialdata import (
     BowenYorkData,
     FlatData,
     SchwarzschildData,
     UniformExpansionData,
+    extract_boundary_data,
 )
 from qlmass.mesh import icosphere
 from qlmass.volume import (
     HarmonicRepresentative,
+    LevelSetTopology,
     VolumeError,
     VolumeMesh,
     _conformal_structure,
+    _exact_coarea,
     _interpolate_boundary,
-    _level_topology,
     _split_prism,
     _volume_topology_arrays,
     admissibility_verdict,
@@ -420,6 +428,18 @@ def test_level_nudging_is_deterministic_and_noted():
     assert any("nudged" in n for n in topo1.notes)
 
 
+def test_level_nudging_ends_for_a_range_at_rounding_level():
+    # a nudge of 1e-8 of a two-ulp range is lost in rounding; the level
+    # moves by one ulp instead (the loop used to run without end)
+    u = 1.0 + 1e-16 * _SMALL_BALL.vertices[:, 0]
+    topo = level_set_topology(_SMALL_BALL, u, n_levels=24)
+    assert any("nudged" in n for n in topo.notes)
+    assert not np.isin(topo.levels, u).any()
+    _assert_matches_level_stats(
+        _SMALL_BALL, u, topo.levels,
+        (topo.chi, topo.n_components, topo.boundary_components))
+
+
 def test_constant_field_rejected():
     _, vol = _ball_fill_in(2)
     with pytest.raises(VolumeError, match="non-constant"):
@@ -593,10 +613,56 @@ def test_level_topology_matches_reference_at_vertex_values(name, coefs,
     vol = _mesh(name)
     u = np.round(_plane_waves(vol.vertices, coefs) * steps) / steps
     values = np.unique(u)
-    levels = np.concatenate([values, 0.5 * (values[:-1] + values[1:])])
-    levels = np.random.default_rng(steps).permutation(levels)
-    _assert_matches_level_stats(vol, u, levels,
-                                _level_topology(vol, u, levels))
+    levels = np.sort(np.concatenate([values,
+                                     0.5 * (values[:-1] + values[1:])]))
+    topo = LevelSetTopology(vol, u, levels)
+    _assert_matches_level_stats(
+        vol, u, levels,
+        (topo.chi, topo.n_components, topo.boundary_components))
+
+
+def test_level_set_topology_needs_ascending_levels():
+    u = _SMALL_BALL.vertices[:, 2]
+    with pytest.raises(VolumeError, match="ascending"):
+        LevelSetTopology(_SMALL_BALL, u, [0.5, -0.5])
+
+
+def _spy_component_graphs(monkeypatch):
+    """List that gets one entry per _components_per_level call."""
+    calls = []
+    build = volume._components_per_level
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(volume, "_components_per_level", spy)
+    return calls
+
+
+def test_chi_builds_no_component_graph(monkeypatch):
+    calls = _spy_component_graphs(monkeypatch)
+    topo = level_set_topology(_SMALL_BALL, _SMALL_BALL.vertices[:, 2],
+                              n_levels=16)
+    assert abs(topo.coarea_integral() - 2.0) <= 2.0 / 16
+    assert len(calls) == 0
+    # each count builds its graph once, on first read
+    assert np.all(topo.n_components == 1)
+    assert np.all(topo.n_components == 1)
+    assert len(calls) == 1
+    assert np.all(topo.boundary_components == 1)
+    assert len(calls) == 2
+
+
+def test_exact_coarea_builds_no_component_graph(monkeypatch):
+    vol = _SMALL_BALL
+    rep = HarmonicRepresentative(FlatData(), vol, vol.vertices[:, 2])
+    calls = _spy_component_graphs(monkeypatch)
+    total, intervals, _ = _exact_coarea(rep, vol,
+                                        rep.evaluate(vol.vertices)[0], 1.0)
+    assert [iv["chi"] for iv in intervals] == [1]
+    assert abs(total - 4.0 * np.pi) <= 1e-8
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("n_levels", [0, -3])
@@ -667,7 +733,48 @@ def test_ball_admissible_for_all_observers():
               np.array([0.6, -0.48, 0.64])):
         report = admissibility_verdict(vol, SimpleNamespace(a=a))
         assert report["verdict"] == "admissible"
-        assert all(lv["chi"] == lv["n"] == 1 for lv in report["levels"])
+        topo = report["fillInTopology"]
+        assert all(chi == n == 1 for chi, n in zip(topo.chi,
+                                                   topo.boundary_components))
+
+
+def test_verdict_builds_only_the_trace_curve_graph(monkeypatch):
+    # the verdict compares chi with the trace curves; the surface pieces
+    # are left for a reader of n_components
+    calls = _spy_component_graphs(monkeypatch)
+    obs = SimpleNamespace(a=np.array([0.0, 0.0, 1.0]))
+    u = _SMALL_BALL.vertices[:, 2]
+    report = admissibility_verdict(_SMALL_BALL, obs, n_levels=16)
+    assert report["verdict"] == "admissible"
+    assert len(calls) == 1
+    admissibility_verdict(_SMALL_BALL, obs, n_levels=16,
+                          physical={"vol": _SMALL_BALL, "u": u})
+    assert len(calls) == 2
+
+
+def test_admissibility_command_rows_match_per_level_reference(tmp_path):
+    result = CliRunner().invoke(main, ["admissibility", "--level", "2",
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "admissibility.json") as fh:
+        rows = json.load(fh)["levels"]
+    # the fill-in and observer function of the command, rebuilt from the
+    # defaults
+    cfg = default_config()
+    bd = extract_boundary_data(FlatData(), cfg["radius"], level=2)
+    emb = embed_metric(bd.geom.mesh, bd.geom.metric,
+                       degree=cfg["embedding.degree"],
+                       tol=cfg["embedding.tol"],
+                       max_iterations=cfg["embedding.max_iterations"])
+    vol = build_fill_in(align_embedding(emb, bd.positions),
+                        layers=cfg["volume.layers"])
+    a = np.asarray(cfg["observer.a"]) / np.linalg.norm(cfg["observer.a"])
+    u = -vol.times + vol.vertices @ a
+    assert len(rows) == cfg["topology.levels"]
+    for row in rows:
+        chi, ncomp, bcomp = _level_stats(vol, u, row["s"])
+        assert (row["chi"], row["components"], row["n"]) == (chi, ncomp,
+                                                            bcomp)
 
 
 def test_torus_not_admissible_through_hole():
