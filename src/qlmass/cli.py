@@ -7,6 +7,10 @@ verdict, negative identity slack), 1 on internal errors.
 """
 
 import os
+import time
+
+# the imports below count toward the run time in the manifest
+_IMPORTS_STARTED = time.perf_counter()
 
 # one BLAS thread unless QLM_THREADS or a *_NUM_THREADS variable asks for
 # more: the dense solves are small and gain nothing from a second thread
@@ -74,6 +78,8 @@ from .volume import (
     read_volume_mesh,
     solve_spacetime_harmonic,
 )
+
+_IMPORT_SECONDS = time.perf_counter() - _IMPORTS_STARTED
 
 PRECONDITION_ERRORS = (ConfigError, InitialDataError, EmbeddingError,
                        EnergyError, VolumeError, SearchError, MetricError,
@@ -203,7 +209,7 @@ def _execute(command, kwargs, body):
         cfg = _build_config(kwargs)
         outdir = Path(cfg["output.dir"])
         outdir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(command, cfg)
+        manifest = RunManifest(command, cfg, import_seconds=_IMPORT_SECONDS)
         code = body(cfg, outdir, manifest) or 0
         manifest.write(outdir / "manifest.json")
     except PRECONDITION_ERRORS as exc:
@@ -375,9 +381,17 @@ def verify_identity(**kwargs):
             )
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
-        fill = _fill_in(cfg, emb)
         a = observer_vector(cfg)
-        bvals = fill.vertices[fill.boundary_vertices] @ a
+        if cfg["volume.mesh_file"]:
+            fill = _fill_in(cfg, emb)
+            bvals = fill.vertices[fill.boundary_vertices] @ a
+        else:
+            # the data live on the coordinate ball, whose boundary is the
+            # sphere the identity is checked on; u there is the observer
+            # function of the reference side, vertex by vertex
+            fill = build_fill_in(bd.positions, mesh=bd.geom.mesh,
+                                 layers=cfg["volume.layers"])
+            bvals = make_observer(emb, a).uA
         delta = cfg["harmonic.delta"] or None
         sol = solve_spacetime_harmonic(fill, data, bvals, delta=delta,
                                        tol=cfg["harmonic.tol"],

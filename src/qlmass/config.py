@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .energy import ENERGY_MODES
 
 
 class ConfigError(ValueError):
@@ -23,6 +22,10 @@ class ConfigError(ValueError):
 
 
 SCHEMA_VERSION = 1
+
+# the values of energy.mode, named here so that reading a config loads no
+# numerical layer
+ENERGY_MODES = ("explicit", "epsLimit", "both")
 
 # key -> (type, default, help); types: int, float, str, floats (comma
 # separated list), vec3 (comma separated triple)
@@ -68,7 +71,9 @@ SCHEMA = {
     "harmonic.delta": ("float", 0.0,
                        "gradient regularization of the interior solver "
                        "(0 selects the automatic scale)"),
-    "harmonic.tol": ("float", 1e-10, "interior solver residual tolerance"),
+    "harmonic.tol": ("float", 1e-10,
+                     "interior solver stop on the largest change of u "
+                     "between Picard steps"),
     "harmonic.max_picard": ("int", 100,
                             "interior solver fixed-point iteration cap"),
     "topology.levels": ("int", 64, "sampled level sets per topology scan"),
@@ -213,17 +218,21 @@ def file_hash(path):
 class RunManifest:
     """Reproducibility record of one command invocation: the config hash,
     the code version, wall times per operation, and content hashes of
-    every written output."""
+    every written output.
 
-    def __init__(self, command, cfg):
+    `import_seconds`, the time the program took to import its modules,
+    is the first wall time, `imports`, and counts toward totalSeconds.
+    """
+
+    def __init__(self, command, cfg, import_seconds):
         self.command = command
         self.config_hash = config_hash(cfg)
         self.code_version = __version__
         self.started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        self.wall_times = {}
+        self.wall_times = {"imports": import_seconds}
         self.outputs = []
-        self._t0 = time.perf_counter()
-        self._mark = self._t0
+        self._mark = time.perf_counter()
+        self._t0 = self._mark - import_seconds
 
     def record(self, operation):
         now = time.perf_counter()

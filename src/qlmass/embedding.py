@@ -8,6 +8,8 @@ the free vertex positions finishes it.  The converged shape is gauge-fixed
 repeated runs produce bitwise-comparable output.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy import linalg, special
 from scipy.sparse import csr_matrix
@@ -81,50 +83,59 @@ def gauge_fix(positions, weights):
 
 
 class EmbeddingResult:
-    """Converged embedding with its derived extrinsic reference data.
+    """Converged embedding; its derived extrinsic reference data are
+    computed when first read.
 
     Attributes
     ----------
     positions : (V, 3) gauge-fixed vertex positions.
     times : (V,) time coordinates (zero for solved embeddings; general
         for file-supplied ones).
+    achieved_metric : SurfaceMetric of the embedded edge lengths.
+    ops : OperatorSet of the surface.
     mean_curvature : (V,) discrete mean curvature of the embedded surface.
     normals : (V, 3) outward unit normals.
     defect_l2 : RMS relative edge-length mismatch against the target metric.
-    defect_max : max relative edge-length mismatch.
+    defect_max : max relative edge-length mismatch against the target
+        metric (None when not given).
     iterations : Gauss-Newton steps taken, spectral and vertex stages
         together (0 for an exact start).
     """
 
     def __init__(self, mesh, positions, defect_l2, iterations,
-                 times=None, target_metric=None):
+                 times=None, defect_max=None):
         self.mesh = mesh
         self.positions = positions
         self.defect_l2 = defect_l2
         self.residual = defect_l2
+        self.defect_max = defect_max
         self.iterations = iterations
         if times is None:
             times = np.zeros(len(positions))
         self.times = np.asarray(times, dtype=float)
-        self._derive()
-        if target_metric is not None:
-            self.defect_max = self.consistency_residual(target_metric)
-        else:
-            self.defect_max = defect_l2
 
-    def _derive(self):
-        mesh, pos = self.mesh, self.positions
-        self.achieved_metric = SurfaceMetric.from_positions(mesh, pos)
-        self.ops = OperatorSet(mesh, self.achieved_metric)
-        tri = pos[mesh.faces]
+    @cached_property
+    def achieved_metric(self):
+        return SurfaceMetric.from_positions(self.mesh, self.positions)
+
+    @cached_property
+    def ops(self):
+        return OperatorSet(self.mesh, self.achieved_metric)
+
+    @cached_property
+    def normals(self):
+        tri = self.positions[self.mesh.faces]
         fnorm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        vnorm = np.zeros_like(pos)
+        vnorm = np.zeros_like(self.positions)
         for a in range(3):
-            np.add.at(vnorm, mesh.faces[:, a], fnorm)
-        vnorm /= np.linalg.norm(vnorm, axis=1, keepdims=True)
-        self.normals = vnorm
-        lap = np.column_stack([self.ops.laplace(pos[:, k]) for k in range(3)])
-        self.mean_curvature = -np.einsum("vk,vk->v", lap, vnorm)
+            np.add.at(vnorm, self.mesh.faces[:, a], fnorm)
+        return vnorm / np.linalg.norm(vnorm, axis=1, keepdims=True)
+
+    @cached_property
+    def mean_curvature(self):
+        lap = np.column_stack([self.ops.laplace(self.positions[:, k])
+                               for k in range(3)])
+        return -np.einsum("vk,vk->v", lap, self.normals)
 
     def consistency_residual(self, metric):
         """Max relative deviation of embedded edge lengths from a metric."""
@@ -196,8 +207,9 @@ def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200):
     if pair is not None:
         raise EmbeddingError(f"embedded surface crosses itself: faces "
                              f"{pair[0]} and {pair[1]} intersect")
-    return EmbeddingResult(mesh, positions, rms, iterations,
-                           target_metric=metric)
+    emb = EmbeddingResult(mesh, positions, rms, iterations)
+    emb.defect_max = emb.consistency_residual(metric)
+    return emb
 
 
 def align_embedding(emb, target_positions):
@@ -214,7 +226,7 @@ def align_embedding(emb, target_positions):
         rot = u @ vt
     moved = src @ rot + tc
     return EmbeddingResult(emb.mesh, moved, emb.defect_l2, emb.iterations,
-                           times=emb.times)
+                           times=emb.times, defect_max=emb.defect_max)
 
 
 def _edge_residual(d, lengths, scale):

@@ -18,6 +18,7 @@ from scipy.sparse import coo_matrix, diags
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 
+from .config import ENERGY_MODES
 from .embedding import EmbeddingError
 
 
@@ -95,11 +96,18 @@ class SurfaceData:
             )
         return cls(emb.ops, H0, np.zeros(len(H0)), None, name="reference")
 
-    def gauge_edge_values(self):
-        """Pairings of the connection form in the mean-curvature gauge:
-        alpha_nu minus the differential of the frame angle phi."""
+    @cached_property
+    def gauge_covector(self):
+        """Per-face connection form in the mean-curvature gauge: alpha_nu
+        minus the differential of the frame angle phi."""
         i, j = self.mesh.edges[:, 0], self.mesh.edges[:, 1]
-        return self.alpha_edges - (self.phi[j] - self.phi[i])
+        return self.ops.face_covector(
+            self.alpha_edges - (self.phi[j] - self.phi[i]))
+
+    @cached_property
+    def slice_covector(self):
+        """Per-face connection form alpha_nu of the slice gauge."""
+        return self.ops.face_covector(self.alpha_edges)
 
 
 # hyperbolic frame angle f from the mean-curvature gauge, with the squared
@@ -132,19 +140,20 @@ CRITICAL_FRACTION = 1e-3
 class ObserverFields:
     """The observer function u on one side and its fields, each computed
     once for every frame of that side: grad u, laplace(u) and the gauge
-    covector on construction, the rest when first read."""
+    pairing on construction, the rest when first read.  The connection
+    covectors belong to the side and are shared by all its observers."""
 
     def __init__(self, sd, obs):
         self.sd, self.ops, self.u = sd, sd.ops, obs.uA
         self.grad = self.ops.gradient(self.u)
         self.lap = self.ops.laplace(self.u)
-        self.gauge_cov = self.ops.face_covector(sd.gauge_edge_values())
-        self.gauge_pairing = self.ops.pair_fields(self.gauge_cov, self.grad)
+        self.gauge_pairing = self.ops.pair_fields(sd.gauge_covector,
+                                                  self.grad)
 
     @cached_property
     def masked(self):
         """(critical face mask, its area fraction, gsq, dead vertices)."""
-        mask, frac = self.ops.critical_set_mask(self.u, CRITICAL_FRACTION)
+        mask, frac = self.ops.critical_set_mask(self.grad, CRITICAL_FRACTION)
         return (mask, frac) + _vertex_grad_sq(self.ops, self.grad, mask)
 
     @cached_property
@@ -155,8 +164,7 @@ class ObserverFields:
     @cached_property
     def slice_pairing(self):
         """grad u paired with the slice-gauge connection form alpha_nu."""
-        return self.ops.pair_fields(
-            self.ops.face_covector(self.sd.alpha_edges), self.grad)
+        return self.ops.pair_fields(self.sd.slice_covector, self.grad)
 
 
 def canonical_frame(fields, eps):
@@ -251,9 +259,6 @@ def default_eps_list(fields, n=7):
     gsq, _ = fields.unmasked
     scale = float(np.sqrt(gsq).mean())
     return list(scale * np.logspace(-1, -4, n))
-
-
-ENERGY_MODES = ("explicit", "epsLimit", "both")
 
 
 def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
@@ -399,7 +404,7 @@ def euler_lagrange_residual(sd, obs, cap_fraction=0.2,
     gf = ops.gradient(frame.f)
     flux = (
         (hvec_face * coshf_face / gmag)[:, None] * fields.grad + gf
-        + fields.gauge_cov
+        + sd.gauge_covector
     )
     residual = ops.divergence(flux)
 

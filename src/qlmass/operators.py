@@ -309,15 +309,16 @@ class OperatorSet:
 
     # -- critical set ----------------------------------------------------
 
-    def critical_set_mask(self, u, threshold_fraction=1e-3):
-        """Face mask marking the (approximate) complement of {|grad u| != 0}.
+    def critical_set_mask(self, grad, threshold_fraction=1e-3):
+        """Face mask marking the (approximate) complement of {|grad u| != 0}
+        from the per-face gradient `grad` of u (as `gradient` returns it).
 
         Returns (mask, masked_area_fraction); True marks faces where the
         gradient magnitude falls below threshold_fraction times its median.
         """
         if not 0.0 < threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must lie in (0, 1)")
-        gmag = np.linalg.norm(self.gradient(u), axis=1)
+        gmag = np.linalg.norm(grad, axis=1)
         med = np.median(gmag)
         if med == 0.0:
             mask = np.ones(self.mesh.n_faces, dtype=bool)

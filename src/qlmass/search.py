@@ -38,14 +38,17 @@ class MassReport:
     ----------
     mass_value : minimum energy over admissible grid points and the
         local refinement iterates.
+    energy_spread : max minus min of the energy over the grid points not
+        found inadmissible; how far apart the candidates for mass_value are.
     argmin_a : observer direction attaining mass_value.
     energy_grid : list of {a, E, admissible} rows in grid order.
     refinement_trace : list of {a, E} local-search iterates.
     """
 
-    def __init__(self, mass_value, argmin_a, energy_grid,
+    def __init__(self, mass_value, energy_spread, argmin_a, energy_grid,
                  refinement_trace, notes=None, context=None):
         self.mass_value = float(mass_value)
+        self.energy_spread = float(energy_spread)
         self.argmin_a = np.asarray(argmin_a, dtype=float)
         self.energy_grid = energy_grid
         self.refinement_trace = refinement_trace
@@ -55,6 +58,7 @@ class MassReport:
     def to_dict(self):
         return {
             "massValue": self.mass_value,
+            "energySpread": self.energy_spread,
             "argminA": self.argmin_a.tolist(),
             "energyGrid": [
                 {"a": list(map(float, row["a"])), "E": float(row["E"]),
@@ -156,7 +160,8 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
                 )
             else:
                 mass_value, argmin = refined["E"], refined["a"]
-    return MassReport(mass_value, argmin, rows, trace, notes=notes,
+    spread = max(r["E"] for r in feasible) - min(r["E"] for r in feasible)
+    return MassReport(mass_value, spread, argmin, rows, trace, notes=notes,
                       context=context)
 
 

@@ -123,7 +123,6 @@ class VolumeMesh:
                 f"tet quality below floor: min dihedral "
                 f"{self.min_dihedral:.2f} deg < {quality_floor} deg"
             )
-        self._topo_cache = None
 
     @property
     def n_vertices(self):
@@ -141,6 +140,36 @@ class VolumeMesh:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
+
+    @cached_property
+    def hat_gradients(self):
+        """(Constant gradients of the four hat functions per tet, (T, 4, 3),
+        tet volumes)."""
+        return _hat_gradients(self.vertices, self.tets)
+
+    @cached_property
+    def topology_arrays(self):
+        """Simplices and adjacencies the level-set topology reads: (unique
+        edges, unique faces, indices of the interior faces, the two tets
+        of each interior face, sorted boundary faces, boundary edges shared
+        by two boundary faces, the two boundary faces of each)."""
+        tets = self.tets
+        edges, _ = unique_rows(np.vstack([
+            tets[:, [0, 1]], tets[:, [0, 2]], tets[:, [0, 3]],
+            tets[:, [1, 2]], tets[:, [1, 3]], tets[:, [2, 3]],
+        ]))
+        # tets adjacent through each interior face
+        faces, pair_faces, t1, t2 = _shared_pairs(np.vstack([
+            tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
+            tets[:, [0, 1, 3]], tets[:, [0, 1, 2]],
+        ]), np.tile(np.arange(len(tets)), 4))
+        # boundary faces adjacent through each shared boundary edge
+        bfaces = np.sort(self.boundary_faces, axis=1)
+        bedges, shared, b1, b2 = _shared_pairs(np.vstack([
+            bfaces[:, [0, 1]], bfaces[:, [0, 2]], bfaces[:, [1, 2]],
+        ]), np.tile(np.arange(len(bfaces)), 3))
+        return (edges, faces, pair_faces, t1, t2, bfaces, bedges[shared],
+                b1, b2)
 
 
 # prism splitting: rotate the smallest global index into slot 0, then pick
@@ -341,7 +370,7 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     _, ginv, sqrtdet, k = _point_fields(
         data, vol.vertices[vol.tets].mean(axis=1))
     trk = np.einsum("tij,tij->t", ginv, k)
-    grads, vols = _hat_gradients(vol.vertices, vol.tets)
+    grads, vols = vol.hat_gradients
     weight = vols * sqrtdet
 
     n = vol.n_vertices
@@ -439,7 +468,7 @@ def recovered_fields(vol, u):
     gradients, vertex gradients (volume-weighted averages), per-tet and
     vertex symmetric coordinate Hessians from the gradient of the vertex
     gradients, tet volumes)."""
-    grads, vols = _hat_gradients(vol.vertices, vol.tets)
+    grads, vols = vol.hat_gradients
     du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
     dU = _vertex_average(vol, du, vols)
     hess = np.einsum("tmj,tmi->tij", dU[vol.tets], grads)
@@ -466,7 +495,7 @@ class LevelSetTopology:
         self.u_min, self.u_max = float(np.min(u)), float(np.max(u))
         self.notes = list(notes)
         self._rank = np.searchsorted(self.levels, u)
-        edges, faces, *_ = _volume_topology_arrays(vol)
+        edges, faces, *_ = vol.topology_arrays
         self.chi = (self._cut(edges) - self._cut(faces)
                     + self._cut(vol.tets))
 
@@ -480,7 +509,7 @@ class LevelSetTopology:
     @cached_property
     def n_components(self):
         """Surface pieces: cut tets linked through cut interior faces."""
-        _, faces, pair_faces, t1, t2, *_ = _volume_topology_arrays(self.vol)
+        _, faces, pair_faces, t1, t2, *_ = self.vol.topology_arrays
         return _components_per_level(
             *_cut_ranges(self._rank, self.vol.tets), t1, t2,
             *_cut_ranges(self._rank, faces[pair_faces]), len(self.levels))
@@ -489,7 +518,7 @@ class LevelSetTopology:
     def boundary_components(self):
         """Trace curves: cut boundary faces linked through cut boundary
         edges."""
-        *_, bfaces, bshared, b1, b2 = _volume_topology_arrays(self.vol)
+        *_, bfaces, bshared, b1, b2 = self.vol.topology_arrays
         return _components_per_level(
             *_cut_ranges(self._rank, bfaces), b1, b2,
             *_cut_ranges(self._rank, bshared), len(self.levels))
@@ -514,29 +543,6 @@ def _shared_pairs(raw, owner):
     pairs = np.flatnonzero(counts == 2)
     starts = (np.cumsum(counts) - counts)[pairs]
     return keys, pairs, kown[starts], kown[starts + 1]
-
-
-def _volume_topology_arrays(vol):
-    if vol._topo_cache is not None:
-        return vol._topo_cache
-    tets = vol.tets
-    edges, _ = unique_rows(np.vstack([
-        tets[:, [0, 1]], tets[:, [0, 2]], tets[:, [0, 3]],
-        tets[:, [1, 2]], tets[:, [1, 3]], tets[:, [2, 3]],
-    ]))
-    # tets adjacent through each interior face
-    faces, pair_faces, t1, t2 = _shared_pairs(np.vstack([
-        tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-        tets[:, [0, 1, 3]], tets[:, [0, 1, 2]],
-    ]), np.tile(np.arange(len(tets)), 4))
-    # boundary faces adjacent through each shared boundary edge
-    bfaces = np.sort(vol.boundary_faces, axis=1)
-    bedges, shared, b1, b2 = _shared_pairs(np.vstack([
-        bfaces[:, [0, 1]], bfaces[:, [0, 2]], bfaces[:, [1, 2]],
-    ]), np.tile(np.arange(len(bfaces)), 3))
-    vol._topo_cache = (edges, faces, pair_faces, t1, t2, bfaces,
-                       bedges[shared], b1, b2)
-    return vol._topo_cache
 
 
 def _cut_ranges(rank, simplices):
@@ -793,34 +799,54 @@ def _newton_steps(jac, rhs, cap, normals=None):
     return step
 
 
+# a Newton search retires a point once its step is below this share of
+# the radius: far below the accuracy the critical values are used to, and
+# far above the 1e-13 at which steps on rounding-level gradients stall
+NEWTON_STOP = 1e-11
+
+
 def _interior_critical_values(rep, radius, g_scale):
     seeds = [f * radius * fibonacci_directions(48, rotation=f)
              for f in (0.05, 0.2, 0.4, 0.6, 0.8)]
     x = np.vstack(seeds)
+    inside = radius * (1.0 - 1e-8)
+    active = np.arange(len(x))
     for _ in range(60):
-        _, gr, hs = rep.evaluate(x)
+        if len(active) == 0:
+            break
+        _, gr, hs = rep.evaluate(x[active])
         hs = hs + 1e-12 * g_scale / radius * np.eye(3)
-        x = x + _newton_steps(hs, gr, 0.1 * radius)
+        step = _newton_steps(hs, gr, 0.1 * radius)
+        x[active] += step
+        # points outside the ball are dropped below, so they stop here
+        active = active[(np.linalg.norm(step, axis=1) >= NEWTON_STOP * radius)
+                        & (np.linalg.norm(x[active], axis=1) < inside)]
     vals, gr, _ = rep.evaluate(x)
-    r = np.linalg.norm(x, axis=1)
     ok = (np.linalg.norm(gr, axis=1) < 1e-9 * g_scale) \
-        & (r < radius * (1.0 - 1e-8))
+        & (np.linalg.norm(x, axis=1) < inside)
     return vals[ok]
 
 
 def _boundary_critical_values(rep, radius, g_scale):
     w = fibonacci_directions(192)
+    active = np.arange(len(w))
     for _ in range(80):
-        _, gr, hs = rep.evaluate(radius * w)
-        nu_g = np.einsum("ni,ni->n", w, gr)
-        tang = gr - nu_g[:, None] * w
-        proj = np.eye(3) - np.einsum("ni,nj->nij", w, w)
+        if len(active) == 0:
+            break
+        wa = w[active]
+        _, gr, hs = rep.evaluate(radius * wa)
+        nu_g = np.einsum("ni,ni->n", wa, gr)
+        tang = gr - nu_g[:, None] * wa
+        proj = np.eye(3) - np.einsum("ni,nj->nij", wa, wa)
         jac = radius * np.einsum("nia,nab,nbj->nij", proj, hs, proj) \
             - nu_g[:, None, None] * proj \
-            + np.einsum("ni,nj->nij", w, w) * radius
+            + np.einsum("ni,nj->nij", wa, wa) * radius
         jac += 1e-12 * g_scale * np.eye(3)
-        w = w + _newton_steps(jac, tang, 0.3, normals=w)
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        step = _newton_steps(jac, tang, 0.3, normals=wa)
+        wa = wa + step
+        w[active] = wa / np.linalg.norm(wa, axis=1, keepdims=True)
+        # w is a unit direction, so its step is already radius-relative
+        active = active[np.linalg.norm(step, axis=1) >= NEWTON_STOP]
     vals, gr, _ = rep.evaluate(radius * w)
     tang = gr - np.einsum("ni,ni->n", w, gr)[:, None] * w
     ok = np.linalg.norm(tang, axis=1) < 1e-9 * g_scale

@@ -177,6 +177,26 @@ def runner():
     return CliRunner()
 
 
+def test_reading_a_config_loads_no_numerical_layer():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qlmass
+
+    src = str(Path(qlmass.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, qlmass.config; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_print_config_is_parseable(runner):
     result = runner.invoke(main, ["print-config"])
     assert result.exit_code == 0
@@ -201,6 +221,11 @@ def test_energy_command_writes_report_and_manifest(runner, tmp_path):
     assert report["context"]["meshLevel"] == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "energy"
+    # the clock starts with the imports, which are the first wall time
+    assert list(manifest["wallTimes"]) == ["imports", "extractAndEmbed",
+                                           "energy"]
+    assert manifest["wallTimes"]["imports"] > 0.0
+    assert manifest["totalSeconds"] >= sum(manifest["wallTimes"].values())
     assert {o["path"].split("/")[-1] for o in manifest["outputs"]} == {
         "energy.json"
     }
@@ -242,6 +267,10 @@ def test_mass_command(runner, tmp_path):
     report = json.loads((out / "mass.json").read_text())
     assert abs(report["massValue"]) < 1e-3
     assert len(report["energyGrid"]) == 16
+    energies = [row["E"] for row in report["energyGrid"]
+                if row["admissible"] != "not admissible"]
+    assert report["energySpread"] == max(energies) - min(energies)
+    assert list(report)[:3] == ["massValue", "energySpread", "argminA"]
 
 
 def test_asymptotics_command(runner, tmp_path):
@@ -264,6 +293,49 @@ def test_verify_identity_command(runner, tmp_path):
     report = json.loads((out / "identity.json").read_text())
     assert report["slack"] >= -1e-8 * report["scale"]
     assert report["method"] == "harmonicFit"
+
+
+def test_embed_command_reports_the_largest_edge_defect(runner, tmp_path):
+    from qlmass.embedding import align_embedding, embed_metric
+    from qlmass.initialdata import SchwarzschildData
+
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["embed", "--provider", "schwarzschild",
+                                  "--radius", "10", "--level", "2",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "embed.json").read_text())
+    bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=2)
+    emb = align_embedding(embed_metric(bd.geom.mesh, bd.geom.metric),
+                          bd.positions)
+    # alignment moves the edge lengths by rounding only
+    assert report["defectMax"] == pytest.approx(
+        emb.consistency_residual(bd.geom.metric), rel=1e-3)
+    assert report["defectMax"] > report["defectL2"]
+
+
+def test_verify_identity_solves_on_the_checked_sphere(runner, tmp_path,
+                                                      monkeypatch):
+    import qlmass.cli as cli_mod
+
+    solved = []
+    solve = cli_mod.solve_spacetime_harmonic
+
+    def spy(vol, data, boundary_values, **kwargs):
+        solved.append((vol, boundary_values))
+        return solve(vol, data, boundary_values, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "solve_spacetime_harmonic", spy)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["verify-identity", "--provider",
+                                  "schwarzschild", "--radius", "10",
+                                  "--level", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    (vol, bvals), = solved
+    radii = np.linalg.norm(vol.vertices[vol.boundary_vertices], axis=1)
+    assert np.abs(radii - 10.0).max() <= 1e-12 * 10.0
+    report = json.loads((out / "identity.json").read_text())
+    assert report["slack"] >= -1e-8 * report["scale"]
 
 
 def test_el_residual_command(runner, tmp_path):

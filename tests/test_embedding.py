@@ -3,6 +3,7 @@ import pytest
 
 from qlmass.embedding import (
     EmbeddingError,
+    align_embedding,
     crossing_pair,
     embed_metric,
     embeddability_check,
@@ -296,3 +297,24 @@ def test_embedding_file_vertex_count_mismatch(tmp_path, mesh3):
     write_embedding(path, res)
     with pytest.raises(EmbeddingError):
         read_embedding(path, icosphere(2))
+
+
+def test_one_surface_builds_three_operator_sets(monkeypatch):
+    # extraction, the embedding solve (its gauge fix and its result share
+    # one set) and the aligned result, which the reference side reads
+    from qlmass.energy import SurfaceData
+
+    built = []
+    init = OperatorSet.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorSet, "__init__", spy)
+    bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=2)
+    emb = embed_metric(bd.geom.mesh, bd.geom.metric)
+    emb = align_embedding(emb, bd.positions)
+    SurfaceData.from_embedding(emb)
+    SurfaceData.from_boundary(bd)
+    assert len(built) == 3

@@ -352,19 +352,40 @@ def _count_calls(monkeypatch):
     return counts
 
 
+def _fresh(sd):
+    """The same side with none of its fields computed yet."""
+    return SurfaceData(sd.ops, sd.H, sd.trk, sd.alpha_edges, name=sd.name)
+
+
 def test_each_side_builds_its_observer_fields_once(monkeypatch, sides2):
     emb, ref, physicals = sides2
+    ref, phys = _fresh(ref), _fresh(physicals[1])
     obs = make_observer(emb, np.array([0.0, 0.6, 0.8]))
     counts = _count_calls(monkeypatch)
-    rep = energy(ref, physicals[1], obs, mode="both")
+    rep = energy(ref, phys, obs, mode="both")
     assert len(rep.eps_sequence) == 7
-    assert counts == {"_vertex_grad_sq": 4, "gradient": 4, "laplace": 2,
+    assert counts == {"_vertex_grad_sq": 4, "gradient": 2, "laplace": 2,
                       "face_covector": 2}
     counts.update(dict.fromkeys(counts, 0))
     eps_list = list(np.logspace(-1, -4, 7))
-    assert len(hamilton_jacobi_check(ref, physicals[1], obs, eps_list)) == 7
+    assert len(hamilton_jacobi_check(ref, phys, obs, eps_list)) == 7
     assert counts["_vertex_grad_sq"] == 2
     assert counts["laplace"] == 2
+    # the gauge covectors are the sides' own; only the slice ones are new
+    assert counts["face_covector"] == 2
+
+
+def test_side_covectors_are_built_once_for_every_observer(monkeypatch,
+                                                          sides2):
+    emb, ref, physicals = sides2
+    ref, phys = _fresh(ref), _fresh(physicals[1])
+    counts = _count_calls(monkeypatch)
+    for a in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.8, 0.6]):
+        obs = make_observer(emb, np.array(a))
+        energy(ref, phys, obs, mode="both")
+        hamilton_jacobi_check(ref, phys, obs, [0.1, 0.01])
+        optimal_frame_gap(phys, obs, 0.1, [])
+    # one gauge and one slice covector per side
     assert counts["face_covector"] == 4
 
 

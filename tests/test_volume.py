@@ -36,7 +36,6 @@ from qlmass.volume import (
     _exact_coarea,
     _interpolate_boundary,
     _split_prism,
-    _volume_topology_arrays,
     admissibility_verdict,
     build_fill_in,
     integral_identity_check,
@@ -373,6 +372,24 @@ def test_solver_is_deterministic():
     assert np.array_equal(u1, u2)
 
 
+def test_hat_gradients_are_built_once_per_mesh(monkeypatch):
+    calls = []
+    hat_gradients = volume._hat_gradients
+
+    def spy(*args):
+        calls.append(args)
+        return hat_gradients(*args)
+
+    monkeypatch.setattr(volume, "_hat_gradients", spy)
+    _, vol = _ball_fill_in(2)
+    bvals = vol.vertices[vol.boundary_vertices]
+    for data, values in ((UniformExpansionData(0.5), bvals[:, 2]),
+                         (FlatData(), bvals[:, 0])):
+        sol = solve_spacetime_harmonic(vol, data, values)
+    volume.recovered_fields(vol, sol.u)
+    assert len(calls) == 1
+
+
 def test_solver_default_regularization_scales_with_data():
     _, vol = _ball_fill_in(2)
     bvals = vol.vertices[vol.boundary_vertices, 2]
@@ -534,7 +551,7 @@ def _level_stats(vol, u, s):
     """Reference: (chi, surface components, boundary-trace components) of
     the marching-tetrahedra level set u = s, one level at a time."""
     edges, faces, pair_faces, t1, t2, bfaces, bshared, b1, b2 = \
-        _volume_topology_arrays(vol)
+        vol.topology_arrays
     above = u > s
     cut_edges = above[edges[:, 0]] != above[edges[:, 1]]
     fsig = above[faces]
@@ -663,6 +680,26 @@ def test_exact_coarea_builds_no_component_graph(monkeypatch):
     assert [iv["chi"] for iv in intervals] == [1]
     assert abs(total - 4.0 * np.pi) <= 1e-8
     assert len(calls) == 0
+
+
+def test_newton_searches_stop_once_every_point_has_converged(monkeypatch):
+    vol = _SMALL_BALL
+    rep = HarmonicRepresentative(FlatData(), vol, vol.vertices[:, 2])
+    calls = []
+    evaluate = HarmonicRepresentative.evaluate
+
+    def spy(self, pts):
+        calls.append(len(pts))
+        return evaluate(self, pts)
+
+    monkeypatch.setattr(HarmonicRepresentative, "evaluate", spy)
+    _, intervals, (lo, hi) = _exact_coarea(rep, vol, vol.vertices[:, 2], 1.0)
+    # u = z: the boundary searches end at the poles within a few steps,
+    # and the interior seeds, with no critical point to find, leave the
+    # ball at the step cap
+    assert abs(lo + 1.0) <= 1e-12 and abs(hi - 1.0) <= 1e-12
+    assert [iv["chi"] for iv in intervals] == [1]
+    assert len(calls) < 40
 
 
 @pytest.mark.parametrize("n_levels", [0, -3])
