@@ -384,7 +384,8 @@ def verify_identity(**kwargs):
         a = observer_vector(cfg)
         if cfg["volume.mesh_file"]:
             fill = _fill_in(cfg, emb)
-            bvals = fill.vertices[fill.boundary_vertices] @ a
+            bv = fill.boundary_vertices
+            bvals = -fill.times[bv] + fill.vertices[bv] @ a
         else:
             # the data live on the coordinate ball, whose boundary is the
             # sphere the identity is checked on; u there is the observer
@@ -400,6 +401,15 @@ def verify_identity(**kwargs):
         report = integral_identity_check(data, fill, sol, cfg["radius"],
                                          n_levels=cfg["topology.levels"])
         manifest.record("identity")
+        report["solver"] = {
+            "picardIters": sol.picard_iters,
+            "cgIterations": sol.cg_iterations,
+            "stepCgIterations": sol.step_cg_iterations,
+            "andersonDepths": sol.anderson_depths,
+            "spluFallbacks": sol.splu_fallbacks,
+            "residualNorm": sol.residual_norm,
+            "delta": sol.delta,
+        }
         report["resolution"] = _resolution_context(cfg)
         _write_json(manifest, outdir / "identity.json", report)
         click.echo(f"slack={report['slack']:.3e} scale={report['scale']:.3e} "

@@ -72,8 +72,8 @@ SCHEMA = {
                        "gradient regularization of the interior solver "
                        "(0 selects the automatic scale)"),
     "harmonic.tol": ("float", 1e-10,
-                     "interior solver stop on the largest change of u "
-                     "between Picard steps"),
+                     "interior solver stop on the fixed-point step, the "
+                     "largest change of u that one Picard step makes"),
     "harmonic.max_picard": ("int", 100,
                             "interior solver fixed-point iteration cap"),
     "topology.levels": ("int", 64, "sampled level sets per topology scan"),

@@ -55,10 +55,10 @@ def _face_normals(vertices, tets):
     return normals
 
 
-def _min_dihedral_degrees(vertices, tets):
-    """Smallest dihedral angle over the mesh, in degrees."""
-    normals = _face_normals(vertices, tets)
-    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+def _min_dihedral_degrees(normals):
+    """Smallest dihedral angle over the mesh, in degrees, from the face
+    normals of every tet."""
+    normals = normals / np.linalg.norm(normals, axis=2, keepdims=True)
     # dihedral angle along a shared edge is arccos(-n1.n2); the smallest
     # angle corresponds to the largest value of -n1.n2
     largest = -1.0
@@ -80,6 +80,9 @@ class VolumeMesh:
     boundary_faces : (F, 3) triangles on the boundary (volume indices).
     boundary_map : (F,) surface-mesh face index per boundary face.
     times : (N,) Minkowski time coordinates (zero for time-slice fill-ins).
+    hat_gradients : (constant gradients of the four hat functions per tet,
+        (T, 4, 3), tet volumes), from the face normals of the quality
+        check.
     """
 
     def __init__(self, vertices, tets, boundary_faces, boundary_map,
@@ -117,12 +120,14 @@ class VolumeMesh:
             raise VolumeError("degenerate tetrahedra in volume mesh")
         self.tets = tets
         self.tet_volumes = vols
-        self.min_dihedral = _min_dihedral_degrees(self.vertices, self.tets)
+        normals = _face_normals(self.vertices, tets)
+        self.min_dihedral = _min_dihedral_degrees(normals)
         if self.min_dihedral < quality_floor:
             raise VolumeError(
                 f"tet quality below floor: min dihedral "
                 f"{self.min_dihedral:.2f} deg < {quality_floor} deg"
             )
+        self.hat_gradients = _hat_gradients(normals, vols), vols
 
     @property
     def n_vertices(self):
@@ -140,12 +145,6 @@ class VolumeMesh:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-    @cached_property
-    def hat_gradients(self):
-        """(Constant gradients of the four hat functions per tet, (T, 4, 3),
-        tet volumes)."""
-        return _hat_gradients(self.vertices, self.tets)
 
     @cached_property
     def topology_arrays(self):
@@ -311,11 +310,11 @@ def read_volume_mesh(path, quality_floor=1.0):
 
 # -- P1 finite elements ---------------------------------------------------
 
-def _hat_gradients(vertices, tets):
-    """Constant gradients of the four hat functions per tet, (T, 4, 3)."""
-    vols = _tet_volumes(vertices, tets)
-    grads = -_face_normals(vertices, tets) / (6.0 * vols)[:, None, None]
-    return grads, vols
+def _hat_gradients(normals, vols):
+    """Constant gradients of the four hat functions per tet, (T, 4, 3),
+    made in place from the face normals."""
+    normals /= (-6.0 * vols)[:, None, None]
+    return normals
 
 
 def _point_fields(data, points):
@@ -327,22 +326,38 @@ def _point_fields(data, points):
     return g, np.linalg.inv(g), np.sqrt(dets), data.extrinsic(points)
 
 
+# Picard loop constants: Anderson mixing depth (Walker & Ni, SINUM 2011),
+# the factor of the inexact forcing term (Eisenstat & Walker, SISC 1996),
+# and the CG stop of every solve that ends the loop (or starts it)
+ANDERSON_DEPTH = 5
+FORCING = 1e-3
+EXACT_RTOL = 1e-15
+
+
 class SpacetimeHarmonicSolution:
     """Converged Picard solution of the regularized Dirichlet problem.
 
-    `cg_iterations` is the total number of conjugate gradient iterations
-    over all linear solves; `splu_fallbacks` counts the linear solves that
-    did not converge under CG and were solved by sparse LU instead.
+    `history` holds the fixed-point step max |G(x) - x| of each Picard
+    step, `picard_iters` their count.  `cg_iterations` is the total number
+    of conjugate gradient iterations over all linear solves and
+    `step_cg_iterations` the count of each solve in order (the first
+    solve, one per Picard step, and each polish solve); they sum to
+    `cg_iterations`.  `anderson_depths` gives, per Picard step, how many
+    earlier differences were mixed into the iterate it evaluated.
+    `splu_fallbacks` counts the linear solves that did not converge under
+    CG and were solved by sparse LU instead.
     """
 
-    def __init__(self, u, residual_norm, picard_iters, delta, history,
-                 cg_iterations, splu_fallbacks):
+    def __init__(self, u, residual_norm, delta, history, step_cg_iterations,
+                 anderson_depths, splu_fallbacks):
         self.u = u
         self.residual_norm = residual_norm
-        self.picard_iters = picard_iters
+        self.picard_iters = len(history)
         self.delta = delta
         self.history = history
-        self.cg_iterations = cg_iterations
+        self.step_cg_iterations = step_cg_iterations
+        self.cg_iterations = sum(step_cg_iterations)
+        self.anderson_depths = anderson_depths
         self.splu_fallbacks = splu_fallbacks
 
 
@@ -351,15 +366,30 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     """Picard iteration for Lap_g u = -(Tr_g k) sqrt(|grad u|^2 + delta^2)
     with Dirichlet boundary trace.
 
+    One Picard step evaluates G(x), the solution of the linear problem
+    whose source is taken at the current iterate x, and its fixed-point
+    step max |G(x) - x|.  The next iterate is Anderson-mixed (depth
+    ANDERSON_DEPTH): G(x) minus the combination of the last differences
+    of G whose coefficients best cancel f = G(x) - x against the last
+    differences of f in least squares.
+
     Each linear solve runs conjugate gradients on the fixed metric
     stiffness matrix with the Jacobi (inverse diagonal) preconditioner,
-    warm-started from the current iterate.  CG stops once its residual
-    falls below 1e-15 times the norm of the right-hand side, with no
-    absolute floor; a 1e-12 relative stop leaves errors near 2e-12 on
-    linear boundary data, which must be reproduced to 1e-12.  A solve
-    that does not converge within 2000 iterations is redone by sparse LU
-    (`splu`, factored at most once per call); `splu_fallbacks` on the
-    solution counts those solves.
+    warm-started, with no absolute floor.  The solve of a Picard step is
+    inexact: it stops at a relative residual of
+    max(1e-15, FORCING * min(previous step, 1)).  The first solve (the
+    boundary data alone) stops at 1e-15, and the loop ends only on a step
+    of at most `tol` that came from a 1e-15 solve.  When a looser solve
+    meets `tol`, one polish solve evaluates G at the next iterate to
+    1e-15, warm-started from it; the solution is that G if its step is
+    at most `tol`, and otherwise the loop goes on.  The polish is not a
+    Picard step: it adds nothing to `history`, `picard_iters` or
+    `anderson_depths`, and its CG count is the last of
+    `step_cg_iterations`.  A 1e-12 relative stop would leave errors near
+    2e-12 on linear boundary data, which must be reproduced to 1e-12.  A
+    solve that does not converge within 2000 iterations is redone by
+    sparse LU (`splu`, factored at most once per call); `splu_fallbacks`
+    on the solution counts those solves.
     """
     boundary_values = np.asarray(boundary_values, dtype=float)
     if not np.all(np.isfinite(boundary_values)):
@@ -394,16 +424,16 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
 
     jacobi = diags(1.0 / Kff.diagonal())
     lu = None
-    cg_iterations = 0
+    step_cg_iterations = []
     splu_fallbacks = 0
 
     def count_iteration(_):
-        nonlocal cg_iterations
-        cg_iterations += 1
+        step_cg_iterations[-1] += 1
 
-    def linear_solve(rhs, x0):
+    def linear_solve(rhs, x0, rtol):
         nonlocal lu, splu_fallbacks
-        sol, info = cg(Kff, rhs, x0=x0, M=jacobi, rtol=1e-15, atol=0.0,
+        step_cg_iterations.append(0)
+        sol, info = cg(Kff, rhs, x0=x0, M=jacobi, rtol=rtol, atol=0.0,
                        maxiter=2000, callback=count_iteration)
         if info != 0:
             splu_fallbacks += 1
@@ -426,29 +456,50 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
         return out
 
     history = []
+    anderson_depths = []
     base = -Kfb @ boundary_values
-    u[free_idx] = linear_solve(base, u[free_idx])
-    converged = False
-    iters = 0
-    for iters in range(1, max_picard + 1):
-        rhs = rhs_vector(u)
-        new = u.copy()
-        new[free_idx] = linear_solve(base + rhs[free_idx], u[free_idx])
-        step = float(np.abs(new - u).max())
-        history.append(step)
-        u = new
-        if step <= tol:
-            converged = True
+    x = linear_solve(base, u[free_idx], EXACT_RTOL)
+    # the last ANDERSON_DEPTH differences of f = G(x) - x and of G(x)
+    diff_f, diff_g = [], []
+    last = None
+    step = np.inf
+    polish = False
+    while len(history) < max_picard or polish:
+        u[free_idx] = x
+        rhs = base + rhs_vector(u)[free_idx]
+        rtol = (EXACT_RTOL if polish
+                else max(EXACT_RTOL, FORCING * min(step, 1.0)))
+        g = linear_solve(rhs, x, rtol)
+        step = float(np.abs(g - x).max())
+        if not polish:
+            history.append(step)
+            anderson_depths.append(len(diff_f))
+        if step <= tol and rtol == EXACT_RTOL:
             break
-    if not converged:
+        polish = step <= tol
+        f = g - x
+        if last is not None:
+            diff_f.append(f - last[0])
+            diff_g.append(g - last[1])
+            if len(diff_f) > ANDERSON_DEPTH:
+                del diff_f[0], diff_g[0]
+        last = f, g
+        x = g
+        if diff_f:
+            gamma = np.linalg.lstsq(np.column_stack(diff_f), f,
+                                    rcond=None)[0]
+            x = g - np.column_stack(diff_g) @ gamma
+    else:
         raise VolumeError(
             f"Picard iteration did not converge in {max_picard} steps; "
             f"history={['%.3e' % h for h in history]}"
         )
+    u[free_idx] = g
     residual = K @ u - rhs_vector(u)
     residual_norm = float(np.abs(residual[free_idx]).max())
-    return SpacetimeHarmonicSolution(u, residual_norm, iters, delta, history,
-                                     cg_iterations, splu_fallbacks)
+    return SpacetimeHarmonicSolution(u, residual_norm, delta, history,
+                                     step_cg_iterations, anderson_depths,
+                                     splu_fallbacks)
 
 
 def _vertex_average(vol, per_tet, vols):

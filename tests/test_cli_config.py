@@ -338,6 +338,51 @@ def test_verify_identity_solves_on_the_checked_sphere(runner, tmp_path,
     assert report["slack"] >= -1e-8 * report["scale"]
 
 
+def test_verify_identity_mesh_file_keeps_the_vertex_times(runner, tmp_path,
+                                                          monkeypatch):
+    import qlmass.cli as cli_mod
+
+    solved = []
+    solve = cli_mod.solve_spacetime_harmonic
+
+    def spy(vol, data, boundary_values, **kwargs):
+        solved.append((vol, boundary_values,
+                       solve(vol, data, boundary_values, **kwargs)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(cli_mod, "solve_spacetime_harmonic", spy)
+    mesh = icosphere(2)
+    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                         keepdims=True)
+    ball = build_fill_in(pos, mesh=mesh, layers=3)
+    mesh_path = tmp_path / "ball.vmesh"
+    write_volume_mesh(mesh_path, VolumeMesh(
+        ball.vertices, ball.tets, ball.boundary_faces, ball.boundary_map,
+        times=0.1 * ball.vertices[:, 0]))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n"
+                        f"observer.a = 0, 0.6, 0.8\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["verify-identity", "--config",
+                                  str(cfg_path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    (vol, bvals, sol), = solved
+    x = vol.vertices[vol.boundary_vertices]
+    # u = -t + a.x with t = 0.1 x on the file's boundary vertices
+    np.testing.assert_allclose(bvals, x @ np.array([-0.1, 0.6, 0.8]),
+                               rtol=0, atol=1e-15)
+    report = json.loads((out / "identity.json").read_text())
+    assert report["solver"] == {
+        "picardIters": sol.picard_iters,
+        "cgIterations": sol.cg_iterations,
+        "stepCgIterations": sol.step_cg_iterations,
+        "andersonDepths": sol.anderson_depths,
+        "spluFallbacks": sol.splu_fallbacks,
+        "residualNorm": sol.residual_norm,
+        "delta": sol.delta,
+    }
+
+
 def test_el_residual_command(runner, tmp_path):
     out = tmp_path / "run"
     result = runner.invoke(main, ["el-residual", "--level", "3",
