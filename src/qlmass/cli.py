@@ -9,7 +9,8 @@ verdict, negative identity slack), 1 on internal errors.
 import os
 import time
 
-# the imports below count toward the run time in the manifest
+# the imports below count toward the run time in the manifest, and so does
+# the import of the numerical layers when a command runs
 _IMPORTS_STARTED = time.perf_counter()
 
 # one BLAS thread unless QLM_THREADS or a *_NUM_THREADS variable asks for
@@ -38,52 +39,26 @@ from .config import (
     read_config,
     serialize_config,
 )
-from .embedding import (
-    EmbeddingError,
-    align_embedding,
-    embed_metric,
-    write_embedding,
-)
-from .energy import (
-    EnergyError,
-    SurfaceData,
-    energy,
-    euler_lagrange_residual,
-    hamilton_jacobi_check,
-    make_observer,
-)
-from .initialdata import (
-    BowenYorkData,
-    FlatData,
-    InitialDataError,
-    SchwarzschildData,
-    extract_boundary_data,
-    fibonacci_directions,
-    read_boundary_fields,
-)
-from .mesh import MeshError
-from .operators import MetricError
-from .search import (
-    SearchError,
-    asymptotics_driver,
-    mass_infimum,
-    write_asymptotics_csv,
-    write_mass_grid_csv,
-)
-from .volume import (
-    VolumeError,
-    admissibility_verdict,
-    build_fill_in,
-    integral_identity_check,
-    read_volume_mesh,
-    solve_spacetime_harmonic,
-)
 
 _IMPORT_SECONDS = time.perf_counter() - _IMPORTS_STARTED
 
-PRECONDITION_ERRORS = (ConfigError, InitialDataError, EmbeddingError,
-                       EnergyError, VolumeError, SearchError, MetricError,
-                       MeshError, FileNotFoundError)
+
+def _import_numerical_layers():
+    """Import the numerical layers, which only the commands that compute
+    need (`qlm print-config` loads no scipy); returns the errors that mean
+    bad input (exit 2)."""
+    from .embedding import EmbeddingError
+    from .energy import EnergyError
+    from .initialdata import InitialDataError
+    from .mesh import MeshError
+    from .operators import MetricError
+    from .search import SearchError
+    from .volume import VolumeError
+
+    return (ConfigError, InitialDataError, EmbeddingError, EnergyError,
+            VolumeError, SearchError, MetricError, MeshError,
+            FileNotFoundError)
+
 
 _FLAGS = [
     ("--provider", "provider", "initial data provider"),
@@ -132,6 +107,8 @@ def _grid_rotation(cfg):
 
 
 def _provider(cfg):
+    from .initialdata import BowenYorkData, FlatData, SchwarzschildData
+
     name = cfg["provider"]
     if name == "flat":
         return FlatData()
@@ -145,6 +122,12 @@ def _provider(cfg):
 
 
 def _boundary(cfg):
+    from .initialdata import (
+        FlatData,
+        extract_boundary_data,
+        read_boundary_fields,
+    )
+
     radius = cfg["radius"]
     level = cfg["mesh.level"]
     data = _provider(cfg)
@@ -162,6 +145,8 @@ def _boundary(cfg):
 
 
 def _surface(cfg):
+    from .embedding import align_embedding, embed_metric
+
     bd, data = _boundary(cfg)
     emb = embed_metric(bd.geom.mesh, bd.geom.metric,
                        degree=cfg["embedding.degree"],
@@ -196,6 +181,8 @@ def _json_default(obj):
 
 
 def _fill_in(cfg, emb):
+    from .volume import build_fill_in, read_volume_mesh
+
     path = cfg["volume.mesh_file"]
     if path:
         if not os.path.exists(path):
@@ -205,14 +192,17 @@ def _fill_in(cfg, emb):
 
 
 def _execute(command, kwargs, body):
+    started = time.perf_counter()
+    precondition_errors = _import_numerical_layers()
+    import_seconds = _IMPORT_SECONDS + time.perf_counter() - started
     try:
         cfg = _build_config(kwargs)
         outdir = Path(cfg["output.dir"])
         outdir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(command, cfg, import_seconds=_IMPORT_SECONDS)
+        manifest = RunManifest(command, cfg, import_seconds=import_seconds)
         code = body(cfg, outdir, manifest) or 0
         manifest.write(outdir / "manifest.json")
-    except PRECONDITION_ERRORS as exc:
+    except precondition_errors as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except Exception as exc:  # internal
@@ -237,6 +227,8 @@ def print_config():
 def embed(**kwargs):
     """Solve the isometric embedding of the extracted boundary metric."""
     def body(cfg, outdir, manifest):
+        from .embedding import write_embedding
+
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         write_embedding(outdir / "embedding.txt", emb)
@@ -260,6 +252,8 @@ def embed(**kwargs):
 def energy_cmd(**kwargs):
     """Quasi-local energy of one observer direction."""
     def body(cfg, outdir, manifest):
+        from .energy import SurfaceData, energy, make_observer
+
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         obs = make_observer(emb, observer_vector(cfg))
@@ -279,6 +273,9 @@ def energy_cmd(**kwargs):
 def mass(**kwargs):
     """Energy infimum over admissible observer directions."""
     def body(cfg, outdir, manifest):
+        from .energy import SurfaceData
+        from .search import mass_infimum, write_mass_grid_csv
+
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         fill = _fill_in(cfg, emb)
@@ -307,6 +304,9 @@ def mass(**kwargs):
 def asymptotics(**kwargs):
     """Energies over a radius ladder with the fitted large-radius limit."""
     def body(cfg, outdir, manifest):
+        from .initialdata import fibonacci_directions
+        from .search import asymptotics_driver, write_asymptotics_csv
+
         data = _provider(cfg)
         if data is None:
             raise ConfigError(
@@ -339,6 +339,9 @@ def asymptotics(**kwargs):
 def admissibility(**kwargs):
     """Level-set topology verdict for one observer direction."""
     def body(cfg, outdir, manifest):
+        from .energy import make_observer
+        from .volume import admissibility_verdict
+
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         fill = _fill_in(cfg, emb)
@@ -374,6 +377,13 @@ def verify_identity(**kwargs):
     """Integral identity terms for the interior spacetime-harmonic
     extension of the observer function."""
     def body(cfg, outdir, manifest):
+        from .energy import make_observer
+        from .volume import (
+            build_fill_in,
+            integral_identity_check,
+            solve_spacetime_harmonic,
+        )
+
         data = _provider(cfg)
         if data is None:
             raise ConfigError(
@@ -424,6 +434,12 @@ def verify_identity(**kwargs):
 def el_residual(**kwargs):
     """First-variation residual diagnostics for one observer."""
     def body(cfg, outdir, manifest):
+        from .energy import (
+            SurfaceData,
+            euler_lagrange_residual,
+            make_observer,
+        )
+
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         obs = make_observer(emb, observer_vector(cfg))
@@ -444,7 +460,20 @@ def el_residual(**kwargs):
 
 
 def _selftest_checks():
+    from .embedding import align_embedding, embed_metric
+    from .energy import (
+        SurfaceData,
+        energy,
+        hamilton_jacobi_check,
+        make_observer,
+    )
+    from .initialdata import FlatData, extract_boundary_data
     from .mesh import icosphere
+    from .volume import (
+        admissibility_verdict,
+        build_fill_in,
+        solve_spacetime_harmonic,
+    )
 
     mesh = icosphere(2)
     bd = extract_boundary_data(FlatData(), 1.0, mesh=mesh)

@@ -88,9 +88,8 @@ class EmbeddingResult:
 
     Attributes
     ----------
-    positions : (V, 3) gauge-fixed vertex positions.
-    times : (V,) time coordinates (zero for solved embeddings; general
-        for file-supplied ones).
+    positions : (V, 3) gauge-fixed vertex positions in the t = 0 slice
+        of Minkowski space.
     achieved_metric : SurfaceMetric of the embedded edge lengths.
     ops : OperatorSet of the surface.
     mean_curvature : (V,) discrete mean curvature of the embedded surface.
@@ -103,16 +102,12 @@ class EmbeddingResult:
     """
 
     def __init__(self, mesh, positions, defect_l2, iterations,
-                 times=None, defect_max=None):
+                 defect_max=None):
         self.mesh = mesh
         self.positions = positions
         self.defect_l2 = defect_l2
-        self.residual = defect_l2
         self.defect_max = defect_max
         self.iterations = iterations
-        if times is None:
-            times = np.zeros(len(positions))
-        self.times = np.asarray(times, dtype=float)
 
     @cached_property
     def achieved_metric(self):
@@ -143,13 +138,6 @@ class EmbeddingResult:
             np.abs(self.achieved_metric.edge_lengths - metric.edge_lengths)
             / metric.edge_lengths
         ))
-
-    def linear_consistency_residual(self, a):
-        """Residual of the identity laplace(a.x) = -H0 <normal, a> on the
-        embedded surface; returns the per-vertex field."""
-        a = np.asarray(a, dtype=float)
-        u = self.positions @ a
-        return self.ops.laplace(u) + self.mean_curvature * (self.normals @ a)
 
 
 # RMS relative edge residual at which the spectral stage hands over to the
@@ -226,7 +214,7 @@ def align_embedding(emb, target_positions):
         rot = u @ vt
     moved = src @ rot + tc
     return EmbeddingResult(emb.mesh, moved, emb.defect_l2, emb.iterations,
-                           times=emb.times, defect_max=emb.defect_max)
+                           defect_max=emb.defect_max)
 
 
 def _edge_residual(d, lengths, scale):
@@ -356,18 +344,8 @@ def _segments_cross(p, q, tri):
 
 
 def write_embedding(path, result):
-    """One line per vertex: `t x y z` in mesh vertex order."""
+    """One line per vertex: `t x y z` in mesh vertex order, with t = 0 (the
+    surface lies in the t = 0 slice)."""
     with open(path, "w") as fh:
-        for t, p in zip(result.times, result.positions):
-            fh.write(f"{t:.17g} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-
-
-def read_embedding(path, mesh):
-    """Returns (times, positions) read from per-vertex `t x y z` lines."""
-    data = np.loadtxt(path, dtype=float, ndmin=2)
-    if data.shape != (mesh.n_vertices, 4):
-        raise EmbeddingError(
-            f"{path}: expected {mesh.n_vertices} lines of `t x y z`, "
-            f"got shape {data.shape}"
-        )
-    return data[:, 0].copy(), data[:, 1:].copy()
+        for p in result.positions:
+            fh.write(f"0 {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")

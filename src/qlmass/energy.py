@@ -8,8 +8,6 @@ on edges.  All integrals reduce over a fixed vertex order, so results are
 bit-stable.
 """
 
-import csv
-import json
 from collections import namedtuple
 from functools import cached_property
 
@@ -27,7 +25,8 @@ class EnergyError(RuntimeError):
 
 
 class Observer:
-    """Null observer restricted to the surface: u = -t + a.x.
+    """Null observer restricted to the surface: u = a.x on the reference
+    surface, which lies in the t = 0 slice of Minkowski space.
 
     Attributes
     ----------
@@ -43,7 +42,7 @@ class Observer:
         if abs(norm - 1.0) > 1e-6:
             raise EnergyError(f"observer direction far from unit: |a| = {norm}")
         self.a = a / norm
-        self.uA = -embedding.times + embedding.positions @ self.a
+        self.uA = embedding.positions @ self.a
 
 
 def make_observer(embedding, a):
@@ -248,9 +247,6 @@ class EnergyReport:
             "warnings": self.warnings,
             "context": self.context,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def default_eps_list(fields, n=7):
@@ -461,20 +457,3 @@ def _extremum_vertex(u, arg):
     k = int(arg(u))
     ties = np.flatnonzero(u == u[k])
     return int(ties.min())
-
-
-def write_sweep_csv(path, rows):
-    """Observer sweep table: a_x,a_y,a_z,E,refTerm,physTerm,criticalFraction."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["a_x", "a_y", "a_z", "E", "refTerm", "physTerm",
-             "criticalFraction"]
-        )
-        for a, rep in rows:
-            writer.writerow([
-                f"{a[0]:.17g}", f"{a[1]:.17g}", f"{a[2]:.17g}",
-                f"{rep.E:.17g}", f"{rep.reference_term:.17g}",
-                f"{rep.physical_term:.17g}",
-                f"{rep.critical_area_fraction:.17g}",
-            ])

@@ -154,20 +154,13 @@ class InitialDataSample:
         term3 = np.einsum("nab,ncai,nbc->ni", ginv, gam, pix)
         return mu, term1 - term2 - term3
 
-    def dec_margin(self, x):
-        """Pointwise mu - |J|_g (nonnegative when the dominant energy
-        condition holds)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mu, J = self.constraint_fields(x)
-        ginv = np.linalg.inv(self.metric(x))
-        jn = np.sqrt(np.maximum(np.einsum("nij,ni,nj->n", ginv, J, J), 0.0))
-        return mu - jn
 
-    def dec_satisfied(self, radii=(5.0, 10.0, 20.0), n_dirs=32, tol=1e-6):
-        """DEC classifier on sample shells."""
-        dirs = fibonacci_directions(n_dirs)
-        pts = np.concatenate([r * dirs for r in radii])
-        return bool(self.dec_margin(pts).min() >= -tol)
+def dec_margin(mu, J, ginv):
+    """Pointwise mu - |J|_g of the constraint densities of
+    `constraint_fields`, with ginv the inverse metric at the same points;
+    nonnegative where the dominant energy condition holds."""
+    jn = np.sqrt(np.maximum(np.einsum("nij,ni,nj->n", ginv, J, J), 0.0))
+    return mu - jn
 
 
 def fibonacci_directions(n, rotation=0.0):
@@ -424,29 +417,6 @@ def adm_integrals(data, radii):
         report["E"] = float(energies[-1])
         report["P"] = momenta[-1].tolist()
     return report
-
-
-def fit_decay_order(data, radii=(8.0, 16.0, 32.0), n_dirs=16):
-    """Fitted decay exponents (tau from |g - delta|, tau from |k| minus 1)
-    on sample shells; entries are None for identically vanishing fields."""
-    dirs = fibonacci_directions(n_dirs)
-    g_dev, k_mag = [], []
-    for r in radii:
-        X = r * dirs
-        g_dev.append(np.abs(data.metric(X) - np.eye(3)).max())
-        k_mag.append(np.abs(data.extrinsic(X)).max())
-    logs = np.log(np.asarray(radii))
-
-    def fit(vals):
-        vals = np.asarray(vals)
-        if np.all(vals < 1e-14):
-            return None
-        slope = np.polyfit(logs, np.log(vals), 1)[0]
-        return float(-slope)
-
-    tau_g = fit(g_dev)
-    tau_k = fit(k_mag)
-    return tau_g, None if tau_k is None else tau_k - 1.0
 
 
 # -- file provider ----------------------------------------------------------

@@ -1,8 +1,7 @@
 """Closed oriented triangle meshes and their combinatorics.
 
-Vertices live on the unit parameterization sphere for solver-built meshes;
-higher-genus meshes can be loaded from OFF files.  All edge/face tables are
-built once and cached on the instance.
+Vertices live on the unit parameterization sphere for solver-built meshes.
+All edge/face tables are built once and cached on the instance.
 """
 
 import numpy as np
@@ -147,61 +146,3 @@ def _subdivide(verts, faces):
         ]
     )
     return np.vstack([verts, mids]), new_faces
-
-
-# -- OFF-style plain text I/O ------------------------------------------
-
-
-def write_off(path, mesh):
-    """Write an indexed triangle list: OFF header, counts, vertices, faces."""
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_edges}\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-
-
-def read_off(path):
-    """Read a triangle mesh written by `write_off`: an `OFF` line, a
-    `V F E` counts line, V lines of three finite coordinates and F lines
-    `3 i j k` of vertex indices.  The first line that breaks this is named
-    in the error."""
-    with open(path) as fh:
-        lines = [(no, line.split()) for no, line in enumerate(fh, start=1)
-                 if line.strip()]
-    if not lines or lines[0][1] != ["OFF"]:
-        raise MeshError(f"{path}: not an OFF file")
-    try:
-        nv, nf, _ = (int(t) for t in lines[1][1])
-        if nv < 0 or nf < 0:
-            raise ValueError
-    except (IndexError, ValueError):
-        raise MeshError(f"{path}: the line after OFF must be the counts "
-                        f"`V F E`") from None
-    rows = lines[2:]
-    if len(rows) != nv + nf:
-        raise MeshError(f"{path}: {nv} vertex and {nf} face lines expected "
-                        f"after the counts, {len(rows)} found")
-    verts = np.empty((nv, 3))
-    for k, (no, row) in enumerate(rows[:nv]):
-        try:
-            verts[k] = [float(t) for t in row]
-        except ValueError:
-            verts[k] = np.nan
-        if not np.all(np.isfinite(verts[k])):
-            raise MeshError(f"{path}, line {no}: vertex {k} is not three "
-                            f"finite numbers")
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for k, (no, row) in enumerate(rows[nv:]):
-        try:
-            if row[0] != "3":
-                raise ValueError
-            faces[k] = [int(t) for t in row[1:]]
-        except ValueError:
-            faces[k] = -1
-        if faces[k].min() < 0 or faces[k].max() >= nv:
-            raise MeshError(f"{path}, line {no}: face {k} is not `3 i j k` "
-                            f"with indices below {nv}")
-    return SurfaceMesh(verts, faces)

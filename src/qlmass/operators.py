@@ -11,8 +11,6 @@ angle-defect Gaussian curvature.
 import numpy as np
 from scipy import sparse
 
-from .mesh import MeshError, SurfaceMesh
-
 DEGENERATE_AREA_FRACTION = 1e-14
 
 
@@ -40,54 +38,6 @@ class SurfaceMetric:
         positions = np.asarray(positions, dtype=float)
         d = positions[mesh.edges[:, 0]] - positions[mesh.edges[:, 1]]
         return cls(mesh, np.linalg.norm(d, axis=1))
-
-
-def write_metric(path, metric):
-    """Per-edge lengths, one line per edge: `i j length` with i < j."""
-    with open(path, "w") as fh:
-        fh.write(f"{metric.mesh.n_edges}\n")
-        for (i, j), length in zip(metric.mesh.edges, metric.edge_lengths):
-            fh.write(f"{i} {j} {length:.17g}\n")
-
-
-def read_metric(path, mesh):
-    """Per-edge lengths written by `write_metric`, permuted onto the mesh
-    edge table.  The first line is the edge count; every mesh edge must
-    then be listed exactly once as `i j length` with a finite positive
-    length.  The first line that breaks this is named in the error."""
-    with open(path) as fh:
-        lines = [(no, line.split()) for no, line in enumerate(fh, start=1)
-                 if line.strip()]
-    if not lines or len(lines[0][1]) != 1 or not lines[0][1][0].isdigit():
-        raise MetricError(f"{path}: first line must be the edge count")
-    n = int(lines[0][1][0])
-    if n != mesh.n_edges or len(lines) != n + 1:
-        raise MetricError(f"{path}: header says {n} edges and {len(lines) - 1}"
-                          f" rows follow; the mesh has {mesh.n_edges} edges")
-    order = {tuple(e): k for k, e in enumerate(mesh.edges.tolist())}
-    lengths = np.empty(n)
-    line_of = {}
-    for no, row in lines[1:]:
-        try:
-            i, j, length = int(row[0]), int(row[1]), float(row[2])
-            if len(row) != 3:
-                raise ValueError
-        except (IndexError, ValueError):
-            raise MetricError(f"{path}, line {no}: expected `i j length`, "
-                              f"got {' '.join(row)!r}") from None
-        k = order.get((min(i, j), max(i, j)))
-        if k is None:
-            raise MetricError(f"{path}, line {no}: edge ({i}, {j}) not "
-                              f"present in mesh")
-        if k in line_of:
-            raise MetricError(f"{path}, line {no}: edge ({i}, {j}) already "
-                              f"listed on line {line_of[k]}")
-        if not (np.isfinite(length) and length > 0.0):
-            raise MetricError(f"{path}, line {no}: edge ({i}, {j}) length "
-                              f"{length} is not finite and positive")
-        line_of[k] = no
-        lengths[k] = length
-    return SurfaceMetric(mesh, lengths)
 
 
 class OperatorSet:
@@ -236,30 +186,9 @@ class OperatorSet:
             )
         return float(field @ self.vertex_areas)
 
-    def integrate_faces(self, field):
-        field = np.asarray(field, dtype=float)
-        if not np.all(np.isfinite(field)):
-            raise ValueError(
-                f"non-finite field value on face {int(np.argmax(~np.isfinite(field)))}"
-            )
-        return float(field @ self.face_areas)
-
     def dirichlet_pairing(self, u, v):
         """integral of grad(u).grad(v); exact adjoint of -laplace."""
         return float(np.asarray(u) @ (self.stiffness @ np.asarray(v)))
-
-    def vertex_average(self, face_field):
-        """Area-weighted average of a per-face scalar onto vertices."""
-        w = np.repeat(self.face_areas / 3.0, 3)
-        out = np.bincount(
-            self.mesh.faces.ravel(),
-            weights=w * np.repeat(face_field, 3),
-            minlength=self.mesh.n_vertices,
-        )
-        norm = np.bincount(
-            self.mesh.faces.ravel(), weights=w, minlength=self.mesh.n_vertices
-        )
-        return out / norm
 
     def face_covector(self, edge_values):
         """Per-face chart components of a covector given its pairings with
@@ -326,12 +255,3 @@ class OperatorSet:
             mask = gmag < threshold_fraction * med
         frac = float(self.face_areas[mask].sum() / self.total_area)
         return mask, frac
-
-
-def unit_sphere_geometry(level):
-    """Icosphere with its induced round metric; test workhorse."""
-    from .mesh import icosphere
-
-    mesh = icosphere(level)
-    return OperatorSet(mesh,
-                       SurfaceMetric.from_positions(mesh, mesh.vertices))

@@ -1,5 +1,4 @@
-"""Observer-infimum search, embedding family sweeps, and the
-large-sphere asymptotics driver.
+"""Observer-infimum search and the large-sphere asymptotics driver.
 
 mass_infimum minimizes the energy over a deterministic direction grid on
 the observer sphere, filters by the fill-in admissibility verdict, and
@@ -72,9 +71,6 @@ class MassReport:
             "notes": self.notes,
             "context": self.context,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _tangent_basis(a):
@@ -243,9 +239,6 @@ class AsymptoticsReport:
             "context": self.context,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
                        tol=1e-10, max_iterations=200, context=None):
@@ -285,40 +278,6 @@ def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
     target = [adm["E"] - float(a @ np.asarray(adm["P"])) for a in a_list]
     return AsymptoticsReport(used_radii, a_list, energies, fits, target,
                              adm, notices, context=context)
-
-
-# -- embedding families ----------------------------------------------------
-
-def embedding_family_sweep(phys_sd, emb_family, a_list, tol=1e-8):
-    """Energy table over a user-supplied family of isometric embeddings.
-
-    Embeddings whose defect exceeds 10x the solver tolerance are
-    excluded with a notice.  Returns the per-(embedding, direction)
-    table and the minimum entry.
-    """
-    a_list = [np.asarray(a, dtype=float) for a in a_list]
-    rows = []
-    notices = []
-    for idx, emb in enumerate(emb_family):
-        if emb.defect_l2 > 10.0 * tol:
-            notices.append(
-                f"embedding {idx} excluded: defect {emb.defect_l2:.3e} "
-                f"above 10x tolerance {tol:.1e}"
-            )
-            continue
-        if emb.mesh.n_vertices != phys_sd.mesh.n_vertices:
-            notices.append(f"embedding {idx} excluded: mesh mismatch")
-            continue
-        ref_sd = SurfaceData.from_embedding(emb)
-        for a in a_list:
-            rep = energy(ref_sd, phys_sd, make_observer(emb, a))
-            rows.append({"embedding": idx, "a": a, "E": rep.E})
-    if not rows:
-        raise SearchError(
-            "no usable embedding in the family; " + "; ".join(notices)
-        )
-    best = min(rows, key=lambda r: (r["E"], r["embedding"], tuple(r["a"])))
-    return {"rows": rows, "minimum": best, "notices": notices}
 
 
 # -- CSV emission ----------------------------------------------------------

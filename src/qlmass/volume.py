@@ -22,6 +22,7 @@ from scipy.spatial import cKDTree
 from .initialdata import (
     _sphere_quadrature,
     central_partials,
+    dec_margin,
     fibonacci_directions,
 )
 from .mesh import unique_rows
@@ -79,7 +80,8 @@ class VolumeMesh:
     tets : (T, 4) positively oriented vertex quadruples.
     boundary_faces : (F, 3) triangles on the boundary (volume indices).
     boundary_map : (F,) surface-mesh face index per boundary face.
-    times : (N,) Minkowski time coordinates (zero for time-slice fill-ins).
+    times : (N,) Minkowski time coordinates (zero unless given, as a
+        volume mesh file may).
     hat_gradients : (constant gradients of the four hat functions per tet,
         (T, 4, 3), tet volumes), from the face normals of the quality
         check.
@@ -204,22 +206,20 @@ def _split_prism(ids):
 def build_fill_in(emb, mesh=None, layers=8, quality_floor=1.0):
     """Star-shaped tetrahedral fill-in by radial coning to the centroid.
 
-    Accepts an embedding result (mesh, positions, times) or an explicit
-    (mesh, positions) pair.  Interior vertices sit on graded scaled copies
-    of the boundary: shells of thickness 1/layers near the boundary,
-    switching to thickness proportional to the distance from the centroid
-    once that is smaller (which keeps tet shapes bounded), and the last
-    shell cones to the centroid.  Boundary vertex indices coincide with
-    the surface mesh vertex order.
+    Accepts an embedding result or explicit positions with their `mesh`.
+    Interior vertices sit on graded scaled copies of the boundary: shells
+    of thickness 1/layers near the boundary, switching to thickness
+    proportional to the distance from the centroid once that is smaller
+    (which keeps tet shapes bounded), and the last shell cones to the
+    centroid.  Boundary vertex indices coincide with the surface mesh
+    vertex order.
     """
     if mesh is None:
-        surface, positions, times = emb.mesh, emb.positions, emb.times
+        surface, positions = emb.mesh, emb.positions
     else:
         surface, positions = mesh, np.asarray(emb, dtype=float)
-        times = np.zeros(len(positions))
     V = len(positions)
     center = positions.mean(axis=0)
-    t_center = float(times.mean())
 
     # star-shape test: every boundary face must subtend positive volume
     # from the centroid
@@ -249,9 +249,7 @@ def build_fill_in(emb, mesh=None, layers=8, quality_floor=1.0):
     fracs = np.asarray(fracs)
     layers = len(fracs)
     verts = [center + t * (positions - center) for t in fracs]
-    all_t = [t_center + t * (times - t_center) for t in fracs]
     vertices = np.vstack(verts + [center])
-    all_times = np.concatenate(all_t + [[t_center]])
     center_id = layers * V
     faces = surface.faces
     shells = V * np.arange(layers - 1)[:, None, None]
@@ -264,7 +262,7 @@ def build_fill_in(emb, mesh=None, layers=8, quality_floor=1.0):
 
     return VolumeMesh(
         vertices, tets, faces.copy(), np.arange(len(faces)),
-        times=all_times, quality_floor=quality_floor,
+        quality_floor=quality_floor,
     )
 
 
@@ -1086,7 +1084,9 @@ def _field_recovery_terms(data, vol, sol, radius, n_levels):
 
 def _bulk_terms(data, points, weight, du, hess, gamma, delta):
     """(bulkDirichlet, bulkEnergy) from the gradient and coordinate
-    Hessian of u at points with coordinate quadrature weights."""
+    Hessian of u at points with coordinate quadrature weights, and the
+    smallest dominant-energy margin mu - |J|_g over the points with the
+    point where it occurs."""
     _, ginv, sqrtdet, k = _point_fields(data, points)
     weight = weight * sqrtdet
     gnorm = np.sqrt(np.maximum(
@@ -1096,8 +1096,11 @@ def _bulk_terms(data, points, weight, du, hess, gamma, delta):
     hsq = np.einsum("nia,njb,nij,nab->n", ginv, ginv, st_hess, st_hess)
     mu, J = data.constraint_fields(points)
     j_du = np.einsum("ni,nij,nj->n", J, ginv, du)
+    margin = dec_margin(mu, J, ginv)
+    worst = int(np.argmin(margin))
     return (float(np.sum(weight * 0.5 * hsq / gnorm)),
-            float(np.sum(weight * (mu * gnorm + j_du))))
+            float(np.sum(weight * (mu * gnorm + j_du))),
+            float(margin[worst]), points[worst].tolist())
 
 
 def integral_identity_check(data, vol, sol, radius, n_levels=64):
@@ -1108,7 +1111,9 @@ def integral_identity_check(data, vol, sol, radius, n_levels=64):
     Euler-characteristic term), bulkDirichlet (the spacetime-Hessian
     term), bulkEnergy (the constraint-density term), and
     slack = lhsBoundary + rhsEuler - bulkDirichlet - bulkEnergy, which the
-    identity makes nonnegative under the dominant energy condition.
+    identity makes nonnegative under the dominant energy condition.  That
+    hypothesis is reported beside it: decMargin is the smallest
+    mu - |J|_g over the bulk quadrature points, decMarginAt the point.
 
     For time-symmetric vacuum data g = psi^4 delta with psi = a + b/r
     (flat data included) the terms are evaluated on the fitted smooth
@@ -1128,7 +1133,8 @@ def integral_identity_check(data, vol, sol, radius, n_levels=64):
     else:
         route = _harmonic_fit_terms(vol, rep, radius)
     rhs_euler, bulk, solution_fields, delta, extra = route
-    bulk_dirichlet, bulk_energy = _bulk_terms(data, *bulk, delta)
+    bulk_dirichlet, bulk_energy, margin, margin_at = _bulk_terms(
+        data, *bulk, delta)
     lhs_boundary = _boundary_identity_integral(data, radius, solution_fields,
                                                delta=delta)
     scale = max(abs(lhs_boundary), abs(rhs_euler), abs(bulk_dirichlet),
@@ -1140,5 +1146,7 @@ def integral_identity_check(data, vol, sol, radius, n_levels=64):
         "bulkEnergy": bulk_energy,
         "slack": lhs_boundary + rhs_euler - bulk_dirichlet - bulk_energy,
         "scale": scale,
+        "decMargin": margin,
+        "decMarginAt": margin_at,
         **extra,
     }

@@ -177,7 +177,8 @@ def runner():
     return CliRunner()
 
 
-def test_reading_a_config_loads_no_numerical_layer():
+def _fresh_python(code):
+    """Run `code` in a new interpreter that imports this qlmass."""
     import os
     import subprocess
     import sys
@@ -189,12 +190,28 @@ def test_reading_a_config_loads_no_numerical_layer():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, qlmass.config; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc
+
+
+def test_reading_a_config_loads_no_numerical_layer():
+    code = ("import sys, qlmass.config; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+def test_print_config_loads_no_numerical_layer():
+    # the schema goes to stdout, the scipy modules loaded to stderr
+    code = ("import sys\n"
+            "from qlmass.cli import main\n"
+            "main(['print-config'], standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')),"
+            " file=sys.stderr)")
+    proc = _fresh_python(code)
+    assert proc.stderr.strip() == "[]"
+    assert proc.stdout == serialize_config(default_config())
 
 
 def test_print_config_is_parseable(runner):
@@ -295,6 +312,31 @@ def test_verify_identity_command(runner, tmp_path):
     assert report["method"] == "harmonicFit"
 
 
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--provider", "schwarzschild", "--radius", "10"],
+    ["--provider", "bowen_york", "--radius", "40"],
+], ids=["flat", "schwarzschild", "bowen_york"])
+def test_verify_identity_reports_the_dec_margin(runner, tmp_path, flags):
+    from qlmass.initialdata import BowenYorkData
+
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["verify-identity", "--level", "2", *flags,
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "identity.json").read_text())
+    if not flags or flags[1] == "schwarzschild":
+        # the constraint fields of these providers are closed-form zeros
+        assert report["decMargin"] == 0.0
+        return
+    # flat-metric Bowen-York data have mu = -|k|^2 / 2 and J = 0
+    data = BowenYorkData(np.array(default_config()["provider.momentum"]))
+    k = data.extrinsic(np.array([report["decMarginAt"]]))[0]
+    assert report["decMargin"] < 0.0
+    assert report["decMargin"] == pytest.approx(-0.5 * np.sum(k * k),
+                                                rel=1e-6)
+
+
 def test_embed_command_reports_the_largest_edge_defect(runner, tmp_path):
     from qlmass.embedding import align_embedding, embed_metric
     from qlmass.initialdata import SchwarzschildData
@@ -316,16 +358,16 @@ def test_embed_command_reports_the_largest_edge_defect(runner, tmp_path):
 
 def test_verify_identity_solves_on_the_checked_sphere(runner, tmp_path,
                                                       monkeypatch):
-    import qlmass.cli as cli_mod
+    import qlmass.volume as volume_mod
 
     solved = []
-    solve = cli_mod.solve_spacetime_harmonic
+    solve = volume_mod.solve_spacetime_harmonic
 
     def spy(vol, data, boundary_values, **kwargs):
         solved.append((vol, boundary_values))
         return solve(vol, data, boundary_values, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "solve_spacetime_harmonic", spy)
+    monkeypatch.setattr(volume_mod, "solve_spacetime_harmonic", spy)
     out = tmp_path / "run"
     result = runner.invoke(main, ["verify-identity", "--provider",
                                   "schwarzschild", "--radius", "10",
@@ -340,17 +382,17 @@ def test_verify_identity_solves_on_the_checked_sphere(runner, tmp_path,
 
 def test_verify_identity_mesh_file_keeps_the_vertex_times(runner, tmp_path,
                                                           monkeypatch):
-    import qlmass.cli as cli_mod
+    import qlmass.volume as volume_mod
 
     solved = []
-    solve = cli_mod.solve_spacetime_harmonic
+    solve = volume_mod.solve_spacetime_harmonic
 
     def spy(vol, data, boundary_values, **kwargs):
         solved.append((vol, boundary_values,
                        solve(vol, data, boundary_values, **kwargs)))
         return solved[-1][2]
 
-    monkeypatch.setattr(cli_mod, "solve_spacetime_harmonic", spy)
+    monkeypatch.setattr(volume_mod, "solve_spacetime_harmonic", spy)
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
                                          keepdims=True)

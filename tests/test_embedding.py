@@ -8,7 +8,6 @@ from qlmass.embedding import (
     embed_metric,
     embeddability_check,
     gauge_fix,
-    read_embedding,
     real_harmonic_basis,
     write_embedding,
 )
@@ -36,7 +35,7 @@ def test_round_sphere_recovered(mesh3):
     res = embed_metric(mesh3, met, degree=12)
     # the area-matched round start is exact: no Gauss-Newton step is taken
     assert res.iterations == 0
-    assert res.residual < 1e-10
+    assert res.defect_l2 < 1e-10
     assert res.consistency_residual(met) < 1e-10
     radii = np.linalg.norm(res.positions, axis=1)
     np.testing.assert_allclose(radii, rho, rtol=1e-8)
@@ -50,7 +49,7 @@ def test_ellipsoid_recovered_up_to_gauge(mesh3):
     pos = mesh3.vertices * axes
     met = SurfaceMetric.from_positions(mesh3, pos)
     res = embed_metric(mesh3, met, degree=16)
-    assert res.residual < 1e-8
+    assert res.defect_l2 < 1e-8
     ref = gauge_fix(pos, res.ops.vertex_areas)
     assert np.abs(res.positions - ref).max() < 1e-6
 
@@ -83,7 +82,7 @@ def test_near_start_needs_no_spectral_factorization(monkeypatch):
                         lambda *a: calls.append(2) or basis(*a))
     bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=3)
     res = embed_metric(bd.geom.mesh, bd.geom.metric)
-    assert res.residual < 1e-8
+    assert res.defect_l2 < 1e-8
     assert res.iterations > 0
     assert calls == []
 
@@ -104,7 +103,7 @@ def test_vertex_steps_stop_by_tolerance(monkeypatch):
     monkeypatch.setattr(embedding_mod, "lsqr", spy)
     bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=4)
     res = embed_metric(bd.geom.mesh, bd.geom.metric)
-    assert res.residual < 1e-8
+    assert res.defect_l2 < 1e-8
     assert stops
     assert all(istop in (1, 2) and itn < 300 for istop, itn in stops)
 
@@ -143,7 +142,7 @@ def test_perturbed_sphere_consistency():
     rad = 1.0 + 0.08 * (v[:, 0] ** 2 - v[:, 1] ** 2)
     met = SurfaceMetric.from_positions(mesh, v * rad[:, None])
     res = embed_metric(mesh, met, degree=16)
-    assert res.residual < 1e-8
+    assert res.defect_l2 < 1e-8
     assert res.consistency_residual(met) < 1e-6
 
 
@@ -190,9 +189,9 @@ def test_embedding_file_roundtrip(tmp_path, mesh3):
     res = embed_metric(mesh3, met, degree=10)
     path = tmp_path / "emb.txt"
     write_embedding(path, res)
-    times, back = read_embedding(path, mesh3)
-    np.testing.assert_allclose(back, res.positions, atol=1e-15)
-    np.testing.assert_allclose(times, 0.0, atol=1e-15)
+    table = np.loadtxt(path, ndmin=2)
+    np.testing.assert_allclose(table[:, 1:], res.positions, atol=1e-15)
+    np.testing.assert_allclose(table[:, 0], 0.0, atol=1e-15)
 
 
 def _segment_crosses_triangle(p, q, tri):
@@ -276,27 +275,6 @@ def test_self_crossing_embedding_rejected(monkeypatch, mesh3):
     met = SurfaceMetric.from_positions(mesh3, mesh3.vertices)
     with pytest.raises(EmbeddingError, match="crosses itself: faces 0 and"):
         embed_metric(mesh3, met, degree=8)
-
-
-def test_linear_consistency_residual_contracts():
-    norms = []
-    for lvl in (3, 4):
-        mesh = icosphere(lvl)
-        met = SurfaceMetric.from_positions(mesh, mesh.vertices)
-        res = embed_metric(mesh, met, degree=8)
-        r = res.linear_consistency_residual(np.array([0.0, 0.0, 1.0]))
-        norms.append(np.sqrt(res.ops.integrate(r**2)))
-    assert norms[1] < norms[0]
-    assert norms[1] < 2e-2
-
-
-def test_embedding_file_vertex_count_mismatch(tmp_path, mesh3):
-    met = SurfaceMetric.from_positions(mesh3, mesh3.vertices)
-    res = embed_metric(mesh3, met, degree=8)
-    path = tmp_path / "emb.txt"
-    write_embedding(path, res)
-    with pytest.raises(EmbeddingError):
-        read_embedding(path, icosphere(2))
 
 
 def test_one_surface_builds_three_operator_sets(monkeypatch):

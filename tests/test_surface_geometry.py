@@ -1,27 +1,19 @@
 import numpy as np
 import pytest
 
-from qlmass.mesh import (
-    MeshError,
-    SurfaceMesh,
-    icosphere,
-    read_off,
-    unique_rows,
-    write_off,
-)
-from qlmass.operators import (
-    MetricError,
-    OperatorSet,
-    SurfaceMetric,
-    read_metric,
-    unit_sphere_geometry,
-    write_metric,
-)
+from qlmass.mesh import MeshError, SurfaceMesh, icosphere, unique_rows
+from qlmass.operators import MetricError, OperatorSet, SurfaceMetric
+
+
+def _round_sphere(level):
+    """Operators of the icosphere with its induced round metric."""
+    mesh = icosphere(level)
+    return OperatorSet(mesh, SurfaceMetric.from_positions(mesh, mesh.vertices))
 
 
 @pytest.fixture(scope="module")
 def sphere4():
-    return unit_sphere_geometry(4)
+    return _round_sphere(4)
 
 
 def test_icosphere_euler_formula():
@@ -36,70 +28,6 @@ def test_non_manifold_rejected():
     faces = np.array([[0, 1, 2], [0, 1, 3]])
     with pytest.raises(MeshError):
         SurfaceMesh(verts, faces)
-
-
-def test_off_roundtrip(tmp_path, sphere4):
-    path = tmp_path / "mesh.off"
-    write_off(path, sphere4.mesh)
-    back = read_off(path)
-    assert np.array_equal(back.faces, sphere4.mesh.faces)
-    np.testing.assert_allclose(back.vertices, sphere4.mesh.vertices, atol=1e-15)
-
-
-def test_metric_roundtrip(tmp_path, sphere4):
-    path = tmp_path / "metric.txt"
-    write_metric(path, sphere4.metric)
-    back = read_metric(path, sphere4.mesh)
-    np.testing.assert_allclose(back.edge_lengths, sphere4.metric.edge_lengths,
-                               rtol=1e-15)
-
-
-def _edit_lines(path, edit):
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(edit(lines)))
-
-
-@pytest.mark.parametrize("edit, match", [
-    (lambda ls: [], "first line must be the edge count"),
-    (lambda ls: ls[:-1], "header says 120 edges and 119 rows follow"),
-    # one edge listed twice, another omitted: same row count
-    (lambda ls: ls[:2] + [ls[1]] + ls[3:], "line 3: edge .* already listed "
-                                           "on line 2"),
-    (lambda ls: ls[:1] + ["0 1\n"] + ls[2:], "line 2: expected `i j length`"),
-    (lambda ls: ls[:1] + ["0 0 1.0\n"] + ls[2:], "line 2: edge \\(0, 0\\) "
-                                                  "not present"),
-    (lambda ls: ls[:1] + [ls[1].rsplit(" ", 1)[0] + " nan\n"] + ls[2:],
-     "line 2: .* not finite and positive"),
-], ids=["empty", "short", "duplicate", "bad-row", "unknown-edge", "nan"])
-def test_malformed_metric_file_rejected(tmp_path, edit, match):
-    mesh = icosphere(1)
-    path = tmp_path / "metric.txt"
-    write_metric(path, SurfaceMetric.from_positions(mesh, mesh.vertices))
-    _edit_lines(path, edit)
-    with pytest.raises(MetricError, match=match):
-        read_metric(path, mesh)
-
-
-@pytest.mark.parametrize("edit, match", [
-    (lambda ls: [], "not an OFF file"),
-    (lambda ls: ls[:1] + ["42 x 120\n"] + ls[2:], "must be the counts"),
-    (lambda ls: ls[:-1], "42 vertex and 80 face lines expected after the "
-                         "counts, 121 found"),
-    (lambda ls: ls[:2] + ["nan 0 1\n"] + ls[3:],
-     "line 3: vertex 0 is not three finite numbers"),
-    (lambda ls: ls[:2] + ["0 1\n"] + ls[3:],
-     "line 3: vertex 0 is not three finite numbers"),
-    (lambda ls: ls[:44] + ["4 0 1 2 3\n"] + ls[45:], "line 45: face 0 is not"),
-    (lambda ls: ls[:44] + ["3 0 1 42\n"] + ls[45:],
-     "line 45: face 0 is not `3 i j k` with indices below 42"),
-], ids=["empty", "bad-counts", "short", "nan-vertex", "short-vertex", "quad",
-        "index-range"])
-def test_malformed_off_file_rejected(tmp_path, edit, match):
-    path = tmp_path / "mesh.off"
-    write_off(path, icosphere(1))
-    _edit_lines(path, edit)
-    with pytest.raises(MeshError, match=match):
-        read_off(path)
 
 
 def test_degenerate_face_rejected():
@@ -119,7 +47,7 @@ def test_round_sphere_eigenfunction(sphere4):
 def test_laplace_error_decreases_under_refinement():
     errs = []
     for lvl in (3, 4, 5):
-        g = unit_sphere_geometry(lvl)
+        g = _round_sphere(lvl)
         z = g.mesh.vertices[:, 2]
         errs.append(np.abs(g.laplace(z) + 2.0 * z).max())
     assert errs[0] > errs[1] > errs[2]
@@ -164,7 +92,7 @@ def test_second_order_contraction_of_integrated_errors():
     nodes, weights = np.polynomial.legendre.leggauss(20)
     zz_exact = 2.0 * np.pi * float(weights @ nodes**2)
     for lvl in (3, 4, 5):
-        g = unit_sphere_geometry(lvl)
+        g = _round_sphere(lvl)
         z = g.mesh.vertices[:, 2]
         area_err.append(abs(g.total_area - 4.0 * np.pi))
         zz_err.append(abs(g.integrate(z**2) - zz_exact))
@@ -226,7 +154,7 @@ def test_critical_mask_zero_field(sphere4):
 
 def test_critical_mask_area_scales_with_threshold():
     # area where |grad z| < t is O(t^2); oracle from 1D quadrature of sin(theta)
-    g = unit_sphere_geometry(5)
+    g = _round_sphere(5)
     z = g.mesh.vertices[:, 2]
     for t in (0.05, 0.1, 0.2):
         mask, frac = g.critical_set_mask(g.gradient(z), t)
@@ -235,12 +163,6 @@ def test_critical_mask_area_scales_with_threshold():
         s = t * gmag_med
         cap_frac = 1.0 - np.sqrt(1.0 - s**2)
         assert frac <= cap_frac + 4.0 / g.mesh.n_faces
-
-
-def test_vertex_average_roundtrip(sphere4):
-    const = np.full(sphere4.mesh.n_faces, 3.25)
-    out = sphere4.vertex_average(const)
-    np.testing.assert_allclose(out, 3.25, rtol=1e-12)
 
 
 def test_unique_rows_matches_numpy_unique():
