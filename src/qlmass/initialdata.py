@@ -38,6 +38,24 @@ def central_partials(fn, points, h):
     return np.stack(out, axis=1)
 
 
+def metric_inverse(g):
+    """Inverse and determinant of a stack of symmetric 3 x 3 matrices,
+    (N, 3, 3) -> ((N, 3, 3), (N,)), as adjugate over determinant from the
+    cofactors of the upper triangle; exact on identity matrices."""
+    a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
+    d, e, f = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
+    inv = np.empty(g.shape)
+    inv[:, 0, 0] = d * f - e * e
+    inv[:, 0, 1] = inv[:, 1, 0] = c * e - b * f
+    inv[:, 0, 2] = inv[:, 2, 0] = b * e - c * d
+    inv[:, 1, 1] = a * f - c * c
+    inv[:, 1, 2] = inv[:, 2, 1] = b * c - a * e
+    inv[:, 2, 2] = a * d - b * b
+    det = a * inv[:, 0, 0] + b * inv[:, 0, 1] + c * inv[:, 0, 2]
+    inv /= det[:, None, None]
+    return inv, det
+
+
 class InitialDataSample:
     """Closed-form initial data (g, k) with asymptotic decay order tau."""
 
@@ -81,7 +99,7 @@ class InitialDataSample:
         """Gamma^a_bc at points x, shape (N, 3, 3, 3) indexed [point, a, b, c]."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         dg = self.metric_derivatives(x)
-        ginv = np.linalg.inv(self.metric(x))
+        ginv = metric_inverse(self.metric(x))[0]
         # Gamma_{d,bc} = (d_b g_dc + d_c g_db - d_d g_bc) / 2
         low = 0.5 * (
             np.einsum("nbdc->ndbc", dg) + np.einsum("ncdb->ndbc", dg) - dg
@@ -93,7 +111,7 @@ class InitialDataSample:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         dgamma = central_partials(self.christoffels, x, self._fd_scale(x))
         gam = self.christoffels(x)
-        ginv = np.linalg.inv(self.metric(x))
+        ginv = metric_inverse(self.metric(x))[0]
         # Ricci_bc = d_a Gamma^a_bc - d_b Gamma^a_ac + G^a_ad G^d_bc - G^a_cd G^d_ab
         ricci = (
             np.einsum("naabc->nbc", dgamma)
@@ -107,11 +125,7 @@ class InitialDataSample:
         """Outward g-unit normal (upper index) of the coordinate sphere
         through each point."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x / np.linalg.norm(x, axis=1, keepdims=True)
-        ginv = np.linalg.inv(self.metric(x))
-        nu = np.einsum("nij,nj->ni", ginv, n)
-        norm = np.sqrt(np.einsum("ni,ni->n", nu, n))
-        return nu / norm[:, None]
+        return _unit_normal(x, metric_inverse(self.metric(x))[0])
 
     def sphere_mean_curvature(self, x):
         """Mean curvature H = div_g(nu) of the coordinate sphere through x."""
@@ -119,12 +133,12 @@ class InitialDataSample:
 
         def flux(y):
             # sqrt(det g) nu^i
-            s = np.sqrt(np.linalg.det(self.metric(y)))
-            return s[:, None] * self.sphere_normal(y)
+            ginv, det = metric_inverse(self.metric(y))
+            return np.sqrt(det)[:, None] * _unit_normal(y, ginv)
 
         d = central_partials(flux, x, self._fd_scale(x))
         div = d[:, 0, 0] + d[:, 1, 1] + d[:, 2, 2]
-        return div / np.sqrt(np.linalg.det(self.metric(x)))
+        return div / np.sqrt(metric_inverse(self.metric(x))[1])
 
     # -- constraint quantities -------------------------------------------
 
@@ -133,16 +147,16 @@ class InitialDataSample:
         J = div(k - (Tr k) g); returns (mu, J) with J lower-index."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         g = self.metric(x)
-        ginv = np.linalg.inv(g)
+        ginv = metric_inverse(g)[0]
         k = self.extrinsic(x)
         trk = np.einsum("nij,nij->n", ginv, k)
-        ksq = np.einsum("nia,njb,nij,nab->n", ginv, ginv, k, k)
+        ksq = ((ginv @ k @ ginv) * k).sum(axis=(1, 2))
         mu = 0.5 * (self.scalar_curvature(x) + trk**2 - ksq)
 
         def pi(y):
             gy = self.metric(y)
             ky = self.extrinsic(y)
-            trky = np.einsum("nij,nij->n", np.linalg.inv(gy), ky)
+            trky = np.einsum("nij,nij->n", metric_inverse(gy)[0], ky)
             return ky - trky[:, None, None] * gy
 
         dpi = central_partials(pi, x, self._fd_scale(x))
@@ -155,11 +169,21 @@ class InitialDataSample:
         return mu, term1 - term2 - term3
 
 
+def _unit_normal(x, ginv):
+    """Outward g-unit normal (upper index) of the coordinate sphere through
+    each point x, given the inverse metric there."""
+    n = x / np.linalg.norm(x, axis=1, keepdims=True)
+    nu = np.einsum("nij,nj->ni", ginv, n)
+    norm = np.sqrt(np.einsum("ni,ni->n", nu, n))
+    return nu / norm[:, None]
+
+
 def dec_margin(mu, J, ginv):
     """Pointwise mu - |J|_g of the constraint densities of
     `constraint_fields`, with ginv the inverse metric at the same points;
     nonnegative where the dominant energy condition holds."""
-    jn = np.sqrt(np.maximum(np.einsum("nij,ni,nj->n", ginv, J, J), 0.0))
+    jsq = np.einsum("ni,ni->n", J, np.einsum("nij,nj->ni", ginv, J))
+    jn = np.sqrt(np.maximum(jsq, 0.0))
     return mu - jn
 
 
@@ -338,7 +362,7 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
 
     H = data.sphere_mean_curvature(X)
     g = data.metric(X)
-    ginv = np.linalg.inv(g)
+    ginv = metric_inverse(g)[0]
     k = data.extrinsic(X)
     nu = data.sphere_normal(X)
     trk_full = np.einsum("nij,nij->n", ginv, k)
@@ -390,7 +414,7 @@ def adm_integrals(data, radii):
         energies.append(float((w * flux).sum() * R**2 / (16.0 * np.pi)))
         g = data.metric(X)
         k = data.extrinsic(X)
-        ginv = np.linalg.inv(g)
+        ginv = metric_inverse(g)[0]
         trk = np.einsum("nij,nij->n", ginv, k)
         pi = k - trk[:, None, None] * g
         p_flux = np.einsum("nij,nj->ni", pi, dirs)

@@ -24,6 +24,7 @@ from .initialdata import (
     central_partials,
     dec_margin,
     fibonacci_directions,
+    metric_inverse,
 )
 from .mesh import unique_rows
 
@@ -315,13 +316,22 @@ def _hat_gradients(normals, vols):
     return normals
 
 
+def _tet_centroids(vol):
+    """Centroids of the tets of a volume mesh, (T, 3)."""
+    v, t = vol.vertices, vol.tets
+    return (v[t[:, 0]] + v[t[:, 1]] + v[t[:, 2]] + v[t[:, 3]]) / 4.0
+
+
 def _point_fields(data, points):
-    """(g, g^-1, sqrt det g, k) of the data at points."""
+    """(g, g^-1, sqrt det g, k) of the data at points; raises unless g is
+    positive definite there, by Sylvester's criterion (all three leading
+    principal minors positive)."""
     g = data.metric(points)
-    dets = np.linalg.det(g)
-    if np.any(dets <= 0.0):
+    ginv, det = metric_inverse(g)
+    minor2 = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
+    if not np.all((g[:, 0, 0] > 0.0) & (minor2 > 0.0) & (det > 0.0)):
         raise VolumeError("metric not positive definite on the volume")
-    return g, np.linalg.inv(g), np.sqrt(dets), data.extrinsic(points)
+    return g, ginv, np.sqrt(det), data.extrinsic(points)
 
 
 # Picard loop constants: Anderson mixing depth (Walker & Ni, SINUM 2011),
@@ -383,11 +393,13 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     at most `tol`, and otherwise the loop goes on.  The polish is not a
     Picard step: it adds nothing to `history`, `picard_iters` or
     `anderson_depths`, and its CG count is the last of
-    `step_cg_iterations`.  A 1e-12 relative stop would leave errors near
-    2e-12 on linear boundary data, which must be reproduced to 1e-12.  A
-    solve that does not converge within 2000 iterations is redone by
-    sparse LU (`splu`, factored at most once per call); `splu_fallbacks`
-    on the solution counts those solves.
+    `step_cg_iterations`.  When Tr k is exactly zero at every tet
+    centroid there is no source: the first solve is the solution, with no
+    Picard step and one entry in `step_cg_iterations`.  A 1e-12 relative
+    stop would leave errors near 2e-12 on linear boundary data, which must
+    be reproduced to 1e-12.  A solve that does not converge within 2000
+    iterations is redone by sparse LU (`splu`, factored at most once per
+    call); `splu_fallbacks` on the solution counts those solves.
     """
     boundary_values = np.asarray(boundary_values, dtype=float)
     if not np.all(np.isfinite(boundary_values)):
@@ -395,15 +407,14 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     bverts = vol.boundary_vertices
     if len(boundary_values) != len(bverts):
         raise VolumeError("boundary value count does not match the mesh")
-    _, ginv, sqrtdet, k = _point_fields(
-        data, vol.vertices[vol.tets].mean(axis=1))
+    _, ginv, sqrtdet, k = _point_fields(data, _tet_centroids(vol))
     trk = np.einsum("tij,tij->t", ginv, k)
     grads, vols = vol.hat_gradients
     weight = vols * sqrtdet
 
     n = vol.n_vertices
-    metric_grads = np.einsum("tij,tmj->tmi", ginv, grads)
-    local = np.einsum("tmi,tli,t->tml", grads, metric_grads, weight)
+    metric_grads = grads @ ginv
+    local = (metric_grads @ grads.swapaxes(1, 2)) * weight[:, None, None]
     rows = np.repeat(vol.tets, 4, axis=1).reshape(-1)
     cols = np.tile(vol.tets, (1, 4)).reshape(-1)
     K = coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
@@ -417,7 +428,8 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     free_idx = np.flatnonzero(free)
     u = np.zeros(n)
     u[bverts] = boundary_values
-    Kff = K[free_idx][:, free_idx].tocsc()
+    # CSR: its matvec, the inner loop of CG, beats CSC's on this matrix
+    Kff = K[free_idx][:, free_idx]
     Kfb = K[free_idx][:, bverts]
 
     jacobi = diags(1.0 / Kff.diagonal())
@@ -437,7 +449,7 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
             splu_fallbacks += 1
             if lu is None:
                 try:
-                    lu = splu(Kff)
+                    lu = splu(Kff.tocsc())
                 except RuntimeError as exc:
                     raise VolumeError(f"linear solve breakdown: {exc}")
             sol = lu.solve(rhs)
@@ -446,53 +458,58 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     def rhs_vector(current):
         du = np.einsum("tm,tmi->ti", current[vol.tets], grads)
         gnorm = np.sqrt(
-            np.einsum("ti,tij,tj->t", du, ginv, du) + delta**2
+            np.einsum("ti,ti->t", du, np.einsum("tij,tj->ti", ginv, du))
+            + delta**2
         )
         per_tet = trk * gnorm * weight / 4.0
-        out = np.zeros(n)
-        np.add.at(out, vol.tets.reshape(-1), np.repeat(per_tet, 4))
-        return out
+        return np.bincount(vol.tets.reshape(-1),
+                           weights=np.repeat(per_tet, 4), minlength=n)
 
+    base = -Kfb @ boundary_values
     history = []
     anderson_depths = []
-    base = -Kfb @ boundary_values
-    x = linear_solve(base, u[free_idx], EXACT_RTOL)
-    # the last ANDERSON_DEPTH differences of f = G(x) - x and of G(x)
-    diff_f, diff_g = [], []
-    last = None
-    step = np.inf
-    polish = False
-    while len(history) < max_picard or polish:
-        u[free_idx] = x
-        rhs = base + rhs_vector(u)[free_idx]
-        rtol = (EXACT_RTOL if polish
-                else max(EXACT_RTOL, FORCING * min(step, 1.0)))
-        g = linear_solve(rhs, x, rtol)
-        step = float(np.abs(g - x).max())
-        if not polish:
-            history.append(step)
-            anderson_depths.append(len(diff_f))
-        if step <= tol and rtol == EXACT_RTOL:
-            break
-        polish = step <= tol
-        f = g - x
-        if last is not None:
-            diff_f.append(f - last[0])
-            diff_g.append(g - last[1])
-            if len(diff_f) > ANDERSON_DEPTH:
-                del diff_f[0], diff_g[0]
-        last = f, g
-        x = g
-        if diff_f:
-            gamma = np.linalg.lstsq(np.column_stack(diff_f), f,
-                                    rcond=None)[0]
-            x = g - np.column_stack(diff_g) @ gamma
-    else:
+
+    def picard(x):
+        """G at the accepted iterate of the mixed Picard loop from x."""
+        # the last ANDERSON_DEPTH differences of f = G(x) - x and of G(x)
+        diff_f, diff_g = [], []
+        last = None
+        step = np.inf
+        polish = False
+        while len(history) < max_picard or polish:
+            u[free_idx] = x
+            rhs = base + rhs_vector(u)[free_idx]
+            rtol = (EXACT_RTOL if polish
+                    else max(EXACT_RTOL, FORCING * min(step, 1.0)))
+            g = linear_solve(rhs, x, rtol)
+            step = float(np.abs(g - x).max())
+            if not polish:
+                history.append(step)
+                anderson_depths.append(len(diff_f))
+            if step <= tol and rtol == EXACT_RTOL:
+                return g
+            polish = step <= tol
+            f = g - x
+            if last is not None:
+                diff_f.append(f - last[0])
+                diff_g.append(g - last[1])
+                if len(diff_f) > ANDERSON_DEPTH:
+                    del diff_f[0], diff_g[0]
+            last = f, g
+            x = g
+            if diff_f:
+                gamma = np.linalg.lstsq(np.column_stack(diff_f), f,
+                                        rcond=None)[0]
+                x = g - np.column_stack(diff_g) @ gamma
         raise VolumeError(
             f"Picard iteration did not converge in {max_picard} steps; "
             f"history={['%.3e' % h for h in history]}"
         )
-    u[free_idx] = g
+
+    first = linear_solve(base, u[free_idx], EXACT_RTOL)
+    # with Tr k = 0 at every centroid there is no source, and the first
+    # solve is the solution
+    u[free_idx] = picard(first) if trk.any() else first
     residual = K @ u - rhs_vector(u)
     residual_norm = float(np.abs(residual[free_idx]).max())
     return SpacetimeHarmonicSolution(u, residual_norm, delta, history,
@@ -826,10 +843,14 @@ class HarmonicRepresentative:
         w = grad log psi^2 = -2 b x / (r^2 (a r + b))."""
         r = np.linalg.norm(pts, axis=1)
         w = (-2.0 * self.b / (r**2 * (self.a * r + self.b)))[:, None] * pts
-        eye = np.eye(3)
-        return (np.einsum("ab,nc->nabc", eye, w)
-                + np.einsum("ac,nb->nabc", eye, w)
-                - np.einsum("bc,na->nabc", eye, w))
+        # delta_ab w_c + delta_ac w_b - delta_bc w_a
+        gamma = np.zeros((len(pts), 3, 3, 3))
+        for a in range(3):
+            gamma[:, a, a, :] += w
+            gamma[:, a, :, a] += w
+        for b in range(3):
+            gamma[:, :, b, b] -= w
+        return gamma
 
 
 def _newton_steps(jac, rhs, cap, normals=None):
@@ -1070,7 +1091,7 @@ def _field_recovery_terms(data, vol, sol, radius, n_levels):
             "identity check expects fill-in-ordered boundary vertices"
         )
     topo = level_set_topology(vol, sol.u, n_levels)
-    centroids = vol.vertices[vol.tets].mean(axis=1)
+    centroids = _tet_centroids(vol)
     du, dU, hess, hess_v, vols = recovered_fields(vol, sol.u)
     bulk = (centroids, vols, du, hess, data.christoffels(centroids))
 
@@ -1089,13 +1110,14 @@ def _bulk_terms(data, points, weight, du, hess, gamma, delta):
     point where it occurs."""
     _, ginv, sqrtdet, k = _point_fields(data, points)
     weight = weight * sqrtdet
+    du_up = np.einsum("nij,nj->ni", ginv, du)
     gnorm = np.sqrt(np.maximum(
-        np.einsum("ni,nij,nj->n", du, ginv, du) + delta**2, 1e-300))
+        np.einsum("ni,ni->n", du, du_up) + delta**2, 1e-300))
     st_hess = (hess - np.einsum("ncij,nc->nij", gamma, du)
                + k * gnorm[:, None, None])
-    hsq = np.einsum("nia,njb,nij,nab->n", ginv, ginv, st_hess, st_hess)
+    hsq = ((ginv @ st_hess @ ginv) * st_hess).sum(axis=(1, 2))
     mu, J = data.constraint_fields(points)
-    j_du = np.einsum("ni,nij,nj->n", J, ginv, du)
+    j_du = np.einsum("ni,ni->n", J, du_up)
     margin = dec_margin(mu, J, ginv)
     worst = int(np.argmin(margin))
     return (float(np.sum(weight * 0.5 * hsq / gnorm)),

@@ -16,6 +16,7 @@ from qlmass.initialdata import (
     dec_margin,
     extract_boundary_data,
     fibonacci_directions,
+    metric_inverse,
     read_boundary_fields,
     write_boundary_fields,
 )
@@ -260,3 +261,25 @@ def test_flat_metric_curvature_is_exactly_the_difference_quotients(data):
     if data.excludes_origin:
         with pytest.raises(InitialDataError, match="r = 0"):
             data.christoffels(np.zeros((1, 3)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1.0), st.floats(-3.0, 3.0))
+def test_metric_inverse_of_spd_stacks(seed, eps, log_scale):
+    # g = s (A A^T + eps I) is symmetric positive definite, with condition
+    # number up to about 1e4
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(20, 3, 3))
+    g = 10.0**log_scale * (a @ a.swapaxes(1, 2) + eps * np.eye(3))
+    ginv, det = metric_inverse(g)
+    cond = np.linalg.cond(g)
+    assert np.all(np.abs(ginv @ g - np.eye(3)).max(axis=(1, 2))
+                  <= 1e-12 * cond)
+    np.testing.assert_allclose(det, np.linalg.det(g), rtol=1e-12, atol=0)
+    assert np.array_equal(ginv, ginv.swapaxes(1, 2))
+
+
+def test_metric_inverse_is_exact_on_identity_stacks():
+    ginv, det = metric_inverse(np.broadcast_to(np.eye(3), (7, 3, 3)))
+    assert np.array_equal(ginv, np.broadcast_to(np.eye(3), (7, 3, 3)))
+    assert not np.signbit(ginv).any()
+    assert np.array_equal(det, np.ones(7))

@@ -237,8 +237,24 @@ def test_flat_linear_boundary_is_exact():
     sol = solve_spacetime_harmonic(vol, FlatData(), bvals)
     exact = vol.vertices @ np.array([0.3, -0.2, 1.0])
     assert np.abs(sol.u - exact).max() <= 1e-12
-    assert sol.picard_iters == 1
+    assert sol.picard_iters == 0
+    assert len(sol.step_cg_iterations) == 1
     assert sol.residual_norm <= 1e-12
+
+
+class _IndefiniteMetricData(FlatData):
+    """diag(-1, -1, 1): positive determinant, not positive definite."""
+
+    def metric(self, x):
+        return np.diag([-1.0, -1.0, 1.0]) * np.ones((len(x), 1, 1))
+
+
+def test_indefinite_metric_is_rejected():
+    # det g = 1 > 0, but the leading minor g_00 = -1 is not positive
+    _, vol = _ball_fill_in(2)
+    z = vol.vertices[vol.boundary_vertices, 2]
+    with pytest.raises(VolumeError, match="not positive definite"):
+        solve_spacetime_harmonic(vol, _IndefiniteMetricData(), z)
 
 
 def test_flat_quadratic_second_order_convergence():
