@@ -395,7 +395,7 @@ def verify_identity(**kwargs):
         if cfg["volume.mesh_file"]:
             fill = _fill_in(cfg, emb)
             bv = fill.boundary_vertices
-            bvals = -fill.times[bv] + fill.vertices[bv] @ a
+            bvals = fill.vertices[bv] @ a
         else:
             # the data live on the coordinate ball, whose boundary is the
             # sphere the identity is checked on; u there is the observer

@@ -3,9 +3,10 @@
 Vertex positions are fitted to the prescribed edge lengths in two damped
 Gauss-Newton stages: a band-limited spectral fit over spherical-harmonic
 coefficients brings the surface near its target, and a sparse fit over
-the free vertex positions finishes it.  The converged shape is gauge-fixed
-(centroid at the origin, principal axes aligned, deterministic signs) so
-repeated runs produce bitwise-comparable output.
+the free vertex positions finishes it.  The converged shape stays in the
+frame of the area-matched round start; an embedding is fixed only up to
+a rigid motion, and `align_embedding` places it in the frame of the
+physical data, where observer directions are expressed.
 """
 
 from functools import cached_property
@@ -51,45 +52,15 @@ def embeddability_check(ops):
     return bool(np.all(kappa > 0.0)), float(kappa.min())
 
 
-def gauge_fix(positions, weights):
-    """Remove the Euclidean motion ambiguity deterministically.
-
-    Weighted centroid moves to the origin; axes align with the principal
-    directions of the weighted second-moment tensor; each axis sign is set
-    by the weighted third moment (falling back to the first off-axis
-    vertex), and handedness is restored last.
-    """
-    w = weights / weights.sum()
-    x = positions - (w @ positions)
-    moment = x.T @ (x * w[:, None])
-    eigval, eigvec = np.linalg.eigh(moment)
-    # descending principal order
-    R = eigvec[:, ::-1]
-    y = x @ R
-    signs = np.ones(3)
-    for k in range(3):
-        skew = w @ y[:, k] ** 3
-        if abs(skew) > 1e-4 * (w @ np.abs(y[:, k]) ** 3 + 1e-300):
-            signs[k] = np.sign(skew)
-        else:
-            nz = np.flatnonzero(np.abs(y[:, k]) > 1e-9)
-            if len(nz):
-                signs[k] = np.sign(y[nz[0], k])
-    y *= signs
-    # restore right-handedness by flipping the least-constrained axis
-    if np.linalg.det(R) * np.prod(signs) < 0:
-        y[:, 2] *= -1.0
-    return y
-
-
 class EmbeddingResult:
     """Converged embedding; its derived extrinsic reference data are
     computed when first read.
 
     Attributes
     ----------
-    positions : (V, 3) gauge-fixed vertex positions in the t = 0 slice
-        of Minkowski space.
+    positions : (V, 3) vertex positions in the t = 0 slice of Minkowski
+        space, in the frame of the round start of `embed_metric` (or of
+        the target of `align_embedding`).
     achieved_metric : SurfaceMetric of the embedded edge lengths.
     ops : OperatorSet of the surface.
     mean_curvature : (V,) discrete mean curvature of the embedded surface.
@@ -161,7 +132,9 @@ def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200):
     spherical-harmonic coefficients of the position field until the RMS
     relative edge residual is below `SPECTRAL_BASIN`; it carries a far
     start into the basin of the right shape.  The vertex stage then moves
-    every vertex freely until the residual is below `tol`.
+    every vertex freely until the residual is below `tol`.  The positions
+    stay in the frame of the start; `align_embedding` places them in the
+    frame of the data.
 
     Parameters
     ----------
@@ -187,10 +160,6 @@ def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200):
         raise EmbeddingError(
             f"no convergence after {iterations} iterations (rms {rms:.3e})"
         )
-    areas = OperatorSet(
-        mesh, SurfaceMetric.from_positions(mesh, positions)
-    ).vertex_areas
-    positions = gauge_fix(positions, areas)
     pair = crossing_pair(positions, mesh.faces)
     if pair is not None:
         raise EmbeddingError(f"embedded surface crosses itself: faces "

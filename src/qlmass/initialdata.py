@@ -73,9 +73,14 @@ class InitialDataSample:
         raise NotImplementedError
 
     def _check_domain(self, x):
-        if self.excludes_origin and np.any(
-                np.linalg.norm(np.atleast_2d(x), axis=1) < 1e-12):
+        """The radii |x| of the points x when the origin is excluded (None
+        otherwise), after checking that none is at r = 0."""
+        if not self.excludes_origin:
+            return None
+        r = np.linalg.norm(np.atleast_2d(x), axis=1)
+        if np.any(r < 1e-12):
             raise InitialDataError("evaluation at r = 0")
+        return r
 
     def _zeros(self, x, shape):
         """Exact zeros of the given per-point shape at points x."""
@@ -257,9 +262,7 @@ class SchwarzschildData(InitialDataSample):
         return 1.0 + self.mass / (2.0 * np.asarray(r, dtype=float))
 
     def metric(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_domain(x)
-        r = np.linalg.norm(x, axis=1)
+        r = self._check_domain(np.atleast_2d(np.asarray(x, dtype=float)))
         psi4 = self.conformal_factor(r) ** 4
         return psi4[:, None, None] * np.eye(3)
 
@@ -285,8 +288,7 @@ class BowenYorkData(FlatMetricData):
 
     def extrinsic(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_domain(x)
-        r = np.linalg.norm(x, axis=1)
+        r = self._check_domain(x)
         n = x / r[:, None]
         P = self.momentum
         pn = n @ P

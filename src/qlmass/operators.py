@@ -4,7 +4,7 @@ Everything is assembled from per-edge metric lengths only, so the same
 machinery serves both embedded surfaces and abstract sphere metrics
 (e.g. pullbacks of curved-space coordinate spheres).  The scheme is the
 standard second-order one: cotangent stiffness, piecewise-constant face
-gradients in per-face isometric charts, barycentric lumped areas, and
+gradients in per-face isometric charts, mixed Voronoi vertex areas, and
 angle-defect Gaussian curvature.
 """
 
@@ -46,7 +46,8 @@ class OperatorSet:
     Attributes
     ----------
     face_areas : (F,) metric face areas.
-    vertex_areas : (V,) barycentric lumped areas.
+    vertex_areas : (V,) mixed Voronoi areas (circumcentric, clamped at
+        obtuse corners).
     chart : (F, 3, 2) vertex positions of each face laid out isometrically
         in its own 2D chart (p0 at origin, p1 on the x-axis).
     grad_phi : (F, 3, 2) P1 basis gradients in the face charts.

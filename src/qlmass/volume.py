@@ -82,7 +82,7 @@ class VolumeMesh:
     boundary_faces : (F, 3) triangles on the boundary (volume indices).
     boundary_map : (F,) surface-mesh face index per boundary face.
     times : (N,) Minkowski time coordinates (zero unless given, as a
-        volume mesh file may).
+        volume mesh file may); zero on every boundary vertex.
     hat_gradients : (constant gradients of the four hat functions per tet,
         (T, 4, 3), tet volumes), from the face normals of the quality
         check.
@@ -113,6 +113,14 @@ class VolumeMesh:
         if np.any(bad):
             raise VolumeError(f"vertex {np.argmax(bad)} has a non-finite "
                               f"coordinate or time")
+        # the reference surface lies in t = 0 (no Wang-Yau lift yet), so a
+        # boundary time would reach the verdict but not the energy
+        bv = self.boundary_vertices
+        timed = bv[self.times[bv] != 0.0]
+        if len(timed):
+            raise VolumeError(f"boundary vertex {timed[0]} has time "
+                              f"{float(self.times[timed[0]])!r}; boundary times "
+                              f"must be 0, as on the reference surface")
         vols = _tet_volumes(self.vertices, tets)
         flip = vols < 0.0
         if np.any(flip):
@@ -554,12 +562,15 @@ class LevelSetTopology:
     volume boundary) each build their component graph when first read.
     """
 
-    def __init__(self, vol, u, levels, notes=()):
+    def __init__(self, vol, u, levels):
         self.vol, self.levels = vol, np.asarray(levels, dtype=float)
         if np.any(np.diff(self.levels) < 0.0):
             raise VolumeError("level-set topology needs ascending levels")
         self.u_min, self.u_max = float(np.min(u)), float(np.max(u))
-        self.notes = list(notes)
+        # always empty: no level is moved off a vertex value, since the
+        # rank rule counts u = s as below s; kept while the benchmark's
+        # tracer reads it for its nudged-level count
+        self.notes = []
         self._rank = np.searchsorted(self.levels, u)
         edges, faces, *_ = vol.topology_arrays
         self.chi = (self._cut(edges) - self._cut(faces)
@@ -646,25 +657,19 @@ def _components_per_level(first, stop, a, b, link_first, link_stop,
 
 
 def level_set_topology(vol, u, n_levels=64):
-    """Marching-tetrahedra topology of the sampled level sets of u."""
+    """Marching-tetrahedra topology of the level sets of u at the
+    midpoints of `n_levels` equal bins of its range.  A level that equals
+    a vertex value needs no moving: the rank rule counts u = s as below s,
+    which gives the level set just above s."""
     if n_levels < 1:
         raise VolumeError(
             f"level-set topology needs at least one level, got {n_levels}")
     u = np.asarray(u, dtype=float)
     if not 0.0 < np.ptp(u) < np.inf:
         raise VolumeError("level sets need a finite non-constant field")
-    u_min, u_max = float(u.min()), float(u.max())
-    rng = u_max - u_min
-    ds = rng / n_levels
-    levels = u_min + (np.arange(n_levels) + 0.5) * ds
-    notes = []
-    for i in range(n_levels):
-        while np.abs(u - levels[i]).min() < 1e-9 * rng:
-            # at least one ulp, so that a range at rounding level ends
-            levels[i] = max(levels[i] + 1e-8 * rng,
-                            np.nextafter(levels[i], np.inf))
-            notes.append(f"level {i} nudged to avoid a vertex value")
-    return LevelSetTopology(vol, u, levels, notes)
+    u_min = float(u.min())
+    ds = (float(u.max()) - u_min) / n_levels
+    return LevelSetTopology(vol, u, u_min + (np.arange(n_levels) + 0.5) * ds)
 
 
 # -- admissibility --------------------------------------------------------

@@ -380,8 +380,35 @@ def test_verify_identity_solves_on_the_checked_sphere(runner, tmp_path,
     assert report["slack"] >= -1e-8 * report["scale"]
 
 
+def _timed_ball_mesh_file(path, times_of):
+    """A level-2 unit-ball fill-in written to `path` with the vertex times
+    times_of(ball) in the time column of its vertex rows."""
+    mesh = icosphere(2)
+    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                         keepdims=True)
+    ball = build_fill_in(pos, mesh=mesh, layers=3)
+    write_volume_mesh(path, ball)
+    times = times_of(ball)
+    lines = path.read_text().splitlines()
+    for i, t in enumerate(times):
+        lines[1 + i] = " ".join([repr(float(t))] + lines[1 + i].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    return ball, times
+
+
+def _verify_identity_on(runner, tmp_path, mesh_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n"
+                        f"observer.a = 0, 0.6, 0.8\n")
+    out = tmp_path / "run"
+    return out, runner.invoke(main, ["verify-identity", "--config",
+                                     str(cfg_path), "--out", str(out)])
+
+
 def test_verify_identity_mesh_file_keeps_the_vertex_times(runner, tmp_path,
                                                           monkeypatch):
+    # interior times are kept on the fill-in; the boundary values are the
+    # observer function a.x of the t = 0 reference surface
     import qlmass.volume as volume_mod
 
     solved = []
@@ -393,26 +420,21 @@ def test_verify_identity_mesh_file_keeps_the_vertex_times(runner, tmp_path,
         return solved[-1][2]
 
     monkeypatch.setattr(volume_mod, "solve_spacetime_harmonic", spy)
-    mesh = icosphere(2)
-    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
-                                         keepdims=True)
-    ball = build_fill_in(pos, mesh=mesh, layers=3)
-    mesh_path = tmp_path / "ball.vmesh"
-    write_volume_mesh(mesh_path, VolumeMesh(
-        ball.vertices, ball.tets, ball.boundary_faces, ball.boundary_map,
-        times=0.1 * ball.vertices[:, 0]))
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n"
-                        f"observer.a = 0, 0.6, 0.8\n")
-    out = tmp_path / "run"
-    result = runner.invoke(main, ["verify-identity", "--config",
-                                  str(cfg_path), "--out", str(out)])
+
+    def interior_times(ball):
+        times = 0.1 * ball.vertices[:, 0]
+        times[ball.boundary_vertices] = 0.0
+        return times
+
+    _, times = _timed_ball_mesh_file(tmp_path / "ball.vmesh", interior_times)
+    out, result = _verify_identity_on(runner, tmp_path,
+                                      tmp_path / "ball.vmesh")
     assert result.exit_code == 0, result.output
     (vol, bvals, sol), = solved
+    assert np.array_equal(vol.times, times)
+    assert vol.times.any()
     x = vol.vertices[vol.boundary_vertices]
-    # u = -t + a.x with t = 0.1 x on the file's boundary vertices
-    np.testing.assert_allclose(bvals, x @ np.array([-0.1, 0.6, 0.8]),
-                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(bvals, x @ np.array([0.0, 0.6, 0.8]))
     report = json.loads((out / "identity.json").read_text())
     assert report["solver"] == {
         "picardIters": sol.picard_iters,
@@ -423,6 +445,21 @@ def test_verify_identity_mesh_file_keeps_the_vertex_times(runner, tmp_path,
         "residualNorm": sol.residual_norm,
         "delta": sol.delta,
     }
+
+
+def test_verify_identity_mesh_file_rejects_boundary_times(runner, tmp_path):
+    # the reference surface lies in t = 0, so a boundary time would reach
+    # the boundary values but not the energy
+    ball, times = _timed_ball_mesh_file(tmp_path / "ball.vmesh",
+                                        lambda ball: 0.1 * ball.vertices[:, 0])
+    bv = ball.boundary_vertices
+    first = bv[times[bv] != 0.0][0]
+    _, result = _verify_identity_on(runner, tmp_path,
+                                    tmp_path / "ball.vmesh")
+    assert result.exit_code == 2, result.output
+    assert (f"boundary vertex {first} has time {float(times[first])!r}"
+            in result.output)
+    assert "internal error" not in result.output
 
 
 def test_el_residual_command(runner, tmp_path):
@@ -473,13 +510,15 @@ def _edit_row(section, row, column, value):
      "vertex 7 has a non-finite coordinate or time"),
     (_edit_row("vertices", 9, 0, "inf"),
      "vertex 9 has a non-finite coordinate or time"),
+    (_edit_row("vertices", 11, 0, "0.5"),
+     "boundary vertex 11 has time 0.5; boundary times must be 0"),
     (lambda lines: lines[:-1], "malformed volume mesh file: expected "
                                "`boundary <count>`"),
     (lambda lines: lines + ["boundary 1", "0 1 2 0"],
      "malformed volume mesh file: content after the boundary rows"),
 ], ids=["tet-index-too-large", "tet-index-negative",
         "boundary-index-too-large", "nan-coordinate", "inf-time",
-        "truncated", "trailing-content"])
+        "boundary-time", "truncated", "trailing-content"])
 def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,

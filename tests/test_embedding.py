@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from qlmass.embedding import (
     EmbeddingError,
+    EmbeddingResult,
     align_embedding,
     crossing_pair,
     embed_metric,
     embeddability_check,
-    gauge_fix,
     real_harmonic_basis,
     write_embedding,
 )
@@ -50,8 +53,7 @@ def test_ellipsoid_recovered_up_to_gauge(mesh3):
     met = SurfaceMetric.from_positions(mesh3, pos)
     res = embed_metric(mesh3, met, degree=16)
     assert res.defect_l2 < 1e-8
-    ref = gauge_fix(pos, res.ops.vertex_areas)
-    assert np.abs(res.positions - ref).max() < 1e-6
+    assert np.abs(align_embedding(res, pos).positions - pos).max() < 1e-6
 
 
 @pytest.mark.parametrize("axes, level", [((1.0, 0.5, 0.3), 3),
@@ -63,8 +65,7 @@ def test_far_ellipsoid_recovered_up_to_gauge(axes, level):
     mesh = icosphere(level)
     pos = mesh.vertices * np.array(axes)
     res = embed_metric(mesh, SurfaceMetric.from_positions(mesh, pos))
-    ref = gauge_fix(pos, res.ops.vertex_areas)
-    assert np.abs(res.positions - ref).max() < 1e-6
+    assert np.abs(align_embedding(res, pos).positions - pos).max() < 1e-6
 
 
 def test_near_start_needs_no_spectral_factorization(monkeypatch):
@@ -146,16 +147,30 @@ def test_perturbed_sphere_consistency():
     assert res.consistency_residual(met) < 1e-6
 
 
-def test_gauge_fix_deterministic_under_motion(mesh3):
-    rng = np.random.default_rng(11)
-    pos = mesh3.vertices * np.array([1.0, 0.9, 0.75])
-    w = np.ones(len(pos))
-    fixed = gauge_fix(pos, w)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1.0
-    moved = pos @ q.T + rng.normal(size=3)
-    np.testing.assert_allclose(gauge_fix(moved, w), fixed, atol=1e-9)
+@pytest.fixture(scope="module")
+def schwarzschild_embedding():
+    bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=2)
+    return embed_metric(bd.geom.mesh, bd.geom.metric), bd.positions
+
+
+_VECTORS = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rotvec=_VECTORS, shift=_VECTORS)
+def test_alignment_invariant_under_rigid_motion(schwarzschild_embedding,
+                                                rotvec, shift):
+    # the embedding is fixed only up to a rigid motion; Procrustes
+    # alignment onto the data places every motion of it the same way
+    emb, target = schwarzschild_embedding
+    R = Rotation.from_rotvec(np.pi * np.asarray(rotvec)).as_matrix()
+    radius = np.linalg.norm(target, axis=1).max()
+    moved = EmbeddingResult(emb.mesh,
+                            emb.positions @ R.T + radius * np.asarray(shift),
+                            emb.defect_l2, emb.iterations)
+    np.testing.assert_allclose(align_embedding(moved, target).positions,
+                               align_embedding(emb, target).positions,
+                               rtol=0, atol=1e-12 * radius)
 
 
 def test_embeddability_check(mesh3):
@@ -270,16 +285,16 @@ def test_self_crossing_embedding_rejected(monkeypatch, mesh3):
 
     crossed = mesh3.vertices.copy()
     crossed[0] = -1.2 * crossed[0]
-    monkeypatch.setattr(embedding_mod, "gauge_fix",
-                        lambda positions, weights: crossed)
+    monkeypatch.setattr(embedding_mod, "_polish_positions",
+                        lambda *args: (crossed, 0.0, 1))
     met = SurfaceMetric.from_positions(mesh3, mesh3.vertices)
     with pytest.raises(EmbeddingError, match="crosses itself: faces 0 and"):
         embed_metric(mesh3, met, degree=8)
 
 
-def test_one_surface_builds_three_operator_sets(monkeypatch):
-    # extraction, the embedding solve (its gauge fix and its result share
-    # one set) and the aligned result, which the reference side reads
+def test_one_surface_builds_two_operator_sets(monkeypatch):
+    # extraction and the aligned result, which the reference side reads;
+    # the embedding solve builds none
     from qlmass.energy import SurfaceData
 
     built = []
@@ -295,4 +310,4 @@ def test_one_surface_builds_three_operator_sets(monkeypatch):
     emb = align_embedding(emb, bd.positions)
     SurfaceData.from_embedding(emb)
     SurfaceData.from_boundary(bd)
-    assert len(built) == 3
+    assert len(built) == 2

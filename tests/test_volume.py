@@ -540,23 +540,23 @@ def test_quadratic_levels_split_into_two_discs():
     assert np.all(topo.n_components[hi] == 2)
 
 
-def test_level_nudging_is_deterministic_and_noted():
-    _, vol = _ball_fill_in(2)
-    u = np.round(vol.vertices[:, 2] * 4.0) / 4.0
-    topo1 = level_set_topology(vol, u, n_levels=4)
-    topo2 = level_set_topology(vol, u, n_levels=4)
-    assert np.array_equal(topo1.levels, topo2.levels)
-    assert np.array_equal(topo1.chi, topo2.chi)
-    assert any("nudged" in n for n in topo1.notes)
-
-
-def test_level_nudging_ends_for_a_range_at_rounding_level():
-    # a nudge of 1e-8 of a two-ulp range is lost in rounding; the level
-    # moves by one ulp instead (the loop used to run without end)
-    u = 1.0 + 1e-16 * _SMALL_BALL.vertices[:, 0]
-    topo = level_set_topology(_SMALL_BALL, u, n_levels=24)
-    assert any("nudged" in n for n in topo.notes)
-    assert not np.isin(topo.levels, u).any()
+@pytest.mark.parametrize("field", ["quantized", "rounding-level-range"])
+def test_levels_are_bin_midpoints_even_at_vertex_values(field):
+    # a quantized field has every level on vertex values, and a range of
+    # a few ulps puts every level on one; neither moves a level, and the
+    # rank rule still counts each as the reference does
+    x = _SMALL_BALL.vertices
+    if field == "quantized":
+        u, n_levels = np.round(x[:, 2] * 4.0) / 4.0, 4
+    else:
+        u, n_levels = 1.0 + 1e-16 * x[:, 0], 24
+    topo = level_set_topology(_SMALL_BALL, u, n_levels=n_levels)
+    u_min = float(u.min())
+    ds = (float(u.max()) - u_min) / n_levels
+    assert np.array_equal(topo.levels,
+                          u_min + (np.arange(n_levels) + 0.5) * ds)
+    assert np.isin(topo.levels, u).all()
+    assert topo.notes == []
     _assert_matches_level_stats(
         _SMALL_BALL, u, topo.levels,
         (topo.chi, topo.n_components, topo.boundary_components))
