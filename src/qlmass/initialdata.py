@@ -41,7 +41,10 @@ def central_partials(fn, points, h):
 def metric_inverse(g):
     """Inverse and determinant of a stack of symmetric 3 x 3 matrices,
     (N, 3, 3) -> ((N, 3, 3), (N,)), as adjugate over determinant from the
-    cofactors of the upper triangle; exact on identity matrices."""
+    cofactors of the upper triangle; exact on identity matrices.  The
+    determinant is the product of the LDL^T pivots a, d2, d3: the
+    cofactor expansion along the first row cancels on positive definite
+    matrices of condition 1e3 and more."""
     a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
     d, e, f = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
     inv = np.empty(g.shape)
@@ -51,7 +54,9 @@ def metric_inverse(g):
     inv[:, 1, 1] = a * f - c * c
     inv[:, 1, 2] = inv[:, 2, 1] = b * c - a * e
     inv[:, 2, 2] = a * d - b * b
-    det = a * inv[:, 0, 0] + b * inv[:, 0, 1] + c * inv[:, 0, 2]
+    d2 = d - b * (b / a)
+    l32 = (e - c * (b / a)) / d2
+    det = a * (d2 * (f - c * (c / a) - l32 * l32 * d2))
     inv /= det[:, None, None]
     return inv, det
 

@@ -14,9 +14,9 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import null_space
-from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .initialdata import (
@@ -49,11 +49,15 @@ _TET_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
 def _face_normals(vertices, tets):
     """Outward normals of the four faces per tet, twice the face area
-    long, (T, 4, 3)."""
-    p = vertices[tets]
+    long, (T, 4, 3), written by component as np.cross forms them."""
+    x, y, z = (c[tets] for c in vertices.T)
     normals = np.empty((len(tets), 4, 3))
     for m, (i, j, k) in enumerate(_TET_FACES):
-        normals[:, m] = np.cross(p[:, j] - p[:, i], p[:, k] - p[:, i])
+        ux, uy, uz = x[:, j] - x[:, i], y[:, j] - y[:, i], z[:, j] - z[:, i]
+        vx, vy, vz = x[:, k] - x[:, i], y[:, k] - y[:, i], z[:, k] - z[:, i]
+        normals[:, m, 0] = uy * vz - uz * vy
+        normals[:, m, 1] = uz * vx - ux * vz
+        normals[:, m, 2] = ux * vy - uy * vx
     return normals
 
 
@@ -324,6 +328,52 @@ def _hat_gradients(normals, vols):
     return normals
 
 
+def _gradient_and_scatter(tets, grads, n):
+    """The P1 gradient operator D, (3T, n), whose row 3t + i holds
+    component i of the four hat gradients of tet t, so that
+    (D @ u).reshape(T, 3) is the gradient of u per tet; and the vertex x
+    tet scatter S, (n, T), whose row v has a 1 for each tet of v in tet
+    order, so that S @ w sums w over the tets of each vertex.  Both CSR."""
+    T = len(tets)
+    D = csr_matrix((grads.swapaxes(1, 2).reshape(-1),
+                    np.repeat(tets, 3, axis=0).reshape(-1),
+                    np.arange(0, 12 * T + 1, 4)), shape=(3 * T, n))
+    S = csr_matrix((np.ones(4 * T), tets.reshape(-1),
+                    np.arange(0, 4 * T + 1, 4)), shape=(T, n)).T.tocsr()
+    return D, S
+
+
+def _jacobi_cg(A, b, x, inv_diag, rtol, maxiter):
+    """Conjugate gradients (Hestenes & Stiefel 1952) on the symmetric
+    positive definite A with the Jacobi preconditioner z = inv_diag * r,
+    from x (left unchanged), stopping once ||r|| < rtol ||b||: the
+    recurrence of scipy's `cg` with M = diag(inv_diag), whose iterates and
+    counts it reproduces bit for bit.  Returns (x, iterations, whether it
+    converged)."""
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return b.copy(), 0, True
+    atol = rtol * bnorm
+    x = x.copy()
+    r = b - A @ x if x.any() else b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration, True
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
+
+
 def _tet_centroids(vol):
     """Centroids of the tets of a volume mesh, (T, 3)."""
     v, t = vol.vertices, vol.tets
@@ -344,10 +394,12 @@ def _point_fields(data, points):
 
 # Picard loop constants: Anderson mixing depth (Walker & Ni, SINUM 2011),
 # the factor of the inexact forcing term (Eisenstat & Walker, SISC 1996),
-# and the CG stop of every solve that ends the loop (or starts it)
+# the CG stop of every solve that ends the loop (or starts it), and the
+# CG iterations after which a solve is redone by sparse LU
 ANDERSON_DEPTH = 5
 FORCING = 1e-3
 EXACT_RTOL = 1e-15
+CG_MAXITER = 2000
 
 
 class SpacetimeHarmonicSolution:
@@ -390,8 +442,12 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     differences of f in least squares.
 
     Each linear solve runs conjugate gradients on the fixed metric
-    stiffness matrix with the Jacobi (inverse diagonal) preconditioner,
-    warm-started, with no absolute floor.  The solve of a Picard step is
+    stiffness matrix with the Jacobi (inverse diagonal) preconditioner
+    (`_jacobi_cg`), warm-started, with no absolute floor.  The first solve
+    starts from the least-squares affine fit c + b.x of the boundary
+    values over the boundary vertices: P1 elements reproduce affine
+    functions exactly, so on a flat metric with affine boundary values it
+    starts at the solution up to rounding.  The solve of a Picard step is
     inexact: it stops at a relative residual of
     max(1e-15, FORCING * min(previous step, 1)).  The first solve (the
     boundary data alone) stops at 1e-15, and the loop ends only on a step
@@ -405,9 +461,9 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     centroid there is no source: the first solve is the solution, with no
     Picard step and one entry in `step_cg_iterations`.  A 1e-12 relative
     stop would leave errors near 2e-12 on linear boundary data, which must
-    be reproduced to 1e-12.  A solve that does not converge within 2000
-    iterations is redone by sparse LU (`splu`, factored at most once per
-    call); `splu_fallbacks` on the solution counts those solves.
+    be reproduced to 1e-12.  A solve that does not converge within
+    CG_MAXITER iterations is redone by sparse LU (`splu`, factored at most
+    once per call); `splu_fallbacks` on the solution counts those solves.
     """
     boundary_values = np.asarray(boundary_values, dtype=float)
     if not np.all(np.isfinite(boundary_values)):
@@ -421,11 +477,14 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     weight = vols * sqrtdet
 
     n = vol.n_vertices
-    metric_grads = grads @ ginv
-    local = (metric_grads @ grads.swapaxes(1, 2)) * weight[:, None, None]
+    local = (grads @ ginv @ grads.swapaxes(1, 2)) * weight[:, None, None]
     rows = np.repeat(vol.tets, 4, axis=1).reshape(-1)
     cols = np.tile(vol.tets, (1, 4)).reshape(-1)
     K = coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    # free the assembly arrays before the Picard source operators take
+    # their place
+    del local, rows, cols
+    D, S = _gradient_and_scatter(vol.tets, grads, n)
 
     if delta is None:
         rng = float(np.ptp(boundary_values))
@@ -440,20 +499,17 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     Kff = K[free_idx][:, free_idx]
     Kfb = K[free_idx][:, bverts]
 
-    jacobi = diags(1.0 / Kff.diagonal())
+    inv_diag = 1.0 / Kff.diagonal()
     lu = None
     step_cg_iterations = []
     splu_fallbacks = 0
 
-    def count_iteration(_):
-        step_cg_iterations[-1] += 1
-
     def linear_solve(rhs, x0, rtol):
         nonlocal lu, splu_fallbacks
-        step_cg_iterations.append(0)
-        sol, info = cg(Kff, rhs, x0=x0, M=jacobi, rtol=rtol, atol=0.0,
-                       maxiter=2000, callback=count_iteration)
-        if info != 0:
+        sol, iterations, converged = _jacobi_cg(Kff, rhs, x0, inv_diag, rtol,
+                                                CG_MAXITER)
+        step_cg_iterations.append(iterations)
+        if not converged:
             splu_fallbacks += 1
             if lu is None:
                 try:
@@ -464,14 +520,12 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
         return sol
 
     def rhs_vector(current):
-        du = np.einsum("tm,tmi->ti", current[vol.tets], grads)
+        du = (D @ current).reshape(-1, 3)
         gnorm = np.sqrt(
             np.einsum("ti,ti->t", du, np.einsum("tij,tj->ti", ginv, du))
             + delta**2
         )
-        per_tet = trk * gnorm * weight / 4.0
-        return np.bincount(vol.tets.reshape(-1),
-                           weights=np.repeat(per_tet, 4), minlength=n)
+        return S @ (trk * gnorm * weight / 4.0)
 
     base = -Kfb @ boundary_values
     history = []
@@ -514,7 +568,13 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
             f"history={['%.3e' % h for h in history]}"
         )
 
-    first = linear_solve(base, u[free_idx], EXACT_RTOL)
+    # the first solve starts from the least-squares affine fit of the
+    # boundary values, which P1 elements reproduce exactly
+    fit = np.linalg.lstsq(
+        np.column_stack([np.ones(len(bverts)), vol.vertices[bverts]]),
+        boundary_values, rcond=None)[0]
+    first = linear_solve(base, fit[0] + vol.vertices[free_idx] @ fit[1:],
+                         EXACT_RTOL)
     # with Tr k = 0 at every centroid there is no source, and the first
     # solve is the solution
     u[free_idx] = picard(first) if trk.any() else first

@@ -157,6 +157,36 @@ def test_volume_mesh_file_malformed(tmp_path):
         read_volume_mesh(path)
 
 
+def _cross_normals(vertices, tets):
+    p = vertices[tets]
+    return np.stack([np.cross(p[:, j] - p[:, i], p[:, k] - p[:, i])
+                     for i, j, k in volume._TET_FACES], axis=1)
+
+
+def test_face_normals_match_cross_products(tmp_path):
+    _, vol = _ball_fill_in(3)
+    assert np.array_equal(volume._face_normals(vol.vertices, vol.tets),
+                          _cross_normals(vol.vertices, vol.tets))
+    # a mesh file with every third tet negatively oriented, which the
+    # reader flips back before the normals are taken
+    path = tmp_path / "flipped.vmesh"
+    write_volume_mesh(path, vol)
+    tets = vol.tets.copy()
+    tets[::3] = tets[::3][:, [1, 0, 2, 3]]
+    lines = path.read_text().splitlines()
+    first = vol.n_vertices + 2
+    lines[first:first + vol.n_tets] = [" ".join(map(str, t)) for t in tets]
+    path.write_text("\n".join(lines) + "\n")
+    back = read_volume_mesh(path)
+    assert not np.array_equal(back.tets, tets)
+    normals = _cross_normals(back.vertices, back.tets)
+    assert np.array_equal(volume._face_normals(back.vertices, back.tets),
+                          normals)
+    assert np.array_equal(back.hat_gradients[0],
+                          volume._hat_gradients(normals,
+                                                back.tet_volumes))
+
+
 def test_volume_mesh_rejects_boundary_map_length_mismatch():
     _, vol = _ball_fill_in(1)
     with pytest.raises(VolumeError, match="boundary_map has 79 entries "
@@ -337,6 +367,101 @@ def test_quadratic_solve_needs_no_splu_fallback():
     assert sol.cg_iterations > 0
 
 
+@pytest.fixture(scope="module")
+def flat_balls():
+    return {level: _ball_fill_in(level)[1] for level in (2, 3)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(level=st.sampled_from([2, 3]),
+       provider=st.sampled_from(["flat", "bowen_york"]),
+       c=st.floats(-10.0, 10.0),
+       b=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+@example(level=3, provider="flat", c=0.0, b=[0.0, 0.0, 1.0])
+@example(level=2, provider="bowen_york", c=1.5, b=[0.3, -0.2, 1.0])
+def test_affine_boundary_values_start_at_the_solution(flat_balls, level,
+                                                      provider, c, b):
+    # both providers have a flat metric, on which P1 elements reproduce
+    # c + b.x exactly, and the first solve starts from its affine fit
+    vol = flat_balls[level]
+    data = (FlatData() if provider == "flat"
+            else BowenYorkData(np.array([0.0, 0.0, 0.1])))
+    bvals = c + vol.vertices[vol.boundary_vertices] @ np.array(b)
+    sol = solve_spacetime_harmonic(vol, data, bvals)
+    exact = c + vol.vertices @ np.array(b)
+    assert np.abs(sol.u - exact).max() <= 1e-12 * np.abs(bvals).max()
+    assert sol.step_cg_iterations[0] <= 10
+    assert sol.splu_fallbacks == 0
+
+
+@pytest.mark.parametrize("rtol", [1e-15, 1e-6])
+def test_jacobi_cg_matches_scipy_cg_bit_for_bit(rtol):
+    _, vol = _ball_fill_in(2, radius=10.0)
+    K = _reference_stiffness(vol, SchwarzschildData(1.0))[0]
+    bv = vol.boundary_vertices
+    free = np.setdiff1d(np.arange(vol.n_vertices), bv)
+    Kff = K[free][:, free]
+    rhs = -K[free][:, bv] @ vol.vertices[bv, 2]
+    inv_diag = 1.0 / Kff.diagonal()
+    for x0 in (np.zeros(len(free)), 0.1 * vol.vertices[free, 0]):
+        calls = []
+        x, info = cg(Kff, rhs, x0=x0, M=diags(inv_diag), rtol=rtol,
+                     atol=0.0, maxiter=2000, callback=calls.append)
+        start = x0.copy()
+        mine, iterations, converged = volume._jacobi_cg(
+            Kff, rhs, x0, inv_diag, rtol, 2000)
+        assert info == 0 and converged
+        assert iterations == len(calls) > 0
+        assert np.array_equal(mine, x)
+        assert np.array_equal(x0, start)
+
+
+@pytest.mark.parametrize("data", [SchwarzschildData(1.0),
+                                  UniformExpansionData(0.3)])
+def test_picard_source_operators_match_gather_and_bincount(data):
+    _, vol = _ball_fill_in(3, radius=10.0)
+    grads, vols = vol.hat_gradients
+    n = vol.n_vertices
+    D, S = volume._gradient_and_scatter(vol.tets, grads, n)
+    _, ginv, trk, weight = _reference_stiffness(vol, data)
+    u = vol.vertices[:, 2] + np.random.default_rng(3).normal(size=n)
+    du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
+    assert np.array_equal((D @ u).reshape(-1, 3), du)
+    gnorm = np.sqrt(np.einsum("ti,ti->t", du,
+                              np.einsum("tij,tj->ti", ginv, du)) + 1e-12)
+    per_tet = trk * gnorm * weight / 4.0
+    assert np.array_equal(S @ per_tet,
+                          np.bincount(vol.tets.reshape(-1),
+                                      weights=np.repeat(per_tet, 4),
+                                      minlength=n))
+
+
+def test_stalled_cg_is_redone_by_one_lu_factorization(monkeypatch):
+    factored = []
+    splu = volume.splu
+
+    def spy(matrix):
+        factored.append(matrix.shape)
+        return splu(matrix)
+
+    def stalled(A, b, x, inv_diag, rtol, maxiter):
+        return x.copy(), maxiter, False
+
+    monkeypatch.setattr(volume, "_jacobi_cg", stalled)
+    monkeypatch.setattr(volume, "splu", spy)
+    # Bowen-York data take Picard steps on a flat metric, so linear
+    # boundary data stay the solution over several solves
+    _, vol = _ball_fill_in(2)
+    a = np.array([0.3, -0.2, 1.0])
+    sol = solve_spacetime_harmonic(vol, BowenYorkData(np.array([0.0, 0.0,
+                                                                0.1])),
+                                   vol.vertices[vol.boundary_vertices] @ a)
+    assert len(sol.step_cg_iterations) > 1
+    assert sol.splu_fallbacks == len(sol.step_cg_iterations)
+    assert len(factored) == 1
+    assert np.abs(sol.u - vol.vertices @ a).max() <= 1e-12
+
+
 def test_uniform_expansion_matches_polar_oracle():
     data = UniformExpansionData(1.0)
     _, vol = _ball_fill_in(3)
@@ -365,9 +490,9 @@ def test_maximum_principle():
         assert sol.u.min() >= bvals.min() - 1e-10 * rng
 
 
-def _plain_picard(vol, data, bvals, tol=1e-10):
-    """Reference loop: every Picard step solved to CG rtol 1e-15 from the
-    last iterate, no mixing.  Returns (u, residual norm, last step)."""
+def _reference_stiffness(vol, data):
+    """Stiffness matrix of an independent einsum assembly, with the
+    centroid fields: (K, g^-1, Tr k, tet volume x sqrt det g)."""
     centroids = vol.vertices[vol.tets].mean(axis=1)
     g = data.metric(centroids)
     ginv = np.linalg.inv(g)
@@ -379,6 +504,15 @@ def _plain_picard(vol, data, bvals, tol=1e-10):
     K = csr_matrix((local.ravel(),
                     (np.repeat(vol.tets, 4, axis=1).ravel(),
                      np.tile(vol.tets, (1, 4)).ravel())), shape=(n, n))
+    return K, ginv, trk, weight
+
+
+def _plain_picard(vol, data, bvals, tol=1e-10):
+    """Reference loop: every Picard step solved to CG rtol 1e-15 from the
+    last iterate, no mixing.  Returns (u, residual norm, last step)."""
+    K, ginv, trk, weight = _reference_stiffness(vol, data)
+    grads = vol.hat_gradients[0]
+    n = vol.n_vertices
     delta = 1e-6 * np.ptp(bvals) / vol.diameter()
     bv = vol.boundary_vertices
     free = np.setdiff1d(np.arange(n), bv)
