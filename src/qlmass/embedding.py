@@ -12,11 +12,11 @@ physical data, where observer directions are expressed.
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, special
+from scipy import linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import lsqr
-from scipy.spatial import cKDTree
 
+from .mesh import pairs_within, unique_rows
 from .operators import OperatorSet, SurfaceMetric
 
 
@@ -26,20 +26,40 @@ class EmbeddingError(RuntimeError):
 
 def real_harmonic_basis(points, degree):
     """Real orthonormal spherical harmonics up to `degree`, sampled at unit
-    vectors `points`; returns a (V, (degree+1)^2) matrix."""
+    vectors `points`; returns a (V, (degree+1)^2) matrix.
+
+    Degree n takes columns n^2 .. (n+1)^2 - 1: Y_n0, then cos and sin
+    parts of each order m = 1..n, that is sqrt(2) (-1)^m times the real
+    and imaginary parts of the complex harmonic Y_n^m (with the
+    Condon-Shortley phase).  The fully normalised associated Legendre
+    functions come from the stable three-term recurrence: the diagonal
+    P_m^m from P_{m-1}^{m-1}, then P_{m+1}^m and upward in n.
+    """
     points = np.asarray(points, dtype=float)
     r = np.linalg.norm(points, axis=1)
-    theta = np.arccos(np.clip(points[:, 2] / r, -1.0, 1.0))
+    cos_t = np.clip(points[:, 2] / r, -1.0, 1.0)
+    sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
     phi = np.arctan2(points[:, 1], points[:, 0])
-    cols = []
-    for n in range(degree + 1):
-        ynm = special.sph_harm_y(n, np.arange(0, n + 1), theta[:, None], phi[:, None])
-        cols.append(ynm[:, 0].real)
-        for m in range(1, n + 1):
-            s = np.sqrt(2.0) * (-1.0) ** m
-            cols.append(s * ynm[:, m].real)
-            cols.append(s * ynm[:, m].imag)
-    return np.column_stack(cols)
+    basis = np.empty((len(points), (degree + 1) ** 2))
+    p_mm = np.full(len(points), 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(degree + 1):
+        # column offset within each degree -> the factor in phi
+        if m == 0:
+            parts = {0: 1.0}
+        else:
+            p_mm = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * p_mm
+            parts = {2 * m - 1: np.sqrt(2.0) * np.cos(m * phi),
+                     2 * m: np.sqrt(2.0) * np.sin(m * phi)}
+        prev, cur = 0.0, p_mm
+        for n in range(m, degree + 1):
+            if n > m:
+                a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+                b = np.sqrt(((n - 1.0) ** 2 - m * m)
+                            / (4.0 * (n - 1.0) ** 2 - 1.0))
+                prev, cur = cur, a * (cos_t * cur - b * prev)
+            for offset, factor in parts.items():
+                basis[:, n * n + offset] = cur * factor
+    return basis
 
 
 def embeddability_check(ops):
@@ -265,28 +285,32 @@ def crossing_pair(positions, faces):
     intersect, or None when the surface is embedded.
 
     Two triangles touch only if their centroids lie within the sum of
-    their radii.  One fixed-radius query finds the pairs of triangles no
-    wider than the reach (at most twice the median radius); each wider
-    triangle queries twice its own radius, so a long triangle adds O(F)
-    candidates, not O(F^2).  Candidates are tested by Moeller-Trumbore,
-    each edge of one triangle against the other.
+    their radii.  A cell hash of the centroids (`pairs_within`) gives the
+    pairs of triangles no wider than the reach (at most twice the median
+    radius) within twice the reach; the triangles wider than the reach
+    query it again with twice the widest radius, so a few long triangles
+    add O(F) candidates each, not O(F^2).  Candidates are tested by
+    Moeller-Trumbore, each edge of one triangle against the other.
     """
     tri = positions[faces]
     cent = tri.mean(axis=1)
     rad = np.linalg.norm(tri - cent[:, None, :], axis=2).max(axis=1)
-    tree = cKDTree(cent)
     reach = min(rad.max(), 2.0 * np.median(rad))
-    near = tree.query_pairs(2.0 * reach, output_type="ndarray")
+    i, j, d2 = pairs_within(cent, 2.0 * reach)
     wide = np.flatnonzero(rad > reach)
-    hits = tree.query_ball_point(cent[wide], 2.0 * rad[wide])
-    i = np.concatenate([near[:, 0], np.repeat(wide, [len(h) for h in hits])])
-    j = np.concatenate([near[:, 1], *hits]).astype(np.int64)
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    close = (i < j) & (np.linalg.norm(cent[i] - cent[j], axis=1)
-                       <= rad[i] + rad[j])
+    if len(wide):
+        wi, wj, wd2 = pairs_within(cent, 2.0 * rad[wide].max(), cent[wide])
+        i = np.concatenate([i, np.minimum(wide[wi], wj)])
+        j = np.concatenate([j, np.maximum(wide[wi], wj)])
+        d2 = np.concatenate([d2, wd2])
+    close = (i < j) & (np.sqrt(d2) <= rad[i] + rad[j])
     i, j = i[close], j[close]
-    apart = ~(faces[i][:, :, None] == faces[j][:, None, :]).any(axis=(1, 2))
-    pairs = np.unique(np.column_stack([i[apart], j[apart]]), axis=0)
+    fi, fj = faces[i], faces[j]
+    shared = np.zeros(len(i), dtype=bool)
+    for a in range(3):
+        for b in range(3):
+            shared |= fi[:, a] == fj[:, b]
+    pairs, _ = unique_rows(np.column_stack([i[~shared], j[~shared]]))
     a, b = tri[pairs[:, 0]], tri[pairs[:, 1]]
     hit = np.zeros(len(pairs), dtype=bool)
     for k in range(3):

@@ -407,8 +407,11 @@ def _sphere_quadrature(radius=1.0, n_theta=48, n_phi=96):
 
 
 def adm_integrals(data, radii):
-    """ADM energy and momentum surface integrals per radius, with a 1/r
-    Richardson extrapolation across the given radii."""
+    """ADM energy and momentum surface integrals per radius, and their
+    large-radius limits E and P: with two or more radii, the constant
+    term of the least-squares fit E_inf + c / r over all of them (each
+    momentum component alike); with one radius, its values.  A warning is
+    added when the energy differences between successive radii grow."""
     radii = sorted(radii)
     dirs, w, _, _ = _sphere_quadrature()
     energies, momenta = [], []

@@ -26,6 +26,71 @@ def unique_rows(raw):
     return rows[first], inv
 
 
+def expand_ranges(first, stop):
+    """Every value of the integer ranges [first, stop), range by range:
+    (owner, value, node0), where owner is the index of each value's range
+    and value k of range i sits at position node0[i] + k."""
+    node0 = np.cumsum(stop - first) - stop
+    owner = np.repeat(np.arange(len(first)), stop - first)
+    return owner, np.arange(len(owner)) - node0[owner], node0
+
+
+# (dx, dy) offsets of the 3 x 3 columns of grid cells around a cell; the
+# last five are its own column and the four whose keys follow it.  The
+# three cells of a column have consecutive keys.
+_COLUMNS = np.array([(i, j, 0) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+
+
+def pairs_within(points, radius, queries=None):
+    """Every pair of rows of `points` at most `radius` apart, by a uniform
+    grid of cells at least `radius` wide: (i, j, squared distance).
+
+    Without `queries` the pairs are i < j among the points, each once;
+    with them, i indexes `queries` (in ascending order) and j `points`.
+    The points are sorted by cell key (x-major, z-minor), so each column
+    of three cells is one contiguous run.  A query takes every point in
+    the nine columns around its cell as a candidate; a point takes the
+    points after it in its own column and those in the four columns that
+    follow it, which meets each pair once.  Candidates farther than
+    `radius` are dropped.  Cells are no narrower than a millionth of the
+    points' extent, which keeps the keys within int64.
+    """
+    lo = points.min(axis=0)
+    width = max(radius, 1e-6 * float(np.ptp(points, axis=0).max()),
+                np.finfo(float).tiny)
+    cell = np.floor((points - lo) / width).astype(np.int64)
+    shape = cell.max(axis=0) + 3
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    key = cell @ strides
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    coords = points[order].T
+    if queries is None:
+        qkey, qcoords, columns = key, coords, _COLUMNS[4:]
+    else:
+        qkey = np.floor((queries - lo) / width).astype(np.int64) @ strides
+        qcoords, columns = queries.T, _COLUMNS
+    cells, cell_of = np.unique(qkey, return_inverse=True)
+    near = (cells[:, None] + columns @ strides).ravel()
+    first = np.searchsorted(key, near - 1, "left")
+    stop = np.searchsorted(key, near + 1, "right")
+    first = first.reshape(-1, len(columns))[cell_of]
+    stop = stop.reshape(-1, len(columns))[cell_of]
+    if queries is None:
+        first[:, 0] = np.arange(1, len(key) + 1)
+    owner, j, _ = expand_ranges(first.ravel(), stop.ravel())
+    i = owner // len(columns)
+    d2 = (qcoords[0][i] - coords[0][j]) ** 2
+    d2 += (qcoords[1][i] - coords[1][j]) ** 2
+    d2 += (qcoords[2][i] - coords[2][j]) ** 2
+    keep = np.flatnonzero(d2 <= radius * radius)
+    i, j, d2 = i[keep], order[j[keep]], d2[keep]
+    if queries is None:
+        i = order[i]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    return i, j, d2
+
+
 class SurfaceMesh:
     """Closed oriented manifold triangulation.
 

@@ -4,16 +4,16 @@ mass_infimum minimizes the energy over a deterministic direction grid on
 the observer sphere, filters by the fill-in admissibility verdict, and
 polishes the best feasible point with a local Nelder-Mead search in
 tangent coordinates.  asymptotics_driver tabulates energies of coordinate
-spheres over a radius ladder and fits the large-radius limit against the
-asymptotic energy and momentum surface integrals.
+spheres over a radius ladder, fits E_inf + c r^(-p) to each row by
+variable projection (linear least squares in E_inf and c, golden section
+in p) and sets the limit against the asymptotic energy and momentum
+surface integrals.
 """
 
 import csv
 import json
-import warnings
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, minimize
 
 from .embedding import EmbeddingError, align_embedding, embed_metric
 from .energy import EnergyError, SurfaceData, energy, make_observer
@@ -82,6 +82,57 @@ def _tangent_basis(a):
     return t1, np.cross(a, t1)
 
 
+def _nelder_mead(func, simplex, maxiter, xatol, fatol):
+    """Minimize `func` from the (N+1, N) `simplex` by Nelder-Mead with
+    reflection 1, expansion 2, contraction 1/2 and shrink 1/2; returns the
+    best vertex and its value.
+
+    The loop is that of scipy 1.17's `minimize(method="Nelder-Mead")` with
+    an initial simplex: the vertices are re-sorted by np.argsort after
+    every step, the search stops when every vertex lies within `xatol` of
+    the best in each coordinate and every value within `fatol` of the
+    best, and the evaluation of the start counts as iteration 1 of
+    `maxiter`, so both make the same calls of `func` in the same order.
+    """
+    sim = np.array(simplex, dtype=float)
+    fsim = np.array([func(x) for x in sim])
+    for _ in range(maxiter - 1):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            break
+        xbar = sim[:-1].sum(axis=0) / (len(sim) - 1)
+        xr = 2.0 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # outside contraction when the reflection improved on the
+            # worst vertex, inside contraction otherwise; shrink when it
+            # does not help
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, len(sim)):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+    best = np.argmin(fsim)
+    return sim[best], fsim[best]
+
+
 def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
                  refine_iters=50, grid_rotation=0.0,
                  admissibility_levels=16, context=None):
@@ -137,9 +188,8 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     if refine_iters > 0:
         h = 2.0 / np.sqrt(grid_n)  # grid spacing in radians
         simplex = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
-        minimize(objective, np.zeros(2), method="Nelder-Mead",
-                 options={"maxiter": refine_iters, "xatol": 1e-10,
-                          "fatol": 1e-14, "initial_simplex": simplex})
+        _nelder_mead(objective, simplex, refine_iters, xatol=1e-10,
+                     fatol=1e-14)
 
     mass_value, argmin = best["E"], a0
     if trace:
@@ -163,34 +213,55 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
 
 # -- asymptotics -----------------------------------------------------------
 
+# the inverse golden ratio, by which a golden-section search shrinks its
+# bracket per step
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 def _fit_power(radii, values):
-    """Fit E(r) = E_inf + c r^(-p) with p in [0.5, 2]; Richardson
-    extrapolation across the last three radii as fallback."""
+    """Fit E(r) = E_inf + c r^(-p) with p in [0.5, 2] by least squares;
+    Richardson extrapolation across the last three radii as fallback.
+
+    For fixed p the model is linear in (E_inf, c), whose least-squares
+    values have a closed form (the 2 x 2 normal equations), so the misfit
+    is a function of p alone (variable projection).  A golden-section
+    search minimises it until rounding stops the bracket from shrinking;
+    the end points p = 0.5 and p = 2 are candidates too.  The fit is kept
+    when its largest misfit is below half the spread of the values.
+    """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(radii) < 3:
         return {"E_inf": float(values[-1]), "c": 0.0, "p": None,
                 "method": "lastValue"}
 
-    def model(r, e_inf, c, p):
-        return e_inf + c * r ** (-p)
+    def linear_fit(p):
+        x = radii ** (-p)
+        dx = x - x.mean()
+        c = (dx @ (values - values.mean())) / (dx @ dx)
+        e_inf = values.mean() - c * x.mean()
+        misfit = e_inf + c * x - values
+        return misfit @ misfit, e_inf, c, p
 
-    try:
-        p0 = [values[-1], (values[0] - values[-1]) * radii[0], 1.0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            coefs, _ = curve_fit(
-                model, radii, values, p0=p0,
-                bounds=([-np.inf, -np.inf, 0.5], [np.inf, np.inf, 2.0]),
-                maxfev=20000,
-            )
-        fitted = model(radii, *coefs)
-        scale = max(np.ptp(values), 1e-30)
-        if np.abs(fitted - values).max() < 0.5 * scale:
-            return {"E_inf": float(coefs[0]), "c": float(coefs[1]),
-                    "p": float(coefs[2]), "method": "powerLaw"}
-    except (RuntimeError, ValueError):
-        pass
+    lo, hi = 0.5, 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1, p2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        f1, f2 = linear_fit(p1)[0], linear_fit(p2)[0]
+        while lo < p1 < p2 < hi:
+            if f1 <= f2:
+                hi, p2, f2 = p2, p1, f1
+                p1 = hi - _GOLDEN * (hi - lo)
+                f1 = linear_fit(p1)[0]
+            else:
+                lo, p1, f1 = p1, p2, f2
+                p2 = lo + _GOLDEN * (hi - lo)
+                f2 = linear_fit(p2)[0]
+        _, e_inf, c, p = min(map(linear_fit, (p1, p2, 0.5, 2.0)),
+                             key=lambda fit: fit[0])
+        misfit = np.abs(e_inf + c * radii ** (-p) - values).max()
+    if misfit < 0.5 * max(np.ptp(values), 1e-30):
+        return {"E_inf": float(e_inf), "c": float(c), "p": float(p),
+                "method": "powerLaw"}
 
     # Richardson step on the last three entries (radii need not double)
     r1, r2, r3 = radii[-3:]

@@ -17,7 +17,6 @@ from scipy.linalg import null_space
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
 from .initialdata import (
     _sphere_quadrature,
@@ -26,7 +25,7 @@ from .initialdata import (
     fibonacci_directions,
     metric_inverse,
 )
-from .mesh import unique_rows
+from .mesh import expand_ranges, pairs_within, unique_rows
 
 
 class VolumeError(RuntimeError):
@@ -88,8 +87,9 @@ class VolumeMesh:
     times : (N,) Minkowski time coordinates (zero unless given, as a
         volume mesh file may); zero on every boundary vertex.
     hat_gradients : (constant gradients of the four hat functions per tet,
-        (T, 4, 3), tet volumes), from the face normals of the quality
-        check.
+        (T, 4, 3), tet volumes), from the face normals, computed when
+        first read: only the interior solver and the field recovery read
+        them, not level-set topology.
     """
 
     def __init__(self, vertices, tets, boundary_faces, boundary_map,
@@ -135,14 +135,18 @@ class VolumeMesh:
             raise VolumeError("degenerate tetrahedra in volume mesh")
         self.tets = tets
         self.tet_volumes = vols
-        normals = _face_normals(self.vertices, tets)
-        self.min_dihedral = _min_dihedral_degrees(normals)
+        self.min_dihedral = _min_dihedral_degrees(
+            _face_normals(self.vertices, tets))
         if self.min_dihedral < quality_floor:
             raise VolumeError(
                 f"tet quality below floor: min dihedral "
                 f"{self.min_dihedral:.2f} deg < {quality_floor} deg"
             )
-        self.hat_gradients = _hat_gradients(normals, vols), vols
+
+    @cached_property
+    def hat_gradients(self):
+        normals = _face_normals(self.vertices, self.tets)
+        return _hat_gradients(normals, self.tet_volumes), self.tet_volumes
 
     @property
     def n_vertices(self):
@@ -489,6 +493,15 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     if delta is None:
         rng = float(np.ptp(boundary_values))
         delta = 1e-6 * rng / vol.diameter()
+    # the equation is homogeneous of degree one in (u, delta), so it is
+    # solved for the boundary values divided by the power of two just
+    # above their largest magnitude: that moves no bit of the arithmetic
+    # on data of moderate size, and keeps tiny (down to subnormal) or huge
+    # data from losing digits to underflow or overflow; Picard steps are
+    # measured in the units of u
+    exponent = int(np.frexp(np.abs(boundary_values).max(initial=0.0))[1])
+    boundary_values = np.ldexp(boundary_values, -exponent)
+    scaled_delta = np.ldexp(delta, -exponent)
 
     free = np.ones(n, dtype=bool)
     free[bverts] = False
@@ -523,7 +536,7 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
         du = (D @ current).reshape(-1, 3)
         gnorm = np.sqrt(
             np.einsum("ti,ti->t", du, np.einsum("tij,tj->ti", ginv, du))
-            + delta**2
+            + scaled_delta**2
         )
         return S @ (trk * gnorm * weight / 4.0)
 
@@ -544,7 +557,7 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
             rtol = (EXACT_RTOL if polish
                     else max(EXACT_RTOL, FORCING * min(step, 1.0)))
             g = linear_solve(rhs, x, rtol)
-            step = float(np.abs(g - x).max())
+            step = float(np.ldexp(np.abs(g - x).max(), exponent))
             if not polish:
                 history.append(step)
                 anderson_depths.append(len(diff_f))
@@ -579,7 +592,11 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     # solve is the solution
     u[free_idx] = picard(first) if trk.any() else first
     residual = K @ u - rhs_vector(u)
-    residual_norm = float(np.abs(residual[free_idx]).max())
+    residual_norm = float(np.ldexp(np.abs(residual[free_idx]).max(),
+                                   exponent))
+    # in place: a new array here raised the peak memory of a following
+    # solve by 4 MiB (heap fragmentation)
+    np.ldexp(u, exponent, out=u)
     return SpacetimeHarmonicSolution(u, residual_norm, delta, history,
                                      step_cg_iterations, anderson_depths,
                                      splu_fallbacks)
@@ -693,21 +710,14 @@ def _cut_ranges(rank, simplices):
     return first, stop
 
 
-def _expand(first, stop):
-    """(simplex, level) of every pair in the ranges [first, stop), simplex
-    by simplex, and node0 with pair (i, k) at position node0[i] + k."""
-    node0 = np.cumsum(stop - first) - stop
-    owner = np.repeat(np.arange(len(first)), stop - first)
-    return owner, np.arange(len(owner)) - node0[owner], node0
-
-
 def _components_per_level(first, stop, a, b, link_first, link_stop,
                           n_levels):
     """Connected components at each level of the simplices cut there,
     simplices a[j] and b[j] being linked at the levels that cut link j:
     one graph whose nodes are the (simplex, level) pairs."""
-    _, level, node0 = _expand(first, stop)
-    j, k, _ = _expand(link_first, link_stop)
+    # every (simplex, level) pair, simplex by simplex
+    _, level, node0 = expand_ranges(first, stop)
+    j, k, _ = expand_ranges(link_first, link_stop)
     graph = csr_matrix((np.ones(len(j)), (node0[a[j]] + k, node0[b[j]] + k)),
                        shape=(len(level), len(level)))
     n_comp, labels = connected_components(graph, directed=False)
@@ -1019,23 +1029,49 @@ def _exact_coarea(rep, vol, u_samples, radius):
 
 # -- the integral identity ------------------------------------------------
 
+def _nearest_faces(face_dirs, directions, k):
+    """Indices of the k face directions nearest each direction, nearest
+    first and ties by face index, (len(directions), k).
+
+    Each direction takes the face directions within a radius that holds
+    about 1.5 k of them on a round sphere (a cap of chord radius rho has
+    area pi rho^2); a direction that finds fewer than k searches again
+    with twice the radius.
+    """
+    cand = np.empty((len(directions), k), dtype=np.int64)
+    todo = np.arange(len(directions))
+    radius = np.sqrt(6.0 * k / len(face_dirs))
+    while len(todo):
+        q, f, d2 = pairs_within(face_dirs, radius, directions[todo])
+        found = np.bincount(q, minlength=len(todo))
+        # one row per direction: its candidates by distance, then index
+        slot = np.arange(len(q)) - (np.cumsum(found) - found)[q]
+        dist = np.full((len(todo), found.max()), np.inf)
+        face = np.zeros(dist.shape, dtype=np.int64)
+        dist[q, slot], face[q, slot] = d2, f
+        done = found >= k
+        order = np.lexsort((face[done], dist[done]), axis=-1)[:, :k]
+        cand[todo[done]] = np.take_along_axis(face[done], order, axis=1)
+        todo, radius = todo[~done], 2.0 * radius
+    return cand
+
+
 def _interpolate_boundary(surface_positions, surface_faces, fields,
                           directions):
     """Linear interpolation of per-vertex fields at boundary directions
     (star-shaped boundary, radial projection onto boundary faces).
 
     Each direction takes the first of its 16 nearest faces (by face
-    direction) whose barycentric weights are all at least -1e-12, else the
-    face whose smallest weight is largest; singular faces are skipped.
+    direction, ties by face index) whose barycentric weights are all at
+    least -1e-12, else the face whose smallest weight is largest; singular
+    faces are skipped.
     """
     center = surface_positions.mean(axis=0)
     d_verts = surface_positions - center
     d_verts /= np.linalg.norm(d_verts, axis=1, keepdims=True)
     face_dirs = d_verts[surface_faces].mean(axis=1)
     face_dirs /= np.linalg.norm(face_dirs, axis=1, keepdims=True)
-    _, cand = cKDTree(face_dirs).query(directions,
-                                       k=min(16, len(face_dirs)))
-    cand = cand.reshape(len(directions), -1)
+    cand = _nearest_faces(face_dirs, directions, min(16, len(face_dirs)))
     # one 3 x 3 system per candidate: the corner directions as columns
     tri = np.swapaxes(d_verts[surface_faces[cand]], -1, -2)
     singular = np.linalg.det(tri) == 0.0

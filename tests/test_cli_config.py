@@ -214,6 +214,33 @@ def test_print_config_loads_no_numerical_layer():
     assert proc.stdout == serialize_config(default_config())
 
 
+def test_commands_load_no_optimize_special_or_spatial(tmp_path):
+    # one command per path: embedding, mass search with its fill-in, the
+    # radius-ladder fit, and the field-recovery identity (Bowen-York data
+    # interpolate the boundary fields)
+    code = ("import sys\n"
+            "from qlmass.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for args in (['embed'], ['mass', '--level', '2', '--grid', '8'],\n"
+            "             ['asymptotics', '--provider', 'schwarzschild',\n"
+            "              '--level', '2'],\n"
+            "             ['verify-identity', '--provider', 'bowen_york',\n"
+            "              '--level', '2']):\n"
+            "    try:\n"
+            "        main(args + ['--out', out + '/' + args[0]],\n"
+            "             standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (args, exc.code)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('scipy.optimize', 'scipy.special', 'scipy.spatial'))),\n"
+            "    file=sys.stderr)")
+    proc = _fresh_python(code)
+    assert proc.stderr.strip() == "[]"
+    identity = json.loads((tmp_path / "verify-identity"
+                           / "identity.json").read_text())
+    assert identity["method"] == "fieldRecovery"
+
+
 def test_print_config_is_parseable(runner):
     result = runner.invoke(main, ["print-config"])
     assert result.exit_code == 0

@@ -32,6 +32,29 @@ def test_harmonic_basis_orthonormal(mesh3):
     assert np.abs(gram - np.eye(B.shape[1])).max() < 2e-2
 
 
+def test_harmonic_basis_matches_scipy_formula(mesh3):
+    # the columns scipy.special.sph_harm_y gives: Y_n0, then sqrt(2) (-1)^m
+    # times the real and imaginary parts of Y_nm, on mesh, random and pole
+    # points (the random ones off the unit sphere)
+    from scipy.special import sph_harm_y
+
+    rng = np.random.default_rng(11)
+    pts = np.vstack([mesh3.vertices, rng.normal(size=(300, 3)),
+                     [[0.0, 0.0, 1.0], [0.0, 0.0, -2.0]]])
+    r = np.linalg.norm(pts, axis=1)
+    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))[:, None]
+    phi = np.arctan2(pts[:, 1], pts[:, 0])[:, None]
+    cols = []
+    for n in range(17):
+        ynm = sph_harm_y(n, np.arange(0, n + 1), theta, phi)
+        cols.append(ynm[:, 0].real)
+        for m in range(1, n + 1):
+            cols += [np.sqrt(2.0) * (-1.0) ** m * ynm[:, m].real,
+                     np.sqrt(2.0) * (-1.0) ** m * ynm[:, m].imag]
+    assert np.abs(real_harmonic_basis(pts, 16)
+                  - np.column_stack(cols)).max() < 1e-13
+
+
 def test_round_sphere_recovered(mesh3):
     rho = 1.7
     met = SurfaceMetric.from_positions(mesh3, rho * mesh3.vertices)
@@ -231,22 +254,25 @@ def _segment_crosses_triangle(p, q, tri):
 
 def _crossing_pairs_reference(positions, faces):
     """Every crossing pair of triangles sharing no vertex, by a loop over
-    all pairs whose centroids lie within the sum of their radii."""
+    all pairs whose centroids lie within the sum of their radii and whose
+    bounding boxes overlap."""
     tri = positions[faces]
     cent = tri.mean(axis=1)
     rad = np.linalg.norm(tri - cent[:, None, :], axis=2).max(axis=1)
+    dist = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=2)
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    boxes = (lo[:, None, :] <= hi[None, :, :]).all(axis=2)
+    close = np.triu((dist <= rad[:, None] + rad[None, :]) & boxes & boxes.T,
+                    1)
     found = []
-    for i in range(len(faces)):
-        for j in range(i + 1, len(faces)):
-            if set(faces[i]) & set(faces[j]):
-                continue
-            if np.linalg.norm(cent[i] - cent[j]) > rad[i] + rad[j]:
-                continue
-            t1, t2 = tri[i], tri[j]
-            if any(_segment_crosses_triangle(t1[a], t1[b], t2)
-                   or _segment_crosses_triangle(t2[a], t2[b], t1)
-                   for a, b in ((0, 1), (1, 2), (2, 0))):
-                found.append((i, j))
+    for i, j in zip(*np.nonzero(close)):
+        if set(faces[i]) & set(faces[j]):
+            continue
+        t1, t2 = tri[i], tri[j]
+        if any(_segment_crosses_triangle(t1[a], t1[b], t2)
+               or _segment_crosses_triangle(t2[a], t2[b], t1)
+               for a, b in ((0, 1), (1, 2), (2, 0))):
+            found.append((int(i), int(j)))
     return found
 
 
@@ -277,6 +303,17 @@ def test_crossing_pair_matches_reference_loop(shape):
     else:
         assert pair is None
     assert (shape in ("collapsed", "crumpled")) == bool(found)
+
+
+@settings(max_examples=25, deadline=None)
+@given(amplitude=st.floats(0.0, 0.15), seed=st.integers(0, 2 ** 32 - 1))
+def test_crossing_pair_matches_reference_loop_under_jitter(amplitude,
+                                                           seed):
+    mesh = icosphere(2)
+    rng = np.random.default_rng(seed)
+    pos = mesh.vertices + amplitude * rng.normal(size=mesh.vertices.shape)
+    found = _crossing_pairs_reference(pos, mesh.faces)
+    assert crossing_pair(pos, mesh.faces) == (found[0] if found else None)
 
 
 def test_self_crossing_embedding_rejected(monkeypatch, mesh3):

@@ -5,7 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qlmass import search
 from qlmass.embedding import align_embedding, embed_metric
 from qlmass.energy import SurfaceData
 from qlmass.initialdata import (
@@ -17,6 +20,8 @@ from qlmass.initialdata import (
 from qlmass.mesh import icosphere
 from qlmass.search import (
     SearchError,
+    _fit_power,
+    _nelder_mead,
     asymptotics_driver,
     mass_infimum,
     write_asymptotics_csv,
@@ -133,6 +138,124 @@ def test_mass_grid_csv(flat3, tmp_path):
     assert rows[0] == ["a_x", "a_y", "a_z", "E", "admissible"]
     assert len(rows) == 17
     assert rows[1][4] == "admissible"
+
+
+# -- the local search against scipy's Nelder-Mead -------------------------
+
+def _scipy_nelder_mead(func, simplex, maxiter, xatol, fatol, callback=None):
+    """scipy.optimize.minimize with the arguments of _nelder_mead."""
+    from scipy.optimize import minimize
+
+    res = minimize(func, np.zeros(simplex.shape[1]), method="Nelder-Mead",
+                   callback=callback,
+                   options={"maxiter": maxiter, "xatol": xatol,
+                            "fatol": fatol, "initial_simplex": simplex})
+    return res.x, res.fun
+
+
+def _rosenbrock(x):
+    return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+
+def _cusp(x):
+    return np.sqrt(abs(x[0] - 0.3)) + np.sqrt(abs(x[1] + 0.1))
+
+
+@pytest.mark.parametrize("func, maxiter", [(_rosenbrock, 5),
+                                           (_rosenbrock, 50),
+                                           (_rosenbrock, 400),
+                                           (_cusp, 200)])
+def test_nelder_mead_evaluates_as_scipy_does(func, maxiter):
+    simplex = np.array([[-1.2, 1.0], [-1.0, 1.0], [-1.2, 1.2]])
+    seen = {"ours": [], "scipy": []}
+    marks = []  # evaluations made when scipy finishes each iteration
+
+    def recorded(name):
+        def f(x):
+            seen[name].append(np.array(x))
+            return func(x)
+        return f
+
+    x, fx = _nelder_mead(recorded("ours"), simplex, maxiter, 1e-10, 1e-14)
+    x_ref, fx_ref = _scipy_nelder_mead(
+        recorded("scipy"), simplex, maxiter, 1e-10, 1e-14,
+        callback=lambda _: marks.append(len(seen["scipy"])))
+    assert np.array_equal(np.array(seen["ours"]), np.array(seen["scipy"]))
+    assert np.array_equal(x, x_ref) and fx == fx_ref
+    # the cap stops the short searches (the start counts as iteration 1),
+    # the xatol/fatol test the long ones
+    assert (len(marks) + 1 == maxiter) == (maxiter <= 50)
+    # a step evaluates once or twice, or four times when it shrinks
+    per_step = np.diff([3] + marks)
+    assert (4 in per_step) == (func is _cusp)
+
+
+def test_mass_refinement_trace_matches_scipy(monkeypatch):
+    ref, phys, emb = _setup(BowenYorkData(np.array([0.0, 0.0, 0.1])),
+                            40.0, 2)
+    fill = build_fill_in(emb, layers=4)
+    ours = mass_infimum(ref, phys, emb, fill_in=fill, grid_n=16,
+                        refine_iters=50, admissibility_levels=16)
+    monkeypatch.setattr(search, "_nelder_mead", _scipy_nelder_mead)
+    theirs = mass_infimum(ref, phys, emb, fill_in=fill, grid_n=16,
+                          refine_iters=50, admissibility_levels=16)
+    assert len(ours.refinement_trace) > 20
+    assert json.dumps(ours.to_dict()) == json.dumps(theirs.to_dict())
+
+
+# -- the power-law fit against scipy's curve_fit ---------------------------
+
+def _curve_fit_power(radii, values):
+    """The least-squares fit by scipy's curve_fit, from the start and
+    bounds the fit used to take, to a tolerance far below its default
+    1e-8 (which on exact data leaves c and p wrong by up to 1e-4)."""
+    from scipy.optimize import curve_fit
+
+    def model(r, e_inf, c, p):
+        return e_inf + c * r ** (-p)
+
+    p0 = [values[-1], (values[0] - values[-1]) * radii[0], 1.0]
+    coefs, _ = curve_fit(model, radii, values, p0=p0,
+                         bounds=([-np.inf, -np.inf, 0.5],
+                                 [np.inf, np.inf, 2.0]),
+                         maxfev=20000, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    misfit = np.abs(model(radii, *coefs) - values).max()
+    accepted = misfit < 0.5 * max(np.ptp(values), 1e-30)
+    return coefs, "powerLaw" if accepted else "richardson"
+
+
+@settings(max_examples=40, deadline=None)
+@given(e_inf=st.floats(0.55, 1.95), c=st.floats(0.55, 1.95),
+       p=st.floats(0.55, 1.95), n=st.integers(3, 5),
+       r0=st.floats(5.0, 20.0), ratio=st.floats(1.5, 3.0))
+def test_power_fit_matches_curve_fit(e_inf, c, p, n, r0, ratio):
+    import warnings
+
+    from scipy.optimize import OptimizeWarning
+
+    radii = r0 * ratio ** np.arange(n)
+    values = e_inf + c * radii ** (-p)
+    fit = _fit_power(radii, values)
+    with warnings.catch_warnings():
+        # three radii fit three parameters exactly: no covariance
+        warnings.simplefilter("ignore", OptimizeWarning)
+        coefs, method = _curve_fit_power(radii, values)
+    assert fit["method"] == method == "powerLaw"
+    got = np.array([fit["E_inf"], fit["c"], fit["p"]])
+    assert np.allclose(got, coefs, rtol=1e-7, atol=0.0)
+
+
+def test_power_fit_keeps_its_fallbacks():
+    radii = [10.0, 20.0, 40.0, 80.0]
+    assert _fit_power(radii[:2], [1.0, 0.5])["method"] == "lastValue"
+    # no power law fits these within half their spread; the last three
+    # decrease, so the Richardson step takes over
+    fit = _fit_power(radii, [0.0, 10.0, 1.0, 0.5])
+    assert fit["method"] == "richardson" and fit["p"] == 2.0
+    assert fit["E_inf"] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    # alternating values: no Richardson step either
+    fit = _fit_power(radii[:3], [1.0, 2.0, 1.0])
+    assert fit["method"] == "lastValue" and fit["E_inf"] == 1.0
 
 
 # -- asymptotics -----------------------------------------------------------

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlmass.mesh import MeshError, SurfaceMesh, icosphere, unique_rows
+from qlmass.mesh import (
+    MeshError,
+    SurfaceMesh,
+    icosphere,
+    pairs_within,
+    unique_rows,
+)
 from qlmass.operators import MetricError, OperatorSet, SurfaceMetric
 
 
@@ -188,3 +196,34 @@ def test_unique_rows_refuses_overflowing_keys():
     assert np.array_equal(inv, [0, 0])
     with pytest.raises(MeshError, match="overflow"):
         unique_rows(np.array([[0, 1, 2 ** 21]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, 50),
+       radius=st.floats(0.01, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_pairs_within_matches_all_pairs(n, m, radius, seed):
+    # clustered points and queries partly outside their box
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 3)) * rng.uniform(0.1, 2.0, size=3)
+    queries = 1.5 * rng.normal(size=(m, 3))
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    i, j, got = pairs_within(points, radius)
+    ref = np.argwhere(np.triu(d2 <= radius * radius, 1))
+    assert (i < j).all()
+    assert np.array_equal(np.sort(i * n + j), ref[:, 0] * n + ref[:, 1])
+    assert np.allclose(got, d2[i, j], rtol=1e-12, atol=0.0)
+    d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    q, p, got = pairs_within(points, radius, queries)
+    ref = np.argwhere(d2 <= radius * radius)
+    assert (np.diff(q) >= 0).all()
+    assert np.array_equal(np.sort(q * n + p), ref[:, 0] * n + ref[:, 1])
+    assert np.allclose(got, d2[q, p], rtol=1e-12, atol=0.0)
+
+
+def test_pairs_within_zero_radius_pairs_coincident_points():
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0],
+                       [1e-9, 0.0, 0.0]])
+    i, j, d2 = pairs_within(points, 0.0)
+    assert i.tolist() == [0] and j.tolist() == [2] and d2.tolist() == [0.0]
+    i, j, _ = pairs_within(points[:1], 0.0)
+    assert len(i) == 0

@@ -35,6 +35,7 @@ from qlmass.volume import (
     _conformal_structure,
     _exact_coarea,
     _interpolate_boundary,
+    _nearest_faces,
     _split_prism,
     admissibility_verdict,
     build_fill_in,
@@ -379,6 +380,11 @@ def flat_balls():
        b=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
 @example(level=3, provider="flat", c=0.0, b=[0.0, 0.0, 1.0])
 @example(level=2, provider="bowen_york", c=1.5, b=[0.3, -0.2, 1.0])
+# tiny data: ||b|| of the first solve used to underflow to 0, and
+# subnormal data lost their digits in the products with K
+@example(level=2, provider="flat", c=7.876350857072722e-194,
+         b=[0.0, 0.0, 0.0])
+@example(level=3, provider="flat", c=5e-324, b=[0.0, 0.0, 0.0])
 def test_affine_boundary_values_start_at_the_solution(flat_balls, level,
                                                       provider, c, b):
     # both providers have a flat metric, on which P1 elements reproduce
@@ -627,6 +633,14 @@ def test_hat_gradients_are_built_once_per_mesh(monkeypatch):
         sol = solve_spacetime_harmonic(vol, data, values)
     volume.recovered_fields(vol, sol.u)
     assert len(calls) == 1
+
+
+def test_level_set_topology_reads_no_hat_gradients():
+    # the mass path only runs topology on its fill-in
+    _, vol = _ball_fill_in(2, layers=4)
+    obs = SimpleNamespace(a=np.array([0.0, 0.0, 1.0]))
+    assert admissibility_verdict(vol, obs)["verdict"] == "admissible"
+    assert "hat_gradients" not in vars(vol)
 
 
 def test_solver_default_regularization_scales_with_data():
@@ -988,6 +1002,22 @@ def test_interpolate_boundary_matches_per_direction_loop():
     for field, values in zip(fields, got):
         assert np.array_equal(
             values, _interpolate_boundary_loop(pos, faces, field, dirs))
+
+
+def test_nearest_faces_match_brute_force_with_ties_by_index():
+    # every face direction twice: each distance ties, and the lower index
+    # comes first; directions far from a cluster of faces search again
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(40, 3))
+    dirs[:20, 2] = np.abs(dirs[:20, 2]) + 2.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    faces = np.vstack([dirs[:20], dirs[:20]])
+    got = _nearest_faces(faces, dirs, 16)
+    d2 = ((dirs[:, None, :] - faces[None, :, :]) ** 2).sum(axis=2)
+    ref = np.lexsort((np.broadcast_to(np.arange(40), d2.shape), d2),
+                     axis=-1)[:, :16]
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got[:, 1], got[:, 0] + 20)
 
 
 def test_interpolate_boundary_rejects_degenerate_faces():
