@@ -84,7 +84,8 @@ SCHEMA = {
 # key -> (rule, test) for the values a key admits
 LIMITS = {
     "radius": ("> 0", lambda v: v > 0.0),
-    "radii": ("> 0 each", lambda v: all(r > 0.0 for r in v)),
+    "radii": ("> 0 each and distinct",
+              lambda v: all(r > 0.0 for r in v) and len(set(v)) == len(v)),
     "mesh.level": (">= 0", lambda v: v >= 0),
     "embedding.degree": (">= 1", lambda v: v >= 1),
     "embedding.tol": ("> 0", lambda v: v > 0.0),

@@ -4,10 +4,9 @@ mass_infimum minimizes the energy over a deterministic direction grid on
 the observer sphere, filters by the fill-in admissibility verdict, and
 polishes the best feasible point with a local Nelder-Mead search in
 tangent coordinates.  asymptotics_driver tabulates energies of coordinate
-spheres over a radius ladder, fits E_inf + c r^(-p) to each row by
-variable projection (linear least squares in E_inf and c, golden section
-in p) and sets the limit against the asymptotic energy and momentum
-surface integrals.
+spheres over a radius ladder, fits E_inf + c / r + d / r^2 to each row by
+linear least squares and sets the limit against the asymptotic energy and
+momentum surface integrals.
 """
 
 import csv
@@ -22,6 +21,7 @@ from .initialdata import (
     adm_integrals,
     extract_boundary_data,
     fibonacci_directions,
+    radius_fit,
 )
 from .volume import admissibility_verdict
 
@@ -213,78 +213,14 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
 
 # -- asymptotics -----------------------------------------------------------
 
-# the inverse golden ratio, by which a golden-section search shrinks its
-# bracket per step
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _fit_power(radii, values):
-    """Fit E(r) = E_inf + c r^(-p) with p in [0.5, 2] by least squares;
-    Richardson extrapolation across the last three radii as fallback.
-
-    For fixed p the model is linear in (E_inf, c), whose least-squares
-    values have a closed form (the 2 x 2 normal equations), so the misfit
-    is a function of p alone (variable projection).  A golden-section
-    search minimises it until rounding stops the bracket from shrinking;
-    the end points p = 0.5 and p = 2 are candidates too.  The fit is kept
-    when its largest misfit is below half the spread of the values.
-    """
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(radii) < 3:
-        return {"E_inf": float(values[-1]), "c": 0.0, "p": None,
-                "method": "lastValue"}
-
-    def linear_fit(p):
-        x = radii ** (-p)
-        dx = x - x.mean()
-        c = (dx @ (values - values.mean())) / (dx @ dx)
-        e_inf = values.mean() - c * x.mean()
-        misfit = e_inf + c * x - values
-        return misfit @ misfit, e_inf, c, p
-
-    lo, hi = 0.5, 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1, p2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-        f1, f2 = linear_fit(p1)[0], linear_fit(p2)[0]
-        while lo < p1 < p2 < hi:
-            if f1 <= f2:
-                hi, p2, f2 = p2, p1, f1
-                p1 = hi - _GOLDEN * (hi - lo)
-                f1 = linear_fit(p1)[0]
-            else:
-                lo, p1, f1 = p1, p2, f2
-                p2 = lo + _GOLDEN * (hi - lo)
-                f2 = linear_fit(p2)[0]
-        _, e_inf, c, p = min(map(linear_fit, (p1, p2, 0.5, 2.0)),
-                             key=lambda fit: fit[0])
-        misfit = np.abs(e_inf + c * radii ** (-p) - values).max()
-    if misfit < 0.5 * max(np.ptp(values), 1e-30):
-        return {"E_inf": float(e_inf), "c": float(c), "p": float(p),
-                "method": "powerLaw"}
-
-    # Richardson step on the last three entries (radii need not double)
-    r1, r2, r3 = radii[-3:]
-    e1, e2, e3 = values[-3:]
-    rho = r3 / r2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (e1 - e2) / (e2 - e3)
-    if not np.isfinite(ratio) or ratio <= 0.0:
-        return {"E_inf": float(e3), "c": 0.0, "p": None,
-                "method": "lastValue"}
-    p = float(np.clip(np.log(ratio) / np.log(r2 / r1), 0.5, 2.0))
-    e_inf = e3 + (e3 - e2) / (rho ** p - 1.0)
-    return {"E_inf": float(e_inf), "c": float((e3 - e_inf) * r3 ** p),
-            "p": p, "method": "richardson"}
-
-
 class AsymptoticsReport:
     """Energies of coordinate spheres over a radius ladder with the
     fitted large-radius limit per observer direction.
 
     energies[i][j] is the energy for a_list[i] at radii[j]; fits[i]
-    holds E_inf, c, p; adm_target[i] is the asymptotic surface-integral
-    prediction (energy integral minus the direction-momentum pairing).
+    holds E_inf, c, d of `radius_fit`; adm_target[i] is the asymptotic
+    surface-integral prediction (energy integral minus the
+    direction-momentum pairing).
     """
 
     def __init__(self, radii, a_list, energies, fits, adm_target,
@@ -314,12 +250,14 @@ class AsymptoticsReport:
 def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
                        tol=1e-10, max_iterations=200, context=None):
     """Energy of coordinate spheres per observer direction and radius,
-    with the fitted limit E(r) = E_inf + c r^(-p).
+    with the fitted limit E(r) = E_inf + c / r + d / r^2 of `radius_fit`.
 
-    Radii where extraction or embedding fails are dropped with a notice.
-    The fitted limits are reported next to the asymptotic integrals'
-    prediction for each direction.
+    Radii where extraction or embedding fails are dropped with a notice;
+    a repeated radius raises SearchError.  The fitted limits are reported
+    next to the asymptotic integrals' prediction for each direction.
     """
+    if len(set(radii)) < len(radii):
+        raise SearchError(f"repeated radius in {list(radii)}")
     a_list = [np.asarray(a, dtype=float) for a in a_list]
     notices = []
     used_radii = []
@@ -344,7 +282,7 @@ def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
 
     energies = [[columns[j][i] for j in range(len(used_radii))]
                 for i in range(len(a_list))]
-    fits = [_fit_power(used_radii, row) for row in energies]
+    fits = [radius_fit(used_radii, row) for row in energies]
     adm = adm_integrals(data, used_radii)
     target = [adm["E"] - float(a @ np.asarray(adm["P"])) for a in a_list]
     return AsymptoticsReport(used_radii, a_list, energies, fits, target,
@@ -368,7 +306,7 @@ def write_asymptotics_csv(path, report):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "a_x", "a_y", "a_z", "E",
-                         "E_inf", "c", "p", "admTarget"])
+                         "E_inf", "c", "d", "admTarget"])
         for i, a in enumerate(report.a_list):
             fit = report.fits[i]
             for j, r in enumerate(report.radii):
@@ -376,7 +314,7 @@ def write_asymptotics_csv(path, report):
                     repr(float(r)),
                     repr(float(a[0])), repr(float(a[1])), repr(float(a[2])),
                     repr(float(report.energies[i][j])),
-                    repr(float(fit["E_inf"])), repr(float(fit["c"])),
-                    "" if fit["p"] is None else repr(float(fit["p"])),
+                    *("" if fit[key] is None else repr(fit[key])
+                      for key in ("E_inf", "c", "d")),
                     repr(float(report.adm_target[i])),
                 ])

@@ -129,7 +129,10 @@ class VolumeMesh:
         flip = vols < 0.0
         if np.any(flip):
             tets = tets.copy()
-            tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+            # swapping the first two edge vectors negates their cross
+            # product bit for bit, so |vols| is the volume in the stored
+            # order, as a mesh rebuilt from these tets computes it
+            tets[flip] = tets[flip][:, [0, 2, 1, 3]]
             vols = np.abs(vols)
         if np.any(vols <= 0.0):
             raise VolumeError("degenerate tetrahedra in volume mesh")
@@ -1029,67 +1032,44 @@ def _exact_coarea(rep, vol, u_samples, radius):
 
 # -- the integral identity ------------------------------------------------
 
-def _nearest_faces(face_dirs, directions, k):
-    """Indices of the k face directions nearest each direction, nearest
-    first and ties by face index, (len(directions), k).
-
-    Each direction takes the face directions within a radius that holds
-    about 1.5 k of them on a round sphere (a cap of chord radius rho has
-    area pi rho^2); a direction that finds fewer than k searches again
-    with twice the radius.
-    """
-    cand = np.empty((len(directions), k), dtype=np.int64)
-    todo = np.arange(len(directions))
-    radius = np.sqrt(6.0 * k / len(face_dirs))
-    while len(todo):
-        q, f, d2 = pairs_within(face_dirs, radius, directions[todo])
-        found = np.bincount(q, minlength=len(todo))
-        # one row per direction: its candidates by distance, then index
-        slot = np.arange(len(q)) - (np.cumsum(found) - found)[q]
-        dist = np.full((len(todo), found.max()), np.inf)
-        face = np.zeros(dist.shape, dtype=np.int64)
-        dist[q, slot], face[q, slot] = d2, f
-        done = found >= k
-        order = np.lexsort((face[done], dist[done]), axis=-1)[:, :k]
-        cand[todo[done]] = np.take_along_axis(face[done], order, axis=1)
-        todo, radius = todo[~done], 2.0 * radius
-    return cand
-
-
 def _interpolate_boundary(surface_positions, surface_faces, fields,
                           directions):
     """Linear interpolation of per-vertex fields at boundary directions
     (star-shaped boundary, radial projection onto boundary faces).
 
-    Each direction takes the first of its 16 nearest faces (by face
-    direction, ties by face index) whose barycentric weights are all at
-    least -1e-12, else the face whose smallest weight is largest; singular
-    faces are skipped.
+    The candidates of a direction are the faces whose direction lies
+    within the largest face-to-corner distance of it, a cap that holds
+    the radial cone of every face.  Each direction takes the candidate
+    nearest it (by face direction, ties by face index) among those whose
+    barycentric weights are all at least -1e-12, else the candidate whose
+    smallest weight is largest; singular faces are skipped.
     """
     center = surface_positions.mean(axis=0)
     d_verts = surface_positions - center
     d_verts /= np.linalg.norm(d_verts, axis=1, keepdims=True)
-    face_dirs = d_verts[surface_faces].mean(axis=1)
+    corner_dirs = d_verts[surface_faces]
+    face_dirs = corner_dirs.mean(axis=1)
     face_dirs /= np.linalg.norm(face_dirs, axis=1, keepdims=True)
-    cand = _nearest_faces(face_dirs, directions, min(16, len(face_dirs)))
+    cap = np.sqrt(((corner_dirs - face_dirs[:, None]) ** 2)
+                  .sum(axis=2).max())
+    q, f, d2 = pairs_within(face_dirs, cap, directions)
     # one 3 x 3 system per candidate: the corner directions as columns
-    tri = np.swapaxes(d_verts[surface_faces[cand]], -1, -2)
+    tri = np.swapaxes(corner_dirs[f], 1, 2)
     singular = np.linalg.det(tri) == 0.0
-    stuck = singular.all(axis=1)
-    if stuck.any():
-        raise VolumeError(f"every boundary face near direction "
-                          f"{directions[stuck.argmax()]} is degenerate")
     tri[singular] = np.eye(3)
-    rhs = np.broadcast_to(directions[:, None, :, None], tri.shape[:3] + (1,))
-    lam = np.linalg.solve(tri, rhs)[..., 0]
-    lam_min = np.where(singular, -np.inf, lam.min(axis=-1))
+    lam = np.linalg.solve(tri, directions[q][:, :, None])[..., 0]
+    lam_min = np.where(singular, -np.inf, lam.min(axis=1))
     inside = lam_min >= -1e-12
-    pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
-                    lam_min.argmax(axis=1))
-    rows = np.arange(len(directions))
-    lam = np.clip(lam[rows, pick], 0.0, None)
+    order = np.lexsort((f, np.where(inside, d2, -lam_min), ~inside, q))
+    pick = order[np.diff(q[order], prepend=-1) != 0]
+    found = np.zeros(len(directions), dtype=bool)
+    found[q[pick]] = ~singular[pick]
+    if not found.all():
+        raise VolumeError(f"no regular boundary face near direction "
+                          f"{directions[found.argmin()]}")
+    lam = np.clip(lam[pick], 0.0, None)
     lam /= lam.sum(axis=1, keepdims=True)
-    corners = surface_faces[cand[rows, pick]]
+    corners = surface_faces[f[pick]]
     return [np.einsum("pm,pm...->p...", lam, field[corners])
             for field in fields]
 

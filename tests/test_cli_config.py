@@ -89,7 +89,8 @@ def _valid_configs():
     }
     limited = {
         "radius": positive,
-        "radii": st.lists(positive, min_size=1, max_size=4).map(tuple),
+        "radii": st.lists(positive, min_size=1, max_size=4,
+                          unique=True).map(tuple),
         "mesh.level": st.integers(min_value=0),
         "embedding.degree": st.integers(min_value=1),
         "embedding.tol": positive,
@@ -631,6 +632,16 @@ def test_nonpositive_radius_rejected(runner, tmp_path):
 def test_nonpositive_radii_entry_rejected(runner, tmp_path):
     out = _rejected(runner, tmp_path, ["--radii", "10,-20,40"])
     assert "bad value for key radii" in out and "> 0 each" in out
+
+
+def test_repeated_radius_rejected(runner, tmp_path):
+    result = runner.invoke(main, [
+        "asymptotics", "--provider", "schwarzschild", "--radii", "10,10,20",
+        "--level", "2", "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert ("<flag>: bad value for key radii: (10.0, 10.0, 20.0) "
+            "(must be > 0 each and distinct)") in result.output
+    assert not (tmp_path / "run" / "asymptotics.json").exists()
 
 
 def test_negative_mesh_level_rejected(runner, tmp_path):

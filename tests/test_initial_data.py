@@ -17,6 +17,7 @@ from qlmass.initialdata import (
     extract_boundary_data,
     fibonacci_directions,
     metric_inverse,
+    radius_fit,
     read_boundary_fields,
     write_boundary_fields,
 )
@@ -174,6 +175,18 @@ def test_adm_bowen_york():
     assert abs(rep["E"]) < 1e-3
 
 
+def test_adm_schwarzschild_limit_has_the_inverse_square_term(schw):
+    # E_r = 1 + 1/(2 r) + O(1/r^2) on the isotropic slice: a fit in 1/r
+    # alone leaves 1.6e-3 of the 1/r^2 term in the limit
+    rep = adm_integrals(schw, [10.0, 20.0, 40.0, 80.0])
+    assert abs(rep["E"] - 1.0) < 1e-4
+
+
+def test_adm_rejects_a_repeated_radius(schw):
+    with pytest.raises(InitialDataError, match="repeated radius"):
+        adm_integrals(schw, [10.0, 20.0, 10.0])
+
+
 def test_boundary_consistency_with_embedding():
     # flat provider on the unit sphere must match the reference data of
     # the identity embedding
@@ -295,3 +308,60 @@ def test_metric_inverse_det_of_diagonal_stacks_is_the_product():
     ginv, det = metric_inverse(g)
     assert np.array_equal(det, diag[:, 0] * (diag[:, 1] * diag[:, 2]))
     assert np.array_equal(ginv[:, 0, 0], diag[:, 1] * diag[:, 2] / det)
+
+
+# -- the radius fit ---------------------------------------------------------
+
+# ladders r_min * ratio products, and each term's size at r_min, so that
+# c = size_c * r_min and d = size_d * r_min^2
+_TERM_SIZES = st.tuples(*[st.floats(0.5, 2.0).flatmap(
+    lambda m: st.sampled_from([m, -m]))] * 3)
+_LADDERS = st.tuples(st.floats(1.0, 100.0),
+                     st.lists(st.floats(1.5, 3.0), min_size=2, max_size=5))
+
+
+def _ladder(r_min, ratios, sizes):
+    radii = r_min * np.cumprod([1.0] + ratios)
+    truth = np.array(sizes) * r_min ** np.arange(3)
+    values = truth[0] + truth[1] / radii + truth[2] / radii**2
+    return radii, truth, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(ladder=_LADDERS, sizes=_TERM_SIZES)
+def test_radius_fit_recovers_the_coefficients(ladder, sizes):
+    radii, truth, values = _ladder(*ladder, sizes)
+    # the fit takes the radii in any order
+    fit = radius_fit(radii[::-1], values[::-1])
+    got = np.array([fit["E_inf"], fit["c"], fit["d"]])
+    assert np.all(np.abs(got - truth) <= 1e-12 * np.abs(truth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ladder=_LADDERS, sizes=_TERM_SIZES,
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6))
+def test_radius_fit_is_insensitive_to_rounding(ladder, sizes, signs):
+    # a 1e-13 relative change of the values moves each coefficient by at
+    # most 1e-11 of the largest value, in that term's units of r_min
+    radii, _, values = _ladder(*ladder, sizes)
+    moved = values * (1.0 + 1e-13 * np.array(signs[:len(values)]))
+    fits = [radius_fit(radii, v) for v in (values, moved)]
+    shift = np.array([abs(fits[0][k] - fits[1][k]) for k in ("E_inf", "c",
+                                                             "d")])
+    scale = np.abs(values).max() * radii.min() ** np.arange(3)
+    assert np.all(shift <= 1e-11 * scale)
+
+
+def test_radius_fit_takes_the_terms_the_ladder_supports():
+    assert radius_fit([10.0], [0.75]) == {"E_inf": 0.75, "c": None,
+                                          "d": None}
+    fit = radius_fit([10.0, 40.0], [1.05, 1.0125])
+    assert fit["d"] is None
+    assert fit["E_inf"] == pytest.approx(1.0, rel=1e-14)
+    assert fit["c"] == pytest.approx(0.5, rel=1e-13)
+
+
+def test_radius_fit_rejects_a_repeated_radius():
+    with pytest.raises(InitialDataError,
+                       match=r"repeated radius in \[10\.0, 20\.0, 10\.0\]"):
+        radius_fit([10.0, 20.0, 10.0], [1.0, 0.5, 1.0])

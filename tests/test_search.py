@@ -5,8 +5,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qlmass import search
 from qlmass.embedding import align_embedding, embed_metric
@@ -20,7 +18,6 @@ from qlmass.initialdata import (
 from qlmass.mesh import icosphere
 from qlmass.search import (
     SearchError,
-    _fit_power,
     _nelder_mead,
     asymptotics_driver,
     mass_infimum,
@@ -203,61 +200,6 @@ def test_mass_refinement_trace_matches_scipy(monkeypatch):
     assert json.dumps(ours.to_dict()) == json.dumps(theirs.to_dict())
 
 
-# -- the power-law fit against scipy's curve_fit ---------------------------
-
-def _curve_fit_power(radii, values):
-    """The least-squares fit by scipy's curve_fit, from the start and
-    bounds the fit used to take, to a tolerance far below its default
-    1e-8 (which on exact data leaves c and p wrong by up to 1e-4)."""
-    from scipy.optimize import curve_fit
-
-    def model(r, e_inf, c, p):
-        return e_inf + c * r ** (-p)
-
-    p0 = [values[-1], (values[0] - values[-1]) * radii[0], 1.0]
-    coefs, _ = curve_fit(model, radii, values, p0=p0,
-                         bounds=([-np.inf, -np.inf, 0.5],
-                                 [np.inf, np.inf, 2.0]),
-                         maxfev=20000, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    misfit = np.abs(model(radii, *coefs) - values).max()
-    accepted = misfit < 0.5 * max(np.ptp(values), 1e-30)
-    return coefs, "powerLaw" if accepted else "richardson"
-
-
-@settings(max_examples=40, deadline=None)
-@given(e_inf=st.floats(0.55, 1.95), c=st.floats(0.55, 1.95),
-       p=st.floats(0.55, 1.95), n=st.integers(3, 5),
-       r0=st.floats(5.0, 20.0), ratio=st.floats(1.5, 3.0))
-def test_power_fit_matches_curve_fit(e_inf, c, p, n, r0, ratio):
-    import warnings
-
-    from scipy.optimize import OptimizeWarning
-
-    radii = r0 * ratio ** np.arange(n)
-    values = e_inf + c * radii ** (-p)
-    fit = _fit_power(radii, values)
-    with warnings.catch_warnings():
-        # three radii fit three parameters exactly: no covariance
-        warnings.simplefilter("ignore", OptimizeWarning)
-        coefs, method = _curve_fit_power(radii, values)
-    assert fit["method"] == method == "powerLaw"
-    got = np.array([fit["E_inf"], fit["c"], fit["p"]])
-    assert np.allclose(got, coefs, rtol=1e-7, atol=0.0)
-
-
-def test_power_fit_keeps_its_fallbacks():
-    radii = [10.0, 20.0, 40.0, 80.0]
-    assert _fit_power(radii[:2], [1.0, 0.5])["method"] == "lastValue"
-    # no power law fits these within half their spread; the last three
-    # decrease, so the Richardson step takes over
-    fit = _fit_power(radii, [0.0, 10.0, 1.0, 0.5])
-    assert fit["method"] == "richardson" and fit["p"] == 2.0
-    assert fit["E_inf"] == pytest.approx(1.0 / 3.0, rel=1e-14)
-    # alternating values: no Richardson step either
-    fit = _fit_power(radii[:3], [1.0, 2.0, 1.0])
-    assert fit["method"] == "lastValue" and fit["E_inf"] == 1.0
-
-
 # -- asymptotics -----------------------------------------------------------
 
 def test_flat_energies_vanish_at_all_radii():
@@ -274,7 +216,8 @@ def test_schwarzschild_limit_matches_mass():
                              [10.0, 20.0, 40.0, 80.0], mesh_level=3)
     for fit, target in zip(rep.fits, rep.adm_target):
         assert abs(fit["E_inf"] - 1.0) < 0.01
-        assert fit["p"] is None or 0.5 <= fit["p"] <= 2.0
+        # four radii support all three terms
+        assert fit["d"] is not None
         assert abs(target - 1.0) < 5e-3
     # energies decrease toward the limit
     for row in rep.energies:
@@ -300,6 +243,14 @@ def test_failed_radius_dropped_with_notice():
     assert len(rep.notices) == 1 and "0.3" in rep.notices[0]
 
 
+def test_repeated_radius_rejected():
+    with pytest.raises(SearchError, match=r"repeated radius in "
+                                          r"\[10\.0, 10\.0, 20\.0\]"):
+        asymptotics_driver(SchwarzschildData(1.0),
+                           [np.array([0.0, 0.0, 1.0])], [10.0, 10.0, 20.0],
+                           mesh_level=2)
+
+
 def test_asymptotics_csv(tmp_path):
     rep = asymptotics_driver(FlatData(),
                              [np.array([0.0, 0.0, 1.0])],
@@ -309,5 +260,7 @@ def test_asymptotics_csv(tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["r", "a_x", "a_y", "a_z", "E",
-                       "E_inf", "c", "p", "admTarget"]
+                       "E_inf", "c", "d", "admTarget"]
     assert len(rows) == 3
+    # two radii support E_inf and c, not d
+    assert rows[1][6] != "" and rows[1][7] == ""

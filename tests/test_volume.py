@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix, diags, lil_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg, splu
 from click.testing import CliRunner
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay
 
 from qlmass import volume
 from qlmass.cli import main
@@ -35,7 +35,6 @@ from qlmass.volume import (
     _conformal_structure,
     _exact_coarea,
     _interpolate_boundary,
-    _nearest_faces,
     _split_prism,
     admissibility_verdict,
     build_fill_in,
@@ -186,6 +185,21 @@ def test_face_normals_match_cross_products(tmp_path):
     assert np.array_equal(back.hat_gradients[0],
                           volume._hat_gradients(normals,
                                                 back.tet_volumes))
+
+
+def test_rebuilt_fill_in_reproduces_volumes_and_solves():
+    # build_fill_in flips negatively oriented tets; a mesh rebuilt from
+    # the flipped tets must compute the same volumes and solutions
+    _, vol = _ball_fill_in(3)
+    rebuilt = VolumeMesh(vol.vertices, vol.tets, vol.boundary_faces,
+                         vol.boundary_map)
+    assert np.array_equal(rebuilt.tets, vol.tets)
+    assert np.array_equal(rebuilt.tet_volumes, vol.tet_volumes)
+    assert np.array_equal(rebuilt.hat_gradients[0], vol.hat_gradients[0])
+    bvals = vol.vertices[vol.boundary_vertices, 2]
+    data = UniformExpansionData(1.0)
+    assert np.array_equal(solve_spacetime_harmonic(rebuilt, data, bvals).u,
+                          solve_spacetime_harmonic(vol, data, bvals).u)
 
 
 def test_volume_mesh_rejects_boundary_map_length_mismatch():
@@ -962,62 +976,84 @@ def test_level_set_topology_needs_a_level(n_levels):
                            n_levels=n_levels)
 
 
-def _interpolate_boundary_loop(pos, faces, field, directions):
-    """Per-direction reference for _interpolate_boundary: candidate faces
-    in KD order, one solve each, stopping at the first inside face."""
+def _interpolate_boundary_brute_force(pos, faces, fields, directions,
+                                      cap=np.inf):
+    """Per-direction reference for _interpolate_boundary over every face
+    whose direction lies within `cap` of the direction: the inside face
+    with the smallest (distance, face index), else the face whose
+    smallest weight is largest."""
     d_verts = pos - pos.mean(axis=0)
     d_verts /= np.linalg.norm(d_verts, axis=1, keepdims=True)
     face_dirs = d_verts[faces].mean(axis=1)
     face_dirs /= np.linalg.norm(face_dirs, axis=1, keepdims=True)
-    _, candidates = cKDTree(face_dirs).query(directions, k=16)
+    tri = np.swapaxes(d_verts[faces], 1, 2)
     out = []
-    for direction, cand in zip(directions, candidates):
-        best, best_min = None, -np.inf
-        for fi in cand:
-            lam = np.linalg.solve(d_verts[faces[fi]].T, direction)
-            if lam.min() > best_min:
-                best, best_min = (fi, lam), lam.min()
-            if lam.min() >= -1e-12:
-                break
-        fi, lam = best
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum()
-        out.append(np.einsum("m,m...->...", lam, field[faces[fi]]))
-    return np.array(out)
+    for direction in directions:
+        dist = ((direction - face_dirs) ** 2).sum(axis=1)
+        lam = np.linalg.solve(tri, np.broadcast_to(direction[:, None],
+                                                   tri.shape[:2] + (1,)))
+        lam_min = lam[..., 0].min(axis=1)
+        keys = [((0, dist[fi], fi) if lam_min[fi] >= -1e-12
+                 else (1, -lam_min[fi], fi))
+                for fi in np.flatnonzero(dist <= cap * cap)]
+        fi = min(keys)[2]
+        weights = np.clip(lam[fi, :, 0], 0.0, None)
+        weights /= weights.sum()
+        out.append([np.einsum("m,m...->...", weights, field[faces[fi]])
+                    for field in fields])
+    return [np.array(values) for values in zip(*out)]
 
 
-def test_interpolate_boundary_matches_per_direction_loop():
-    # the upper half of a bumpy star-shaped boundary: directions below it
-    # fall outside every candidate face and take the largest smallest weight
+def _bumpy_sphere_fields(seed):
     mesh, pos = _unit_sphere(2)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     pos = pos * rng.uniform(0.7, 1.3, (len(pos), 1))
-    faces = mesh.faces[pos[mesh.faces, 2].mean(axis=1) > 0.0]
     dirs = rng.normal(size=(300, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # the shapes of the recovered gradient and Hessian fields
     fields = [rng.normal(size=(len(pos), 3)),
               rng.normal(size=(len(pos), 3, 3))]
-    got = _interpolate_boundary(pos, faces, fields, dirs)
-    for field, values in zip(fields, got):
-        assert np.array_equal(
-            values, _interpolate_boundary_loop(pos, faces, field, dirs))
+    return mesh, pos, dirs, fields
 
 
-def test_nearest_faces_match_brute_force_with_ties_by_index():
-    # every face direction twice: each distance ties, and the lower index
-    # comes first; directions far from a cluster of faces search again
-    rng = np.random.default_rng(5)
-    dirs = rng.normal(size=(40, 3))
-    dirs[:20, 2] = np.abs(dirs[:20, 2]) + 2.0
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    faces = np.vstack([dirs[:20], dirs[:20]])
-    got = _nearest_faces(faces, dirs, 16)
-    d2 = ((dirs[:, None, :] - faces[None, :, :]) ** 2).sum(axis=2)
-    ref = np.lexsort((np.broadcast_to(np.arange(40), d2.shape), d2),
-                     axis=-1)[:, :16]
-    assert np.array_equal(got, ref)
-    assert np.array_equal(got[:, 1], got[:, 0] + 20)
+def test_interpolate_boundary_matches_brute_force_pick():
+    # a closed star-shaped boundary holds every direction in some face's
+    # cone, a vertex direction in several
+    mesh, pos, dirs, fields = _bumpy_sphere_fields(7)
+    centred = pos - pos.mean(axis=0)
+    dirs = np.vstack([dirs, centred / np.linalg.norm(centred, axis=1,
+                                                     keepdims=True)])
+    got = _interpolate_boundary(pos, mesh.faces, fields, dirs)
+    ref = _interpolate_boundary_brute_force(pos, mesh.faces, fields, dirs)
+    for values, expected in zip(got, ref):
+        assert np.array_equal(values, expected)
+
+
+def test_interpolate_boundary_outside_every_face():
+    # the upper half of a bumpy boundary: a direction near its rim lies in
+    # no face's cone and takes, among the faces within the largest
+    # face-to-corner distance, the one whose smallest weight is largest;
+    # a direction with no face that near is an error
+    mesh, pos, dirs, fields = _bumpy_sphere_fields(7)
+    faces = mesh.faces[pos[mesh.faces, 2].mean(axis=1) > 0.0]
+    d_verts = pos - pos.mean(axis=0)
+    d_verts /= np.linalg.norm(d_verts, axis=1, keepdims=True)
+    face_dirs = d_verts[faces].mean(axis=1)
+    face_dirs /= np.linalg.norm(face_dirs, axis=1, keepdims=True)
+    cap = np.sqrt(((d_verts[faces] - face_dirs[:, None]) ** 2)
+                  .sum(axis=2).max())
+    d2 = ((dirs[:, None] - face_dirs[None]) ** 2).sum(axis=2)
+    near = (d2 <= cap * cap).any(axis=1)
+    below = dirs[:, 2] < 0.0
+    assert (near & below).sum() > 10 and not near.all()
+    got = _interpolate_boundary(pos, faces, fields, dirs[near])
+    ref = _interpolate_boundary_brute_force(pos, faces, fields, dirs[near],
+                                            cap)
+    for values, expected in zip(got, ref):
+        assert np.array_equal(values, expected)
+    with pytest.raises(VolumeError, match="no regular boundary face near "
+                                          "direction"):
+        _interpolate_boundary(pos, faces, fields, dirs)
 
 
 def test_interpolate_boundary_rejects_degenerate_faces():
