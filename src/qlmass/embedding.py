@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import lsqr
 
 from .mesh import pairs_within, unique_rows
-from .operators import OperatorSet, SurfaceMetric
+from .operators import SurfaceMetric
 
 
 class EmbeddingError(RuntimeError):
@@ -81,8 +81,9 @@ class EmbeddingResult:
     positions : (V, 3) vertex positions in the t = 0 slice of Minkowski
         space, in the frame of the round start of `embed_metric` (or of
         the target of `align_embedding`).
-    achieved_metric : SurfaceMetric of the embedded edge lengths.
-    ops : OperatorSet of the surface.
+    metric : SurfaceMetric the embedding was solved for (that of the
+        positions when none is given).
+    ops : OperatorSet of that metric, shared with the physical side.
     mean_curvature : (V,) discrete mean curvature of the embedded surface.
     normals : (V, 3) outward unit normals.
     defect_l2 : RMS relative edge-length mismatch against the target metric.
@@ -93,20 +94,18 @@ class EmbeddingResult:
     """
 
     def __init__(self, mesh, positions, defect_l2, iterations,
-                 defect_max=None):
+                 defect_max=None, metric=None):
         self.mesh = mesh
         self.positions = positions
         self.defect_l2 = defect_l2
         self.defect_max = defect_max
         self.iterations = iterations
+        self.metric = (SurfaceMetric.from_positions(mesh, positions)
+                       if metric is None else metric)
 
-    @cached_property
-    def achieved_metric(self):
-        return SurfaceMetric.from_positions(self.mesh, self.positions)
-
-    @cached_property
+    @property
     def ops(self):
-        return OperatorSet(self.mesh, self.achieved_metric)
+        return self.metric.ops
 
     @cached_property
     def normals(self):
@@ -125,8 +124,9 @@ class EmbeddingResult:
 
     def consistency_residual(self, metric):
         """Max relative deviation of embedded edge lengths from a metric."""
+        embedded = SurfaceMetric.from_positions(self.mesh, self.positions)
         return float(np.max(
-            np.abs(self.achieved_metric.edge_lengths - metric.edge_lengths)
+            np.abs(embedded.edge_lengths - metric.edge_lengths)
             / metric.edge_lengths
         ))
 
@@ -184,7 +184,7 @@ def embed_metric(mesh, metric, degree=16, tol=1e-8, max_iterations=200):
     if pair is not None:
         raise EmbeddingError(f"embedded surface crosses itself: faces "
                              f"{pair[0]} and {pair[1]} intersect")
-    emb = EmbeddingResult(mesh, positions, rms, iterations)
+    emb = EmbeddingResult(mesh, positions, rms, iterations, metric=metric)
     emb.defect_max = emb.consistency_residual(metric)
     return emb
 
@@ -203,7 +203,7 @@ def align_embedding(emb, target_positions):
         rot = u @ vt
     moved = src @ rot + tc
     return EmbeddingResult(emb.mesh, moved, emb.defect_l2, emb.iterations,
-                           defect_max=emb.defect_max)
+                           defect_max=emb.defect_max, metric=emb.metric)
 
 
 def _edge_residual(d, lengths, scale):

@@ -4,8 +4,9 @@ and the regularized quasi-local energy.
 Both sides of the energy (reference and physical) are reduced to the same
 SurfaceData form: a surface geometry plus the mean curvature vector norm,
 its slice-gauge decomposition (H, trK), and the connection 1-form pairings
-on edges.  All integrals reduce over a fixed vertex order, so results are
-bit-stable.
+on edges, on one surface with one metric, whose operators and observer
+fields both sides share.  All integrals reduce over a fixed vertex order,
+so results are bit-stable.
 """
 
 from collections import namedtuple
@@ -137,17 +138,15 @@ CRITICAL_FRACTION = 1e-3
 
 
 class ObserverFields:
-    """The observer function u on one side and its fields, each computed
-    once for every frame of that side: grad u, laplace(u) and the gauge
-    pairing on construction, the rest when first read.  The connection
-    covectors belong to the side and are shared by all its observers."""
+    """The observer function u on the surface and its fields, computed
+    once for both sides and every frame: grad u and laplace(u) on
+    construction, |grad u|^2 with and without the critical-set mask when
+    first read."""
 
-    def __init__(self, sd, obs):
-        self.sd, self.ops, self.u = sd, sd.ops, obs.uA
-        self.grad = self.ops.gradient(self.u)
-        self.lap = self.ops.laplace(self.u)
-        self.gauge_pairing = self.ops.pair_fields(sd.gauge_covector,
-                                                  self.grad)
+    def __init__(self, ops, obs):
+        self.ops, self.u = ops, obs.uA
+        self.grad = ops.gradient(self.u)
+        self.lap = ops.laplace(self.u)
 
     @cached_property
     def masked(self):
@@ -160,13 +159,39 @@ class ObserverFields:
         """(gsq, dead vertices) over every face."""
         return _vertex_grad_sq(self.ops, self.grad)
 
+
+class SideFields:
+    """One side under one observer: the side `sd`, the observer fields of
+    its surface (its own unless shared with the other side), and grad u
+    paired with the side's connection forms, the gauge one on
+    construction and the slice one when first read."""
+
+    def __init__(self, sd, obs, fields=None):
+        self.sd = sd
+        self.fields = ObserverFields(sd.ops, obs) if fields is None else fields
+        self.gauge_pairing = self.fields.ops.pair_fields(sd.gauge_covector,
+                                                         self.fields.grad)
+
     @cached_property
     def slice_pairing(self):
-        """grad u paired with the slice-gauge connection form alpha_nu."""
-        return self.ops.pair_fields(self.sd.slice_covector, self.grad)
+        return self.fields.ops.pair_fields(self.sd.slice_covector,
+                                           self.fields.grad)
 
 
-def canonical_frame(fields, eps):
+def _sides(ref_sd, phys_sd, obs):
+    """The observer fields of the one surface both sides lie on and the
+    two sides under them; raises EnergyError unless the sides' meshes and
+    edge lengths agree."""
+    a, b = ref_sd.ops, phys_sd.ops
+    if a is not b and not (
+            np.array_equal(a.mesh.faces, b.mesh.faces)
+            and np.array_equal(a.metric.edge_lengths, b.metric.edge_lengths)):
+        raise EnergyError("the sides differ in mesh or edge lengths")
+    fields = ObserverFields(a, obs)
+    return fields, [SideFields(sd, obs, fields) for sd in (ref_sd, phys_sd)]
+
+
+def canonical_frame(side, eps):
     """Energy-minimizing frame angle from the mean-curvature gauge:
     sinh f = laplace(u) / (|H_vec| sqrt(|grad u|^2 + eps^2)).
 
@@ -175,11 +200,12 @@ def canonical_frame(fields, eps):
     """
     if eps < 0:
         raise EnergyError("eps must be nonnegative")
+    fields = side.fields
     if eps == 0.0:
         mask, _, gsq, dead = fields.masked
     else:
         mask, (gsq, dead) = None, fields.unmasked
-    norm = fields.sd.field_norm
+    norm = side.sd.field_norm
     if np.any(norm[~dead] < 1e-14):
         raise EnergyError("degenerate mean curvature vector on the "
                           "unmasked set")
@@ -201,23 +227,24 @@ def _weights(ops, frame):
     return w, fa
 
 
-def _side_terms(fields, frame):
+def _side_terms(side, frame):
     """The three integrals of one side: (sqrt term, frame-gradient term by
     parts, gauge term); masked vertices and faces carry zero weight."""
+    fields = side.fields
     w, fa = _weights(fields.ops, frame)
-    sqrt_vals = (np.sqrt(frame.gsq + frame.eps**2) * fields.sd.field_norm
+    sqrt_vals = (np.sqrt(frame.gsq + frame.eps**2) * side.sd.field_norm
                  * np.cosh(frame.f))
     sqrt_int = float(sqrt_vals @ w)
     grad_int = fields.ops.dirichlet_pairing(fields.u, frame.f)
-    gauge_int = float(fields.gauge_pairing @ fa)
+    gauge_int = float(side.gauge_pairing @ fa)
     return sqrt_int, grad_int, gauge_int
 
 
 def side_integral(sd, obs, eps):
     """(Hamiltonian integral of one side in its canonical frame, frame)."""
-    fields = ObserverFields(sd, obs)
-    frame = canonical_frame(fields, eps)
-    return sum(_side_terms(fields, frame)), frame
+    side = SideFields(sd, obs)
+    frame = canonical_frame(side, eps)
+    return sum(_side_terms(side, frame)), frame
 
 
 class EnergyReport:
@@ -251,7 +278,7 @@ class EnergyReport:
 
 def default_eps_list(fields, n=7):
     """Geometric sequence 1e-1 .. 1e-4 times the mean gradient scale of
-    one side's observer fields."""
+    the observer fields."""
     gsq, _ = fields.unmasked
     scale = float(np.sqrt(gsq).mean())
     return list(scale * np.logspace(-1, -4, n))
@@ -259,7 +286,8 @@ def default_eps_list(fields, n=7):
 
 def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
            context=None):
-    """Quasi-local energy of the observer.
+    """Quasi-local energy of the observer; both sides must lie on one mesh
+    with one set of edge lengths.
 
     mode "explicit" evaluates the limit formula on the complement of the
     critical set; mode "epsLimit" extrapolates the regularized sequence;
@@ -268,35 +296,32 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
     """
     if mode not in ENERGY_MODES:
         raise EnergyError(f"energy mode {mode!r} not in {ENERGY_MODES}")
-    if ref_sd.mesh.n_vertices != phys_sd.mesh.n_vertices:
-        raise EnergyError("reference and physical data on different meshes")
     warnings = []
     eps_sequence = []
 
-    ref, phys = ObserverFields(ref_sd, obs), ObserverFields(phys_sd, obs)
-    frame_r, frame_p = canonical_frame(ref, 0.0), canonical_frame(phys, 0.0)
-    terms_r = _side_terms(ref, frame_r)
-    terms_p = _side_terms(phys, frame_p)
+    fields, sides = _sides(ref_sd, phys_sd, obs)
+    terms_r, terms_p = (_side_terms(side, canonical_frame(side, 0.0))
+                        for side in sides)
     breakdown = {"reference": list(terms_r), "physical": list(terms_p)}
     ref_term = sum(terms_r) / (8.0 * np.pi)
     phys_term = sum(terms_p) / (8.0 * np.pi)
     e_explicit = ref_term - phys_term
-    crit_frac = max(ref.masked[1], phys.masked[1])
+    crit_frac = fields.masked[1]
 
     e_val = e_explicit
     if mode != "explicit":
         if eps_list is None:
-            eps_list = default_eps_list(ref)
+            eps_list = default_eps_list(fields)
         if len(eps_list) == 0:
             raise EnergyError(f"energy mode {mode!r} needs at least one eps, "
                               f"got an empty eps_list")
         for eps in eps_list:
-            r, p = (sum(_side_terms(fields, canonical_frame(fields, eps)))
-                    for fields in (ref, phys))
+            r, p = (sum(_side_terms(side, canonical_frame(side, eps)))
+                    for side in sides)
             eps_sequence.append((float(eps), (r - p) / (8.0 * np.pi)))
         e_limit = _extrapolate_eps(eps_sequence)
         scale = max(abs(ref_term), abs(phys_term), 1e-30)
-        h = float(np.mean(ref_sd.ops.metric.edge_lengths))
+        h = float(np.mean(fields.ops.metric.edge_lengths))
         diam = float(np.ptp(obs.uA)) + 1e-30
         disc = (h / diam) ** 2 * scale
         if abs(e_limit - e_explicit) > 10.0 * max(disc, 1e-14 * scale):
@@ -315,7 +340,7 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
 
 
 def _extrapolate_eps(seq):
-    """Power-law extrapolation of the tail of the (eps, E_eps) sequence."""
+    """Aitken delta-squared extrapolation of the (eps, E_eps) sequence."""
     if len(seq) < 3:
         return seq[-1][1]
     e = np.array([v for _, v in seq[-3:]])
@@ -332,14 +357,14 @@ def _extrapolate_eps(seq):
 def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
     """Cross-check of the density route against the surface-Hamiltonian
     route (slice gauge with the total frame angle), per eps."""
-    sides = (ObserverFields(ref_sd, obs), ObserverFields(phys_sd, obs))
+    _, sides = _sides(ref_sd, phys_sd, obs)
     rows = []
     for eps in eps_list:
         density, hamiltonian = [], []
-        for fields in sides:
-            frame = canonical_frame(fields, eps)
-            density.append(sum(_side_terms(fields, frame)))
-            hamiltonian.append(_slice_gauge_integral(fields, frame))
+        for side in sides:
+            frame = canonical_frame(side, eps)
+            density.append(sum(_side_terms(side, frame)))
+            hamiltonian.append(_slice_gauge_integral(side, frame))
         ea = (density[0] - density[1]) / (8.0 * np.pi)
         eb = (hamiltonian[0] - hamiltonian[1]) / (8.0 * np.pi)
         scale = max(map(abs, density + hamiltonian))
@@ -353,27 +378,27 @@ def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
     return rows
 
 
-def _slice_gauge_integral(fields, frame):
+def _slice_gauge_integral(side, frame):
     """One side evaluated entirely in the slice gauge, given its canonical
     frame: the frame angle from the slice normal is phi - f and the
     connection form is alpha_nu."""
-    sd = fields.sd
+    sd, fields = side.sd, side.fields
     w, fa = _weights(fields.ops, frame)
     q = sd.phi - frame.f
     vals = np.sqrt(frame.gsq + frame.eps**2) * (
         sd.H * np.cosh(q) + sd.trk * np.sinh(q)
     )
     return (float(vals @ w) - fields.ops.dirichlet_pairing(fields.u, q)
-            + float(fields.slice_pairing @ fa))
+            + float(side.slice_pairing @ fa))
 
 
 def optimal_frame_gap(sd, obs, eps, trial_frames):
     """Functional gaps of trial frame angles against the canonical frame;
     convexity makes every gap nonnegative up to round-off."""
-    fields = ObserverFields(sd, obs)
-    base_frame = canonical_frame(fields, eps)
-    base = sum(_side_terms(fields, base_frame))
-    return [sum(_side_terms(fields, base_frame._replace(f=f))) - base
+    side = SideFields(sd, obs)
+    base_frame = canonical_frame(side, eps)
+    base = sum(_side_terms(side, base_frame))
+    return [sum(_side_terms(side, base_frame._replace(f=f))) - base
             for f in trial_frames]
 
 
@@ -391,9 +416,10 @@ def euler_lagrange_residual(sd, obs, cap_fraction=0.2,
     at the fixed physical scale mollification_fraction * (area radius);
     the raw field stays noisy at fourth-difference level by construction.
     """
-    fields = ObserverFields(sd, obs)
+    side = SideFields(sd, obs)
+    fields = side.fields
     u, ops = fields.u, fields.ops
-    frame = canonical_frame(fields, 0.0)
+    frame = canonical_frame(side, 0.0)
     gmag = np.maximum(np.linalg.norm(fields.grad, axis=1), 1e-300)
     coshf_face = ops.face_average(np.cosh(frame.f))
     hvec_face = ops.face_average(sd.field_norm)

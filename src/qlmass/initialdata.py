@@ -10,7 +10,7 @@ coordinate sphere for the energy machinery.
 import numpy as np
 
 from .mesh import icosphere
-from .operators import OperatorSet, SurfaceMetric
+from .operators import SurfaceMetric
 
 FD_STEP = 1e-3
 
@@ -364,7 +364,7 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
     mid = 0.5 * (X[i] + X[j])
     gmid = data.metric(mid)
     lengths = np.sqrt(np.einsum("ei,eij,ej->e", chord, gmid, chord))
-    geom = OperatorSet(mesh, SurfaceMetric(mesh, lengths))
+    geom = SurfaceMetric(mesh, lengths).ops
 
     H = data.sphere_mean_curvature(X)
     g = data.metric(X)
@@ -433,7 +433,8 @@ def adm_integrals(data, radii):
     (E_inf + c / r + d / r^2 with as many terms as the radii support)
     of the energies and of each momentum component.  Raises
     InitialDataError on a repeated radius.  A warning is added when the
-    energy differences between successive radii grow."""
+    energy differences between successive radii grow by more than
+    rounding (1e-12 of the largest energy)."""
     radii = sorted(radii)
     dirs, w, _, _ = _sphere_quadrature()
     energies, momenta = [], []
@@ -461,7 +462,8 @@ def adm_integrals(data, radii):
         "P": [radius_fit(radii, column)["E_inf"] for column in momenta.T],
     }
     diffs = np.abs(np.diff(energies))
-    if len(diffs) >= 2 and np.any(np.diff(diffs) > 0):
+    floor = 1e-12 * np.max(np.abs(energies))
+    if len(diffs) >= 2 and np.any(np.diff(diffs) > floor):
         report["warnings"].append("non-monotone energy convergence")
     return report
 

@@ -8,6 +8,8 @@ gradients in per-face isometric charts, mixed Voronoi vertex areas, and
 angle-defect Gaussian curvature.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 
@@ -38,6 +40,11 @@ class SurfaceMetric:
         positions = np.asarray(positions, dtype=float)
         d = positions[mesh.edges[:, 0]] - positions[mesh.edges[:, 1]]
         return cls(mesh, np.linalg.norm(d, axis=1))
+
+    @cached_property
+    def ops(self):
+        """This metric's OperatorSet, built once for every reader."""
+        return OperatorSet(self.mesh, self)
 
 
 class OperatorSet:

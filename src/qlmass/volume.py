@@ -41,6 +41,9 @@ def _tet_volumes(vertices, tets):
     return np.einsum("ti,ti->t", np.cross(a, b), c) / 6.0
 
 
+# smallest dihedral angle, in degrees, that a tet of a volume mesh may have
+MIN_DIHEDRAL_DEGREES = 1.0
+
 # vertex triples of the four faces, face m opposite vertex m, ordered so
 # that the cross product points outward on a positively oriented tet
 _TET_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
@@ -93,7 +96,7 @@ class VolumeMesh:
     """
 
     def __init__(self, vertices, tets, boundary_faces, boundary_map,
-                 times=None, quality_floor=1.0):
+                 times=None):
         self.vertices = np.asarray(vertices, dtype=float)
         n = len(self.vertices)
         self.times = np.asarray(np.zeros(n) if times is None else times,
@@ -140,10 +143,10 @@ class VolumeMesh:
         self.tet_volumes = vols
         self.min_dihedral = _min_dihedral_degrees(
             _face_normals(self.vertices, tets))
-        if self.min_dihedral < quality_floor:
+        if self.min_dihedral < MIN_DIHEDRAL_DEGREES:
             raise VolumeError(
                 f"tet quality below floor: min dihedral "
-                f"{self.min_dihedral:.2f} deg < {quality_floor} deg"
+                f"{self.min_dihedral:.2f} deg < {MIN_DIHEDRAL_DEGREES} deg"
             )
 
     @cached_property
@@ -223,7 +226,7 @@ def _split_prism(ids):
     return v[rows, _PRISM_SPLITS[second.astype(np.intp)]].reshape(-1, 4)
 
 
-def build_fill_in(emb, mesh=None, layers=8, quality_floor=1.0):
+def build_fill_in(emb, mesh=None, layers=8):
     """Star-shaped tetrahedral fill-in by radial coning to the centroid.
 
     Accepts an embedding result or explicit positions with their `mesh`.
@@ -280,10 +283,7 @@ def build_fill_in(emb, mesh=None, layers=8, quality_floor=1.0):
                          np.full(len(faces), center_id)]),
     ])
 
-    return VolumeMesh(
-        vertices, tets, faces.copy(), np.arange(len(faces)),
-        quality_floor=quality_floor,
-    )
+    return VolumeMesh(vertices, tets, faces.copy(), np.arange(len(faces)))
 
 
 def write_volume_mesh(path, vol):
@@ -300,7 +300,7 @@ def write_volume_mesh(path, vol):
             fh.write(f"{f[0]} {f[1]} {f[2]} {m}\n")
 
 
-def read_volume_mesh(path, quality_floor=1.0):
+def read_volume_mesh(path):
     with open(path) as fh:
         tokens = fh.read().split()
     pos = 0
@@ -323,7 +323,7 @@ def read_volume_mesh(path, quality_floor=1.0):
                           "boundary rows")
     data, tets, rows = sections
     return VolumeMesh(data[:, 1:], tets, rows[:, :3], rows[:, 3],
-                      times=data[:, 0], quality_floor=quality_floor)
+                      times=data[:, 0])
 
 
 # -- P1 finite elements ---------------------------------------------------
@@ -1188,7 +1188,7 @@ def _bulk_terms(data, points, weight, du, hess, gamma, delta):
     """(bulkDirichlet, bulkEnergy) from the gradient and coordinate
     Hessian of u at points with coordinate quadrature weights, and the
     smallest dominant-energy margin mu - |J|_g over the points with the
-    point where it occurs."""
+    first point where it occurs to rounding."""
     _, ginv, sqrtdet, k = _point_fields(data, points)
     weight = weight * sqrtdet
     du_up = np.einsum("nij,nj->ni", ginv, du)
@@ -1200,10 +1200,13 @@ def _bulk_terms(data, points, weight, du, hess, gamma, delta):
     mu, J = data.constraint_fields(points)
     j_du = np.einsum("ni,ni->n", J, du_up)
     margin = dec_margin(mu, J, ginv)
-    worst = int(np.argmin(margin))
+    # the first point within rounding of the minimum, so that mirror points
+    # do not trade places when the points move by rounding
+    low = margin.min()
+    worst = int(np.argmax(margin <= low + 1e-12 * max(1.0, abs(low))))
     return (float(np.sum(weight * 0.5 * hsq / gnorm)),
             float(np.sum(weight * (mu * gnorm + j_du))),
-            float(margin[worst]), points[worst].tolist())
+            float(low), points[worst].tolist())
 
 
 def integral_identity_check(data, vol, sol, radius, n_levels=64):

@@ -87,8 +87,7 @@ def _solid_torus(n_major=48, n_rings=3, major=2.0, minor=0.7):
     sf = np.sort(faces, axis=1)
     uniq, cnt = np.unique(sf, axis=0, return_counts=True)
     bf = uniq[cnt == 1]
-    return VolumeMesh(verts, tets, bf, np.arange(len(bf)),
-                      quality_floor=1.0)
+    return VolumeMesh(verts, tets, bf, np.arange(len(bf)))
 
 
 def _report(num, name, ok, detail, elapsed, budget):

@@ -51,7 +51,7 @@ def _spherical_shell(level=2, inner=0.5, n_layers=4):
                                       hi + f[0], hi + f[1], hi + f[2])))
     bfaces = np.vstack([mesh.faces, mesh.faces + n_layers * V])
     return VolumeMesh(verts, np.asarray(tets), bfaces,
-                      np.arange(len(bfaces)), quality_floor=1.0)
+                      np.arange(len(bfaces)))
 
 
 # -- config parsing --------------------------------------------------------

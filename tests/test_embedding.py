@@ -329,9 +329,9 @@ def test_self_crossing_embedding_rejected(monkeypatch, mesh3):
         embed_metric(mesh3, met, degree=8)
 
 
-def test_one_surface_builds_two_operator_sets(monkeypatch):
-    # extraction and the aligned result, which the reference side reads;
-    # the embedding solve builds none
+def test_one_surface_builds_one_operator_set(monkeypatch):
+    # the extraction's metric builds it; the embedding solve, the aligned
+    # result and both sides read that one
     from qlmass.energy import SurfaceData
 
     built = []
@@ -347,4 +347,15 @@ def test_one_surface_builds_two_operator_sets(monkeypatch):
     emb = align_embedding(emb, bd.positions)
     SurfaceData.from_embedding(emb)
     SurfaceData.from_boundary(bd)
-    assert len(built) == 2
+    assert len(built) == 1
+
+
+def test_aligned_reference_shares_the_physical_operator_set():
+    from qlmass.energy import SurfaceData
+
+    bd = extract_boundary_data(SchwarzschildData(1.0), 10.0, level=2)
+    emb = align_embedding(embed_metric(bd.geom.mesh, bd.geom.metric),
+                          bd.positions)
+    assert emb.metric is bd.geom.metric
+    assert (SurfaceData.from_embedding(emb).ops
+            is SurfaceData.from_boundary(bd).ops)

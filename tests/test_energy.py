@@ -9,6 +9,7 @@ from qlmass.embedding import EmbeddingResult, align_embedding, embed_metric
 from qlmass.energy import (
     EnergyError,
     ObserverFields,
+    SideFields,
     SurfaceData,
     canonical_frame,
     default_eps_list,
@@ -73,7 +74,7 @@ def test_canonical_frame_closed_form(flat3):
     _, emb = flat3
     sd = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    frame = canonical_frame(ObserverFields(sd, obs), 0.0)
+    frame = canonical_frame(SideFields(sd, obs), 0.0)
     z = emb.positions[:, 2]
     s = np.sqrt(np.maximum(1.0 - z**2, 0.0))
     sel = (~frame.dead_vertices) & (s > 0.3)
@@ -85,9 +86,9 @@ def test_frame_vanishes_for_large_eps(flat3):
     _, emb = flat3
     sd = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    fields = ObserverFields(sd, obs)
-    f_small = canonical_frame(fields, 1.0).f
-    f_tiny = canonical_frame(fields, 100.0).f
+    side = SideFields(sd, obs)
+    f_small = canonical_frame(side, 1.0).f
+    f_tiny = canonical_frame(side, 100.0).f
     # f decays like 1/eps once eps dominates the gradient scale
     assert np.abs(f_tiny).max() < np.abs(f_small).max() / 50.0
     assert np.abs(f_tiny).max() < 1.5e-2
@@ -124,7 +125,7 @@ def test_integration_by_parts_identity(flat3):
     sd = SurfaceData.from_embedding(emb)
     ops = sd.ops
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    frame = canonical_frame(ObserverFields(sd, obs), 0.1)
+    frame = canonical_frame(SideFields(sd, obs), 0.1)
     gu = ops.gradient(obs.uA)
     gf = ops.gradient(frame.f)
     direct = float(np.einsum("fk,fk->f", gu, gf) @ ops.face_areas)
@@ -152,7 +153,7 @@ def test_hamilton_jacobi_identity():
     phys = SurfaceData.from_boundary(bd)
     ref = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    eps_list = default_eps_list(ObserverFields(phys, obs)) + [
+    eps_list = default_eps_list(ObserverFields(phys.ops, obs)) + [
         10.0 * float(np.abs(obs.uA).max())
     ]
     rows = hamilton_jacobi_check(ref, phys, obs, eps_list)
@@ -261,6 +262,20 @@ def test_report_serialization(flat3):
         json.dumps(d)
 
 
+def test_different_metrics_rejected():
+    # one mesh, two metrics: a flat r = 1 reference and a Schwarzschild
+    # r = 10 physical side are not two sides of one surface
+    mesh = icosphere(2)
+    flat = extract_boundary_data(FlatData(), 1.0, mesh=mesh)
+    schw = extract_boundary_data(SchwarzschildData(1.0), 10.0, mesh=mesh)
+    emb = align_embedding(embed_metric(mesh, flat.geom.metric, degree=12,
+                                       tol=1e-10), flat.positions)
+    obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(EnergyError, match="differ in mesh or edge lengths"):
+        energy(SurfaceData.from_embedding(emb),
+               SurfaceData.from_boundary(schw), obs)
+
+
 def test_mesh_mismatch_rejected(flat3):
     bd, emb = flat3
     small = icosphere(2)
@@ -319,7 +334,7 @@ def test_term_breakdown_sums_to_side_terms(sides2, a, mode):
 
 
 def _count_calls(monkeypatch):
-    """Counts the calls of the per-side field primitives."""
+    """Counts the calls of the observer field primitives."""
     import qlmass.energy as energy_mod
     from qlmass.operators import OperatorSet
 
@@ -335,7 +350,8 @@ def _count_calls(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(energy_mod, "_vertex_grad_sq")
-    for name in ("gradient", "laplace", "face_covector"):
+    for name in ("gradient", "laplace", "critical_set_mask",
+                 "face_covector"):
         counted(OperatorSet, name)
     return counts
 
@@ -352,13 +368,14 @@ def test_each_side_builds_its_observer_fields_once(monkeypatch, sides2):
     counts = _count_calls(monkeypatch)
     rep = energy(ref, phys, obs, mode="both")
     assert len(rep.eps_sequence) == 7
-    assert counts == {"_vertex_grad_sq": 4, "gradient": 2, "laplace": 2,
-                      "face_covector": 2}
+    # one set of observer fields for both sides, with one critical set
+    assert counts == {"_vertex_grad_sq": 2, "gradient": 1, "laplace": 1,
+                      "critical_set_mask": 1, "face_covector": 2}
     counts.update(dict.fromkeys(counts, 0))
     eps_list = list(np.logspace(-1, -4, 7))
     assert len(hamilton_jacobi_check(ref, phys, obs, eps_list)) == 7
-    assert counts["_vertex_grad_sq"] == 2
-    assert counts["laplace"] == 2
+    assert counts["_vertex_grad_sq"] == 1
+    assert counts["laplace"] == 1
     # the gauge covectors are the sides' own; only the slice ones are new
     assert counts["face_covector"] == 2
 
@@ -404,7 +421,7 @@ def test_energy_invariant_under_rigid_motion(sides2, a, rotvec, shift):
     a = _unit(a)
     R = Rotation.from_rotvec(np.pi * np.asarray(rotvec)).as_matrix()
     moved = EmbeddingResult(emb.mesh, emb.positions @ R.T + np.asarray(shift),
-                            emb.defect_l2, emb.iterations)
+                            emb.defect_l2, emb.iterations, metric=emb.metric)
     moved_ref = SurfaceData.from_embedding(moved)
     for phys in physicals:
         base = energy(ref, phys, make_observer(emb, a))

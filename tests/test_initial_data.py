@@ -8,6 +8,7 @@ from qlmass.initialdata import (
     CovectorField,
     FlatData,
     InitialDataError,
+    InitialDataSample,
     QuasiLocalBoundaryData,
     SchwarzschildData,
     UniformExpansionData,
@@ -182,6 +183,46 @@ def test_adm_schwarzschild_limit_has_the_inverse_square_term(schw):
     assert abs(rep["E"] - 1.0) < 1e-4
 
 
+class _SpatialKerrSchildData(InitialDataSample):
+    """g = delta + (2 m(r) / r) n n with k = 0, whose ADM energy integral
+    over the sphere of radius r is m(r)."""
+
+    excludes_origin = True
+
+    def __init__(self, mass_of_r):
+        self.mass_of_r = mass_of_r
+
+    def metric(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        r = self._check_domain(x)
+        n = x / r[:, None]
+        return np.eye(3) + ((2.0 * self.mass_of_r(r) / r)[:, None, None]
+                            * n[:, :, None] * n[:, None, :])
+
+    def extrinsic(self, x):
+        return self._zeros(x, (3, 3))
+
+
+_ADM_LADDERS = ([10.0, 20.0, 40.0, 80.0], [5.0, 10.0, 20.0],
+                [10.0, 15.0, 20.0, 25.0, 30.0])
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_adm_convergence_warning_ignores_rounding(schw, m):
+    # a constant E_r whose differences grow by rounding only is not
+    # flagged; E_r growing as r^2 and Schwarzschild's decaying 1/r are
+    # told apart
+    for radii in _ADM_LADDERS:
+        flat_tail = adm_integrals(
+            _SpatialKerrSchildData(lambda r: np.full_like(r, m)), radii)
+        np.testing.assert_allclose(flat_tail["E_r"], m, rtol=1e-12)
+        assert flat_tail["warnings"] == []
+        growing = adm_integrals(
+            _SpatialKerrSchildData(lambda r: m * (r / 10.0) ** 2), radii)
+        assert growing["warnings"] == ["non-monotone energy convergence"]
+        assert adm_integrals(schw, radii)["warnings"] == []
+
+
 def test_adm_rejects_a_repeated_radius(schw):
     with pytest.raises(InitialDataError, match="repeated radius"):
         adm_integrals(schw, [10.0, 20.0, 10.0])
@@ -200,7 +241,7 @@ def test_boundary_consistency_with_embedding():
     np.testing.assert_allclose(bd.H, emb.mean_curvature, atol=1e-4)
     np.testing.assert_allclose(
         bd.geom.metric.edge_lengths,
-        emb.achieved_metric.edge_lengths,
+        emb.metric.edge_lengths,
         rtol=1e-12,
     )
 

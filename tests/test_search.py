@@ -69,7 +69,7 @@ def _spherical_shell(level=2, inner=0.5, n_layers=4):
     inner_faces = mesh.faces + n_layers * V
     bfaces = np.vstack([mesh.faces, inner_faces])
     return VolumeMesh(verts, np.asarray(tets), bfaces,
-                      np.arange(len(bfaces)), quality_floor=1.0)
+                      np.arange(len(bfaces)))
 
 
 # -- mass infimum ----------------------------------------------------------

@@ -89,11 +89,50 @@ def _solid_torus(n_major=48, n_rings=3, major=2.0, minor=0.7):
     sf = np.sort(faces, axis=1)
     uniq, cnt = np.unique(sf, axis=0, return_counts=True)
     bf = uniq[cnt == 1]
-    return VolumeMesh(verts, tets, bf, np.arange(len(bf)),
-                      quality_floor=1.0)
+    return VolumeMesh(verts, tets, bf, np.arange(len(bf)))
 
 
 # -- fill-in construction --------------------------------------------------
+
+def _sliver(h):
+    """One tet over the unit right triangle with its apex at height h above
+    the centroid: its smallest dihedral angle is arctan(3 h), at the two
+    legs."""
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [1.0 / 3.0, 1.0 / 3.0, h]])
+    faces = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    return verts, np.array([[0, 1, 2, 3]]), faces, np.arange(4)
+
+
+def test_sliver_tet_refused():
+    h = 0.005
+    with pytest.raises(VolumeError,
+                       match=f"min dihedral {np.degrees(np.arctan(3 * h)):.2f}"
+                             f" deg < {volume.MIN_DIHEDRAL_DEGREES} deg"):
+        VolumeMesh(*_sliver(h))
+    assert VolumeMesh(*_sliver(0.1)).min_dihedral == pytest.approx(
+        np.degrees(np.arctan(0.3)), rel=1e-12)
+
+
+def test_mass_refuses_a_sliver_volume_mesh_file(tmp_path):
+    h = 0.005
+    verts, tets, faces, bmap = _sliver(h)
+    rows = ([f"vertices {len(verts)}"]
+            + [" ".join(map(repr, [0.0, *map(float, v)])) for v in verts]
+            + [f"tets {len(tets)}"] + [" ".join(map(str, t)) for t in tets]
+            + [f"boundary {len(faces)}"]
+            + [" ".join(map(str, [*f, m])) for f, m in zip(faces, bmap)])
+    mesh_path = tmp_path / "sliver.vmesh"
+    mesh_path.write_text("\n".join(rows) + "\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n")
+    result = CliRunner().invoke(main, ["mass", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert (f"min dihedral {np.degrees(np.arctan(3 * h)):.2f} deg < 1.0 deg"
+            in result.output)
+    assert "internal error" not in result.output
+
 
 def test_fill_in_ball_geometry():
     mesh, vol = _ball_fill_in(3)
@@ -1147,7 +1186,7 @@ def test_verdict_invariant_under_rigid_motion(torus24, a, rotvec, shift):
     vol = torus24
     moved = VolumeMesh(vol.vertices @ R.T + np.asarray(shift), vol.tets,
                        vol.boundary_faces, vol.boundary_map,
-                       times=vol.times, quality_floor=1.0)
+                       times=vol.times)
     base = admissibility_verdict(vol, SimpleNamespace(a=a), n_levels=16)
     motion = admissibility_verdict(moved, SimpleNamespace(a=R @ a),
                                    n_levels=16)
@@ -1218,6 +1257,25 @@ def test_identity_falls_back_to_recovery_for_generic_data():
     for key in ("lhsBoundary", "rhsEuler", "bulkDirichlet", "bulkEnergy",
                 "slack", "scale"):
         assert np.isfinite(report[key])
+
+
+def test_dec_margin_point_survives_a_rebuilt_fill_in():
+    # Bowen-York data are mirror symmetric, so mirror points share the
+    # smallest DEC margin.  Rebuilding each tet from an even permutation of
+    # its vertices moves the centroids by rounding only, and must not move
+    # the reported point to its mirror
+    data, radius = BowenYorkData(np.array([0.0, 0.0, 0.1])), 1.0
+    _, vol = _ball_fill_in(3, radius=radius)
+    sol = solve_spacetime_harmonic(vol, data,
+                                   vol.vertices[vol.boundary_vertices, 2])
+    rebuilt = VolumeMesh(vol.vertices, vol.tets[:, [1, 2, 0, 3]],
+                         vol.boundary_faces, vol.boundary_map)
+    first, second = (integral_identity_check(data, v, sol, radius,
+                                             n_levels=16)
+                     for v in (vol, rebuilt))
+    assert first["method"] == "fieldRecovery"
+    np.testing.assert_allclose(second["decMarginAt"], first["decMarginAt"],
+                               rtol=0.0, atol=1e-12 * radius)
 
 
 # -- harmonic representative -----------------------------------------------
