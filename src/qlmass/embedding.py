@@ -111,9 +111,9 @@ class EmbeddingResult:
     def normals(self):
         tri = self.positions[self.mesh.faces]
         fnorm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        vnorm = np.zeros_like(self.positions)
-        for a in range(3):
-            np.add.at(vnorm, self.mesh.faces[:, a], fnorm)
+        corners, n = self.mesh.faces.T.ravel(), len(self.positions)
+        vnorm = np.column_stack([np.bincount(corners, np.tile(c, 3), n)
+                                 for c in fnorm.T])
         return vnorm / np.linalg.norm(vnorm, axis=1, keepdims=True)
 
     @cached_property

@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 
@@ -133,8 +133,12 @@ def _vertex_grad_sq(ops, grad, face_mask=None):
 
 
 # the eps = 0 frame masks faces whose |grad u| is below this share of its
-# median
+# median; the default eps sequence has EPS_COUNT values; the radii of the
+# Euler-Lagrange charge caps and mollifier are shares of the area radius
 CRITICAL_FRACTION = 1e-3
+EPS_COUNT = 7
+CAP_FRACTION = 0.2
+MOLLIFICATION_FRACTION = 0.15
 
 
 class ObserverFields:
@@ -276,12 +280,12 @@ class EnergyReport:
         }
 
 
-def default_eps_list(fields, n=7):
-    """Geometric sequence 1e-1 .. 1e-4 times the mean gradient scale of
-    the observer fields."""
+def default_eps_list(fields):
+    """Geometric sequence of EPS_COUNT values 1e-1 .. 1e-4 times the mean
+    gradient scale of the observer fields."""
     gsq, _ = fields.unmasked
     scale = float(np.sqrt(gsq).mean())
-    return list(scale * np.logspace(-1, -4, n))
+    return list(scale * np.logspace(-1, -4, EPS_COUNT))
 
 
 def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
@@ -402,18 +406,17 @@ def optimal_frame_gap(sd, obs, eps, trial_frames):
             for f in trial_frames]
 
 
-def euler_lagrange_residual(sd, obs, cap_fraction=0.2,
-                            mollification_fraction=0.15):
+def euler_lagrange_residual(sd, obs):
     """Residual of the first-variation equation in u and the point charges
     at the observer extrema.
 
     The flux |H_vec| cosh(f) grad u / |grad u| + grad f + (gauge vector) has
     distributional divergence 2 pi (delta_min - delta_max) at criticality.
     Charges are area integrals of the discrete divergence over geodesic caps
-    of fixed radius cap_fraction * (area radius) around the extremum
+    of fixed radius CAP_FRACTION * (area radius) around the extremum
     vertices.  Away from the caps the equation only holds against smooth
     test functions, so the interior norm is taken of the residual mollified
-    at the fixed physical scale mollification_fraction * (area radius);
+    at the fixed physical scale MOLLIFICATION_FRACTION * (area radius);
     the raw field stays noisy at fourth-difference level by construction.
     """
     side = SideFields(sd, obs)
@@ -437,8 +440,8 @@ def euler_lagrange_residual(sd, obs, cap_fraction=0.2,
         warnings.append("non-unique extremum vertices; smallest index used")
 
     radius = np.sqrt(ops.total_area / (4.0 * np.pi))
-    cap = cap_fraction * radius
-    scale = mollification_fraction * radius
+    cap = CAP_FRACTION * radius
+    scale = MOLLIFICATION_FRACTION * radius
     # the mollifier spreads the point charges over a few lengths `scale`,
     # so the interior region keeps that margin beyond the charge caps
     margin = cap + 3.0 * scale
@@ -473,9 +476,8 @@ def _geodesic_distances(ops, sources, limit):
     n = mesh.n_vertices
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
     w = ops.metric.edge_lengths
-    graph = coo_matrix(
-        (np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n)
-    ).tocsr()
+    graph = csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])),
+                       shape=(n, n))
     return dijkstra(graph, indices=sources, limit=limit * (1.0 + 1e-9))
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import null_space
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -106,6 +106,8 @@ class VolumeMesh:
         self.boundary_map = np.asarray(boundary_map, dtype=np.int64)
         for name, rows in (("tet", tets),
                            ("boundary face", self.boundary_faces)):
+            if len(rows) == 0:
+                raise VolumeError(f"volume mesh has no {name}s")
             bad = (rows < 0) | (rows >= n)
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
@@ -335,19 +337,24 @@ def _hat_gradients(normals, vols):
     return normals
 
 
+def _scatter(tets, n):
+    """The vertex x tet incidence S, (n, T) CSR: row v has a 1 for each tet
+    of v in tet order, so S @ w sums w over the tets of each vertex."""
+    T = len(tets)
+    return csr_matrix((np.ones(4 * T), tets.reshape(-1),
+                       np.arange(0, 4 * T + 1, 4)), shape=(T, n)).T.tocsr()
+
+
 def _gradient_and_scatter(tets, grads, n):
-    """The P1 gradient operator D, (3T, n), whose row 3t + i holds
+    """The P1 gradient operator D, (3T, n) CSR, whose row 3t + i holds
     component i of the four hat gradients of tet t, so that
-    (D @ u).reshape(T, 3) is the gradient of u per tet; and the vertex x
-    tet scatter S, (n, T), whose row v has a 1 for each tet of v in tet
-    order, so that S @ w sums w over the tets of each vertex.  Both CSR."""
+    (D @ u).reshape(T, 3) is the gradient of u per tet; and the incidence
+    S (`_scatter`)."""
     T = len(tets)
     D = csr_matrix((grads.swapaxes(1, 2).reshape(-1),
                     np.repeat(tets, 3, axis=0).reshape(-1),
                     np.arange(0, 12 * T + 1, 4)), shape=(3 * T, n))
-    S = csr_matrix((np.ones(4 * T), tets.reshape(-1),
-                    np.arange(0, 4 * T + 1, 4)), shape=(T, n)).T.tocsr()
-    return D, S
+    return D, _scatter(tets, n)
 
 
 def _jacobi_cg(A, b, x, inv_diag, rtol, maxiter):
@@ -484,14 +491,16 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     weight = vols * sqrtdet
 
     n = vol.n_vertices
-    local = (grads @ ginv @ grads.swapaxes(1, 2)) * weight[:, None, None]
-    rows = np.repeat(vol.tets, 4, axis=1).reshape(-1)
-    cols = np.tile(vol.tets, (1, 4)).reshape(-1)
-    K = coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    # free the assembly arrays before the Picard source operators take
-    # their place
-    del local, rows, cols
     D, S = _gradient_and_scatter(vol.tets, grads, n)
+    # K = D^T M D, M the blocks weight * g^-1 per tet: M D has D's sparsity
+    MD = csr_matrix((((ginv * weight[:, None, None]) @ grads.swapaxes(1, 2))
+                     .reshape(-1), D.indices, D.indptr), shape=D.shape)
+    K = (D.T @ MD).tocsr()
+    # the hat functions sum to one, so K 1 = 0: each diagonal entry is
+    # minus the sum of the rest of its row, since the rounding of D^T M D
+    # in K 1 costs CG iterations on constant boundary data
+    K.setdiag(0.0)
+    K.setdiag(-(K @ np.ones(n)))
 
     if delta is None:
         rng = float(np.ptp(boundary_values))
@@ -506,9 +515,7 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     boundary_values = np.ldexp(boundary_values, -exponent)
     scaled_delta = np.ldexp(delta, -exponent)
 
-    free = np.ones(n, dtype=bool)
-    free[bverts] = False
-    free_idx = np.flatnonzero(free)
+    free_idx = np.setdiff1d(np.arange(n), bverts)
     u = np.zeros(n)
     u[bverts] = boundary_values
     # CSR: its matvec, the inner loop of CG, beats CSC's on this matrix
@@ -605,29 +612,20 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
                                      splu_fallbacks)
 
 
-def _vertex_average(vol, per_tet, vols):
-    """Volume-weighted vertex averages of a per-tet field."""
-    w = np.repeat(vols, 4)
-    idx = vol.tets.reshape(-1)
-    tail = (1,) * (per_tet.ndim - 1)
-    num = np.zeros((vol.n_vertices,) + per_tet.shape[1:])
-    den = np.zeros(vol.n_vertices)
-    np.add.at(num, idx, np.repeat(per_tet, 4, axis=0) * w.reshape(-1, *tail))
-    np.add.at(den, idx, w)
-    return num / den.reshape(-1, *tail)
-
-
 def recovered_fields(vol, u):
     """Per-tet P1 gradients of u and the recovered fields: (per-tet
     gradients, vertex gradients (volume-weighted averages), per-tet and
     vertex symmetric coordinate Hessians from the gradient of the vertex
     gradients, tet volumes)."""
     grads, vols = vol.hat_gradients
-    du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
-    dU = _vertex_average(vol, du, vols)
-    hess = np.einsum("tmj,tmi->tij", dU[vol.tets], grads)
+    D, S = _gradient_and_scatter(vol.tets, grads, vol.n_vertices)
+    total = (S @ vols)[:, None]
+    du = (D @ u).reshape(-1, 3)
+    dU = S @ (vols[:, None] * du) / total
+    hess = (D @ dU).reshape(-1, 3, 3)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    return du, dU, hess, _vertex_average(vol, hess, vols), vols
+    hess_v = S @ (vols[:, None, None] * hess).reshape(-1, 9) / total
+    return du, dU, hess, hess_v.reshape(-1, 3, 3), vols
 
 
 # -- level-set topology ---------------------------------------------------
@@ -779,9 +777,13 @@ def admissibility_verdict(fill_in, obs, physical=None, n_levels=64):
 # -- exactly harmonic smooth representatives -------------------------------
 
 # the representative phi(r) P(x) has a polynomial P of degree <= 8 and is
-# evaluated _CHUNK points at a time
+# evaluated _CHUNK points at a time; its bulk terms take Gauss rules on the
+# ball: BALL_ANGLES in angle, BALL_GAUSS nodes on BALL_PANELS + 1 r-panels
 _FIT_DEGREE = 8
 _CHUNK = 8192
+BALL_ANGLES = (24, 48)
+BALL_PANELS = 10
+BALL_GAUSS = 10
 
 # exponents of the 165 monomials of degree <= 8, one row each
 _EXPONENTS = np.array([e for e in np.ndindex((_FIT_DEGREE + 1,) * 3)
@@ -874,9 +876,7 @@ class HarmonicRepresentative:
         basis = null_space(np.einsum("iab,ibc->ac", D, D))
         y = vol.vertices / self.length
         A = self._radial(y)[0][:, None] * (basis.T @ _monomials(y)).T
-        w = np.zeros(vol.n_vertices)
-        np.add.at(w, vol.tets.reshape(-1),
-                  np.repeat(vol.tet_volumes / 4.0, 4))
+        w = _scatter(vol.tets, vol.n_vertices) @ (vol.tet_volumes / 4.0)
         sw = np.sqrt(w)
         coefs, *_ = np.linalg.lstsq(A * sw[:, None], np.asarray(u) * sw,
                                     rcond=None)
@@ -1127,23 +1127,19 @@ def _boundary_identity_integral(data, radius, solution_fields, delta=0.0):
     return float(((term1 + term2) * dens) @ wq)
 
 
-def _ball_quadrature(radius, n_theta=24, n_phi=48, panels=10, n_gauss=10):
+def _ball_quadrature(radius):
     """Points and weights for the coordinate ball, radially graded toward
     the center (integrands may be merely Lipschitz at the origin)."""
-    dirs, w_ang, _, _ = _sphere_quadrature(1.0, n_theta, n_phi)
-    edges = radius * 2.0 ** -np.arange(panels + 1, dtype=float)
+    dirs, w_ang, _, _ = _sphere_quadrature(1.0, *BALL_ANGLES)
+    edges = radius * 2.0 ** -np.arange(BALL_PANELS + 1, dtype=float)
     edges = np.append(edges, 0.0)[::-1]
-    nodes, gw = leggauss(n_gauss)
-    r_all, wr_all = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        r = mid + half * nodes
-        r_all.append(r)
-        wr_all.append(gw * half * r**2)
-    r_all = np.concatenate(r_all)
-    wr_all = np.concatenate(wr_all)
-    pts = (r_all[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    w = (wr_all[:, None] * w_ang[None, :]).reshape(-1)
+    nodes, gw = leggauss(BALL_GAUSS)
+    # one row of nodes r and weights r^2 dr per radial panel
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    r = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
+    wr = gw * half * r**2
+    pts = (r.reshape(-1)[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+    w = (wr.reshape(-1)[:, None] * w_ang[None, :]).reshape(-1)
     return pts, w
 
 

@@ -528,6 +528,16 @@ def _edit_row(section, row, column, value):
     return edit
 
 
+def _empty_section(section):
+    """Edit of a .vmesh file: drops every row of the section and sets its
+    count to 0."""
+    def edit(lines):
+        head = next(i for i, l in enumerate(lines) if l.startswith(section))
+        count = int(lines[head].split()[1])
+        return lines[:head] + [f"{section} 0"] + lines[head + 1 + count:]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_edit_row("tets", 0, 1, "1000000"),
      "tet 0 names vertex 1000000, outside [0, 487)"),
@@ -544,9 +554,12 @@ def _edit_row(section, row, column, value):
                                "`boundary <count>`"),
     (lambda lines: lines + ["boundary 1", "0 1 2 0"],
      "malformed volume mesh file: content after the boundary rows"),
+    (_empty_section("tets"), "volume mesh has no tets"),
+    (_empty_section("boundary"), "volume mesh has no boundary faces"),
 ], ids=["tet-index-too-large", "tet-index-negative",
         "boundary-index-too-large", "nan-coordinate", "inf-time",
-        "boundary-time", "truncated", "trailing-content"])
+        "boundary-time", "truncated", "trailing-content", "no-tets",
+        "no-boundary-faces"])
 def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,

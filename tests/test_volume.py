@@ -495,6 +495,64 @@ def test_picard_source_operators_match_gather_and_bincount(data):
                                       minlength=n))
 
 
+@pytest.mark.parametrize("data", [SchwarzschildData(1.0),
+                                  UniformExpansionData(0.3)])
+def test_solver_stiffness_matches_reference_assembly(monkeypatch, data):
+    # the matrix every CG solve of the solver receives: D^T M D with the
+    # diagonal rule, against an independent einsum assembly
+    matrices = []
+    jacobi_cg = volume._jacobi_cg
+
+    def spy(A, *args):
+        matrices.append(A)
+        return jacobi_cg(A, *args)
+
+    monkeypatch.setattr(volume, "_jacobi_cg", spy)
+    _, vol = _ball_fill_in(3, radius=10.0)
+    bv = vol.boundary_vertices
+    solve_spacetime_harmonic(vol, data, vol.vertices[bv, 2])
+    K = _reference_stiffness(vol, data)[0]
+    free = np.setdiff1d(np.arange(vol.n_vertices), bv)
+    assert matrices and all(A is matrices[0] for A in matrices)
+    assert abs(matrices[0] - K[free][:, free]).max() <= 1e-13 * abs(K).max()
+
+
+def _reference_recovery(vol, u):
+    """The field recovery gathered by einsum and scattered by np.add.at,
+    tet by tet: (du, dU, hess, vertex hess, vols)."""
+    grads, vols = vol.hat_gradients
+    idx, w = vol.tets.reshape(-1), np.repeat(vols, 4)
+
+    def vertex_average(per_tet):
+        tail = (1,) * (per_tet.ndim - 1)
+        num = np.zeros((vol.n_vertices,) + per_tet.shape[1:])
+        den = np.zeros(vol.n_vertices)
+        np.add.at(num, idx,
+                  np.repeat(per_tet, 4, axis=0) * w.reshape(-1, *tail))
+        np.add.at(den, idx, w)
+        return num / den.reshape(-1, *tail)
+
+    du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
+    dU = vertex_average(du)
+    hess = np.einsum("tmj,tmi->tij", dU[vol.tets], grads)
+    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    return du, dU, hess, vertex_average(hess), vols
+
+
+def test_recovered_fields_match_gather_and_add_at():
+    _, vol = _ball_fill_in(3, radius=10.0)
+    n = vol.n_vertices
+    u = vol.vertices[:, 2] + np.random.default_rng(5).normal(size=n)
+    for mine, ref in zip(volume.recovered_fields(vol, u),
+                         _reference_recovery(vol, u)):
+        assert np.array_equal(mine, ref)
+    # the vertex weights of the harmonic fit
+    w = np.zeros(n)
+    np.add.at(w, vol.tets.reshape(-1), np.repeat(vol.tet_volumes / 4.0, 4))
+    assert np.array_equal(volume._scatter(vol.tets, n)
+                          @ (vol.tet_volumes / 4.0), w)
+
+
 def test_stalled_cg_is_redone_by_one_lu_factorization(monkeypatch):
     factored = []
     splu = volume.splu
