@@ -293,6 +293,8 @@ def mass(**kwargs):
         write_mass_grid_csv(outdir / "mass_grid.csv", report)
         manifest.add_output(outdir / "mass_grid.csv")
         _write_json(manifest, outdir / "mass.json", report.to_dict())
+        for note in report.notes:
+            click.echo(f"note: {note}")
         click.echo(f"mass={report.mass_value:.10e} "
                    f"argmin={report.argmin_a.tolist()}")
 

@@ -111,9 +111,7 @@ class EmbeddingResult:
     def normals(self):
         tri = self.positions[self.mesh.faces]
         fnorm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        corners, n = self.mesh.faces.T.ravel(), len(self.positions)
-        vnorm = np.column_stack([np.bincount(corners, np.tile(c, 3), n)
-                                 for c in fnorm.T])
+        vnorm = self.ops.S @ fnorm
         return vnorm / np.linalg.norm(vnorm, axis=1, keepdims=True)
 
     @cached_property

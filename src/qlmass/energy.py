@@ -123,12 +123,9 @@ def _vertex_grad_sq(ops, grad, face_mask=None):
     w = ops.face_areas.copy()
     if face_mask is not None:
         w[face_mask] = 0.0
-    faces, n = ops.mesh.faces.ravel(), ops.mesh.n_vertices
-    num = np.bincount(faces, weights=np.repeat(w * gsq, 3) / 3.0, minlength=n)
-    den = np.bincount(faces, weights=np.repeat(w, 3) / 3.0, minlength=n)
-    out = np.zeros(n)
+    num, den = (ops.S @ np.column_stack([w * gsq, w])).T
     ok = den > 0.0
-    out[ok] = num[ok] / den[ok]
+    out = np.divide(num, den, out=np.zeros_like(num), where=ok)
     return np.maximum(out, 0.0), ~ok
 
 

@@ -427,14 +427,23 @@ def radius_fit(radii, values):
     return fit
 
 
+def growing_differences(values):
+    """Whether the differences between successive values (in radius
+    order) grow in magnitude by more than rounding, 1e-12 of the largest
+    |value|: then the values do not settle to a limit."""
+    diffs = np.abs(np.diff(values))
+    floor = 1e-12 * np.max(np.abs(values))
+    return len(diffs) >= 2 and bool(np.any(np.diff(diffs) > floor))
+
+
 def adm_integrals(data, radii):
     """ADM energy and momentum surface integrals per radius, and their
     large-radius limits E and P: the constant term E_inf of `radius_fit`
     (E_inf + c / r + d / r^2 with as many terms as the radii support)
     of the energies and of each momentum component.  Raises
     InitialDataError on a repeated radius.  A warning is added when the
-    energy differences between successive radii grow by more than
-    rounding (1e-12 of the largest energy)."""
+    energy differences between successive radii grow
+    (`growing_differences`)."""
     radii = sorted(radii)
     dirs, w, _, _ = _sphere_quadrature()
     energies, momenta = [], []
@@ -461,9 +470,7 @@ def adm_integrals(data, radii):
         "E": radius_fit(radii, energies)["E_inf"],
         "P": [radius_fit(radii, column)["E_inf"] for column in momenta.T],
     }
-    diffs = np.abs(np.diff(energies))
-    floor = 1e-12 * np.max(np.abs(energies))
-    if len(diffs) >= 2 and np.any(np.diff(diffs) > floor):
+    if growing_differences(energies):
         report["warnings"].append("non-monotone energy convergence")
     return report
 

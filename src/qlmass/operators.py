@@ -1,11 +1,16 @@
-"""Intrinsic discrete differential operators for a metric triangle mesh.
+"""P1 finite-element operators of triangle surfaces and tetrahedral
+fill-ins, and the intrinsic operators of a metric triangle mesh.
 
-Everything is assembled from per-edge metric lengths only, so the same
-machinery serves both embedded surfaces and abstract sphere metrics
-(e.g. pullbacks of curved-space coordinate spheres).  The scheme is the
-standard second-order one: cotangent stiffness, piecewise-constant face
-gradients in per-face isometric charts, mixed Voronoi vertex areas, and
-angle-defect Gaussian curvature.
+Both dimensions share one gradient matrix D (the constant hat gradients
+of each cell), one vertex x cell incidence S, and one stiffness D^T M D
+with M the per-cell weights.  Surface operators are assembled from
+per-edge metric lengths only, so the same machinery serves embedded
+surfaces and abstract sphere metrics (e.g. pullbacks of curved-space
+coordinate spheres).  The scheme is the standard second-order one: face
+gradients in per-face isometric charts, the stiffness D^T A D with A the
+face areas (in exact arithmetic the cotangent stiffness, with the
+constants in its kernel by construction), mixed Voronoi vertex areas,
+and angle-defect Gaussian curvature.
 """
 
 from functools import cached_property
@@ -14,6 +19,41 @@ import numpy as np
 from scipy import sparse
 
 DEGENERATE_AREA_FRACTION = 1e-14
+
+
+def gradient_matrix(cells, grads, n):
+    """The P1 gradient operator D, (d C x n) CSR, of the (C, k) `cells`
+    with constant hat gradients `grads`, (C, k, d): row d c + i holds
+    component i of the k hat gradients of cell c, so that
+    (D @ u).reshape(C, d) is the gradient of u per cell."""
+    C, k, d = grads.shape
+    return sparse.csr_matrix((grads.swapaxes(1, 2).reshape(-1),
+                              np.repeat(cells, d, axis=0).reshape(-1),
+                              np.arange(0, k * d * C + 1, k)),
+                             shape=(d * C, n))
+
+
+def incidence(cells, n):
+    """The vertex x cell incidence S, (n, C) CSR: row v has a 1 for each
+    cell of v in cell order, so S @ w sums w over the cells of each
+    vertex."""
+    C, k = cells.shape
+    return sparse.csr_matrix((np.ones(k * C), cells.reshape(-1),
+                              np.arange(0, k * C + 1, k)),
+                             shape=(C, n)).T.tocsr()
+
+
+def stiffness_matrix(D, weighted):
+    """K = D^T M D, (n x n) CSR, from the gradient matrix D and the data
+    `weighted` of M D, where M is block diagonal per cell so M D has D's
+    sparsity.  The hat functions sum to one, so K 1 = 0: each diagonal
+    entry is set to minus the sum of the rest of its row, since the
+    rounding of D^T M D in K 1 costs CG iterations on constant data."""
+    K = (D.T @ sparse.csr_matrix((weighted, D.indices, D.indptr),
+                                 shape=D.shape)).tocsr()
+    K.setdiag(0.0)
+    K.setdiag(-(K @ np.ones(D.shape[1])))
+    return K
 
 
 class MetricError(ValueError):
@@ -58,15 +98,15 @@ class OperatorSet:
     chart : (F, 3, 2) vertex positions of each face laid out isometrically
         in its own 2D chart (p0 at origin, p1 on the x-axis).
     grad_phi : (F, 3, 2) P1 basis gradients in the face charts.
+    D : (2F, V) gradient matrix of grad_phi (`gradient_matrix`).
+    S : (V, F) vertex x face incidence (`incidence`).
+    stiffness : (V, V) D^T A D with A the face areas (`stiffness_matrix`).
+    angle_sums : (V,) interior angles summed at each vertex.
     """
 
     def __init__(self, mesh, metric):
         self.mesh = mesh
         self.metric = metric
-        self._assemble()
-
-    def _assemble(self):
-        mesh, metric = self.mesh, self.metric
         fe = mesh.face_edges
         L = metric.edge_lengths
         l01, l12, l20 = L[fe[:, 0]], L[fe[:, 1]], L[fe[:, 2]]
@@ -78,108 +118,59 @@ class OperatorSet:
             raise MetricError(f"triangle inequality violated on face {bad}")
         y2 = np.sqrt(y2sq)
 
-        chart = np.zeros((mesh.n_faces, 3, 2))
+        self.chart = chart = np.zeros((mesh.n_faces, 3, 2))
         chart[:, 1, 0] = l01
         chart[:, 2, 0] = x2
         chart[:, 2, 1] = y2
-        self.chart = chart
 
         areas = 0.5 * l01 * y2
-        mean_area = areas.mean()
-        degen = areas < DEGENERATE_AREA_FRACTION * mean_area
+        degen = areas < DEGENERATE_AREA_FRACTION * areas.mean()
         if np.any(degen):
             raise MetricError(f"degenerate face {int(np.argmax(degen))}")
         self.face_areas = areas
 
         # P1 basis gradients: rotate the opposite edge by +90 deg / (2A)
-        rot = np.empty_like(chart)
-        for a in range(3):
-            e = chart[:, (a + 2) % 3] - chart[:, (a + 1) % 3]
-            rot[:, a, 0] = -e[:, 1]
-            rot[:, a, 1] = e[:, 0]
-        self.grad_phi = rot / (2.0 * areas)[:, None, None]
+        e = chart[:, [2, 0, 1]] - chart[:, [1, 2, 0]]
+        self.grad_phi = (e[..., ::-1] * [-1.0, 1.0]
+                         / (2.0 * areas)[:, None, None])
 
-        self.vertex_areas = self._mixed_voronoi_areas(areas)
+        n = mesh.n_vertices
+        self.D = gradient_matrix(mesh.faces, self.grad_phi, n)
+        self.S = incidence(mesh.faces, n)
+        self.stiffness = stiffness_matrix(self.D,
+                                          self.D.data * np.repeat(areas, 6))
 
-        # stiffness K_ab = sum_f A_f grad(phi_a) . grad(phi_b)  (PSD)
-        rows, cols, vals = [], [], []
-        for a in range(3):
-            for b in range(3):
-                rows.append(mesh.faces[:, a])
-                cols.append(mesh.faces[:, b])
-                vals.append(areas * np.einsum(
-                    "fk,fk->f", self.grad_phi[:, a], self.grad_phi[:, b]
-                ))
-        self.stiffness = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mesh.n_vertices, mesh.n_vertices),
-        )
-
-        # interior angles from the charts, for angle-defect curvature
-        angles = np.empty((mesh.n_faces, 3))
-        for a in range(3):
-            u = chart[:, (a + 1) % 3] - chart[:, a]
-            v = chart[:, (a + 2) % 3] - chart[:, a]
-            cosang = np.einsum("fk,fk->f", u, v) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            )
-            angles[:, a] = np.arccos(np.clip(cosang, -1.0, 1.0))
-        self.angle_sums = np.bincount(
-            mesh.faces.ravel(), weights=angles.ravel(), minlength=mesh.n_vertices
-        )
-
-    def _mixed_voronoi_areas(self, areas):
-        """Mixed Voronoi lumping (circumcentric, clamped for obtuse corners).
-
-        Restores pointwise second-order accuracy of the Laplacian at the
-        irregular (valence-5) icosphere vertices, where barycentric lumping
-        leaves an O(1) consistency error.
-        """
-        mesh, chart = self.mesh, self.chart
-        cots = np.empty((mesh.n_faces, 3))
-        for a in range(3):
-            u = chart[:, (a + 1) % 3] - chart[:, a]
-            v = chart[:, (a + 2) % 3] - chart[:, a]
-            cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-            cots[:, a] = np.einsum("fk,fk->f", u, v) / cross
-        obtuse_corner = np.argmin(cots, axis=1)
-        any_obtuse = cots.min(axis=1) < 0.0
-
-        contrib = np.empty((mesh.n_faces, 3))
-        for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            l_ab2 = np.einsum("fk,fk->f", chart[:, b] - chart[:, a],
-                              chart[:, b] - chart[:, a])
-            l_ac2 = np.einsum("fk,fk->f", chart[:, c] - chart[:, a],
-                              chart[:, c] - chart[:, a])
-            contrib[:, a] = (l_ab2 * cots[:, c] + l_ac2 * cots[:, b]) / 8.0
-        if np.any(any_obtuse):
-            rows = np.flatnonzero(any_obtuse)
-            contrib[rows] = areas[rows, None] / 4.0
-            contrib[rows, obtuse_corner[rows]] = areas[rows] / 2.0
-        return np.bincount(
-            mesh.faces.ravel(), weights=contrib.ravel(),
-            minlength=mesh.n_vertices,
-        )
+        # one corner pass: the cotangent at corner a is
+        # -2A grad(phi_b).grad(phi_c), the identity behind the cotangent
+        # stiffness, and the interior angle its arc cotangent
+        cots = -2.0 * areas[:, None] * np.einsum(
+            "fak,fak->fa", self.grad_phi[:, [1, 2, 0]],
+            self.grad_phi[:, [2, 0, 1]])
+        # mixed Voronoi areas (Meyer, Desbrun, Schroeder & Barr 2003),
+        # second order at the valence-5 icosphere vertices: each edge
+        # gives l^2 cot(opposite corner) / 8 to both ends, and a face with
+        # an obtuse corner gives A/2 to that corner and A/4 to the others
+        shares = np.column_stack([l12**2, l20**2, l01**2]) * cots / 8.0
+        corner_areas = shares[:, [1, 2, 0]] + shares[:, [2, 0, 1]]
+        obtuse = cots.min(axis=1) < 0.0
+        corner_areas[obtuse] = np.where(
+            cots[obtuse] < 0.0, 0.5, 0.25) * areas[obtuse, None]
+        faces = mesh.faces.ravel()
+        self.vertex_areas = np.bincount(faces, corner_areas.ravel(), n)
+        self.angle_sums = np.bincount(faces, np.arctan2(1.0, cots).ravel(),
+                                      n)
 
     # -- core operators -------------------------------------------------
 
     def gradient(self, u):
         """Per-face gradient of a vertex scalar, in the face chart frame."""
-        u = np.asarray(u, dtype=float)
-        return np.einsum("fa,fak->fk", u[self.mesh.faces], self.grad_phi)
+        return (self.D @ np.asarray(u, dtype=float)).reshape(-1, 2)
 
     def divergence(self, X):
-        """Vertex divergence of a per-face tangent field (adjoint of gradient)."""
-        contrib = np.einsum(
-            "fak,fk->fa", self.grad_phi, X * self.face_areas[:, None]
-        )
-        out = np.bincount(
-            self.mesh.faces.ravel(),
-            weights=contrib.ravel(),
-            minlength=self.mesh.n_vertices,
-        )
-        return -out / self.vertex_areas
+        """Vertex divergence of a per-face tangent field: minus the
+        area-weighted adjoint of gradient, -D^T (A X) / vertex areas."""
+        X = np.asarray(X, dtype=float) * self.face_areas[:, None]
+        return -(self.D.T @ X.ravel()) / self.vertex_areas
 
     def laplace(self, u):
         """Pointwise Laplace-Beltrami (negative semidefinite, kernel = constants)."""

@@ -21,6 +21,7 @@ from .initialdata import (
     adm_integrals,
     extract_boundary_data,
     fibonacci_directions,
+    growing_differences,
     radius_fit,
 )
 from .volume import admissibility_verdict
@@ -143,13 +144,18 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     refines around the best feasible direction by Nelder-Mead in local
     tangent coordinates (renormalizing the direction at every iterate).
     Deterministic for fixed arguments.  Raises SearchError with
-    per-point diagnostics when no grid direction is admissible.
+    per-point diagnostics when no grid direction is admissible.  A note
+    says when the spread of the admissible grid energies is at most 1e-12
+    of the largest side term: then argmin_a is undetermined.
     """
     dirs = fibonacci_directions(grid_n, rotation=grid_rotation)
     rows = []
+    largest_term = 0.0
     for a in dirs:
         obs = make_observer(emb, a)
         rep = energy(ref_sd, phys_sd, obs)
+        largest_term = max(largest_term, abs(rep.reference_term),
+                           abs(rep.physical_term))
         verdict = admissibility_verdict(
             fill_in, obs, n_levels=admissibility_levels
         )["verdict"]
@@ -207,6 +213,11 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
             else:
                 mass_value, argmin = refined["E"], refined["a"]
     spread = max(r["E"] for r in feasible) - min(r["E"] for r in feasible)
+    if spread <= 1e-12 * largest_term:
+        notes.append(f"the admissible grid energies agree to rounding "
+                     f"(spread {spread:.2e}, largest side term "
+                     f"{largest_term:.6g}): the energy does not determine "
+                     f"argminA")
     return MassReport(mass_value, spread, argmin, rows, trace, notes=notes,
                       context=context)
 
@@ -253,8 +264,9 @@ def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
     with the fitted limit E(r) = E_inf + c / r + d / r^2 of `radius_fit`.
 
     Radii where extraction or embedding fails are dropped with a notice;
-    a repeated radius raises SearchError.  The fitted limits are reported
-    next to the asymptotic integrals' prediction for each direction.
+    a repeated radius raises SearchError, and a notice names the rows
+    whose energies have `growing_differences`.  The fitted limits are
+    reported next to the asymptotic integrals' prediction per direction.
     """
     if len(set(radii)) < len(radii):
         raise SearchError(f"repeated radius in {list(radii)}")
@@ -282,6 +294,12 @@ def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
 
     energies = [[columns[j][i] for j in range(len(used_radii))]
                 for i in range(len(a_list))]
+    growing = [i for i, row in enumerate(energies)
+               if growing_differences(row)]
+    if growing:
+        notices.append(
+            f"energy differences between successive radii grow for "
+            f"observer rows {growing}: there is no limit in 1/r to fit")
     fits = [radius_fit(used_radii, row) for row in energies]
     adm = adm_integrals(data, used_radii)
     target = [adm["E"] - float(a @ np.asarray(adm["P"])) for a in a_list]

@@ -26,6 +26,7 @@ from .initialdata import (
     metric_inverse,
 )
 from .mesh import expand_ranges, pairs_within, unique_rows
+from .operators import gradient_matrix, incidence, stiffness_matrix
 
 
 class VolumeError(RuntimeError):
@@ -113,6 +114,10 @@ class VolumeMesh:
                 i, j = np.argwhere(bad)[0]
                 raise VolumeError(f"{name} {i} names vertex {rows[i, j]}, "
                                   f"outside [0, {n})")
+        # a vertex of no tet has an empty stiffness row
+        unnamed = np.bincount(tets.ravel(), minlength=n) == 0
+        if np.any(unnamed):
+            raise VolumeError(f"vertex {unnamed.argmax()} is named by no tet")
         if len(self.boundary_map) != len(self.boundary_faces):
             raise VolumeError(
                 f"boundary_map has {len(self.boundary_map)} entries for "
@@ -337,24 +342,10 @@ def _hat_gradients(normals, vols):
     return normals
 
 
-def _scatter(tets, n):
-    """The vertex x tet incidence S, (n, T) CSR: row v has a 1 for each tet
-    of v in tet order, so S @ w sums w over the tets of each vertex."""
-    T = len(tets)
-    return csr_matrix((np.ones(4 * T), tets.reshape(-1),
-                       np.arange(0, 4 * T + 1, 4)), shape=(T, n)).T.tocsr()
-
-
 def _gradient_and_scatter(tets, grads, n):
-    """The P1 gradient operator D, (3T, n) CSR, whose row 3t + i holds
-    component i of the four hat gradients of tet t, so that
-    (D @ u).reshape(T, 3) is the gradient of u per tet; and the incidence
-    S (`_scatter`)."""
-    T = len(tets)
-    D = csr_matrix((grads.swapaxes(1, 2).reshape(-1),
-                    np.repeat(tets, 3, axis=0).reshape(-1),
-                    np.arange(0, 12 * T + 1, 4)), shape=(3 * T, n))
-    return D, _scatter(tets, n)
+    """The P1 gradient operator D, (3T, n), and the vertex x tet
+    incidence S, (n, T), of the tets (`gradient_matrix`, `incidence`)."""
+    return gradient_matrix(tets, grads, n), incidence(tets, n)
 
 
 def _jacobi_cg(A, b, x, inv_diag, rtol, maxiter):
@@ -492,15 +483,9 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
 
     n = vol.n_vertices
     D, S = _gradient_and_scatter(vol.tets, grads, n)
-    # K = D^T M D, M the blocks weight * g^-1 per tet: M D has D's sparsity
-    MD = csr_matrix((((ginv * weight[:, None, None]) @ grads.swapaxes(1, 2))
-                     .reshape(-1), D.indices, D.indptr), shape=D.shape)
-    K = (D.T @ MD).tocsr()
-    # the hat functions sum to one, so K 1 = 0: each diagonal entry is
-    # minus the sum of the rest of its row, since the rounding of D^T M D
-    # in K 1 costs CG iterations on constant boundary data
-    K.setdiag(0.0)
-    K.setdiag(-(K @ np.ones(n)))
+    # K = D^T M D, M the blocks weight * g^-1 per tet
+    K = stiffness_matrix(D, ((ginv * weight[:, None, None])
+                             @ grads.swapaxes(1, 2)).reshape(-1))
 
     if delta is None:
         rng = float(np.ptp(boundary_values))
@@ -876,7 +861,7 @@ class HarmonicRepresentative:
         basis = null_space(np.einsum("iab,ibc->ac", D, D))
         y = vol.vertices / self.length
         A = self._radial(y)[0][:, None] * (basis.T @ _monomials(y)).T
-        w = _scatter(vol.tets, vol.n_vertices) @ (vol.tet_volumes / 4.0)
+        w = incidence(vol.tets, vol.n_vertices) @ (vol.tet_volumes / 4.0)
         sw = np.sqrt(w)
         coefs, *_ = np.linalg.lstsq(A * sw[:, None], np.asarray(u) * sw,
                                     rcond=None)

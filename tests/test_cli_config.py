@@ -538,6 +538,15 @@ def _empty_section(section):
     return edit
 
 
+def _extra_vertex(lines):
+    """Edit of a .vmesh file: appends a vertex that no tet names."""
+    head = next(i for i, l in enumerate(lines) if l.startswith("vertices"))
+    count = int(lines[head].split()[1])
+    return (lines[:head] + [f"vertices {count + 1}"]
+            + lines[head + 1:head + 1 + count] + ["0.0 0.1 0.2 0.3"]
+            + lines[head + 1 + count:])
+
+
 @pytest.mark.parametrize("edit, message", [
     (_edit_row("tets", 0, 1, "1000000"),
      "tet 0 names vertex 1000000, outside [0, 487)"),
@@ -556,10 +565,11 @@ def _empty_section(section):
      "malformed volume mesh file: content after the boundary rows"),
     (_empty_section("tets"), "volume mesh has no tets"),
     (_empty_section("boundary"), "volume mesh has no boundary faces"),
+    (_extra_vertex, "vertex 487 is named by no tet"),
 ], ids=["tet-index-too-large", "tet-index-negative",
         "boundary-index-too-large", "nan-coordinate", "inf-time",
         "boundary-time", "truncated", "trailing-content", "no-tets",
-        "no-boundary-faces"])
+        "no-boundary-faces", "vertex-of-no-tet"])
 def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,

@@ -17,6 +17,7 @@ from qlmass.initialdata import (
     dec_margin,
     extract_boundary_data,
     fibonacci_directions,
+    growing_differences,
     metric_inverse,
     radius_fit,
     read_boundary_fields,
@@ -221,6 +222,14 @@ def test_adm_convergence_warning_ignores_rounding(schw, m):
             _SpatialKerrSchildData(lambda r: m * (r / 10.0) ** 2), radii)
         assert growing["warnings"] == ["non-monotone energy convergence"]
         assert adm_integrals(schw, radii)["warnings"] == []
+
+
+def test_growing_differences():
+    assert growing_differences([1.0, 2.0, 4.0, 8.0])
+    assert not growing_differences([4.0, 2.0, 1.5, 1.25])
+    # two values have one difference; growth by rounding does not count
+    assert not growing_differences([1.0, 3.0])
+    assert not growing_differences([1.0, 1.0 + 1e-15, 1.0 - 1e-15])
 
 
 def test_adm_rejects_a_repeated_radius(schw):

@@ -93,6 +93,18 @@ def test_schwarzschild_energy_isotropic(schw4):
     assert abs(rep.mass_value - grid_e.mean()) <= 1e-7 * grid_e.mean()
 
 
+def test_rounding_spread_notes_an_undetermined_argmin(flat3, schw4, by3):
+    # flat grid energies agree to rounding; Schwarzschild's spread of
+    # about 1e-7 and Bowen-York's of about 0.2 determine the direction
+    ref, phys, emb, _ = flat3
+    notes = mass_infimum(ref, phys, emb, grid_n=16, refine_iters=0).notes
+    assert len(notes) == 1
+    assert "the energy does not determine argminA" in notes[0]
+    for ref, phys, emb in (schw4, by3):
+        assert mass_infimum(ref, phys, emb, grid_n=16,
+                            refine_iters=0).notes == []
+
+
 def test_bowen_york_argmin_aligned_with_momentum(by3):
     ref, phys, emb = by3
     rep = mass_infimum(ref, phys, emb, grid_n=64, refine_iters=20)
@@ -241,6 +253,16 @@ def test_failed_radius_dropped_with_notice():
                              [0.3, 4.0, 8.0, 16.0], mesh_level=2)
     assert rep.radii == [4.0, 8.0, 16.0]
     assert len(rep.notices) == 1 and "0.3" in rep.notices[0]
+
+
+def test_growing_energy_differences_get_a_notice():
+    # at a fixed mesh level the flat sphere's energy (all discretization
+    # error) grows with r, so the fit has no limit to find
+    rep = asymptotics_driver(FlatData(), [np.array([0.0, 0.0, 1.0])],
+                             [1.0, 2.0, 4.0], mesh_level=2)
+    assert rep.notices == ["energy differences between successive radii "
+                           "grow for observer rows [0]: there is no limit "
+                           "in 1/r to fit"]
 
 
 def test_repeated_radius_rejected():

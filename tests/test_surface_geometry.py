@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from qlmass.mesh import (
     MeshError,
@@ -140,6 +141,80 @@ def test_divergence_theorem(sphere4):
         u = np.sin(v @ rng.normal(size=3))
         total = sphere4.integrate(sphere4.laplace(u))
         assert abs(total) < 1e-10 * max(abs(u).max(), 1.0)
+
+
+def test_divergence_is_minus_the_area_weighted_adjoint_of_gradient(sphere4):
+    # sum_v div(X) u A_v = -sum_f A_f X . grad(u)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        u = rng.normal(size=sphere4.mesh.n_vertices)
+        X = rng.normal(size=(sphere4.mesh.n_faces, 2))
+        lhs = sphere4.integrate(sphere4.divergence(X) * u)
+        rhs = -float(sphere4.face_areas
+                     @ np.einsum("fk,fk->f", X, sphere4.gradient(u)))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+
+
+def _reference_operators(ops):
+    """The per-face assembly that D^T A D and the one corner pass replaced:
+    (3x3-per-face COO stiffness, mixed Voronoi areas with cotangents and
+    squared lengths recomputed from the charts, arccos angle sums)."""
+    mesh, chart, areas = ops.mesh, ops.chart, ops.face_areas
+    rows, cols, vals = [], [], []
+    for a in range(3):
+        for b in range(3):
+            rows.append(mesh.faces[:, a])
+            cols.append(mesh.faces[:, b])
+            vals.append(areas * np.einsum("fk,fk->f", ops.grad_phi[:, a],
+                                          ops.grad_phi[:, b]))
+    K = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_vertices, mesh.n_vertices))
+    cots = np.empty((mesh.n_faces, 3))
+    angles = np.empty((mesh.n_faces, 3))
+    for a in range(3):
+        u = chart[:, (a + 1) % 3] - chart[:, a]
+        v = chart[:, (a + 2) % 3] - chart[:, a]
+        cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        cots[:, a] = np.einsum("fk,fk->f", u, v) / cross
+        cosang = np.einsum("fk,fk->f", u, v) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angles[:, a] = np.arccos(np.clip(cosang, -1.0, 1.0))
+    contrib = np.empty((mesh.n_faces, 3))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        l_ab2 = np.sum((chart[:, b] - chart[:, a]) ** 2, axis=1)
+        l_ac2 = np.sum((chart[:, c] - chart[:, a]) ** 2, axis=1)
+        contrib[:, a] = (l_ab2 * cots[:, c] + l_ac2 * cots[:, b]) / 8.0
+    rows = np.flatnonzero(cots.min(axis=1) < 0.0)
+    contrib[rows] = areas[rows, None] / 4.0
+    contrib[rows, np.argmin(cots[rows], axis=1)] = areas[rows] / 2.0
+    faces, n = mesh.faces.ravel(), mesh.n_vertices
+    return (K, np.bincount(faces, contrib.ravel(), n),
+            np.bincount(faces, angles.ravel(), n), len(rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(level=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       jitter=st.floats(0.3, 0.4))
+def test_operators_match_the_per_face_assembly(level, seed, jitter):
+    # icosphere vertices moved by up to 0.3-0.4 of the mean edge length,
+    # which makes obtuse faces on every draw
+    mesh = icosphere(level)
+    edge = np.linalg.norm(mesh.vertices[mesh.edges[:, 0]]
+                          - mesh.vertices[mesh.edges[:, 1]], axis=1).mean()
+    rng = np.random.default_rng(seed)
+    pos = mesh.vertices + jitter * edge * rng.uniform(-1.0, 1.0,
+                                                      mesh.vertices.shape)
+    ops = SurfaceMetric.from_positions(mesh, pos).ops
+    K, vertex_areas, angle_sums, n_obtuse = _reference_operators(ops)
+    assert n_obtuse > 0
+    scale = abs(K).max()
+    assert abs(ops.stiffness - K).max() <= 1e-13 * scale
+    assert np.abs(ops.stiffness @ np.ones(mesh.n_vertices)).max() \
+        <= 1e-13 * scale
+    np.testing.assert_allclose(ops.vertex_areas, vertex_areas, rtol=1e-13)
+    np.testing.assert_allclose(ops.angle_sums, angle_sums, rtol=1e-13)
 
 
 def test_critical_mask_poles(sphere4):

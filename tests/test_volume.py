@@ -27,6 +27,7 @@ from qlmass.initialdata import (
     extract_boundary_data,
 )
 from qlmass.mesh import icosphere
+from qlmass.operators import incidence
 from qlmass.volume import (
     HarmonicRepresentative,
     LevelSetTopology,
@@ -549,8 +550,8 @@ def test_recovered_fields_match_gather_and_add_at():
     # the vertex weights of the harmonic fit
     w = np.zeros(n)
     np.add.at(w, vol.tets.reshape(-1), np.repeat(vol.tet_volumes / 4.0, 4))
-    assert np.array_equal(volume._scatter(vol.tets, n)
-                          @ (vol.tet_volumes / 4.0), w)
+    assert np.array_equal(incidence(vol.tets, n) @ (vol.tet_volumes / 4.0),
+                          w)
 
 
 def test_stalled_cg_is_redone_by_one_lu_factorization(monkeypatch):
