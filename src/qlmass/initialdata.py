@@ -308,34 +308,20 @@ class BowenYorkData(FlatMetricData):
 # -- boundary-data extraction ---------------------------------------------
 
 
-class CovectorField:
-    """Tangential covector on a coordinate-sphere boundary, stored with
-    ambient (lower-index) components per vertex."""
-
-    def __init__(self, ambient):
-        self.ambient = np.asarray(ambient, dtype=float)
-
-    def edge_values(self, mesh, positions):
-        """Pairings with oriented mesh edges (low vertex to high vertex),
-        by the trapezoid rule along the chord."""
-        i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-        chord = positions[j] - positions[i]
-        avg = 0.5 * (self.ambient[i] + self.ambient[j])
-        return np.einsum("ek,ek->e", avg, chord)
-
-
 class QuasiLocalBoundaryData:
     """Boundary quintuple (sigma, H, trK, alpha) on a surface mesh.
 
-    H and trK are per-vertex; alpha is the normal-bundle connection 1-form
-    in the slice gauge, alpha(X) = -k(X, nu).
+    H and trK are per-vertex; alpha, (V, 3), holds the ambient
+    (lower-index) components at each vertex of the normal-bundle
+    connection 1-form in the slice gauge, alpha(X) = -k(X, nu), a
+    covector tangent to the coordinate sphere at `positions`.
     """
 
     def __init__(self, geom, H, trk, alpha, positions, name=""):
         self.geom = geom
         self.H = np.asarray(H, dtype=float)
         self.trk = np.asarray(trk, dtype=float)
-        self.alpha = alpha
+        self.alpha = np.asarray(alpha, dtype=float)
         self.positions = positions
         self.name = name
         bad = self.H <= np.abs(self.trk)
@@ -347,7 +333,12 @@ class QuasiLocalBoundaryData:
             )
 
     def alpha_edge_values(self):
-        return self.alpha.edge_values(self.geom.mesh, self.positions)
+        """Pairings of alpha with the oriented mesh edges (low vertex to
+        high vertex), by the trapezoid rule along the chord."""
+        i, j = self.geom.mesh.edges[:, 0], self.geom.mesh.edges[:, 1]
+        chord = self.positions[j] - self.positions[i]
+        avg = 0.5 * (self.alpha[i] + self.alpha[j])
+        return np.einsum("ek,ek->e", avg, chord)
 
 
 def extract_boundary_data(data, radius, mesh=None, level=4):
@@ -380,7 +371,7 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
     nu_low = np.einsum("nij,nj->ni", g, nu)
     a = a - np.einsum("ni,ni->n", a, nu)[:, None] * nu_low
     return QuasiLocalBoundaryData(
-        geom, H, trk, CovectorField(a), positions=X,
+        geom, H, trk, a, positions=X,
         name=f"{data.name}_r{radius:g}",
     )
 
@@ -484,10 +475,9 @@ def write_boundary_fields(path, bd):
     the parameterization sphere, scaled by the ambient radius."""
     mesh = bd.geom.mesh
     e_th, e_ph = _sphere_frames(mesh.vertices)
-    amb = bd.alpha.ambient
     scale = np.linalg.norm(bd.positions, axis=1)
-    a1 = np.einsum("ni,ni->n", amb, e_th) * scale
-    a2 = np.einsum("ni,ni->n", amb, e_ph) * scale
+    a1 = np.einsum("ni,ni->n", bd.alpha, e_th) * scale
+    a2 = np.einsum("ni,ni->n", bd.alpha, e_ph) * scale
     with open(path, "w") as fh:
         for vals in zip(bd.H, bd.trk, a1, a2):
             fh.write(" ".join(f"{v:.17g}" for v in vals) + "\n")
@@ -522,7 +512,7 @@ def read_boundary_fields(path, geom, radius=None):
     amb = (data[:, 2, None] * e_th + data[:, 3, None] * e_ph) / radius
     verts = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
     return QuasiLocalBoundaryData(
-        geom, data[:, 0], data[:, 1], CovectorField(amb),
+        geom, data[:, 0], data[:, 1], amb,
         positions=radius * verts, name="file",
     )
 

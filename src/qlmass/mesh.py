@@ -112,30 +112,20 @@ class SurfaceMesh:
             raise MeshError("faces must be (F, 3)")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
             raise MeshError("face index out of range")
-        self._build_edges()
-        self._check_manifold()
-
-    # -- combinatorics -------------------------------------------------
-
-    def _build_edges(self):
         f = self.faces
         halfedges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         self.edges, inv = unique_rows(halfedges)
-        self._edge_counts = np.bincount(inv, minlength=len(self.edges))
-        self._halfedges = halfedges
         # face_edges[i, k] = edge index of halfedge k of face i
         self.face_edges = inv.reshape(3, len(f)).T
-
-    def _check_manifold(self):
-        if np.any(self._edge_counts != 2):
-            bad = np.flatnonzero(self._edge_counts != 2)
+        counts = np.bincount(inv, minlength=len(self.edges))
+        if np.any(counts != 2):
+            bad = np.flatnonzero(counts != 2)
             raise MeshError(
                 f"mesh is not closed/manifold: {len(bad)} edge(s) not shared by "
                 f"exactly 2 faces (first: {self.edges[bad[0]]})"
             )
         # opposite orientation: each undirected edge appears once per direction
-        he = self._halfedges
-        directed = he[:, 0] * len(self.vertices) + he[:, 1]
+        directed = halfedges[:, 0] * len(self.vertices) + halfedges[:, 1]
         if len(np.unique(directed)) != len(directed):
             raise MeshError("inconsistent face orientation (repeated halfedge)")
 

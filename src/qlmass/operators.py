@@ -95,10 +95,10 @@ class OperatorSet:
     face_areas : (F,) metric face areas.
     vertex_areas : (V,) mixed Voronoi areas (circumcentric, clamped at
         obtuse corners).
-    chart : (F, 3, 2) vertex positions of each face laid out isometrically
-        in its own 2D chart (p0 at origin, p1 on the x-axis).
-    grad_phi : (F, 3, 2) P1 basis gradients in the face charts.
-    D : (2F, V) gradient matrix of grad_phi (`gradient_matrix`).
+    D : (2F, V) gradient matrix (`gradient_matrix`) of the P1 hat
+        gradients in per-face isometric charts (p0 at the origin, p1 on
+        the x-axis); its data is the only copy of them.
+    grad_phi : (F, 3, 2) view of D.data: the hat gradient of each corner.
     S : (V, F) vertex x face incidence (`incidence`).
     stiffness : (V, V) D^T A D with A the face areas (`stiffness_matrix`).
     angle_sums : (V,) interior angles summed at each vertex.
@@ -118,7 +118,7 @@ class OperatorSet:
             raise MetricError(f"triangle inequality violated on face {bad}")
         y2 = np.sqrt(y2sq)
 
-        self.chart = chart = np.zeros((mesh.n_faces, 3, 2))
+        chart = np.zeros((mesh.n_faces, 3, 2))
         chart[:, 1, 0] = l01
         chart[:, 2, 0] = x2
         chart[:, 2, 1] = y2
@@ -131,11 +131,11 @@ class OperatorSet:
 
         # P1 basis gradients: rotate the opposite edge by +90 deg / (2A)
         e = chart[:, [2, 0, 1]] - chart[:, [1, 2, 0]]
-        self.grad_phi = (e[..., ::-1] * [-1.0, 1.0]
-                         / (2.0 * areas)[:, None, None])
-
         n = mesh.n_vertices
-        self.D = gradient_matrix(mesh.faces, self.grad_phi, n)
+        self.D = gradient_matrix(
+            mesh.faces, e[..., ::-1] * [-1.0, 1.0]
+            / (2.0 * areas)[:, None, None], n)
+        self.grad_phi = self.D.data.reshape(-1, 2, 3).swapaxes(1, 2)
         self.S = incidence(mesh.faces, n)
         self.stiffness = stiffness_matrix(self.D,
                                           self.D.data * np.repeat(areas, 6))
@@ -191,27 +191,23 @@ class OperatorSet:
 
     def face_covector(self, edge_values):
         """Per-face chart components of a covector given its pairings with
-        the mesh edges (oriented low index to high index).
-
-        Solves the 2x2 system set by the first two halfedges of each face;
-        the third pairing is implied when the covector is exact.
+        the mesh edges (oriented low index to high index): the gradient of
+        the face's P1 potential f0 = 0, f1 = b0, f2 = b0 + b1, with b0 and
+        b1 the signed pairings of halfedges 0 (v0 -> v1) and 1 (v1 -> v2).
+        The hat gradients sum to zero, so that gradient is
+        -b0 grad(phi_0) + b1 grad(phi_2); the third pairing is implied when
+        the covector is exact.
         """
         mesh = self.mesh
         edge_values = np.asarray(edge_values, dtype=float)
         f = mesh.faces
-        # halfedge 0: v0 -> v1, halfedge 1: v1 -> v2; flip sign when the
-        # stored edge orientation (sorted) disagrees
-        s0 = np.where(f[:, 0] < f[:, 1], 1.0, -1.0)
-        s1 = np.where(f[:, 1] < f[:, 2], 1.0, -1.0)
-        b0 = s0 * edge_values[mesh.face_edges[:, 0]]
-        b1 = s1 * edge_values[mesh.face_edges[:, 1]]
-        h0 = self.chart[:, 1] - self.chart[:, 0]
-        h1 = self.chart[:, 2] - self.chart[:, 1]
-        det = h0[:, 0] * h1[:, 1] - h0[:, 1] * h1[:, 0]
-        out = np.empty((mesh.n_faces, 2))
-        out[:, 0] = (b0 * h1[:, 1] - b1 * h0[:, 1]) / det
-        out[:, 1] = (b1 * h0[:, 0] - b0 * h1[:, 0]) / det
-        return out
+        # flip sign when the stored edge orientation (sorted) disagrees
+        b0 = np.where(f[:, 0] < f[:, 1], 1.0, -1.0) \
+            * edge_values[mesh.face_edges[:, 0]]
+        b1 = np.where(f[:, 1] < f[:, 2], 1.0, -1.0) \
+            * edge_values[mesh.face_edges[:, 1]]
+        return (-b0[:, None] * self.grad_phi[:, 0]
+                + b1[:, None] * self.grad_phi[:, 2])
 
     def pair_fields(self, cov, X):
         """Pointwise pairing of per-face covector and tangent fields."""

@@ -329,8 +329,24 @@ def read_volume_mesh(path):
         raise VolumeError("malformed volume mesh file: content after the "
                           "boundary rows")
     data, tets, rows = sections
-    return VolumeMesh(data[:, 1:], tets, rows[:, :3], rows[:, 3],
-                      times=data[:, 0])
+    vol = VolumeMesh(data[:, 1:], tets, rows[:, :3], rows[:, 3],
+                     times=data[:, 0])
+    # the boundary rows, as unordered triples, must be the faces of one
+    # tet, each once: a built fill-in is right by construction, a file
+    # may not be
+    n_faces = 4 * vol.n_tets
+    keys, inv = unique_rows(np.vstack([
+        vol.tets[:, _TET_FACES].reshape(n_faces, 3), vol.boundary_faces]))
+    of_tets = np.bincount(inv[:n_faces], minlength=len(keys))
+    listed = np.bincount(inv[n_faces:], minlength=len(keys))
+    bad = np.flatnonzero(listed != (of_tets == 1))
+    if len(bad):
+        k = bad[0]
+        raise VolumeError(
+            f"face {tuple(map(int, keys[k]))} of {of_tets[k]} tet(s) is "
+            f"listed {listed[k]} time(s) as a boundary face; the boundary "
+            f"faces must be the faces of one tet, each listed once")
+    return vol
 
 
 # -- P1 finite elements ---------------------------------------------------

@@ -547,6 +547,27 @@ def _extra_vertex(lines):
             + lines[head + 1 + count:])
 
 
+def _drop_boundary_row(row):
+    """Edit of a .vmesh file: drops one boundary face."""
+    def edit(lines):
+        head = next(i for i, l in enumerate(lines) if l.startswith("boundary"))
+        count = int(lines[head].split()[1])
+        return (lines[:head] + [f"boundary {count - 1}"]
+                + lines[head + 1:head + 1 + row] + lines[head + 2 + row:])
+    return edit
+
+
+def _interior_boundary_face(lines):
+    """Edit of a .vmesh file: lists the face of the last tet opposite its
+    first vertex as a boundary face; on a built fill-in that face joins
+    two cone tets at the centre."""
+    head = next(i for i, l in enumerate(lines) if l.startswith("boundary"))
+    count = int(lines[head].split()[1])
+    _, a, b, c = lines[head - 1].split()
+    return (lines[:head] + [f"boundary {count + 1}"] + lines[head + 1:]
+            + [f"{a} {b} {c} 0"])
+
+
 @pytest.mark.parametrize("edit, message", [
     (_edit_row("tets", 0, 1, "1000000"),
      "tet 0 names vertex 1000000, outside [0, 487)"),
@@ -566,10 +587,16 @@ def _extra_vertex(lines):
     (_empty_section("tets"), "volume mesh has no tets"),
     (_empty_section("boundary"), "volume mesh has no boundary faces"),
     (_extra_vertex, "vertex 487 is named by no tet"),
+    (_drop_boundary_row(5),
+     "face (1, 48, 51) of 1 tet(s) is listed 0 time(s) as a boundary face"),
+    (_interior_boundary_face,
+     "face (445, 449, 486) of 2 tet(s) is listed 1 time(s) as a boundary "
+     "face"),
 ], ids=["tet-index-too-large", "tet-index-negative",
         "boundary-index-too-large", "nan-coordinate", "inf-time",
         "boundary-time", "truncated", "trailing-content", "no-tets",
-        "no-boundary-faces", "vertex-of-no-tet"])
+        "no-boundary-faces", "vertex-of-no-tet", "boundary-face-dropped",
+        "interior-face-as-boundary"])
 def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,

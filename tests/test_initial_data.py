@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qlmass.initialdata import (
     BowenYorkData,
-    CovectorField,
     FlatData,
     InitialDataError,
     InitialDataSample,
@@ -107,7 +106,7 @@ def test_flat_boundary_data_trivial():
     bd = extract_boundary_data(FlatData(), 1.0, level=3)
     np.testing.assert_allclose(bd.H, 2.0, rtol=2e-3)
     assert np.abs(bd.trk).max() == 0.0
-    assert np.abs(bd.alpha.ambient).max() == 0.0
+    assert np.abs(bd.alpha).max() == 0.0
 
 
 def test_schwarzschild_boundary_data(schw):

@@ -155,11 +155,40 @@ def test_divergence_is_minus_the_area_weighted_adjoint_of_gradient(sphere4):
         assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
+def _chart(ops):
+    """Each face laid out isometrically from the metric's edge lengths
+    (p0 at the origin, p1 on the x-axis), (F, 3, 2)."""
+    L = ops.metric.edge_lengths[ops.mesh.face_edges]
+    l01, l12, l20 = L[:, 0], L[:, 1], L[:, 2]
+    chart = np.zeros((ops.mesh.n_faces, 3, 2))
+    chart[:, 1, 0] = l01
+    chart[:, 2, 0] = (l01**2 + l20**2 - l12**2) / (2.0 * l01)
+    chart[:, 2, 1] = np.sqrt(l20**2 - chart[:, 2, 0] ** 2)
+    return chart
+
+
+def _chart_solve(ops, edge_values):
+    """The 2x2 solve that face_covector replaced: the chart covector whose
+    pairings with halfedges 0 (v0 -> v1) and 1 (v1 -> v2) of each face are
+    the signed edge values."""
+    mesh, chart = ops.mesh, _chart(ops)
+    f = mesh.faces
+    b0 = np.where(f[:, 0] < f[:, 1], 1.0, -1.0) \
+        * edge_values[mesh.face_edges[:, 0]]
+    b1 = np.where(f[:, 1] < f[:, 2], 1.0, -1.0) \
+        * edge_values[mesh.face_edges[:, 1]]
+    h0 = chart[:, 1] - chart[:, 0]
+    h1 = chart[:, 2] - chart[:, 1]
+    det = h0[:, 0] * h1[:, 1] - h0[:, 1] * h1[:, 0]
+    return np.column_stack([(b0 * h1[:, 1] - b1 * h0[:, 1]) / det,
+                            (b1 * h0[:, 0] - b0 * h1[:, 0]) / det])
+
+
 def _reference_operators(ops):
     """The per-face assembly that D^T A D and the one corner pass replaced:
     (3x3-per-face COO stiffness, mixed Voronoi areas with cotangents and
     squared lengths recomputed from the charts, arccos angle sums)."""
-    mesh, chart, areas = ops.mesh, ops.chart, ops.face_areas
+    mesh, chart, areas = ops.mesh, _chart(ops), ops.face_areas
     rows, cols, vals = [], [], []
     for a in range(3):
         for b in range(3):
@@ -194,19 +223,26 @@ def _reference_operators(ops):
             np.bincount(faces, angles.ravel(), n), len(rows))
 
 
-@settings(max_examples=25, deadline=None)
-@given(level=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
-       jitter=st.floats(0.3, 0.4))
-def test_operators_match_the_per_face_assembly(level, seed, jitter):
-    # icosphere vertices moved by up to 0.3-0.4 of the mean edge length,
-    # which makes obtuse faces on every draw
+def _jittered(level, seed, jitter):
+    """Operators of an icosphere whose vertices moved by up to `jitter`
+    of the mean edge length, with the random generator that moved them."""
     mesh = icosphere(level)
     edge = np.linalg.norm(mesh.vertices[mesh.edges[:, 0]]
                           - mesh.vertices[mesh.edges[:, 1]], axis=1).mean()
     rng = np.random.default_rng(seed)
     pos = mesh.vertices + jitter * edge * rng.uniform(-1.0, 1.0,
                                                       mesh.vertices.shape)
-    ops = SurfaceMetric.from_positions(mesh, pos).ops
+    return SurfaceMetric.from_positions(mesh, pos).ops, rng
+
+
+@settings(max_examples=25, deadline=None)
+@given(level=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       jitter=st.floats(0.3, 0.4))
+def test_operators_match_the_per_face_assembly(level, seed, jitter):
+    # a jitter of 0.3-0.4 of the mean edge length makes obtuse faces on
+    # every draw
+    ops, _ = _jittered(level, seed, jitter)
+    mesh = ops.mesh
     K, vertex_areas, angle_sums, n_obtuse = _reference_operators(ops)
     assert n_obtuse > 0
     scale = abs(K).max()
@@ -215,6 +251,35 @@ def test_operators_match_the_per_face_assembly(level, seed, jitter):
         <= 1e-13 * scale
     np.testing.assert_allclose(ops.vertex_areas, vertex_areas, rtol=1e-13)
     np.testing.assert_allclose(ops.angle_sums, angle_sums, rtol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(level=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       jitter=st.floats(0.3, 0.4))
+def test_face_covector_is_the_gradient_of_the_face_potential(level, seed,
+                                                             jitter):
+    ops, rng = _jittered(level, seed, jitter)
+    mesh = ops.mesh
+    assert np.shares_memory(ops.grad_phi, ops.D.data)
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    # exact edge values df give the P1 gradient of f
+    f = rng.normal(size=mesh.n_vertices)
+    grad = ops.gradient(f)
+    np.testing.assert_allclose(ops.face_covector(f[j] - f[i]), grad,
+                               rtol=0.0, atol=1e-13 * np.abs(grad).max())
+    # any edge values: the signed pairings of halfedges 0 and 1 come back,
+    # as the old 2x2 chart solve gave them
+    values = rng.normal(size=mesh.n_edges)
+    cov = ops.face_covector(values)
+    ref = _chart_solve(ops, values)
+    assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
+    chart, faces = _chart(ops), mesh.faces
+    for k in (0, 1):
+        sign = np.where(faces[:, k] < faces[:, k + 1], 1.0, -1.0)
+        paired = np.einsum("fk,fk->f", cov, chart[:, k + 1] - chart[:, k])
+        np.testing.assert_allclose(
+            paired, sign * values[mesh.face_edges[:, k]], rtol=0.0,
+            atol=1e-13 * np.abs(cov).max() * ops.metric.edge_lengths.max())
 
 
 def test_critical_mask_poles(sphere4):

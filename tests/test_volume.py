@@ -1178,6 +1178,29 @@ def test_ball_admissible_for_all_observers():
                                                    topo.boundary_components))
 
 
+def test_verdict_takes_every_piece_of_a_level_to_be_a_disc():
+    # a peanut, radius 0.6 + 0.9 z^2 along the unit directions: the levels
+    # of x near its extremes are two discs, one in each lobe, and the
+    # verdict compares chi with the trace-curve count, not with one
+    mesh = icosphere(3)
+    dirs = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                          keepdims=True)
+    vol = build_fill_in((0.6 + 0.9 * dirs[:, 2:] ** 2) * dirs, mesh=mesh,
+                        layers=4)
+    across = admissibility_verdict(vol, SimpleNamespace(a=np.array(
+        [1.0, 0.0, 0.0])))
+    assert across["verdict"] == "admissible"
+    topo = across["fillInTopology"]
+    assert np.array_equal(topo.chi, topo.boundary_components)
+    two = topo.chi == 2
+    assert two.any() and np.all(topo.n_components[two] == 2)
+    along = admissibility_verdict(vol, SimpleNamespace(a=np.array(
+        [0.0, 0.0, 1.0])))
+    assert along["verdict"] == "admissible"
+    topo = along["fillInTopology"]
+    assert np.all(topo.chi == 1) and np.all(topo.boundary_components == 1)
+
+
 def test_verdict_builds_only_the_trace_curve_graph(monkeypatch):
     # the verdict compares chi with the trace curves; the surface pieces
     # are left for a reader of n_components
