@@ -278,8 +278,11 @@ def mass(**kwargs):
 
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
-        fill = _fill_in(cfg, emb)
-        manifest.record("fillIn")
+        # without a mesh file the verdict needs only the embedded surface
+        fill = None
+        if cfg["volume.mesh_file"]:
+            fill = _fill_in(cfg, emb)
+            manifest.record("fillIn")
         report = mass_infimum(
             SurfaceData.from_embedding(emb),
             SurfaceData.from_boundary(bd), emb, fill_in=fill,
@@ -360,12 +363,9 @@ def admissibility(**kwargs):
                                     topo.n_components)
         ]
         manifest.record("topology")
-        payload = {
-            "verdict": report["verdict"],
-            "levels": levels,
-            "generalizedIntegral": report["generalizedIntegral"],
-            "resolution": _resolution_context(cfg),
-        }
+        payload = {key: report[key] for key in
+                   ("verdict", "route", "exactLevels") if key in report}
+        payload.update(levels=levels, resolution=_resolution_context(cfg))
         _write_json(manifest, outdir / "admissibility.json", payload)
         click.echo(f"verdict={report['verdict']}")
         return 0 if report["verdict"] == "admissible" else 2

@@ -1,9 +1,9 @@
 """Observer-infimum search and the large-sphere asymptotics driver.
 
 mass_infimum minimizes the energy over a deterministic direction grid on
-the observer sphere, filters by the fill-in admissibility verdict, and
-polishes the best feasible point with a local Nelder-Mead search in
-tangent coordinates.  asymptotics_driver tabulates energies of coordinate
+the observer sphere, filters by the admissibility verdict, and polishes
+the best feasible point with a local Nelder-Mead search in tangent
+coordinates.  asymptotics_driver tabulates energies of coordinate
 spheres over a radius ladder, fits E_inf + c / r + d / r^2 to each row by
 linear least squares and sets the limit against the asymptotic energy and
 momentum surface integrals.
@@ -24,7 +24,7 @@ from .initialdata import (
     growing_differences,
     radius_fit,
 )
-from .volume import admissibility_verdict
+from .volume import admissibility_verdict, star_shaped_surface
 
 
 class SearchError(RuntimeError):
@@ -38,8 +38,8 @@ class MassReport:
     ----------
     mass_value : minimum energy over admissible grid points and the
         local refinement iterates.
-    energy_spread : max minus min of the energy over the grid points not
-        found inadmissible; how far apart the candidates for mass_value are.
+    energy_spread : max minus min of the energy over the admissible grid
+        points; how far apart the candidates for mass_value are.
     argmin_a : observer direction attaining mass_value.
     energy_grid : list of {a, E, admissible} rows in grid order.
     refinement_trace : list of {a, E} local-search iterates.
@@ -140,14 +140,31 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     """Minimum energy over admissible observer directions.
 
     Evaluates the energy on a Fibonacci direction grid, filters by the
-    per-direction admissibility verdict when a fill-in is supplied, then
-    refines around the best feasible direction by Nelder-Mead in local
-    tangent coordinates (renormalizing the direction at every iterate).
+    per-direction admissibility verdict, then refines around the best
+    feasible direction by Nelder-Mead in local tangent coordinates
+    (renormalizing the direction at every iterate).  The verdict is exact
+    from the boundary surface (`BoundarySurface`): the fill-in's, or
+    without one the embedded surface's, which must then be star-shaped
+    about its centroid as `build_fill_in` requires.  Only a fill-in with
+    nonzero vertex times, where u = -t + a.x is not linear, takes
+    `admissibility_levels` sampled levels of `admissibility_verdict`.
     Deterministic for fixed arguments.  Raises SearchError with
     per-point diagnostics when no grid direction is admissible.  A note
     says when the spread of the admissible grid energies is at most 1e-12
     of the largest side term: then argmin_a is undetermined.
     """
+    if fill_in is not None and np.any(fill_in.times):
+        def verdict(obs):
+            return admissibility_verdict(
+                fill_in, obs, n_levels=admissibility_levels)["verdict"]
+    else:
+        surface = (star_shaped_surface(emb.positions, emb.mesh.faces)
+                   if fill_in is None else fill_in.boundary_surface)
+
+        def verdict(obs):
+            return ("admissible" if surface.admissible(obs.a)
+                    else "not admissible")
+
     dirs = fibonacci_directions(grid_n, rotation=grid_rotation)
     rows = []
     largest_term = 0.0
@@ -156,12 +173,9 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
         rep = energy(ref_sd, phys_sd, obs)
         largest_term = max(largest_term, abs(rep.reference_term),
                            abs(rep.physical_term))
-        verdict = admissibility_verdict(
-            fill_in, obs, n_levels=admissibility_levels
-        )["verdict"]
-        rows.append({"a": a, "E": rep.E, "admissible": verdict})
+        rows.append({"a": a, "E": rep.E, "admissible": verdict(obs)})
 
-    feasible = [r for r in rows if r["admissible"] != "not admissible"]
+    feasible = [r for r in rows if r["admissible"] == "admissible"]
     if not feasible:
         diag = [
             {"a": r["a"].tolist(), "E": r["E"], "verdict": r["admissible"]}
@@ -201,11 +215,7 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     if trace:
         refined = min(trace, key=lambda it: it["E"])
         if refined["E"] < mass_value:
-            verdict = admissibility_verdict(
-                fill_in, make_observer(emb, refined["a"]),
-                n_levels=admissibility_levels,
-            )["verdict"]
-            if verdict == "not admissible":
+            if verdict(make_observer(emb, refined["a"])) == "not admissible":
                 notes.append(
                     "refined direction rejected as not admissible; "
                     "grid minimum reported"

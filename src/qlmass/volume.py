@@ -6,7 +6,9 @@ The volume machinery is P1 finite elements on tetrahedra: stiffness
 matrices carry the inverse metric at tet centroids, so linear solutions
 of the flat problem are reproduced exactly.  Level-set topology uses
 marching tetrahedra and counts the Euler characteristic of the extracted
-polygonal complex exactly from its cut-cell counts.
+polygonal complex exactly from its cut-cell counts.  The admissibility of
+a linear observer function needs only the boundary surface, whose planar
+sections it examines at the critical values.
 """
 
 from functools import cached_property
@@ -78,6 +80,24 @@ def _min_dihedral_degrees(normals):
     return float(np.degrees(np.arccos(np.clip(largest, -1.0, 1.0))))
 
 
+def _require_permutation(boundary_map, n_faces):
+    """Raises VolumeError unless the boundary map names each of the
+    n_faces surface faces once, naming the first row out of range or
+    repeating an earlier row."""
+    if len(boundary_map) != n_faces:
+        raise VolumeError(f"boundary_map has {len(boundary_map)} entries "
+                          f"for {n_faces} boundary faces")
+    # every row but the first of each value repeats an earlier one
+    bad = np.ones(n_faces, dtype=bool)
+    bad[np.unique(boundary_map, return_index=True)[1]] = False
+    bad |= (boundary_map < 0) | (boundary_map >= n_faces)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise VolumeError(f"boundary row {i} maps to surface face "
+                          f"{boundary_map[i]}; boundary_map must be a "
+                          f"permutation of 0..{n_faces - 1}")
+
+
 class VolumeMesh:
     """Conforming tetrahedral mesh with a boundary-face correspondence.
 
@@ -87,7 +107,8 @@ class VolumeMesh:
         the surface mesh vertex order when built by build_fill_in.
     tets : (T, 4) positively oriented vertex quadruples.
     boundary_faces : (F, 3) triangles on the boundary (volume indices).
-    boundary_map : (F,) surface-mesh face index per boundary face.
+    boundary_map : (F,) surface-mesh face index per boundary face, a
+        permutation of 0..F-1.
     times : (N,) Minkowski time coordinates (zero unless given, as a
         volume mesh file may); zero on every boundary vertex.
     hat_gradients : (constant gradients of the four hat functions per tet,
@@ -118,10 +139,7 @@ class VolumeMesh:
         unnamed = np.bincount(tets.ravel(), minlength=n) == 0
         if np.any(unnamed):
             raise VolumeError(f"vertex {unnamed.argmax()} is named by no tet")
-        if len(self.boundary_map) != len(self.boundary_faces):
-            raise VolumeError(
-                f"boundary_map has {len(self.boundary_map)} entries for "
-                f"{len(self.boundary_faces)} boundary faces")
+        _require_permutation(self.boundary_map, len(self.boundary_faces))
         bad = ~(np.isfinite(self.vertices).all(axis=1)
                 & np.isfinite(self.times))
         if np.any(bad):
@@ -202,6 +220,26 @@ class VolumeMesh:
         return (edges, faces, pair_faces, t1, t2, bfaces, bedges[shared],
                 b1, b2)
 
+    @cached_property
+    def boundary_surface(self):
+        """The boundary as a `BoundarySurface`, each face in the vertex
+        order of the tet that owns it, so that its normal points out of
+        the mesh (a file's or a test's triples may be in any order).  Only
+        the tets with at least three boundary vertices are matched."""
+        on_boundary = np.zeros(self.n_vertices, dtype=bool)
+        on_boundary[self.boundary_faces] = True
+        near = self.tets[on_boundary[self.tets].sum(axis=1) >= 3]
+        outward = near[:, _TET_FACES].reshape(-1, 3)
+        n = len(outward)
+        keys, inv = unique_rows(np.vstack([outward, self.boundary_faces]))
+        owner = np.full(len(keys), -1)
+        owner[inv[:n]] = np.arange(n)
+        owner = owner[inv[n:]]
+        if np.any(owner < 0):
+            raise VolumeError(f"boundary face {np.argmax(owner < 0)} is the "
+                              f"face of no tet")
+        return BoundarySurface(self.vertices, outward[owner])
+
 
 # prism splitting: rotate the smallest global index into slot 0, then pick
 # the compatible 3-tet pattern (quad diagonals toward smallest vertices)
@@ -233,6 +271,23 @@ def _split_prism(ids):
     return v[rows, _PRISM_SPLITS[second.astype(np.intp)]].reshape(-1, 4)
 
 
+def _require_star_shaped(positions, faces):
+    """The centroid of the positions; raises VolumeError unless every face
+    subtends positive volume from it, which also makes every face
+    outward."""
+    center = positions.mean(axis=0)
+    a = positions[faces[:, 0]] - center
+    b = positions[faces[:, 1]] - center
+    c = positions[faces[:, 2]] - center
+    signed = np.einsum("fi,fi->f", np.cross(a, b), c)
+    if signed.min() <= 0.0:
+        raise VolumeError(
+            "boundary is not star-shaped with respect to its centroid; "
+            "supply a tetrahedral mesh file instead"
+        )
+    return center
+
+
 def build_fill_in(emb, mesh=None, layers=8):
     """Star-shaped tetrahedral fill-in by radial coning to the centroid.
 
@@ -249,19 +304,7 @@ def build_fill_in(emb, mesh=None, layers=8):
     else:
         surface, positions = mesh, np.asarray(emb, dtype=float)
     V = len(positions)
-    center = positions.mean(axis=0)
-
-    # star-shape test: every boundary face must subtend positive volume
-    # from the centroid
-    a = positions[surface.faces[:, 0]] - center
-    b = positions[surface.faces[:, 1]] - center
-    c = positions[surface.faces[:, 2]] - center
-    signed = np.einsum("fi,fi->f", np.cross(a, b), c)
-    if signed.min() <= 0.0:
-        raise VolumeError(
-            "boundary is not star-shaped with respect to its centroid; "
-            "supply a tetrahedral mesh file instead"
-        )
+    center = _require_star_shaped(positions, surface.faces)
 
     edge_len = np.linalg.norm(
         positions[surface.edges[:, 0]] - positions[surface.edges[:, 1]],
@@ -329,7 +372,9 @@ def read_volume_mesh(path):
         raise VolumeError("malformed volume mesh file: content after the "
                           "boundary rows")
     data, tets, rows = sections
-    vol = VolumeMesh(data[:, 1:], tets, rows[:, :3], rows[:, 3],
+    # the fourth column is checked once the rows are known to be the
+    # boundary of the tets, which a dropped or extra row is not
+    vol = VolumeMesh(data[:, 1:], tets, rows[:, :3], np.arange(len(rows)),
                      times=data[:, 0])
     # the boundary rows, as unordered triples, must be the faces of one
     # tet, each once: a built fill-in is right by construction, a file
@@ -346,6 +391,8 @@ def read_volume_mesh(path):
             f"face {tuple(map(int, keys[k]))} of {of_tets[k]} tet(s) is "
             f"listed {listed[k]} time(s) as a boundary face; the boundary "
             f"faces must be the faces of one tet, each listed once")
+    _require_permutation(rows[:, 3], len(rows))
+    vol.boundary_map = rows[:, 3]
     return vol
 
 
@@ -712,19 +759,27 @@ def _cut_ranges(rank, simplices):
     return first, stop
 
 
-def _components_per_level(first, stop, a, b, link_first, link_stop,
-                          n_levels):
-    """Connected components at each level of the simplices cut there,
-    simplices a[j] and b[j] being linked at the levels that cut link j:
-    one graph whose nodes are the (simplex, level) pairs."""
-    # every (simplex, level) pair, simplex by simplex
-    _, level, node0 = expand_ranges(first, stop)
+def _component_labels(first, stop, a, b, link_first, link_stop):
+    """Connected components of the simplices cut at each level, simplices
+    a[j] and b[j] being linked at the levels that cut link j: one graph
+    whose nodes are the (simplex, level) pairs, simplex by simplex.
+    Returns (simplex, level and component of each node, level of each
+    component)."""
+    simplex, level, node0 = expand_ranges(first, stop)
     j, k, _ = expand_ranges(link_first, link_stop)
     graph = csr_matrix((np.ones(len(j)), (node0[a[j]] + k, node0[b[j]] + k)),
                        shape=(len(level), len(level)))
     n_comp, labels = connected_components(graph, directed=False)
     comp_level = np.empty(n_comp, dtype=np.int64)
     comp_level[labels] = level
+    return simplex, level, labels, comp_level
+
+
+def _components_per_level(first, stop, a, b, link_first, link_stop,
+                          n_levels):
+    """Number of connected components at each level (`_component_labels`)."""
+    comp_level = _component_labels(first, stop, a, b, link_first,
+                                   link_stop)[3]
     return np.bincount(comp_level, minlength=n_levels)
 
 
@@ -746,32 +801,164 @@ def level_set_topology(vol, u, n_levels=64):
 
 # -- admissibility --------------------------------------------------------
 
-def admissibility_verdict(fill_in, obs, physical=None, n_levels=64):
-    """Compares the Euler characteristic of each sampled fill-in level of
-    the observer function against its boundary-trace component count; the
-    verdict is admissible only if they agree at every level.  When the
-    physical volume solution is supplied, the generalized integral
-    criterion (the coarea integral of the characteristic difference being
-    nonnegative) is evaluated as well.
+def _crossings(below, above, u, s, points):
+    """Where the level u = s crosses the edges from vertex `below` (u <= s)
+    to vertex `above` (u > s): (the end nearer to s in u, the crossing
+    less that end, the crossing's rate d/ds).  Only crossed edges are
+    divided by."""
+    d = (points[above] - points[below]) / (u[above] - u[below])[:, None]
+    near = np.where(s - u[below] <= u[above] - s, below, above)
+    return near, (s - u[near])[:, None] * d, d
+
+
+def _critical_gap_levels(u, faces):
+    """One level in each gap between consecutive distinct critical values
+    of u on a closed surface: the midpoint between the gap's lower end and
+    the next distinct vertex value.  Vertices are ordered by (u, index)
+    (simulation of simplicity, Edelsbrunner & Muecke 1990); a vertex is
+    critical when the number of its link edges whose two ends lie on
+    different sides of it is not 2."""
+    rank = np.empty(len(u), dtype=np.int64)
+    rank[np.argsort(u, kind="stable")] = np.arange(len(u))
+    # the link edge of corner m is (m + 1, m + 2); its ends lie on
+    # different sides of m when (m + 1 above m) equals (m above m + 2)
+    up = rank[faces[:, [1, 2, 0]]] > rank[faces]
+    changes = np.bincount(faces[up == up[:, [2, 0, 1]]], minlength=len(u))
+    critical = np.unique(u[changes != 2])
+    values = np.unique(u)
+    low = critical[:-1]
+    above = values[np.searchsorted(values, low, side="right")]
+    mid = 0.5 * (low + above)
+    # between adjacent floats the rank rule still counts u = low as below
+    return np.where(mid < above, mid, low)
+
+
+class BoundarySurface:
+    """A closed surface whose faces point out of the solid it encloses
+    (counter-clockwise seen from outside), for the exact admissibility of
+    the linear observer functions u = a.x.
+
+    Each level set of u on the solid is the planar section a.x = s, a
+    union of discs exactly when none of its boundary loops is a hole.  The
+    loops are the cut surface faces, linked through cut shared edges, and
+    each face's segment runs along a x n (n the outward normal), which
+    leaves the section on its left: a loop is a hole when its signed
+    shoelace area about a is <= 0.  Loops and their signs change only at
+    critical vertex values of u, so one level per gap between them
+    decides every level (the contour-tree argument of Carr, Snoeyink &
+    Axen 2003).
+
+    positions : (V, 3) the vertices the faces name.
+    faces : (F, 3) outward triangles indexing positions.
     """
-    if fill_in is None:
-        return {"verdict": "unchecked", "generalizedIntegral": None}
+
+    def __init__(self, positions, faces):
+        named = np.unique(faces)
+        self.positions = np.asarray(positions, dtype=float)[named]
+        self.faces = np.searchsorted(named, faces)
+        edges, shared, self._f1, self._f2 = _shared_pairs(
+            np.vstack([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
+                       self.faces[:, [2, 0]]]),
+            np.tile(np.arange(len(self.faces)), 3))
+        self._edges = edges[shared]
+
+    def sections(self, a):
+        """The sections a.x = s at the critical-gap levels: (levels, loops
+        and hole loops per level, smallest signed loop area per level, in
+        the plane normal to a).  A loop that shrinks onto vertices at s
+        has area 0 and is a hole or not as the loop just above s is."""
+        a = np.asarray(a, dtype=float)
+        u = self.positions @ a
+        levels = _critical_gap_levels(u, self.faces)
+        # rank[v] levels lie below u[v]; u = s counts as below s
+        rank = np.searchsorted(levels, u)
+        face, level, labels, comp_level = _component_labels(
+            *_cut_ranges(rank, self.faces), self._f1, self._f2,
+            *_cut_ranges(rank, self._edges))
+        tri = self.faces[face]
+        above = rank[tri] > level[:, None]
+        after = above[:, [1, 2, 0]]
+        rows = np.arange(len(tri))
+        # along a x n the segment leaves the edge where u falls through s
+        # and enters the one where u rises through it
+        down = np.argmax(above & ~after, axis=1)
+        up = np.argmax(~above & after, axis=1)
+        p_below, p_above = tri[rows, (down + 1) % 3], tri[rows, down]
+        q_below, q_above = tri[rows, up], tri[rows, (up + 1) % 3]
+        s = levels[level]
+        p_near, p, dp = _crossings(p_below, p_above, u, s, self.positions)
+        q_near, q, dq = _crossings(q_below, q_above, u, s, self.positions)
+        # shoelace terms about a vertex of each loop, each point taken from
+        # its edge's end nearer to s: the area does not depend on the
+        # origin, its rounding does, and a loop close to a vertex value is
+        # small
+        origin = np.empty(len(comp_level), dtype=np.int64)
+        origin[labels] = p_near
+        origin = self.positions[origin[labels]]
+        p += self.positions[p_near] - origin
+        q += self.positions[q_near] - origin
+
+        def loop_sums(v, w):
+            return np.bincount(labels, weights=np.cross(v, w) @ a,
+                               minlength=len(comp_level))
+
+        # twice the area of the loops at s + e, a polynomial in e; a level
+        # pinned to a vertex value (no float lies between it and the next)
+        # can shrink a loop onto vertices, and the rank rule's e > 0 then
+        # gives its sign by the first nonzero coefficient
+        terms = np.stack([loop_sums(p, q), loop_sums(p, dq)
+                          + loop_sums(dp, q), loop_sums(dp, dq)])
+        sign = terms[np.argmax(terms != 0.0, axis=0),
+                     np.arange(len(comp_level))]
+        area = terms[0] / (2.0 * np.linalg.norm(a))
+        smallest = np.full(len(levels), np.inf)
+        np.minimum.at(smallest, comp_level, area)
+        holes = np.bincount(comp_level[sign <= 0.0], minlength=len(levels))
+        return (levels, np.bincount(comp_level, minlength=len(levels)),
+                holes, smallest)
+
+    def admissible(self, a):
+        """Whether every section a.x = s is a union of discs."""
+        return not self.sections(a)[2].any()
+
+
+def star_shaped_surface(positions, faces):
+    """The `BoundarySurface` of a closed surface that has no fill-in; it
+    must pass `build_fill_in`'s star-shape test, which also makes its faces
+    outward."""
+    _require_star_shaped(positions, faces)
+    return BoundarySurface(positions, faces)
+
+
+def admissibility_verdict(fill_in, obs, n_levels=64):
+    """Whether every level set of the observer function u = -t + a.x on the
+    fill-in is a union of discs, with the sampled level table.
+
+    When every vertex time is 0, u = a.x is linear and the verdict is
+    exact (route "boundary"): the level sets are the sections of the solid
+    that the boundary encloses, and `exactLevels` lists each level the
+    boundary surface examines with its loop count, hole count and smallest
+    signed loop area (`BoundarySurface.sections`), so that a hole is
+    named.  Otherwise
+    (route "sampledTets") the Euler characteristic of each of `n_levels`
+    sampled levels must equal its boundary-trace count.  `fillInTopology`
+    holds the sampled levels on either route.
+    """
     uhat = -fill_in.times + fill_in.vertices @ obs.a
     topo = level_set_topology(fill_in, uhat, n_levels)
-    admissible = np.array_equal(topo.chi, topo.boundary_components)
-    report = {
-        "verdict": "admissible" if admissible else "not admissible",
-        "generalizedIntegral": None,
-        "fillInTopology": topo,
-    }
-    if physical is not None:
-        ptopo = level_set_topology(physical["vol"], physical["u"], n_levels)
-        integral = topo.coarea_integral() - ptopo.coarea_integral()
-        report["generalizedIntegral"] = integral
-        report["generalizedNonnegative"] = bool(integral >= -1e-12 * max(
-            1.0, abs(topo.coarea_integral())
-        ))
-        report["physicalTopology"] = ptopo
+    if np.any(fill_in.times):
+        admissible = np.array_equal(topo.chi, topo.boundary_components)
+        report = {"route": "sampledTets"}
+    else:
+        levels, loops, holes, smallest = fill_in.boundary_surface.sections(
+            obs.a)
+        admissible = not holes.any()
+        report = {"route": "boundary", "exactLevels": [
+            {"s": float(s), "loops": int(n), "holes": int(h),
+             "smallestLoopArea": float(area)}
+            for s, n, h, area in zip(levels, loops, holes, smallest)]}
+    report["verdict"] = "admissible" if admissible else "not admissible"
+    report["fillInTopology"] = topo
     return report
 
 

@@ -592,11 +592,14 @@ def _interior_boundary_face(lines):
     (_interior_boundary_face,
      "face (445, 449, 486) of 2 tet(s) is listed 1 time(s) as a boundary "
      "face"),
+    (_edit_row("boundary", 0, 3, "-7"),
+     "boundary row 0 maps to surface face -7; boundary_map must be a "
+     "permutation of 0..319"),
 ], ids=["tet-index-too-large", "tet-index-negative",
         "boundary-index-too-large", "nan-coordinate", "inf-time",
         "boundary-time", "truncated", "trailing-content", "no-tets",
         "no-boundary-faces", "vertex-of-no-tet", "boundary-face-dropped",
-        "interior-face-as-boundary"])
+        "interior-face-as-boundary", "boundary-map-not-a-permutation"])
 def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,

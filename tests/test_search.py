@@ -2,6 +2,7 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qlmass.search import (
     write_asymptotics_csv,
     write_mass_grid_csv,
 )
-from qlmass.volume import VolumeMesh, _split_prism, build_fill_in
+from qlmass.volume import VolumeError, VolumeMesh, _split_prism, build_fill_in
 
 
 def _setup(provider, radius, level):
@@ -134,6 +135,51 @@ def test_empty_feasible_set_raises(flat3):
     with pytest.raises(SearchError, match="diagnostics"):
         mass_infimum(ref, phys, emb, fill_in=shell, grid_n=8,
                      refine_iters=0)
+
+
+def test_mass_grid_reads_no_tet_topology(flat3, monkeypatch):
+    # with or without a fill-in of zero times the verdicts come from the
+    # boundary surface alone
+    def unread(vol):
+        raise AssertionError("topology_arrays read on the mass path")
+
+    monkeypatch.setattr(VolumeMesh, "topology_arrays", property(unread))
+    ref, phys, emb, fill = flat3
+    for fill_in in (fill, None):
+        rep = mass_infimum(ref, phys, emb, fill_in=fill_in, grid_n=16,
+                           refine_iters=5)
+        assert all(r["admissible"] == "admissible" for r in rep.energy_grid)
+
+
+def test_timed_fill_in_takes_sampled_levels(flat3, monkeypatch):
+    # u = -t + a.x is not linear when interior times are nonzero
+    ref, phys, emb, fill = flat3
+    times = np.full(fill.n_vertices, 0.05)
+    times[fill.boundary_vertices] = 0.0
+    timed = VolumeMesh(fill.vertices, fill.tets, fill.boundary_faces,
+                       fill.boundary_map, times=times)
+    routes = []
+    verdict = search.admissibility_verdict
+
+    def spy(fill_in, obs, n_levels):
+        report = verdict(fill_in, obs, n_levels=n_levels)
+        routes.append((report["route"], n_levels))
+        return report
+
+    monkeypatch.setattr(search, "admissibility_verdict", spy)
+    rep = mass_infimum(ref, phys, emb, fill_in=timed, grid_n=8,
+                       refine_iters=0, admissibility_levels=12)
+    assert routes == [("sampledTets", 12)] * 8
+    assert all(r["admissible"] == "admissible" for r in rep.energy_grid)
+
+
+def test_mass_without_fill_in_needs_a_star_shaped_surface():
+    mesh = icosphere(2)
+    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                         keepdims=True)
+    pos[pos[:, 2] > 0.8] -= np.array([0.0, 0.0, 2.5])
+    with pytest.raises(VolumeError, match="not star-shaped"):
+        mass_infimum(None, None, SimpleNamespace(positions=pos, mesh=mesh))
 
 
 def test_mass_grid_csv(flat3, tmp_path):

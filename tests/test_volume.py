@@ -2,11 +2,12 @@
 topology, admissibility verdicts, and the integral identity check."""
 
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse import csr_matrix, diags, lil_matrix
@@ -43,6 +44,7 @@ from qlmass.volume import (
     level_set_topology,
     read_volume_mesh,
     solve_spacetime_harmonic,
+    star_shaped_surface,
     write_volume_mesh,
 )
 
@@ -1010,15 +1012,16 @@ def test_level_set_topology_needs_ascending_levels():
 
 
 def _spy_component_graphs(monkeypatch):
-    """List that gets one entry per _components_per_level call."""
+    """List that gets the arguments of each component graph built (one
+    _component_labels call per graph)."""
     calls = []
-    build = volume._components_per_level
+    build = volume._component_labels
 
     def spy(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(volume, "_components_per_level", spy)
+    monkeypatch.setattr(volume, "_component_labels", spy)
     return calls
 
 
@@ -1202,17 +1205,17 @@ def test_verdict_takes_every_piece_of_a_level_to_be_a_disc():
 
 
 def test_verdict_builds_only_the_trace_curve_graph(monkeypatch):
-    # the verdict compares chi with the trace curves; the surface pieces
-    # are left for a reader of n_components
+    # on a fill-in with zero times the verdict builds one graph, of the
+    # boundary surface's trace loops at its critical-gap levels; the
+    # sampled table builds its graphs only for a reader of its counts
     calls = _spy_component_graphs(monkeypatch)
     obs = SimpleNamespace(a=np.array([0.0, 0.0, 1.0]))
-    u = _SMALL_BALL.vertices[:, 2]
     report = admissibility_verdict(_SMALL_BALL, obs, n_levels=16)
     assert report["verdict"] == "admissible"
+    assert report["route"] == "boundary"
     assert len(calls) == 1
-    admissibility_verdict(_SMALL_BALL, obs, n_levels=16,
-                          physical={"vol": _SMALL_BALL, "u": u})
-    assert len(calls) == 2
+    # its nodes are (boundary face, level) pairs
+    assert len(calls[0][0]) == len(_SMALL_BALL.boundary_faces)
 
 
 def test_admissibility_command_rows_match_per_level_reference(tmp_path):
@@ -1278,22 +1281,132 @@ def test_verdict_invariant_under_rigid_motion(torus24, a, rotvec, shift):
     assert np.array_equal(topo.boundary_components, ref.boundary_components)
 
 
-def test_missing_fill_in_is_unchecked():
-    report = admissibility_verdict(
-        None, SimpleNamespace(a=np.array([0.0, 0.0, 1.0])))
-    assert report["verdict"] == "unchecked"
+def _spherical_shell(level=2, inner=0.5, n_layers=4):
+    """Thick spherical shell whose inner sphere's triples face into the
+    solid; only its tets orient them."""
+    mesh, pos = _unit_sphere(level)
+    V = mesh.n_vertices
+    verts = np.vstack([s * pos for s in np.linspace(1.0, inner,
+                                                    n_layers + 1)])
+    shells = V * np.arange(n_layers)[:, None, None]
+    prisms = np.concatenate([mesh.faces + shells, mesh.faces + shells + V],
+                            axis=2)
+    bfaces = np.vstack([mesh.faces, mesh.faces + n_layers * V])
+    return VolumeMesh(verts, _split_prism(prisms.reshape(-1, 6)), bfaces,
+                      np.arange(len(bfaces)))
 
 
-def test_generalized_integral_with_physical_solution():
-    _, vol = _ball_fill_in(2)
-    bvals = vol.vertices[vol.boundary_vertices, 2]
-    sol = solve_spacetime_harmonic(vol, FlatData(), bvals)
-    report = admissibility_verdict(
-        vol, SimpleNamespace(a=np.array([0.0, 0.0, 1.0])),
-        physical={"vol": vol, "u": sol.u})
-    assert report["verdict"] == "admissible"
-    assert report["generalizedIntegral"] is not None
-    assert report["generalizedNonnegative"]
+def _peanut(level=2):
+    mesh, dirs = _unit_sphere(level)
+    return build_fill_in((0.6 + 0.9 * dirs[:, 2:] ** 2) * dirs, mesh=mesh,
+                         layers=3)
+
+
+_EXACT_CASES = {"torus": _TORUS, "shell": _spherical_shell(),
+                "peanut": _peanut()}
+
+
+def _tet_oracle(vol, a):
+    """The verdict of marching tetrahedra at the midpoint of every pair of
+    consecutive distinct vertex values of a.x, between which no level set
+    of the P1 field changes: chi equals the trace count at every level."""
+    u = vol.vertices @ a
+    values = np.unique(u)
+    topo = LevelSetTopology(vol, u, 0.5 * (values[:-1] + values[1:]))
+    return bool(np.array_equal(topo.chi, topo.boundary_components))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["jittered", *_EXACT_CASES]), a=_VECTORS,
+       seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.4))
+@example(name="torus", a=(0.0, 0.0, 1.0), seed=0, amplitude=0.0)
+@example(name="shell", a=(1.0, 0.0, 0.0), seed=0, amplitude=0.0)
+@example(name="jittered", a=(1.0, 1.0, 1.0), seed=0, amplitude=0.0)
+@example(name="peanut", a=(1.0, 1.0, 1e-11), seed=0, amplitude=0.0)
+def test_exact_verdict_matches_tet_oracle(name, a, seed, amplitude):
+    a = np.asarray(a)
+    assume(np.linalg.norm(a) > 0.1)
+    a = a / np.linalg.norm(a)
+    if name == "jittered":
+        # radial jitter dents the sphere: a pit is a hole in the sections
+        # just above its bottom
+        mesh, pos = _unit_sphere(2)
+        radii = 1.0 + amplitude * np.random.default_rng(seed).uniform(
+            -1.0, 1.0, len(pos))
+        try:
+            vol = build_fill_in(radii[:, None] * pos, mesh=mesh, layers=3)
+        except VolumeError:
+            assume(False)
+    else:
+        vol = _EXACT_CASES[name]
+    report = admissibility_verdict(vol, SimpleNamespace(a=a), n_levels=4)
+    assert report["route"] == "boundary"
+    assert (report["verdict"] == "admissible") == _tet_oracle(vol, a)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exact_verdict_finds_the_narrow_hole_that_sampling_misses(sign):
+    # the plane is tilted 19.7 deg, just under the 20.5 deg at which a
+    # section of this torus (major radius 2, minor 0.7) stops being an
+    # annulus, so the annulus band is narrower than one of 64 equal bins
+    vol = _solid_torus()
+    a = np.array([0.1962, 0.2743, sign * 0.9414])
+    a /= np.linalg.norm(a)
+    sampled = level_set_topology(vol, vol.vertices @ a, n_levels=64)
+    assert np.array_equal(sampled.chi, sampled.boundary_components)
+    report = admissibility_verdict(vol, SimpleNamespace(a=a))
+    assert report["verdict"] == "not admissible"
+    hole = min(report["exactLevels"], key=lambda row: row["smallestLoopArea"])
+    assert hole["loops"] == 2
+    assert abs(hole["smallestLoopArea"] + 6.87) < 0.01
+    # marching tetrahedra at that level see the annulus too
+    topo = LevelSetTopology(vol, vol.vertices @ a, [hole["s"]])
+    assert (topo.chi[0], topo.boundary_components[0]) == (0, 2)
+
+
+@pytest.mark.parametrize("a", [(0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("level", [2, 3])
+def test_tied_vertex_values_raise_no_warning(level, a):
+    # a = z puts whole rings of an icosphere on one value; along (1, 1, 1)
+    # the three corners of a face differ by one unit in the last place, so
+    # no float lies between the lowest and the next, and the level's loop
+    # shrinks onto the lowest corner
+    mesh, pos = _unit_sphere(level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        levels, loops, holes, _ = star_shaped_surface(
+            pos, mesh.faces).sections(np.asarray(a) / np.linalg.norm(a))
+    # a convex surface: one level, one loop, no hole
+    assert len(levels) == 1 and loops[0] == 1 and holes[0] == 0
+
+
+def test_pit_one_float_deep_is_a_hole():
+    # a pentagonal bipyramid whose apex sits one unit in the last place
+    # below its rim at z = 1: the sections between them are the pentagon
+    # less a pit, and no float lies between the two heights, so the level
+    # is pinned to the apex and the pit shrinks onto it
+    ring = np.column_stack([np.cos(0.4 * np.pi * np.arange(5)),
+                            np.sin(0.4 * np.pi * np.arange(5)), np.ones(5)])
+    pos = np.vstack([ring, [[0.0, 0.0, np.nextafter(1.0, 0.0)],
+                            [0.0, 0.0, -1.0]]])
+    i = np.arange(5)
+    faces = np.vstack([np.column_stack([i, (i + 1) % 5, np.full(5, 5)]),
+                       np.column_stack([(i + 1) % 5, i, np.full(5, 6)])])
+    levels, loops, holes, smallest = star_shaped_surface(
+        pos, faces).sections(np.array([0.0, 0.0, 1.0]))
+    assert levels[-1] == pos[5, 2]
+    assert (loops[-1], holes[-1], smallest[-1]) == (2, 1, 0.0)
+
+
+def test_boundary_faces_take_the_orientation_of_their_tets():
+    # the shell's inner triples face into the solid and the torus's are
+    # sorted; the oriented faces enclose the solid's volume
+    for vol in (_spherical_shell(), _TORUS):
+        surface = vol.boundary_surface
+        x = surface.positions[surface.faces]
+        enclosed = np.einsum("fi,fi->f", np.cross(x[:, 0], x[:, 1]),
+                             x[:, 2]).sum() / 6.0
+        assert np.isclose(enclosed, vol.tet_volumes.sum(), rtol=1e-12)
 
 
 # -- integral identity -----------------------------------------------------
