@@ -354,18 +354,20 @@ def admissibility(**kwargs):
         obs = make_observer(emb, observer_vector(cfg))
         report = admissibility_verdict(fill, obs,
                                        n_levels=cfg["topology.levels"])
-        topo = report["fillInTopology"]
+        table = report["levels"]
         levels = [
             {"s": float(s), "chi": int(c), "n": int(nb),
              "components": int(nc)}
-            for s, c, nb, nc in zip(topo.levels, topo.chi,
-                                    topo.boundary_components,
-                                    topo.n_components)
+            for s, c, nb, nc in zip(table.levels, table.chi,
+                                    table.boundary_components,
+                                    table.n_components)
         ]
+        if report["route"] == "boundary":
+            for row, area in zip(levels, table.smallest_loop_area):
+                row["smallestLoopArea"] = float(area)
         manifest.record("topology")
-        payload = {key: report[key] for key in
-                   ("verdict", "route", "exactLevels") if key in report}
-        payload.update(levels=levels, resolution=_resolution_context(cfg))
+        payload = {"verdict": report["verdict"], "route": report["route"],
+                   "levels": levels, "resolution": _resolution_context(cfg)}
         _write_json(manifest, outdir / "admissibility.json", payload)
         click.echo(f"verdict={report['verdict']}")
         return 0 if report["verdict"] == "admissible" else 2

@@ -12,6 +12,7 @@ sections it examines at the critical values.
 """
 
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -198,10 +199,9 @@ class VolumeMesh:
 
     @cached_property
     def topology_arrays(self):
-        """Simplices and adjacencies the level-set topology reads: (unique
-        edges, unique faces, indices of the interior faces, the two tets
-        of each interior face, sorted boundary faces, boundary edges shared
-        by two boundary faces, the two boundary faces of each)."""
+        """Simplices and adjacencies that chi and the surface pieces of the
+        level-set topology read: (unique edges, unique faces, indices of
+        the interior faces, the two tets of each interior face)."""
         tets = self.tets
         edges, _ = unique_rows(np.vstack([
             tets[:, [0, 1]], tets[:, [0, 2]], tets[:, [0, 3]],
@@ -212,13 +212,7 @@ class VolumeMesh:
             tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
             tets[:, [0, 1, 3]], tets[:, [0, 1, 2]],
         ]), np.tile(np.arange(len(tets)), 4))
-        # boundary faces adjacent through each shared boundary edge
-        bfaces = np.sort(self.boundary_faces, axis=1)
-        bedges, shared, b1, b2 = _shared_pairs(np.vstack([
-            bfaces[:, [0, 1]], bfaces[:, [0, 2]], bfaces[:, [1, 2]],
-        ]), np.tile(np.arange(len(bfaces)), 3))
-        return (edges, faces, pair_faces, t1, t2, bfaces, bedges[shared],
-                b1, b2)
+        return edges, faces, pair_faces, t1, t2
 
     @cached_property
     def boundary_surface(self):
@@ -405,12 +399,6 @@ def _hat_gradients(normals, vols):
     return normals
 
 
-def _gradient_and_scatter(tets, grads, n):
-    """The P1 gradient operator D, (3T, n), and the vertex x tet
-    incidence S, (n, T), of the tets (`gradient_matrix`, `incidence`)."""
-    return gradient_matrix(tets, grads, n), incidence(tets, n)
-
-
 def _jacobi_cg(A, b, x, inv_diag, rtol, maxiter):
     """Conjugate gradients (Hestenes & Stiefel 1952) on the symmetric
     positive definite A with the Jacobi preconditioner z = inv_diag * r,
@@ -545,7 +533,7 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     weight = vols * sqrtdet
 
     n = vol.n_vertices
-    D, S = _gradient_and_scatter(vol.tets, grads, n)
+    D, S = gradient_matrix(vol.tets, grads, n), incidence(vol.tets, n)
     # K = D^T M D, M the blocks weight * g^-1 per tet
     K = stiffness_matrix(D, ((ginv * weight[:, None, None])
                              @ grads.swapaxes(1, 2)).reshape(-1))
@@ -666,7 +654,8 @@ def recovered_fields(vol, u):
     vertex symmetric coordinate Hessians from the gradient of the vertex
     gradients, tet volumes)."""
     grads, vols = vol.hat_gradients
-    D, S = _gradient_and_scatter(vol.tets, grads, vol.n_vertices)
+    n = vol.n_vertices
+    D, S = gradient_matrix(vol.tets, grads, n), incidence(vol.tets, n)
     total = (S @ vols)[:, None]
     du = (D @ u).reshape(-1, 3)
     dU = S @ (vols[:, None] * du) / total
@@ -680,12 +669,13 @@ def recovered_fields(vol, u):
 
 class LevelSetTopology:
     """Marching-tetrahedra topology of the level sets u = s of a volume
-    field for the ascending levels s.
+    field for the ascending levels s, which are checked on construction.
 
-    chi, the Euler characteristic of each level (V - E + F over cut edges,
-    cut faces, cut tets), is counted on construction; n_components (its
-    connected pieces) and boundary_components (its trace curves on the
-    volume boundary) each build their component graph when first read.
+    Each count is made when first read: chi, the Euler characteristic of
+    each level (V - E + F over cut edges, cut faces, cut tets);
+    n_components (its connected pieces), from the cut tets; and
+    boundary_components (its trace curves), from the loop graph of the
+    volume's `boundary_surface`.
     """
 
     def __init__(self, vol, u, levels):
@@ -698,9 +688,6 @@ class LevelSetTopology:
         # tracer reads it for its nudged-level count
         self.notes = []
         self._rank = np.searchsorted(self.levels, u)
-        edges, faces, *_ = vol.topology_arrays
-        self.chi = (self._cut(edges) - self._cut(faces)
-                    + self._cut(vol.tets))
 
     def _cut(self, simplices):
         """Number of the simplices cut at each level."""
@@ -710,21 +697,25 @@ class LevelSetTopology:
                          - np.bincount(stop, minlength=n))[:-1]
 
     @cached_property
+    def chi(self):
+        edges, faces, *_ = self.vol.topology_arrays
+        return self._cut(edges) - self._cut(faces) + self._cut(self.vol.tets)
+
+    @cached_property
     def n_components(self):
         """Surface pieces: cut tets linked through cut interior faces."""
-        _, faces, pair_faces, t1, t2, *_ = self.vol.topology_arrays
-        return _components_per_level(
+        _, faces, pair_faces, t1, t2 = self.vol.topology_arrays
+        comp_level = _component_labels(
             *_cut_ranges(self._rank, self.vol.tets), t1, t2,
-            *_cut_ranges(self._rank, faces[pair_faces]), len(self.levels))
+            *_cut_ranges(self._rank, faces[pair_faces]))[3]
+        return np.bincount(comp_level, minlength=len(self.levels))
 
     @cached_property
     def boundary_components(self):
-        """Trace curves: cut boundary faces linked through cut boundary
-        edges."""
-        *_, bfaces, bshared, b1, b2 = self.vol.topology_arrays
-        return _components_per_level(
-            *_cut_ranges(self._rank, bfaces), b1, b2,
-            *_cut_ranges(self._rank, bshared), len(self.levels))
+        """Trace curves: the loops of the boundary surface's cut faces."""
+        surface = self.vol.boundary_surface
+        comp_level = surface.trace_loops(self._rank[surface.vertex_ids])[3]
+        return np.bincount(comp_level, minlength=len(self.levels))
 
     @property
     def ds(self):
@@ -773,14 +764,6 @@ def _component_labels(first, stop, a, b, link_first, link_stop):
     comp_level = np.empty(n_comp, dtype=np.int64)
     comp_level[labels] = level
     return simplex, level, labels, comp_level
-
-
-def _components_per_level(first, stop, a, b, link_first, link_stop,
-                          n_levels):
-    """Number of connected components at each level (`_component_labels`)."""
-    comp_level = _component_labels(first, stop, a, b, link_first,
-                                   link_stop)[3]
-    return np.bincount(comp_level, minlength=n_levels)
 
 
 def level_set_topology(vol, u, n_levels=64):
@@ -848,33 +831,41 @@ class BoundarySurface:
     decides every level (the contour-tree argument of Carr, Snoeyink &
     Axen 2003).
 
-    positions : (V, 3) the vertices the faces name.
+    positions : (V, 3) points, of which it keeps the `vertex_ids` that
+        the faces name (a fill-in's volume vertex ids).
     faces : (F, 3) outward triangles indexing positions.
     """
 
     def __init__(self, positions, faces):
-        named = np.unique(faces)
-        self.positions = np.asarray(positions, dtype=float)[named]
-        self.faces = np.searchsorted(named, faces)
+        self.vertex_ids = np.unique(faces)
+        self.positions = np.asarray(positions, dtype=float)[self.vertex_ids]
+        self.faces = np.searchsorted(self.vertex_ids, faces)
         edges, shared, self._f1, self._f2 = _shared_pairs(
             np.vstack([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
                        self.faces[:, [2, 0]]]),
             np.tile(np.arange(len(self.faces)), 3))
         self._edges = edges[shared]
 
+    def trace_loops(self, rank):
+        """The loops of the ascending levels s on the surface, from the
+        count rank[v] of levels below u at each vertex: cut faces linked
+        through cut shared edges, as `_component_labels` returns them."""
+        return _component_labels(*_cut_ranges(rank, self.faces), self._f1,
+                                 self._f2, *_cut_ranges(rank, self._edges))
+
     def sections(self, a):
-        """The sections a.x = s at the critical-gap levels: (levels, loops
-        and hole loops per level, smallest signed loop area per level, in
-        the plane normal to a).  A loop that shrinks onto vertices at s
-        has area 0 and is a hole or not as the loop just above s is."""
+        """The level table of the sections a.x = s at the critical-gap
+        `levels`, with the counts of `LevelSetTopology` (chi,
+        boundary_components, n_components) and the smallest signed loop
+        area per level in the plane normal to a (`smallest_loop_area`).  A
+        loop that shrinks onto vertices at s has area 0 and is a hole or
+        not as the loop just above s is."""
         a = np.asarray(a, dtype=float)
         u = self.positions @ a
         levels = _critical_gap_levels(u, self.faces)
         # rank[v] levels lie below u[v]; u = s counts as below s
         rank = np.searchsorted(levels, u)
-        face, level, labels, comp_level = _component_labels(
-            *_cut_ranges(rank, self.faces), self._f1, self._f2,
-            *_cut_ranges(rank, self._edges))
+        face, level, labels, comp_level = self.trace_loops(rank)
         tri = self.faces[face]
         above = rank[tri] > level[:, None]
         after = above[:, [1, 2, 0]]
@@ -913,13 +904,18 @@ class BoundarySurface:
         area = terms[0] / (2.0 * np.linalg.norm(a))
         smallest = np.full(len(levels), np.inf)
         np.minimum.at(smallest, comp_level, area)
+        loops = np.bincount(comp_level, minlength=len(levels))
         holes = np.bincount(comp_level[sign <= 0.0], minlength=len(levels))
-        return (levels, np.bincount(comp_level, minlength=len(levels)),
-                holes, smallest)
+        # every piece of a planar section has one outer loop
+        return SimpleNamespace(levels=levels, chi=loops - 2 * holes,
+                               boundary_components=loops,
+                               n_components=loops - holes,
+                               smallest_loop_area=smallest)
 
     def admissible(self, a):
         """Whether every section a.x = s is a union of discs."""
-        return not self.sections(a)[2].any()
+        table = self.sections(a)
+        return np.array_equal(table.chi, table.boundary_components)
 
 
 def star_shaped_surface(positions, faces):
@@ -932,34 +928,26 @@ def star_shaped_surface(positions, faces):
 
 def admissibility_verdict(fill_in, obs, n_levels=64):
     """Whether every level set of the observer function u = -t + a.x on the
-    fill-in is a union of discs, with the sampled level table.
+    fill-in is a union of discs, with the level table that decides it.
 
-    When every vertex time is 0, u = a.x is linear and the verdict is
-    exact (route "boundary"): the level sets are the sections of the solid
-    that the boundary encloses, and `exactLevels` lists each level the
-    boundary surface examines with its loop count, hole count and smallest
-    signed loop area (`BoundarySurface.sections`), so that a hole is
-    named.  Otherwise
-    (route "sampledTets") the Euler characteristic of each of `n_levels`
-    sampled levels must equal its boundary-trace count.  `fillInTopology`
-    holds the sampled levels on either route.
+    When every vertex time is 0, u = a.x is linear, the level sets are the
+    sections of the solid that the boundary encloses, and `levels` is the
+    exact table of `BoundarySurface.sections` (route "boundary").
+    Otherwise it is the marching-tetrahedra table of `n_levels` sampled
+    levels (route "sampledTets").  Either way every level of `levels` must
+    have chi equal to its trace-curve count.  `fillInTopology` is the
+    sampled table on both routes, counted only when read.
     """
     uhat = -fill_in.times + fill_in.vertices @ obs.a
     topo = level_set_topology(fill_in, uhat, n_levels)
     if np.any(fill_in.times):
-        admissible = np.array_equal(topo.chi, topo.boundary_components)
-        report = {"route": "sampledTets"}
+        route, table = "sampledTets", topo
     else:
-        levels, loops, holes, smallest = fill_in.boundary_surface.sections(
-            obs.a)
-        admissible = not holes.any()
-        report = {"route": "boundary", "exactLevels": [
-            {"s": float(s), "loops": int(n), "holes": int(h),
-             "smallestLoopArea": float(area)}
-            for s, n, h, area in zip(levels, loops, holes, smallest)]}
-    report["verdict"] = "admissible" if admissible else "not admissible"
-    report["fillInTopology"] = topo
-    return report
+        route, table = "boundary", fill_in.boundary_surface.sections(obs.a)
+    admissible = np.array_equal(table.chi, table.boundary_components)
+    return {"route": route,
+            "verdict": "admissible" if admissible else "not admissible",
+            "levels": table, "fillInTopology": topo}
 
 
 # -- exactly harmonic smooth representatives -------------------------------

@@ -31,6 +31,8 @@ from qlmass.volume import (
     VolumeMesh,
     _split_prism,
     build_fill_in,
+    level_set_topology,
+    read_volume_mesh,
     write_volume_mesh,
 )
 
@@ -514,6 +516,64 @@ def test_admissibility_verdict_failure_exits_two(runner, tmp_path):
                                   str(cfg_path)])
     assert result.exit_code == 2, result.output
     assert "not admissible" in result.output
+
+
+def test_admissibility_on_a_built_fill_in_reads_no_tet_table(runner,
+                                                             tmp_path,
+                                                             monkeypatch):
+    # the boundary surface decides and reports: one loop graph, and no
+    # tet table is built for the rows
+    import qlmass.volume as volume_mod
+
+    def unread(vol):
+        raise AssertionError("topology_arrays read by qlm admissibility")
+
+    monkeypatch.setattr(VolumeMesh, "topology_arrays", property(unread))
+    graphs = []
+    build = volume_mod._component_labels
+
+    def spy(*args):
+        graphs.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(volume_mod, "_component_labels", spy)
+    result = runner.invoke(main, ["admissibility", "--level", "2",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert len(graphs) == 1
+    report = json.loads((tmp_path / "run" / "admissibility.json").read_text())
+    assert report["route"] == "boundary"
+    assert all(set(row) == {"s", "chi", "n", "components",
+                            "smallestLoopArea"} for row in report["levels"])
+
+
+def test_admissibility_on_a_timed_mesh_reports_the_sampled_levels(
+        runner, tmp_path):
+    # u = -t + a.x is not linear: the sampled tet table decides, and its
+    # topology.levels rows are the ones reported
+    def interior_times(ball):
+        times = 0.1 * ball.vertices[:, 0]
+        times[ball.boundary_vertices] = 0.0
+        return times
+
+    mesh_path = tmp_path / "ball.vmesh"
+    _timed_ball_mesh_file(mesh_path, interior_times)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n"
+                        f"observer.a = 0, 0.6, 0.8\ntopology.levels = 12\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["admissibility", "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "admissibility.json").read_text())
+    assert report["route"] == "sampledTets"
+    vol = read_volume_mesh(mesh_path)
+    topo = level_set_topology(
+        vol, -vol.times + vol.vertices @ np.array([0.0, 0.6, 0.8]), 12)
+    assert report["levels"] == [
+        {"s": float(s), "chi": int(c), "n": int(n), "components": int(k)}
+        for s, c, n, k in zip(topo.levels, topo.chi,
+                              topo.boundary_components, topo.n_components)]
 
 
 def _edit_row(section, row, column, value):

@@ -28,7 +28,7 @@ from qlmass.initialdata import (
     extract_boundary_data,
 )
 from qlmass.mesh import icosphere
-from qlmass.operators import incidence
+from qlmass.operators import gradient_matrix, incidence
 from qlmass.volume import (
     HarmonicRepresentative,
     LevelSetTopology,
@@ -484,7 +484,7 @@ def test_picard_source_operators_match_gather_and_bincount(data):
     _, vol = _ball_fill_in(3, radius=10.0)
     grads, vols = vol.hat_gradients
     n = vol.n_vertices
-    D, S = volume._gradient_and_scatter(vol.tets, grads, n)
+    D, S = gradient_matrix(vol.tets, grads, n), incidence(vol.tets, n)
     _, ginv, trk, weight = _reference_stiffness(vol, data)
     u = vol.vertices[:, 2] + np.random.default_rng(3).normal(size=n)
     du = np.einsum("tm,tmi->ti", u[vol.tets], grads)
@@ -914,11 +914,23 @@ def _component_count(n_items, links):
     return int(count)
 
 
+def _boundary_edge_pairs(vol):
+    """(sorted boundary faces, every boundary edge, the two boundary faces
+    that share it) of a closed boundary, paired by np.unique."""
+    bfaces = np.sort(vol.boundary_faces, axis=1)
+    raw = np.vstack([bfaces[:, [0, 1]], bfaces[:, [0, 2]], bfaces[:, [1, 2]]])
+    inv = np.unique(raw, axis=0, return_inverse=True)[1].ravel()
+    assert np.all(np.bincount(inv) == 2)
+    order = np.argsort(inv, kind="stable")
+    b1, b2 = np.tile(np.arange(len(bfaces)), 3)[order].reshape(-1, 2).T
+    return bfaces, raw[order[::2]], b1, b2
+
+
 def _level_stats(vol, u, s):
     """Reference: (chi, surface components, boundary-trace components) of
     the marching-tetrahedra level set u = s, one level at a time."""
-    edges, faces, pair_faces, t1, t2, bfaces, bshared, b1, b2 = \
-        vol.topology_arrays
+    edges, faces, pair_faces, t1, t2 = vol.topology_arrays
+    bfaces, bshared, b1, b2 = _boundary_edge_pairs(vol)
     above = u > s
     cut_edges = above[edges[:, 0]] != above[edges[:, 1]]
     fsig = above[faces]
@@ -1236,11 +1248,15 @@ def test_admissibility_command_rows_match_per_level_reference(tmp_path):
                         layers=cfg["volume.layers"])
     a = np.asarray(cfg["observer.a"]) / np.linalg.norm(cfg["observer.a"])
     u = -vol.times + vol.vertices @ a
-    assert len(rows) == cfg["topology.levels"]
+    # the rows are the exact levels of the boundary surface, one per gap
+    # between critical values
+    levels = vol.boundary_surface.sections(a).levels
+    assert [row["s"] for row in rows] == levels.tolist()
     for row in rows:
         chi, ncomp, bcomp = _level_stats(vol, u, row["s"])
         assert (row["chi"], row["components"], row["n"]) == (chi, ncomp,
                                                             bcomp)
+        assert row["smallestLoopArea"] > 0.0
 
 
 def test_torus_not_admissible_through_hole():
@@ -1342,6 +1358,11 @@ def test_exact_verdict_matches_tet_oracle(name, a, seed, amplitude):
     report = admissibility_verdict(vol, SimpleNamespace(a=a), n_levels=4)
     assert report["route"] == "boundary"
     assert (report["verdict"] == "admissible") == _tet_oracle(vol, a)
+    # the exact table counts what marching tetrahedra count at its levels
+    table = report["levels"]
+    topo = LevelSetTopology(vol, vol.vertices @ a, table.levels)
+    for count in ("chi", "boundary_components", "n_components"):
+        assert np.array_equal(getattr(table, count), getattr(topo, count))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -1356,12 +1377,32 @@ def test_exact_verdict_finds_the_narrow_hole_that_sampling_misses(sign):
     assert np.array_equal(sampled.chi, sampled.boundary_components)
     report = admissibility_verdict(vol, SimpleNamespace(a=a))
     assert report["verdict"] == "not admissible"
-    hole = min(report["exactLevels"], key=lambda row: row["smallestLoopArea"])
-    assert hole["loops"] == 2
-    assert abs(hole["smallestLoopArea"] + 6.87) < 0.01
+    table = report["levels"]
+    hole = np.argmin(table.smallest_loop_area)
+    assert (table.chi[hole], table.boundary_components[hole]) == (0, 2)
+    assert abs(table.smallest_loop_area[hole] + 6.87) < 0.01
     # marching tetrahedra at that level see the annulus too
-    topo = LevelSetTopology(vol, vol.vertices @ a, [hole["s"]])
+    topo = LevelSetTopology(vol, vol.vertices @ a, [table.levels[hole]])
     assert (topo.chi[0], topo.boundary_components[0]) == (0, 2)
+
+
+def test_admissibility_command_reports_the_narrow_hole(tmp_path):
+    # the rows are the exact levels that decide the verdict, so they hold
+    # the narrow hole that 64 sampled levels (all chi = n) miss
+    write_volume_mesh(tmp_path / "torus.vmesh", _solid_torus())
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text(f"volume.mesh_file = {tmp_path / 'torus.vmesh'}\n")
+    result = CliRunner().invoke(main, [
+        "admissibility", "--config", str(cfg), "--a", "0.1962,0.2743,0.9414",
+        "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    report = json.loads((tmp_path / "run" / "admissibility.json").read_text())
+    assert report["verdict"] == "not admissible"
+    assert report["route"] == "boundary"
+    holes = [row for row in report["levels"] if row["chi"] != row["n"]]
+    assert len(holes) == 1
+    assert (holes[0]["chi"], holes[0]["n"]) == (0, 2)
+    assert abs(holes[0]["smallestLoopArea"] + 6.87) < 0.01
 
 
 @pytest.mark.parametrize("a", [(0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
@@ -1374,10 +1415,11 @@ def test_tied_vertex_values_raise_no_warning(level, a):
     mesh, pos = _unit_sphere(level)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        levels, loops, holes, _ = star_shaped_surface(
-            pos, mesh.faces).sections(np.asarray(a) / np.linalg.norm(a))
+        table = star_shaped_surface(pos, mesh.faces).sections(
+            np.asarray(a) / np.linalg.norm(a))
     # a convex surface: one level, one loop, no hole
-    assert len(levels) == 1 and loops[0] == 1 and holes[0] == 0
+    assert len(table.levels) == 1
+    assert (table.boundary_components[0], table.chi[0]) == (1, 1)
 
 
 def test_pit_one_float_deep_is_a_hole():
@@ -1392,10 +1434,13 @@ def test_pit_one_float_deep_is_a_hole():
     i = np.arange(5)
     faces = np.vstack([np.column_stack([i, (i + 1) % 5, np.full(5, 5)]),
                        np.column_stack([(i + 1) % 5, i, np.full(5, 6)])])
-    levels, loops, holes, smallest = star_shaped_surface(
-        pos, faces).sections(np.array([0.0, 0.0, 1.0]))
-    assert levels[-1] == pos[5, 2]
-    assert (loops[-1], holes[-1], smallest[-1]) == (2, 1, 0.0)
+    table = star_shaped_surface(pos, faces).sections(
+        np.array([0.0, 0.0, 1.0]))
+    assert table.levels[-1] == pos[5, 2]
+    # two loops, one of them a hole: one piece, an annulus
+    assert (table.boundary_components[-1], table.chi[-1],
+            table.n_components[-1]) == (2, 0, 1)
+    assert table.smallest_loop_area[-1] == 0.0
 
 
 def test_boundary_faces_take_the_orientation_of_their_tets():
