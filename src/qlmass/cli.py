@@ -180,15 +180,18 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _fill_in(cfg, emb):
-    from .volume import build_fill_in, read_volume_mesh
+def _fill_in(cfg, manifest):
+    """The fill-in of `volume.mesh_file`, step `fillIn`; None without."""
+    from .volume import read_volume_mesh
 
     path = cfg["volume.mesh_file"]
-    if path:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"volume.mesh_file not found: {path!r}")
-        return read_volume_mesh(path)
-    return build_fill_in(emb, layers=cfg["volume.layers"])
+    if not path:
+        return None
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"volume.mesh_file not found: {path!r}")
+    fill = read_volume_mesh(path)
+    manifest.record("fillIn")
+    return fill
 
 
 def _execute(command, kwargs, body):
@@ -279,10 +282,7 @@ def mass(**kwargs):
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         # without a mesh file the verdict needs only the embedded surface
-        fill = None
-        if cfg["volume.mesh_file"]:
-            fill = _fill_in(cfg, emb)
-            manifest.record("fillIn")
+        fill = _fill_in(cfg, manifest)
         report = mass_infimum(
             SurfaceData.from_embedding(emb),
             SurfaceData.from_boundary(bd), emb, fill_in=fill,
@@ -345,16 +345,22 @@ def admissibility(**kwargs):
     """Level-set topology verdict for one observer direction."""
     def body(cfg, outdir, manifest):
         from .energy import make_observer
-        from .volume import admissibility_verdict
+        from .volume import (
+            admissibility_table,
+            star_shaped_surface,
+            verdict_of,
+        )
 
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
-        fill = _fill_in(cfg, emb)
-        manifest.record("fillIn")
+        # without a mesh file the sections of the embedded surface decide
+        fill = _fill_in(cfg, manifest)
+        surface = (star_shaped_surface(emb.positions, emb.mesh)
+                   if fill is None else None)
         obs = make_observer(emb, observer_vector(cfg))
-        report = admissibility_verdict(fill, obs,
-                                       n_levels=cfg["topology.levels"])
-        table = report["levels"]
+        route, table = admissibility_table(obs.a, fill, surface,
+                                           n_levels=cfg["topology.levels"])
+        verdict = verdict_of(table)
         levels = [
             {"s": float(s), "chi": int(c), "n": int(nb),
              "components": int(nc)}
@@ -362,15 +368,15 @@ def admissibility(**kwargs):
                                     table.boundary_components,
                                     table.n_components)
         ]
-        if report["route"] == "boundary":
+        if route == "boundary":
             for row, area in zip(levels, table.smallest_loop_area):
                 row["smallestLoopArea"] = float(area)
         manifest.record("topology")
-        payload = {"verdict": report["verdict"], "route": report["route"],
-                   "levels": levels, "resolution": _resolution_context(cfg)}
+        payload = {"verdict": verdict, "route": route, "levels": levels,
+                   "resolution": _resolution_context(cfg)}
         _write_json(manifest, outdir / "admissibility.json", payload)
-        click.echo(f"verdict={report['verdict']}")
-        return 0 if report["verdict"] == "admissible" else 2
+        click.echo(f"verdict={verdict}")
+        return 0 if verdict == "admissible" else 2
 
     _execute("admissibility", kwargs, body)
 
@@ -396,10 +402,9 @@ def verify_identity(**kwargs):
         bd, _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         a = observer_vector(cfg)
-        if cfg["volume.mesh_file"]:
-            fill = _fill_in(cfg, emb)
-            bv = fill.boundary_vertices
-            bvals = fill.vertices[bv] @ a
+        fill = _fill_in(cfg, manifest)
+        if fill is not None:
+            bvals = fill.vertices[fill.boundary_vertices] @ a
         else:
             # the data live on the coordinate ball, whose boundary is the
             # sphere the identity is checked on; u there is the observer
@@ -477,6 +482,8 @@ def _selftest_checks():
         admissibility_verdict,
         build_fill_in,
         solve_spacetime_harmonic,
+        star_shaped_surface,
+        verdict_of,
     )
 
     mesh = icosphere(2)
@@ -497,9 +504,10 @@ def _selftest_checks():
            max(row["relDifference"] for row in hj) < 1e-12)
 
     fill = build_fill_in(emb)
-    verdict = admissibility_verdict(fill, obs, n_levels=16)["verdict"]
-    yield ("ball fill-in admissible for the height observer",
-           verdict == "admissible")
+    table = star_shaped_surface(emb.positions, emb.mesh).sections(obs.a)
+    verdicts = (verdict_of(table), admissibility_verdict(fill, obs)["verdict"])
+    yield ("ball admissible for the height observer, without its fill-in "
+           "as with it", verdicts == ("admissible", "admissible"))
 
     bvals = fill.vertices[fill.boundary_vertices] @ np.array([0.0, 0.0, 1.0])
     sol = solve_spacetime_harmonic(fill, FlatData(), bvals)

@@ -27,6 +27,9 @@ SCHEMA_VERSION = 1
 # numerical layer
 ENERGY_MODES = ("explicit", "epsLimit", "both")
 
+# the default of topology.levels and of every sampled topology scan
+TOPOLOGY_LEVELS = 64
+
 # key -> (type, default, help); types: int, float, str, floats (comma
 # separated list), vec3 (comma separated triple)
 SCHEMA = {
@@ -76,7 +79,8 @@ SCHEMA = {
                      "largest change of u that one Picard step makes"),
     "harmonic.max_picard": ("int", 100,
                             "interior solver fixed-point iteration cap"),
-    "topology.levels": ("int", 64, "sampled level sets per topology scan"),
+    "topology.levels": ("int", TOPOLOGY_LEVELS,
+                        "sampled level sets per topology scan"),
     "output.dir": ("str", "out", "output directory"),
 }
 

@@ -101,9 +101,12 @@ class SurfaceMesh:
     faces : (F, 3) int array
         Vertex index triples, consistently oriented (counter-clockwise
         seen from outside).
+    names : optional (V,) int array
+        The ids by which error messages name the vertices (by default
+        their indices).
     """
 
-    def __init__(self, vertices, faces):
+    def __init__(self, vertices, faces, names=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -117,17 +120,22 @@ class SurfaceMesh:
         self.edges, inv = unique_rows(halfedges)
         # face_edges[i, k] = edge index of halfedge k of face i
         self.face_edges = inv.reshape(3, len(f)).T
+        names = np.arange(len(self.vertices)) if names is None else names
         counts = np.bincount(inv, minlength=len(self.edges))
         if np.any(counts != 2):
-            bad = np.flatnonzero(counts != 2)
+            bad = np.flatnonzero(counts != 2)[0]
             raise MeshError(
-                f"mesh is not closed/manifold: {len(bad)} edge(s) not shared by "
-                f"exactly 2 faces (first: {self.edges[bad[0]]})"
-            )
+                f"mesh is not closed/manifold: {np.sum(counts != 2)} edge(s) "
+                f"not shared by exactly 2 faces (first: "
+                f"{tuple(names[self.edges[bad]].tolist())}, in {counts[bad]})")
         # opposite orientation: each undirected edge appears once per direction
         directed = halfedges[:, 0] * len(self.vertices) + halfedges[:, 1]
-        if len(np.unique(directed)) != len(directed):
-            raise MeshError("inconsistent face orientation (repeated halfedge)")
+        first = np.unique(directed, return_index=True)[1]
+        if len(first) != len(directed):
+            again = np.setdiff1d(np.arange(len(directed)), first)[0]
+            raise MeshError(f"inconsistent face orientation: halfedge "
+                            f"{tuple(names[halfedges[again]].tolist())} is "
+                            f"in two faces")
 
     @property
     def n_vertices(self):

@@ -24,7 +24,8 @@ from .initialdata import (
     growing_differences,
     radius_fit,
 )
-from .volume import admissibility_verdict, star_shaped_surface
+from .config import TOPOLOGY_LEVELS
+from .volume import admissibility_table, star_shaped_surface, verdict_of
 
 
 class SearchError(RuntimeError):
@@ -136,34 +137,27 @@ def _nelder_mead(func, simplex, maxiter, xatol, fatol):
 
 def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
                  refine_iters=50, grid_rotation=0.0,
-                 admissibility_levels=16, context=None):
+                 admissibility_levels=TOPOLOGY_LEVELS, context=None):
     """Minimum energy over admissible observer directions.
 
     Evaluates the energy on a Fibonacci direction grid, filters by the
     per-direction admissibility verdict, then refines around the best
     feasible direction by Nelder-Mead in local tangent coordinates
-    (renormalizing the direction at every iterate).  The verdict is exact
-    from the boundary surface (`BoundarySurface`): the fill-in's, or
-    without one the embedded surface's, which must then be star-shaped
-    about its centroid as `build_fill_in` requires.  Only a fill-in with
-    nonzero vertex times, where u = -t + a.x is not linear, takes
-    `admissibility_levels` sampled levels of `admissibility_verdict`.
-    Deterministic for fixed arguments.  Raises SearchError with
-    per-point diagnostics when no grid direction is admissible.  A note
-    says when the spread of the admissible grid energies is at most 1e-12
-    of the largest side term: then argmin_a is undetermined.
+    (renormalizing the direction at every iterate).  Each verdict is the
+    `verdict_of` the `admissibility_table` of the fill-in or, without one,
+    of the embedded surface, which must then be star-shaped about its
+    centroid as `build_fill_in` requires.  Deterministic for fixed
+    arguments.  Raises SearchError with per-point diagnostics when no grid
+    direction is admissible.  A note says when the spread of the
+    admissible grid energies is at most 1e-12 of the largest side term:
+    then argmin_a is undetermined.
     """
-    if fill_in is not None and np.any(fill_in.times):
-        def verdict(obs):
-            return admissibility_verdict(
-                fill_in, obs, n_levels=admissibility_levels)["verdict"]
-    else:
-        surface = (star_shaped_surface(emb.positions, emb.mesh.faces)
-                   if fill_in is None else fill_in.boundary_surface)
+    surface = (star_shaped_surface(emb.positions, emb.mesh)
+               if fill_in is None else None)
 
-        def verdict(obs):
-            return ("admissible" if surface.admissible(obs.a)
-                    else "not admissible")
+    def verdict(obs):
+        return verdict_of(admissibility_table(
+            obs.a, fill_in, surface, n_levels=admissibility_levels)[1])
 
     dirs = fibonacci_directions(grid_n, rotation=grid_rotation)
     rows = []

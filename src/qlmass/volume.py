@@ -21,6 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
+from .config import TOPOLOGY_LEVELS
 from .initialdata import (
     _sphere_quadrature,
     central_partials,
@@ -28,7 +29,13 @@ from .initialdata import (
     fibonacci_directions,
     metric_inverse,
 )
-from .mesh import expand_ranges, pairs_within, unique_rows
+from .mesh import (
+    MeshError,
+    SurfaceMesh,
+    expand_ranges,
+    pairs_within,
+    unique_rows,
+)
 from .operators import gradient_matrix, incidence, stiffness_matrix
 
 
@@ -219,7 +226,9 @@ class VolumeMesh:
         """The boundary as a `BoundarySurface`, each face in the vertex
         order of the tet that owns it, so that its normal points out of
         the mesh (a file's or a test's triples may be in any order).  Only
-        the tets with at least three boundary vertices are matched."""
+        the tets with at least three boundary vertices are matched.  A
+        boundary that is not a closed oriented manifold raises VolumeError
+        naming the edge in volume vertex ids."""
         on_boundary = np.zeros(self.n_vertices, dtype=bool)
         on_boundary[self.boundary_faces] = True
         near = self.tets[on_boundary[self.tets].sum(axis=1) >= 3]
@@ -232,7 +241,14 @@ class VolumeMesh:
         if np.any(owner < 0):
             raise VolumeError(f"boundary face {np.argmax(owner < 0)} is the "
                               f"face of no tet")
-        return BoundarySurface(self.vertices, outward[owner])
+        faces = outward[owner]
+        ids = self.boundary_vertices
+        try:
+            mesh = SurfaceMesh(self.vertices[ids],
+                               np.searchsorted(ids, faces), names=ids)
+        except MeshError as exc:
+            raise VolumeError(f"boundary surface: {exc}") from None
+        return BoundarySurface(mesh.vertices, mesh)
 
 
 # prism splitting: rotate the smallest global index into slot 0, then pick
@@ -345,6 +361,11 @@ def write_volume_mesh(path, vol):
 
 
 def read_volume_mesh(path):
+    """The `VolumeMesh` of a `write_volume_mesh` file.  Beyond the checks
+    of `VolumeMesh`, a tet listed twice (in any vertex order), boundary
+    rows that are not the faces of one tet each, a fourth column that is
+    not a permutation and a `boundary_surface` that is not a closed
+    oriented manifold raise VolumeError naming the rows, face or edge."""
     with open(path) as fh:
         tokens = fh.read().split()
     pos = 0
@@ -370,6 +391,14 @@ def read_volume_mesh(path):
     # boundary of the tets, which a dropped or extra row is not
     vol = VolumeMesh(data[:, 1:], tets, rows[:, :3], np.arange(len(rows)),
                      times=data[:, 0])
+    # a repeated tet would be assembled and counted twice; inside the mesh
+    # it passes the boundary test below
+    distinct, inv = unique_rows(vol.tets)
+    if len(distinct) != vol.n_tets:
+        first = np.unique(inv, return_index=True)[1]
+        j = np.setdiff1d(np.arange(vol.n_tets), first)[0]
+        raise VolumeError(f"tets {first[inv[j]]} and {j} list the same four "
+                          f"vertices")
     # the boundary rows, as unordered triples, must be the faces of one
     # tet, each once: a built fill-in is right by construction, a file
     # may not be
@@ -387,6 +416,9 @@ def read_volume_mesh(path):
             f"faces must be the faces of one tet, each listed once")
     _require_permutation(rows[:, 3], len(rows))
     vol.boundary_map = rows[:, 3]
+    # every command checks the boundary surface, even one that reads only
+    # the tets; it is kept for the verdict
+    vol.boundary_surface  # noqa: B018
     return vol
 
 
@@ -712,9 +744,10 @@ class LevelSetTopology:
 
     @cached_property
     def boundary_components(self):
-        """Trace curves: the loops of the boundary surface's cut faces."""
-        surface = self.vol.boundary_surface
-        comp_level = surface.trace_loops(self._rank[surface.vertex_ids])[3]
+        """Trace curves: the loops of the boundary surface's cut faces,
+        whose vertices are the boundary vertices in ascending order."""
+        comp_level = self.vol.boundary_surface.trace_loops(
+            self._rank[self.vol.boundary_vertices])[3]
         return np.bincount(comp_level, minlength=len(self.levels))
 
     @property
@@ -766,7 +799,7 @@ def _component_labels(first, stop, a, b, link_first, link_stop):
     return simplex, level, labels, comp_level
 
 
-def level_set_topology(vol, u, n_levels=64):
+def level_set_topology(vol, u, n_levels=TOPOLOGY_LEVELS):
     """Marching-tetrahedra topology of the level sets of u at the
     midpoints of `n_levels` equal bins of its range.  A level that equals
     a vertex value needs no moving: the rank rule counts u = s as below s,
@@ -831,27 +864,25 @@ class BoundarySurface:
     decides every level (the contour-tree argument of Carr, Snoeyink &
     Axen 2003).
 
-    positions : (V, 3) points, of which it keeps the `vertex_ids` that
-        the faces name (a fill-in's volume vertex ids).
-    faces : (F, 3) outward triangles indexing positions.
+    positions : (V, 3) points of the vertices of `mesh`.
+    mesh : `SurfaceMesh` of outward faces, which has checked that the
+        surface is closed, edge-manifold and consistently oriented; its
+        edges and `face_edges` link the trace loops.
     """
 
-    def __init__(self, positions, faces):
-        self.vertex_ids = np.unique(faces)
-        self.positions = np.asarray(positions, dtype=float)[self.vertex_ids]
-        self.faces = np.searchsorted(self.vertex_ids, faces)
-        edges, shared, self._f1, self._f2 = _shared_pairs(
-            np.vstack([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                       self.faces[:, [2, 0]]]),
-            np.tile(np.arange(len(self.faces)), 3))
-        self._edges = edges[shared]
+    def __init__(self, positions, mesh):
+        self.positions, self.mesh, self.faces = positions, mesh, mesh.faces
+        # the two faces of each edge, in the order the faces name it
+        owner = (np.argsort(mesh.face_edges.T.ravel(), kind="stable")
+                 % len(self.faces))
+        self._f1, self._f2 = owner[0::2], owner[1::2]
 
     def trace_loops(self, rank):
         """The loops of the ascending levels s on the surface, from the
         count rank[v] of levels below u at each vertex: cut faces linked
-        through cut shared edges, as `_component_labels` returns them."""
+        through cut edges, as `_component_labels` returns them."""
         return _component_labels(*_cut_ranges(rank, self.faces), self._f1,
-                                 self._f2, *_cut_ranges(rank, self._edges))
+                                 self._f2, *_cut_ranges(rank, self.mesh.edges))
 
     def sections(self, a):
         """The level table of the sections a.x = s at the critical-gap
@@ -912,42 +943,47 @@ class BoundarySurface:
                                n_components=loops - holes,
                                smallest_loop_area=smallest)
 
-    def admissible(self, a):
-        """Whether every section a.x = s is a union of discs."""
-        table = self.sections(a)
-        return np.array_equal(table.chi, table.boundary_components)
 
-
-def star_shaped_surface(positions, faces):
-    """The `BoundarySurface` of a closed surface that has no fill-in; it
-    must pass `build_fill_in`'s star-shape test, which also makes its faces
+def star_shaped_surface(positions, mesh):
+    """The `BoundarySurface` of a closed surface (positions of the vertices
+    of the `SurfaceMesh` mesh) that has no fill-in; it must pass
+    `build_fill_in`'s star-shape test, which also makes its faces
     outward."""
-    _require_star_shaped(positions, faces)
-    return BoundarySurface(positions, faces)
+    _require_star_shaped(positions, mesh.faces)
+    return BoundarySurface(positions, mesh)
 
 
-def admissibility_verdict(fill_in, obs, n_levels=64):
-    """Whether every level set of the observer function u = -t + a.x on the
-    fill-in is a union of discs, with the level table that decides it.
+def admissibility_table(a, fill_in=None, surface=None,
+                        n_levels=TOPOLOGY_LEVELS):
+    """The route and the level table that decide the admissibility of
+    u = -t + a.x on the fill-in or, without one, inside `surface`.  With
+    every vertex time 0, u = a.x is linear and its level sets are planar
+    sections: the table is `surface.sections(a)` (route "boundary";
+    `surface` defaults to the fill-in's).  Otherwise it is the
+    marching-tetrahedra table of `n_levels` sampled levels (route
+    "sampledTets")."""
+    if fill_in is not None and np.any(fill_in.times):
+        return "sampledTets", level_set_topology(
+            fill_in, -fill_in.times + fill_in.vertices @ a, n_levels)
+    return "boundary", (surface or fill_in.boundary_surface).sections(a)
 
-    When every vertex time is 0, u = a.x is linear, the level sets are the
-    sections of the solid that the boundary encloses, and `levels` is the
-    exact table of `BoundarySurface.sections` (route "boundary").
-    Otherwise it is the marching-tetrahedra table of `n_levels` sampled
-    levels (route "sampledTets").  Either way every level of `levels` must
-    have chi equal to its trace-curve count.  `fillInTopology` is the
-    sampled table on both routes, counted only when read.
-    """
-    uhat = -fill_in.times + fill_in.vertices @ obs.a
-    topo = level_set_topology(fill_in, uhat, n_levels)
-    if np.any(fill_in.times):
-        route, table = "sampledTets", topo
-    else:
-        route, table = "boundary", fill_in.boundary_surface.sections(obs.a)
+
+def verdict_of(table):
+    """"admissible" when chi equals the trace-curve count at every level
+    of the table, that is when every level set is a union of discs."""
     admissible = np.array_equal(table.chi, table.boundary_components)
-    return {"route": route,
-            "verdict": "admissible" if admissible else "not admissible",
-            "levels": table, "fillInTopology": topo}
+    return "admissible" if admissible else "not admissible"
+
+
+def admissibility_verdict(fill_in, obs, n_levels=TOPOLOGY_LEVELS):
+    """The `verdict_of` the fill-in's `admissibility_table` (`route`,
+    `levels`), and `fillInTopology`, the table of `n_levels` sampled
+    levels on both routes, counted only when read."""
+    route, table = admissibility_table(obs.a, fill_in, n_levels=n_levels)
+    topo = table if route == "sampledTets" else level_set_topology(
+        fill_in, -fill_in.times + fill_in.vertices @ obs.a, n_levels)
+    return {"route": route, "verdict": verdict_of(table), "levels": table,
+            "fillInTopology": topo}
 
 
 # -- exactly harmonic smooth representatives -------------------------------
@@ -1381,7 +1417,8 @@ def _bulk_terms(data, points, weight, du, hess, gamma, delta):
             float(low), points[worst].tolist())
 
 
-def integral_identity_check(data, vol, sol, radius, n_levels=64):
+def integral_identity_check(data, vol, sol, radius,
+                            n_levels=TOPOLOGY_LEVELS):
     """All terms of the level-set integral identity for a spacetime
     harmonic function on a coordinate-ball volume.
 

@@ -547,6 +547,67 @@ def test_admissibility_on_a_built_fill_in_reads_no_tet_table(runner,
                             "smallestLoopArea"} for row in report["levels"])
 
 
+def _forbid_build_fill_in(monkeypatch):
+    import qlmass.volume as volume_mod
+
+    def build(*args, **kwargs):
+        raise AssertionError("build_fill_in called")
+
+    monkeypatch.setattr(volume_mod, "build_fill_in", build)
+
+
+def test_admissibility_without_a_mesh_file_builds_no_fill_in(runner,
+                                                            tmp_path,
+                                                            monkeypatch):
+    # the sections of the embedded surface decide, as for qlm mass
+    _forbid_build_fill_in(monkeypatch)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["admissibility", "--level", "2",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["wallTimes"]) == ["imports", "extractAndEmbed",
+                                           "topology"]
+    report = json.loads((out / "admissibility.json").read_text())
+    assert (report["verdict"], report["route"]) == ("admissible", "boundary")
+
+
+def test_admissibility_reads_the_mesh_file(runner, tmp_path, monkeypatch):
+    import qlmass.volume as volume_mod
+
+    mesh_path, a = tmp_path / "ball.vmesh", np.array([0.0, 0.6, 0.8])
+    _timed_ball_mesh_file(mesh_path, lambda ball: np.zeros(ball.n_vertices))
+    _forbid_build_fill_in(monkeypatch)
+    read = []
+    reader = volume_mod.read_volume_mesh
+
+    def spy(path):
+        read.append(path)
+        return reader(path)
+
+    monkeypatch.setattr(volume_mod, "read_volume_mesh", spy)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n"
+                        f"observer.a = 0, 0.6, 0.8\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["admissibility", "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read == [str(mesh_path)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["wallTimes"]) == ["imports", "extractAndEmbed",
+                                           "fillIn", "topology"]
+    table = reader(mesh_path).boundary_surface.sections(a)
+    report = json.loads((out / "admissibility.json").read_text())
+    assert report["levels"] == [
+        {"s": float(s), "chi": int(c), "n": int(n), "components": int(k),
+         "smallestLoopArea": float(area)}
+        for s, c, n, k, area in zip(table.levels, table.chi,
+                                    table.boundary_components,
+                                    table.n_components,
+                                    table.smallest_loop_area)]
+
+
 def test_admissibility_on_a_timed_mesh_reports_the_sampled_levels(
         runner, tmp_path):
     # u = -t + a.x is not linear: the sampled tet table decides, and its
@@ -617,6 +678,17 @@ def _drop_boundary_row(row):
     return edit
 
 
+def _repeat_last_tet(lines):
+    """Edit of a .vmesh file: lists the last tet again, its vertices in
+    another order; on a built fill-in it is a cone tet at the centre, all
+    of whose faces are interior."""
+    tets = next(i for i, l in enumerate(lines) if l.startswith("tets"))
+    head = next(i for i, l in enumerate(lines) if l.startswith("boundary"))
+    a, b, c, d = lines[head - 1].split()
+    return (lines[:tets] + [f"tets {head - tets}"] + lines[tets + 1:head]
+            + [f"{c} {d} {a} {b}"] + lines[head:])
+
+
 def _interior_boundary_face(lines):
     """Edit of a .vmesh file: lists the face of the last tet opposite its
     first vertex as a boundary face; on a built fill-in that face joins
@@ -655,11 +727,13 @@ def _interior_boundary_face(lines):
     (_edit_row("boundary", 0, 3, "-7"),
      "boundary row 0 maps to surface face -7; boundary_map must be a "
      "permutation of 0..319"),
+    (_repeat_last_tet, "tets 2239 and 2240 list the same four vertices"),
 ], ids=["tet-index-too-large", "tet-index-negative",
         "boundary-index-too-large", "nan-coordinate", "inf-time",
         "boundary-time", "truncated", "trailing-content", "no-tets",
         "no-boundary-faces", "vertex-of-no-tet", "boundary-face-dropped",
-        "interior-face-as-boundary", "boundary-map-not-a-permutation"])
+        "interior-face-as-boundary", "boundary-map-not-a-permutation",
+        "repeated-interior-tet"])
 def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,

@@ -159,14 +159,14 @@ def test_timed_fill_in_takes_sampled_levels(flat3, monkeypatch):
     timed = VolumeMesh(fill.vertices, fill.tets, fill.boundary_faces,
                        fill.boundary_map, times=times)
     routes = []
-    verdict = search.admissibility_verdict
+    table_of = search.admissibility_table
 
-    def spy(fill_in, obs, n_levels):
-        report = verdict(fill_in, obs, n_levels=n_levels)
-        routes.append((report["route"], n_levels))
-        return report
+    def spy(a, fill_in, surface, n_levels):
+        route, table = table_of(a, fill_in, surface, n_levels=n_levels)
+        routes.append((route, len(table.levels)))
+        return route, table
 
-    monkeypatch.setattr(search, "admissibility_verdict", spy)
+    monkeypatch.setattr(search, "admissibility_table", spy)
     rep = mass_infimum(ref, phys, emb, fill_in=timed, grid_n=8,
                        refine_iters=0, admissibility_levels=12)
     assert routes == [("sampledTets", 12)] * 8

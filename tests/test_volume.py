@@ -27,7 +27,7 @@ from qlmass.initialdata import (
     UniformExpansionData,
     extract_boundary_data,
 )
-from qlmass.mesh import icosphere
+from qlmass.mesh import SurfaceMesh, icosphere
 from qlmass.operators import gradient_matrix, incidence
 from qlmass.volume import (
     HarmonicRepresentative,
@@ -197,6 +197,43 @@ def test_volume_mesh_file_malformed(tmp_path):
     path.write_text("nodes 3\n0 0 0 0\n")
     with pytest.raises(VolumeError, match="malformed"):
         read_volume_mesh(path)
+
+
+def _pinched_solids():
+    """Two solids that share only the edge between volume vertices 1 and
+    2: a corner tet coned to its centroid (vertex 0, inside) and a second
+    tet.  Every face of the cone's base and of the tet is a boundary
+    face."""
+    vertices = np.array([[0.25, 0.25, 0.25], [0.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                         [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    tets = [[0, 2, 3, 4], [1, 0, 3, 4], [1, 2, 0, 4], [1, 2, 3, 0],
+            [1, 2, 5, 6]]
+    faces = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4],
+             [1, 2, 5], [1, 2, 6], [1, 5, 6], [2, 5, 6]]
+    return VolumeMesh(vertices, tets, faces, np.arange(len(faces)))
+
+
+@pytest.mark.parametrize("command", ["admissibility", "mass",
+                                     "verify-identity"])
+def test_pinched_boundary_is_refused_on_read(tmp_path, command):
+    # four boundary faces meet at the edge (1, 2) of the volume, which is
+    # the edge (0, 1) of the surface's own vertex numbering; the boundary
+    # route would call the solids admissible, and verify-identity reads
+    # no boundary surface at all
+    path = tmp_path / "pinched.vmesh"
+    write_volume_mesh(path, _pinched_solids())
+    message = ("boundary surface: mesh is not closed/manifold: 1 edge(s) "
+               "not shared by exactly 2 faces (first: (1, 2), in 4)")
+    with pytest.raises(VolumeError) as err:
+        read_volume_mesh(path)
+    assert str(err.value) == message
+    cfg = tmp_path / "pinched.cfg"
+    cfg.write_text(f"mesh.level = 1\nvolume.mesh_file = {path}\n")
+    result = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                       "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def _cross_normals(vertices, tets):
@@ -1365,6 +1402,42 @@ def test_exact_verdict_matches_tet_oracle(name, a, seed, amplitude):
         assert np.array_equal(getattr(table, count), getattr(topo, count))
 
 
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(1, 3), a=_VECTORS, shift=_VECTORS,
+       seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.01, 0.2))
+def test_embedded_surface_sections_equal_the_fill_ins(level, a, shift, seed,
+                                                      amplitude):
+    # qlm admissibility without a mesh file reads the sections of the
+    # embedded surface; the fill-in's boundary vertices are
+    # c + 1.0 (p - c), which may differ from p in the last bits, so the
+    # shifted, jittered sphere has no tied vertex values for that to untie
+    a = np.asarray(a)
+    assume(np.linalg.norm(a) > 0.1)
+    a = a / np.linalg.norm(a)
+    mesh, pos = _unit_sphere(level)
+    radii = 1.0 + amplitude * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, len(pos))
+    pos = radii[:, None] * pos + 3.0 * np.asarray(shift)
+    try:
+        embedded = star_shaped_surface(pos, mesh).sections(a)
+    except VolumeError:
+        assume(False)
+    filled = build_fill_in(pos, mesh=mesh, layers=3).boundary_surface
+    table = filled.sections(a)
+    u = pos @ a
+    np.testing.assert_allclose(table.levels, embedded.levels, rtol=0.0,
+                               atol=1e-12 * np.abs(u).max())
+    for count in ("chi", "boundary_components", "n_components"):
+        assert np.array_equal(getattr(table, count),
+                              getattr(embedded, count))
+    # a loop's area carries the rounding of its vertices, which scales
+    # with the size of the surface, not of the loop: a loop of area 2e-5
+    # on a sphere shifted by 3 differed by 1.9e-12 of itself
+    np.testing.assert_allclose(table.smallest_loop_area,
+                               embedded.smallest_loop_area, rtol=1e-12,
+                               atol=1e-13 * np.abs(pos).max() ** 2)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_exact_verdict_finds_the_narrow_hole_that_sampling_misses(sign):
     # the plane is tilted 19.7 deg, just under the 20.5 deg at which a
@@ -1415,7 +1488,7 @@ def test_tied_vertex_values_raise_no_warning(level, a):
     mesh, pos = _unit_sphere(level)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = star_shaped_surface(pos, mesh.faces).sections(
+        table = star_shaped_surface(pos, mesh).sections(
             np.asarray(a) / np.linalg.norm(a))
     # a convex surface: one level, one loop, no hole
     assert len(table.levels) == 1
@@ -1434,7 +1507,7 @@ def test_pit_one_float_deep_is_a_hole():
     i = np.arange(5)
     faces = np.vstack([np.column_stack([i, (i + 1) % 5, np.full(5, 5)]),
                        np.column_stack([(i + 1) % 5, i, np.full(5, 6)])])
-    table = star_shaped_surface(pos, faces).sections(
+    table = star_shaped_surface(pos, SurfaceMesh(pos, faces)).sections(
         np.array([0.0, 0.0, 1.0]))
     assert table.levels[-1] == pos[5, 2]
     # two loops, one of them a hole: one piece, an annulus
