@@ -411,6 +411,7 @@ def verify_identity(**kwargs):
             # function of the reference side, vertex by vertex
             fill = build_fill_in(bd.positions, mesh=bd.geom.mesh,
                                  layers=cfg["volume.layers"])
+            manifest.record("fillIn")
             bvals = make_observer(emb, a).uA
         delta = cfg["harmonic.delta"] or None
         sol = solve_spacetime_harmonic(fill, data, bvals, delta=delta,

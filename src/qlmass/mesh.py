@@ -130,12 +130,8 @@ class SurfaceMesh:
                 f"{tuple(names[self.edges[bad]].tolist())}, in {counts[bad]})")
         # opposite orientation: each undirected edge appears once per direction
         directed = halfedges[:, 0] * len(self.vertices) + halfedges[:, 1]
-        first = np.unique(directed, return_index=True)[1]
-        if len(first) != len(directed):
-            again = np.setdiff1d(np.arange(len(directed)), first)[0]
-            raise MeshError(f"inconsistent face orientation: halfedge "
-                            f"{tuple(names[halfedges[again]].tolist())} is "
-                            f"in two faces")
+        if len(np.unique(directed)) != len(directed):
+            raise MeshError("inconsistent face orientation (repeated halfedge)")
 
     @property
     def n_vertices(self):

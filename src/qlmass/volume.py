@@ -392,13 +392,14 @@ def read_volume_mesh(path):
     vol = VolumeMesh(data[:, 1:], tets, rows[:, :3], np.arange(len(rows)),
                      times=data[:, 0])
     # a repeated tet would be assembled and counted twice; inside the mesh
-    # it passes the boundary test below
-    distinct, inv = unique_rows(vol.tets)
-    if len(distinct) != vol.n_tets:
-        first = np.unique(inv, return_index=True)[1]
-        j = np.setdiff1d(np.arange(vol.n_tets), first)[0]
-        raise VolumeError(f"tets {first[inv[j]]} and {j} list the same four "
-                          f"vertices")
+    # it passes the boundary test below (rows in a stable sort, since the
+    # int64 keys of `unique_rows` overflow for 4-vertex rows)
+    quads = np.sort(vol.tets, axis=1)
+    order = np.lexsort(quads.T)
+    same = np.flatnonzero(np.all(np.diff(quads[order], axis=0) == 0, axis=1))
+    if len(same):
+        raise VolumeError(f"tets {order[same[0]]} and {order[same[0] + 1]} "
+                          f"list the same four vertices")
     # the boundary rows, as unordered triples, must be the faces of one
     # tet, each once: a built fill-in is right by construction, a file
     # may not be
@@ -953,6 +954,12 @@ def star_shaped_surface(positions, mesh):
     return BoundarySurface(positions, mesh)
 
 
+def sampled_table(fill_in, a, n_levels=TOPOLOGY_LEVELS):
+    """The `level_set_topology` of u = -t + a.x on the fill-in."""
+    return level_set_topology(fill_in, -fill_in.times + fill_in.vertices @ a,
+                              n_levels)
+
+
 def admissibility_table(a, fill_in=None, surface=None,
                         n_levels=TOPOLOGY_LEVELS):
     """The route and the level table that decide the admissibility of
@@ -963,8 +970,7 @@ def admissibility_table(a, fill_in=None, surface=None,
     marching-tetrahedra table of `n_levels` sampled levels (route
     "sampledTets")."""
     if fill_in is not None and np.any(fill_in.times):
-        return "sampledTets", level_set_topology(
-            fill_in, -fill_in.times + fill_in.vertices @ a, n_levels)
+        return "sampledTets", sampled_table(fill_in, a, n_levels)
     return "boundary", (surface or fill_in.boundary_surface).sections(a)
 
 
@@ -980,8 +986,8 @@ def admissibility_verdict(fill_in, obs, n_levels=TOPOLOGY_LEVELS):
     `levels`), and `fillInTopology`, the table of `n_levels` sampled
     levels on both routes, counted only when read."""
     route, table = admissibility_table(obs.a, fill_in, n_levels=n_levels)
-    topo = table if route == "sampledTets" else level_set_topology(
-        fill_in, -fill_in.times + fill_in.vertices @ obs.a, n_levels)
+    topo = (table if route == "sampledTets"
+            else sampled_table(fill_in, obs.a, n_levels))
     return {"route": route, "verdict": verdict_of(table), "levels": table,
             "fillInTopology": topo}
 

@@ -332,6 +332,10 @@ def test_asymptotics_command(runner, tmp_path):
     assert (out / "asymptotics.csv").exists()
 
 
+_IDENTITY_STEPS = ["imports", "extractAndEmbed", "fillIn", "harmonicSolve",
+                   "identity"]
+
+
 def test_verify_identity_command(runner, tmp_path):
     out = tmp_path / "run"
     result = runner.invoke(main, ["verify-identity", "--level", "2",
@@ -340,6 +344,9 @@ def test_verify_identity_command(runner, tmp_path):
     report = json.loads((out / "identity.json").read_text())
     assert report["slack"] >= -1e-8 * report["scale"]
     assert report["method"] == "harmonicFit"
+    # the built fill-in is its own step, as a read one is
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["wallTimes"]) == _IDENTITY_STEPS
 
 
 @pytest.mark.parametrize("flags", [
@@ -463,6 +470,8 @@ def test_verify_identity_mesh_file_keeps_the_vertex_times(runner, tmp_path,
     (vol, bvals, sol), = solved
     assert np.array_equal(vol.times, times)
     assert vol.times.any()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["wallTimes"]) == _IDENTITY_STEPS
     x = vol.vertices[vol.boundary_vertices]
     np.testing.assert_array_equal(bvals, x @ np.array([0.0, 0.6, 0.8]))
     report = json.loads((out / "identity.json").read_text())

@@ -192,6 +192,25 @@ def test_volume_mesh_file_round_trip(tmp_path):
     assert np.array_equal(back.times, vol.times)
 
 
+def test_volume_mesh_file_round_trip_past_packed_tet_keys(tmp_path):
+    # 24^3 separate regular tets have 55,296 vertices: past 55,109, one
+    # int64 key per sorted 4-vertex row overflows, so the check for a
+    # repeated tet must not pack the rows
+    corners = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                        [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    offsets = 3.0 * np.argwhere(np.ones((24, 24, 24)))
+    vertices = (offsets[:, None, :] + corners).reshape(-1, 3)
+    tets = np.arange(len(vertices)).reshape(-1, 4)
+    faces = tets[:, volume._TET_FACES].reshape(-1, 3)
+    vol = VolumeMesh(vertices, tets, faces, np.arange(len(faces)))
+    path = tmp_path / "many.vmesh"
+    write_volume_mesh(path, vol)
+    back = read_volume_mesh(path)
+    assert back.n_vertices == 55296
+    assert np.array_equal(back.tets, vol.tets)
+    assert np.array_equal(back.boundary_faces, vol.boundary_faces)
+
+
 def test_volume_mesh_file_malformed(tmp_path):
     path = tmp_path / "bad.vmesh"
     path.write_text("nodes 3\n0 0 0 0\n")
