@@ -480,6 +480,7 @@ def _selftest_checks():
     from .initialdata import FlatData, extract_boundary_data
     from .mesh import icosphere
     from .volume import (
+        VolumeMesh,
         admissibility_verdict,
         build_fill_in,
         solve_spacetime_harmonic,
@@ -505,6 +506,14 @@ def _selftest_checks():
            max(row["relDifference"] for row in hj) < 1e-12)
 
     fill = build_fill_in(emb)
+    derived = VolumeMesh(fill.vertices, fill.tets)
+    turns = [np.roll(derived.boundary_surface.faces, k, axis=1)
+             for k in range(3)]
+    yield ("fill-in boundary is the one derived from its tets",
+           np.array_equal(fill.boundary_vertices, derived.boundary_vertices)
+           and np.any([np.all(fill.boundary_surface.faces == t, axis=1)
+                       for t in turns], axis=0).all())
+
     table = star_shaped_surface(emb.positions, emb.mesh).sections(obs.a)
     verdicts = (verdict_of(table), admissibility_verdict(fill, obs)["verdict"])
     yield ("ball admissible for the height observer, without its fill-in "

@@ -88,79 +88,72 @@ def _min_dihedral_degrees(normals):
     return float(np.degrees(np.arccos(np.clip(largest, -1.0, 1.0))))
 
 
-def _require_permutation(boundary_map, n_faces):
-    """Raises VolumeError unless the boundary map names each of the
-    n_faces surface faces once, naming the first row out of range or
-    repeating an earlier row."""
-    if len(boundary_map) != n_faces:
-        raise VolumeError(f"boundary_map has {len(boundary_map)} entries "
-                          f"for {n_faces} boundary faces")
-    # every row but the first of each value repeats an earlier one
-    bad = np.ones(n_faces, dtype=bool)
-    bad[np.unique(boundary_map, return_index=True)[1]] = False
-    bad |= (boundary_map < 0) | (boundary_map >= n_faces)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise VolumeError(f"boundary row {i} maps to surface face "
-                          f"{boundary_map[i]}; boundary_map must be a "
-                          f"permutation of 0..{n_faces - 1}")
+def _require_one_fan(mesh, names):
+    """Raises VolumeError unless the faces around each vertex of the
+    closed oriented `SurfaceMesh` form one cycle, naming a pinched vertex
+    by its entry of `names`.
+
+    Halfedge k F + f runs from faces[f, k] to faces[f, k + 1]; the
+    halfedge after its twin starts at the same vertex, so the orbits of
+    that map are the fans of faces around the vertices."""
+    F = mesh.n_faces
+    pairs = np.argsort(mesh.face_edges.T.ravel(), kind="stable")
+    twin = np.empty(3 * F, dtype=np.int64)
+    twin[pairs[0::2]], twin[pairs[1::2]] = pairs[1::2], pairs[0::2]
+    n_fans, labels = connected_components(csr_matrix(
+        (np.ones(3 * F), (np.arange(3 * F), (twin + F) % (3 * F))),
+        shape=(3 * F, 3 * F)), directed=False)
+    if n_fans != mesh.n_vertices:
+        vertex_of = np.empty(n_fans, dtype=np.int64)
+        vertex_of[labels] = mesh.faces.T.ravel()
+        fans = np.bincount(vertex_of, minlength=mesh.n_vertices)
+        v = int(np.argmax(fans > 1))
+        raise VolumeError(f"boundary vertex {names[v]} is pinched: its faces "
+                          f"form {fans[v]} fans, not one cycle")
 
 
 class VolumeMesh:
-    """Conforming tetrahedral mesh with a boundary-face correspondence.
+    """Conforming tetrahedral mesh and the closed surface that bounds it,
+    the faces of one tet: the `SurfaceMesh` that `build_fill_in` hands in
+    as `surface` (its vertex i is volume vertex i), or else the one that
+    `_derived_boundary` derives from the tets.
 
     Attributes
     ----------
-    vertices : (N, 3) points; the first boundary vertices coincide with
-        the surface mesh vertex order when built by build_fill_in.
+    vertices : (N, 3) points.
     tets : (T, 4) positively oriented vertex quadruples.
-    boundary_faces : (F, 3) triangles on the boundary (volume indices).
-    boundary_map : (F,) surface-mesh face index per boundary face, a
-        permutation of 0..F-1.
     times : (N,) Minkowski time coordinates (zero unless given, as a
         volume mesh file may); zero on every boundary vertex.
+    boundary_vertices : (B,) ascending volume ids of the vertices of
+        `boundary_surface`, a `BoundarySurface`.
     hat_gradients : (constant gradients of the four hat functions per tet,
         (T, 4, 3), tet volumes), from the face normals, computed when
         first read: only the interior solver and the field recovery read
         them, not level-set topology.
     """
 
-    def __init__(self, vertices, tets, boundary_faces, boundary_map,
-                 times=None):
+    def __init__(self, vertices, tets, times=None, surface=None):
         self.vertices = np.asarray(vertices, dtype=float)
         n = len(self.vertices)
         self.times = np.asarray(np.zeros(n) if times is None else times,
                                 dtype=float)
         tets = np.asarray(tets, dtype=np.int64)
-        self.boundary_faces = np.asarray(boundary_faces, dtype=np.int64)
-        self.boundary_map = np.asarray(boundary_map, dtype=np.int64)
-        for name, rows in (("tet", tets),
-                           ("boundary face", self.boundary_faces)):
-            if len(rows) == 0:
-                raise VolumeError(f"volume mesh has no {name}s")
-            bad = (rows < 0) | (rows >= n)
-            if np.any(bad):
-                i, j = np.argwhere(bad)[0]
-                raise VolumeError(f"{name} {i} names vertex {rows[i, j]}, "
-                                  f"outside [0, {n})")
+        if len(tets) == 0:
+            raise VolumeError("volume mesh has no tets")
+        bad = (tets < 0) | (tets >= n)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise VolumeError(f"tet {i} names vertex {tets[i, j]}, "
+                              f"outside [0, {n})")
         # a vertex of no tet has an empty stiffness row
         unnamed = np.bincount(tets.ravel(), minlength=n) == 0
         if np.any(unnamed):
             raise VolumeError(f"vertex {unnamed.argmax()} is named by no tet")
-        _require_permutation(self.boundary_map, len(self.boundary_faces))
         bad = ~(np.isfinite(self.vertices).all(axis=1)
                 & np.isfinite(self.times))
         if np.any(bad):
             raise VolumeError(f"vertex {np.argmax(bad)} has a non-finite "
                               f"coordinate or time")
-        # the reference surface lies in t = 0 (no Wang-Yau lift yet), so a
-        # boundary time would reach the verdict but not the energy
-        bv = self.boundary_vertices
-        timed = bv[self.times[bv] != 0.0]
-        if len(timed):
-            raise VolumeError(f"boundary vertex {timed[0]} has time "
-                              f"{float(self.times[timed[0]])!r}; boundary times "
-                              f"must be 0, as on the reference surface")
         vols = _tet_volumes(self.vertices, tets)
         flip = vols < 0.0
         if np.any(flip):
@@ -181,6 +174,47 @@ class VolumeMesh:
                 f"tet quality below floor: min dihedral "
                 f"{self.min_dihedral:.2f} deg < {MIN_DIHEDRAL_DEGREES} deg"
             )
+        bv, surface = (self._derived_boundary() if surface is None
+                       else (np.arange(surface.n_vertices), surface))
+        self.boundary_vertices = bv
+        self.boundary_surface = BoundarySurface(self.vertices[bv], surface)
+        # the reference surface lies in t = 0 (no Wang-Yau lift yet), so a
+        # boundary time would reach the verdict but not the energy
+        timed = bv[self.times[bv] != 0.0]
+        if len(timed):
+            raise VolumeError(f"boundary vertex {timed[0]} has time "
+                              f"{float(self.times[timed[0]])!r}; boundary times "
+                              f"must be 0, as on the reference surface")
+
+    def _derived_boundary(self):
+        """(volume ids of the boundary vertices, the `SurfaceMesh` on them
+        of the faces of one tet, each in its tet's outward order); refuses
+        a face of more than two tets or of one tet listed twice, and faces
+        of one tet that are not closed, oriented and one fan at a vertex."""
+        faces, inv, counts = self.face_table
+        outer = self.tets[:, _TET_FACES].reshape(-1, 3)[counts[inv] == 1]
+        if len(outer) == 0:
+            raise VolumeError("volume mesh has no boundary faces")
+        # the vertex o opposite tet face 4 t + m is vertex m of tet t; one
+        # tet listed twice has 2 (o1^2 + o2^2) = (o1 + o2)^2, exact below 2^21
+        opposite = self.tets.ravel().astype(float)
+        twice = (2.0 * np.bincount(inv, opposite ** 2)
+                 == np.bincount(inv, opposite) ** 2)
+        bad = np.flatnonzero((counts > 2) | (counts == 2) & twice)
+        if len(bad):
+            owners = np.flatnonzero(inv == bad[0]) // 4
+            raise VolumeError(
+                f"face {tuple(faces[bad[0]].tolist())} belongs to tets "
+                f"{', '.join(map(str, owners))}; a face may belong to two "
+                f"different tets at most")
+        ids = np.unique(outer)
+        try:
+            mesh = SurfaceMesh(self.vertices[ids], np.searchsorted(ids, outer),
+                               names=ids)
+        except MeshError as exc:
+            raise VolumeError(f"boundary surface: {exc}") from None
+        _require_one_fan(mesh, ids)
+        return ids, mesh
 
     @cached_property
     def hat_gradients(self):
@@ -195,14 +229,17 @@ class VolumeMesh:
     def n_tets(self):
         return len(self.tets)
 
-    @property
-    def boundary_vertices(self):
-        return np.unique(self.boundary_faces)
-
     def diameter(self):
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
+
+    @cached_property
+    def face_table(self):
+        """The tet faces hashed once: (unique faces, the unique face of each
+        tet face, tet by tet in `_TET_FACES` order, tets per unique face)."""
+        faces, inv = unique_rows(self.tets[:, _TET_FACES].reshape(-1, 3))
+        return faces, inv, np.bincount(inv, minlength=len(faces))
 
     @cached_property
     def topology_arrays(self):
@@ -214,41 +251,12 @@ class VolumeMesh:
             tets[:, [0, 1]], tets[:, [0, 2]], tets[:, [0, 3]],
             tets[:, [1, 2]], tets[:, [1, 3]], tets[:, [2, 3]],
         ]))
-        # tets adjacent through each interior face
-        faces, pair_faces, t1, t2 = _shared_pairs(np.vstack([
-            tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-            tets[:, [0, 1, 3]], tets[:, [0, 1, 2]],
-        ]), np.tile(np.arange(len(tets)), 4))
-        return edges, faces, pair_faces, t1, t2
-
-    @cached_property
-    def boundary_surface(self):
-        """The boundary as a `BoundarySurface`, each face in the vertex
-        order of the tet that owns it, so that its normal points out of
-        the mesh (a file's or a test's triples may be in any order).  Only
-        the tets with at least three boundary vertices are matched.  A
-        boundary that is not a closed oriented manifold raises VolumeError
-        naming the edge in volume vertex ids."""
-        on_boundary = np.zeros(self.n_vertices, dtype=bool)
-        on_boundary[self.boundary_faces] = True
-        near = self.tets[on_boundary[self.tets].sum(axis=1) >= 3]
-        outward = near[:, _TET_FACES].reshape(-1, 3)
-        n = len(outward)
-        keys, inv = unique_rows(np.vstack([outward, self.boundary_faces]))
-        owner = np.full(len(keys), -1)
-        owner[inv[:n]] = np.arange(n)
-        owner = owner[inv[n:]]
-        if np.any(owner < 0):
-            raise VolumeError(f"boundary face {np.argmax(owner < 0)} is the "
-                              f"face of no tet")
-        faces = outward[owner]
-        ids = self.boundary_vertices
-        try:
-            mesh = SurfaceMesh(self.vertices[ids],
-                               np.searchsorted(ids, faces), names=ids)
-        except MeshError as exc:
-            raise VolumeError(f"boundary surface: {exc}") from None
-        return BoundarySurface(mesh.vertices, mesh)
+        faces, inv, counts = self.face_table
+        # the tet faces grouped by unique face, each group in tet order
+        owner = np.argsort(inv, kind="stable") // 4
+        pairs = np.flatnonzero(counts == 2)
+        starts = (np.cumsum(counts) - counts)[pairs]
+        return edges, faces, pairs, owner[starts], owner[starts + 1]
 
 
 # prism splitting: rotate the smallest global index into slot 0, then pick
@@ -306,8 +314,8 @@ def build_fill_in(emb, mesh=None, layers=8):
     of thickness 1/layers near the boundary, switching to thickness
     proportional to the distance from the centroid once that is smaller
     (which keeps tet shapes bounded), and the last shell cones to the
-    centroid.  Boundary vertex indices coincide with the surface mesh
-    vertex order.
+    centroid.  Volume vertex i is vertex i of the surface mesh, which the
+    fill-in keeps as its boundary.
     """
     if mesh is None:
         surface, positions = emb.mesh, emb.positions
@@ -343,11 +351,12 @@ def build_fill_in(emb, mesh=None, layers=8):
                          np.full(len(faces), center_id)]),
     ])
 
-    return VolumeMesh(vertices, tets, faces.copy(), np.arange(len(faces)))
+    return VolumeMesh(vertices, tets, surface=surface)
 
 
 def write_volume_mesh(path, vol):
-    """Plain-text node/element lists with the boundary correspondence."""
+    """Plain text: `vertices <N>` and N rows `t x y z`, then `tets <T>` and
+    T rows of four vertex ids; the reader derives the boundary."""
     with open(path, "w") as fh:
         fh.write(f"vertices {vol.n_vertices}\n")
         for (x, y, z), t in zip(vol.vertices, vol.times):
@@ -355,23 +364,17 @@ def write_volume_mesh(path, vol):
         fh.write(f"tets {vol.n_tets}\n")
         for t in vol.tets:
             fh.write(f"{t[0]} {t[1]} {t[2]} {t[3]}\n")
-        fh.write(f"boundary {len(vol.boundary_faces)}\n")
-        for f, m in zip(vol.boundary_faces, vol.boundary_map):
-            fh.write(f"{f[0]} {f[1]} {f[2]} {m}\n")
 
 
 def read_volume_mesh(path):
-    """The `VolumeMesh` of a `write_volume_mesh` file.  Beyond the checks
-    of `VolumeMesh`, a tet listed twice (in any vertex order), boundary
-    rows that are not the faces of one tet each, a fourth column that is
-    not a permutation and a `boundary_surface` that is not a closed
-    oriented manifold raise VolumeError naming the rows, face or edge."""
+    """The `VolumeMesh` of a `write_volume_mesh` file, its boundary
+    derived from the tets; a file that is not two such sections raises
+    VolumeError, as does every mesh that `VolumeMesh` refuses."""
     with open(path) as fh:
         tokens = fh.read().split()
     pos = 0
     sections = []
-    for word, dtype in (("vertices", float), ("tets", np.int64),
-                        ("boundary", np.int64)):
+    for word, dtype in (("vertices", float), ("tets", np.int64)):
         try:
             n = int(tokens[pos + 1])
             if tokens[pos] != word or n < 0:
@@ -385,42 +388,9 @@ def read_volume_mesh(path):
                               f"four numbers") from None
     if pos != len(tokens):
         raise VolumeError("malformed volume mesh file: content after the "
-                          "boundary rows")
-    data, tets, rows = sections
-    # the fourth column is checked once the rows are known to be the
-    # boundary of the tets, which a dropped or extra row is not
-    vol = VolumeMesh(data[:, 1:], tets, rows[:, :3], np.arange(len(rows)),
-                     times=data[:, 0])
-    # a repeated tet would be assembled and counted twice; inside the mesh
-    # it passes the boundary test below (rows in a stable sort, since the
-    # int64 keys of `unique_rows` overflow for 4-vertex rows)
-    quads = np.sort(vol.tets, axis=1)
-    order = np.lexsort(quads.T)
-    same = np.flatnonzero(np.all(np.diff(quads[order], axis=0) == 0, axis=1))
-    if len(same):
-        raise VolumeError(f"tets {order[same[0]]} and {order[same[0] + 1]} "
-                          f"list the same four vertices")
-    # the boundary rows, as unordered triples, must be the faces of one
-    # tet, each once: a built fill-in is right by construction, a file
-    # may not be
-    n_faces = 4 * vol.n_tets
-    keys, inv = unique_rows(np.vstack([
-        vol.tets[:, _TET_FACES].reshape(n_faces, 3), vol.boundary_faces]))
-    of_tets = np.bincount(inv[:n_faces], minlength=len(keys))
-    listed = np.bincount(inv[n_faces:], minlength=len(keys))
-    bad = np.flatnonzero(listed != (of_tets == 1))
-    if len(bad):
-        k = bad[0]
-        raise VolumeError(
-            f"face {tuple(map(int, keys[k]))} of {of_tets[k]} tet(s) is "
-            f"listed {listed[k]} time(s) as a boundary face; the boundary "
-            f"faces must be the faces of one tet, each listed once")
-    _require_permutation(rows[:, 3], len(rows))
-    vol.boundary_map = rows[:, 3]
-    # every command checks the boundary surface, even one that reads only
-    # the tets; it is kept for the verdict
-    vol.boundary_surface  # noqa: B018
-    return vol
+                          "tet rows")
+    data, tets = sections
+    return VolumeMesh(data[:, 1:], tets, times=data[:, 0])
 
 
 # -- P1 finite elements ---------------------------------------------------
@@ -758,19 +728,6 @@ class LevelSetTopology:
     def coarea_integral(self):
         """Midpoint-rule integral of chi over the field range."""
         return float(self.chi.sum() * self.ds)
-
-
-def _shared_pairs(raw, owner):
-    """Unique sub-simplices of the rows of raw, row r being a sub-simplex
-    of the simplex owner[r], and the owners that share one: (unique
-    sub-simplices, indices of those shared by exactly two owners, first
-    owner, second owner)."""
-    keys, inv = unique_rows(raw)
-    kown = owner[np.argsort(inv, kind="stable")]
-    counts = np.bincount(inv, minlength=len(keys))
-    pairs = np.flatnonzero(counts == 2)
-    starts = (np.cumsum(counts) - counts)[pairs]
-    return keys, pairs, kown[starts], kown[starts + 1]
 
 
 def _cut_ranges(rank, simplices):
@@ -1380,19 +1337,15 @@ def _field_recovery_terms(data, vol, sol, radius, n_levels):
     """fieldRecovery route: the Euler term from the sampled level-set
     topology of the finite element solution, the bulk fields per tet and
     the boundary fields interpolated from the recovered vertex fields."""
-    nb = len(vol.boundary_vertices)
-    if not np.array_equal(vol.boundary_vertices, np.arange(nb)):
-        raise VolumeError(
-            "identity check expects fill-in-ordered boundary vertices"
-        )
     topo = level_set_topology(vol, sol.u, n_levels)
     centroids = _tet_centroids(vol)
     du, dU, hess, hess_v, vols = recovered_fields(vol, sol.u)
     bulk = (centroids, vols, du, hess, data.christoffels(centroids))
+    surface, bv = vol.boundary_surface, vol.boundary_vertices
 
     def solution_fields(points):
-        return _interpolate_boundary(vol.vertices[:nb], vol.boundary_faces,
-                                     (dU[:nb], hess_v[:nb]), points / radius)
+        return _interpolate_boundary(surface.positions, surface.faces,
+                                     (dU[bv], hess_v[bv]), points / radius)
 
     return (2.0 * np.pi * topo.coarea_integral(), bulk, solution_fields,
             sol.delta, {"method": "fieldRecovery"})
@@ -1443,7 +1396,18 @@ def integral_identity_check(data, vol, sol, radius,
     the finite element solution (method fieldRecovery), whose slack
     carries discretization error; the report then names the reason under
     harmonicFitUnavailable.
+
+    The boundary integrals are taken on the sphere |x| = radius, so every
+    boundary vertex of the fill-in must lie on it to 1e-9 relative.
     """
+    bv = vol.boundary_vertices
+    r = np.linalg.norm(vol.vertices[bv], axis=1)
+    off = np.flatnonzero(np.abs(r - radius) > 1e-9 * radius)
+    if len(off):
+        v, rv = bv[off[0]], float(r[off[0]])
+        raise VolumeError(f"boundary vertex {v} has |x| = {rv!r}, off the "
+                          f"sphere of radius {radius!r} that the identity "
+                          f"integrates over (config key `radius`)")
     # each route gives (rhsEuler, the bulk sample for _bulk_terms, the
     # boundary solution fields, delta, its own report keys)
     try:

@@ -81,13 +81,7 @@ def _solid_torus(n_major=48, n_rings=3, major=2.0, minor=0.7):
         for p0, p1, p2 in tri:
             tets.extend(_split_prism((a + p0, a + p1, a + p2,
                                       b + p0, b + p1, b + p2)))
-    tets = np.asarray(tets, dtype=np.int64)
-    faces = np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-                       tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]])
-    sf = np.sort(faces, axis=1)
-    uniq, cnt = np.unique(sf, axis=0, return_counts=True)
-    bf = uniq[cnt == 1]
-    return VolumeMesh(verts, tets, bf, np.arange(len(bf)))
+    return VolumeMesh(verts, tets)
 
 
 def _report(num, name, ok, detail, elapsed, budget):

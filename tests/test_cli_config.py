@@ -51,9 +51,7 @@ def _spherical_shell(level=2, inner=0.5, n_layers=4):
         for f in mesh.faces:
             tets.extend(_split_prism((lo + f[0], lo + f[1], lo + f[2],
                                       hi + f[0], hi + f[1], hi + f[2])))
-    bfaces = np.vstack([mesh.faces, mesh.faces + n_layers * V])
-    return VolumeMesh(verts, np.asarray(tets), bfaces,
-                      np.arange(len(bfaces)))
+    return VolumeMesh(verts, np.asarray(tets))
 
 
 # -- config parsing --------------------------------------------------------
@@ -501,6 +499,33 @@ def test_verify_identity_mesh_file_rejects_boundary_times(runner, tmp_path):
     assert "internal error" not in result.output
 
 
+@pytest.mark.parametrize("scale, level, flags", [
+    (1.0, 2, ["--radius", "2"]),
+    (5.0, 1, ["--provider", "schwarzschild", "--radius", "10"]),
+])
+def test_verify_identity_refuses_a_ball_off_its_radius(runner, tmp_path,
+                                                       scale, level, flags):
+    # the identity integrates over the sphere |x| = radius, which a ball
+    # of another size does not bound
+    mesh = icosphere(level)
+    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                         keepdims=True)
+    ball = build_fill_in(scale * pos, mesh=mesh, layers=3)
+    mesh_path, out = tmp_path / "ball.vmesh", tmp_path / "run"
+    write_volume_mesh(mesh_path, ball)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = {level}\n"
+                        f"volume.mesh_file = {mesh_path}\n")
+    result = runner.invoke(main, ["verify-identity", "--config",
+                                  str(cfg_path), *flags, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    r = float(np.linalg.norm(ball.vertices[0]))
+    assert (f"boundary vertex 0 has |x| = {r!r}, off the sphere of radius "
+            f"{float(flags[-1])!r}" in result.output)
+    assert "(config key `radius`)" in result.output
+    assert not (out / "identity.json").exists()
+
+
 def test_el_residual_command(runner, tmp_path):
     out = tmp_path / "run"
     result = runner.invoke(main, ["el-residual", "--level", "3",
@@ -677,44 +702,32 @@ def _extra_vertex(lines):
             + lines[head + 1 + count:])
 
 
-def _drop_boundary_row(row):
-    """Edit of a .vmesh file: drops one boundary face."""
-    def edit(lines):
-        head = next(i for i, l in enumerate(lines) if l.startswith("boundary"))
-        count = int(lines[head].split()[1])
-        return (lines[:head] + [f"boundary {count - 1}"]
-                + lines[head + 1:head + 1 + row] + lines[head + 2 + row:])
-    return edit
-
-
 def _repeat_last_tet(lines):
     """Edit of a .vmesh file: lists the last tet again, its vertices in
     another order; on a built fill-in it is a cone tet at the centre, all
     of whose faces are interior."""
     tets = next(i for i, l in enumerate(lines) if l.startswith("tets"))
-    head = next(i for i, l in enumerate(lines) if l.startswith("boundary"))
-    a, b, c, d = lines[head - 1].split()
-    return (lines[:tets] + [f"tets {head - tets}"] + lines[tets + 1:head]
-            + [f"{c} {d} {a} {b}"] + lines[head:])
+    a, b, c, d = lines[-1].split()
+    return (lines[:tets] + [f"tets {len(lines) - tets}"] + lines[tets + 1:]
+            + [f"{c} {d} {a} {b}"])
 
 
-def _interior_boundary_face(lines):
-    """Edit of a .vmesh file: lists the face of the last tet opposite its
-    first vertex as a boundary face; on a built fill-in that face joins
-    two cone tets at the centre."""
-    head = next(i for i, l in enumerate(lines) if l.startswith("boundary"))
-    count = int(lines[head].split()[1])
-    _, a, b, c = lines[head - 1].split()
-    return (lines[:head] + [f"boundary {count + 1}"] + lines[head + 1:]
-            + [f"{a} {b} {c} 0"])
+def _separate_tet_twice(lines):
+    """Edit of a .vmesh file: adds a tet apart from the ball, listed twice,
+    whose faces each belong to its two copies alone."""
+    verts = next(i for i, l in enumerate(lines) if l.startswith("vertices"))
+    tets = next(i for i, l in enumerate(lines) if l.startswith("tets"))
+    n, t = tets - verts - 1, len(lines) - tets - 1
+    return ([f"vertices {n + 4}"] + lines[verts + 1:tets]
+            + ["0.0 3.0 0.0 0.0", "0.0 3.5 0.0 0.0", "0.0 3.0 0.5 0.0",
+               "0.0 3.0 0.0 0.5", f"tets {t + 2}"] + lines[tets + 1:]
+            + [f"{n} {n + 1} {n + 2} {n + 3}", f"{n + 1} {n} {n + 2} {n + 3}"])
 
 
 @pytest.mark.parametrize("edit, message", [
     (_edit_row("tets", 0, 1, "1000000"),
      "tet 0 names vertex 1000000, outside [0, 487)"),
     (_edit_row("tets", 3, 2, "-1"), "tet 3 names vertex -1, outside"),
-    (_edit_row("boundary", 5, 0, "487"),
-     "boundary face 5 names vertex 487, outside [0, 487)"),
     (_edit_row("vertices", 7, 2, "nan"),
      "vertex 7 has a non-finite coordinate or time"),
     (_edit_row("vertices", 9, 0, "inf"),
@@ -722,27 +735,21 @@ def _interior_boundary_face(lines):
     (_edit_row("vertices", 11, 0, "0.5"),
      "boundary vertex 11 has time 0.5; boundary times must be 0"),
     (lambda lines: lines[:-1], "malformed volume mesh file: expected "
-                               "`boundary <count>`"),
+                               "`tets <count>`"),
+    # the boundary section that earlier files carried
     (lambda lines: lines + ["boundary 1", "0 1 2 0"],
-     "malformed volume mesh file: content after the boundary rows"),
+     "malformed volume mesh file: content after the tet rows"),
     (_empty_section("tets"), "volume mesh has no tets"),
-    (_empty_section("boundary"), "volume mesh has no boundary faces"),
     (_extra_vertex, "vertex 487 is named by no tet"),
-    (_drop_boundary_row(5),
-     "face (1, 48, 51) of 1 tet(s) is listed 0 time(s) as a boundary face"),
-    (_interior_boundary_face,
-     "face (445, 449, 486) of 2 tet(s) is listed 1 time(s) as a boundary "
-     "face"),
-    (_edit_row("boundary", 0, 3, "-7"),
-     "boundary row 0 maps to surface face -7; boundary_map must be a "
-     "permutation of 0..319"),
-    (_repeat_last_tet, "tets 2239 and 2240 list the same four vertices"),
-], ids=["tet-index-too-large", "tet-index-negative",
-        "boundary-index-too-large", "nan-coordinate", "inf-time",
-        "boundary-time", "truncated", "trailing-content", "no-tets",
-        "no-boundary-faces", "vertex-of-no-tet", "boundary-face-dropped",
-        "interior-face-as-boundary", "boundary-map-not-a-permutation",
-        "repeated-interior-tet"])
+    (_repeat_last_tet, "face (445, 447, 449) belongs to tets 1919, 2239, "
+                       "2240; a face may belong to two different tets at "
+                       "most"),
+    (_separate_tet_twice, "face (487, 488, 489) belongs to tets 2240, 2241; "
+                          "a face may belong to two different tets at most"),
+], ids=["tet-index-too-large", "tet-index-negative", "nan-coordinate",
+        "inf-time", "boundary-time", "truncated", "trailing-content",
+        "no-tets", "vertex-of-no-tet", "repeated-interior-tet",
+        "repeated-separate-tet"])
 def test_bad_volume_mesh_file_exits_two(runner, tmp_path, edit, message):
     mesh = icosphere(2)
     pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,

@@ -67,10 +67,7 @@ def _spherical_shell(level=2, inner=0.5, n_layers=4):
         for f in mesh.faces:
             tets.extend(_split_prism((lo + f[0], lo + f[1], lo + f[2],
                                       hi + f[0], hi + f[1], hi + f[2])))
-    inner_faces = mesh.faces + n_layers * V
-    bfaces = np.vstack([mesh.faces, inner_faces])
-    return VolumeMesh(verts, np.asarray(tets), bfaces,
-                      np.arange(len(bfaces)))
+    return VolumeMesh(verts, np.asarray(tets))
 
 
 # -- mass infimum ----------------------------------------------------------
@@ -156,8 +153,7 @@ def test_timed_fill_in_takes_sampled_levels(flat3, monkeypatch):
     ref, phys, emb, fill = flat3
     times = np.full(fill.n_vertices, 0.05)
     times[fill.boundary_vertices] = 0.0
-    timed = VolumeMesh(fill.vertices, fill.tets, fill.boundary_faces,
-                       fill.boundary_map, times=times)
+    timed = VolumeMesh(fill.vertices, fill.tets, times=times)
     routes = []
     table_of = search.admissibility_table
 

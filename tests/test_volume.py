@@ -20,6 +20,7 @@ from qlmass import volume
 from qlmass.cli import main
 from qlmass.config import default_config
 from qlmass.embedding import align_embedding, embed_metric
+from qlmass.energy import SurfaceData
 from qlmass.initialdata import (
     BowenYorkData,
     FlatData,
@@ -29,6 +30,7 @@ from qlmass.initialdata import (
 )
 from qlmass.mesh import SurfaceMesh, icosphere
 from qlmass.operators import gradient_matrix, incidence
+from qlmass.search import mass_infimum
 from qlmass.volume import (
     HarmonicRepresentative,
     LevelSetTopology,
@@ -86,13 +88,31 @@ def _solid_torus(n_major=48, n_rings=3, major=2.0, minor=0.7):
         for p0, p1, p2 in tri:
             tets.extend(_split_prism((a + p0, a + p1, a + p2,
                                       b + p0, b + p1, b + p2)))
-    tets = np.asarray(tets, dtype=np.int64)
-    faces = np.vstack([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-                       tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]])
-    sf = np.sort(faces, axis=1)
-    uniq, cnt = np.unique(sf, axis=0, return_counts=True)
-    bf = uniq[cnt == 1]
-    return VolumeMesh(verts, tets, bf, np.arange(len(bf)))
+    return VolumeMesh(verts, tets)
+
+
+def _boundary_faces(vol):
+    """The boundary faces of a volume mesh in volume vertex ids."""
+    return vol.boundary_vertices[vol.boundary_surface.faces]
+
+
+def _same_boundary(vol, ref):
+    """True when both meshes have the same boundary vertices and the same
+    faces in the same order, each the same oriented cycle."""
+    faces, other = _boundary_faces(vol), _boundary_faces(ref)
+    return (np.array_equal(vol.boundary_vertices, ref.boundary_vertices)
+            and faces.shape == other.shape
+            and np.all(np.any([np.all(faces == np.roll(other, k, axis=1),
+                                      axis=1) for k in range(3)], axis=0)))
+
+
+def _write_rows(path, vertices, tets):
+    """A .vmesh file of the vertices, at time 0, and the tets, written by
+    hand for meshes that `VolumeMesh` refuses."""
+    rows = ([f"vertices {len(vertices)}"]
+            + [" ".join(map(repr, [0.0, *map(float, v)])) for v in vertices]
+            + [f"tets {len(tets)}"] + [" ".join(map(str, t)) for t in tets])
+    path.write_text("\n".join(rows) + "\n")
 
 
 # -- fill-in construction --------------------------------------------------
@@ -103,8 +123,7 @@ def _sliver(h):
     legs."""
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                       [1.0 / 3.0, 1.0 / 3.0, h]])
-    faces = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
-    return verts, np.array([[0, 1, 2, 3]]), faces, np.arange(4)
+    return verts, np.array([[0, 1, 2, 3]])
 
 
 def test_sliver_tet_refused():
@@ -119,14 +138,8 @@ def test_sliver_tet_refused():
 
 def test_mass_refuses_a_sliver_volume_mesh_file(tmp_path):
     h = 0.005
-    verts, tets, faces, bmap = _sliver(h)
-    rows = ([f"vertices {len(verts)}"]
-            + [" ".join(map(repr, [0.0, *map(float, v)])) for v in verts]
-            + [f"tets {len(tets)}"] + [" ".join(map(str, t)) for t in tets]
-            + [f"boundary {len(faces)}"]
-            + [" ".join(map(str, [*f, m])) for f, m in zip(faces, bmap)])
     mesh_path = tmp_path / "sliver.vmesh"
-    mesh_path.write_text("\n".join(rows) + "\n")
+    _write_rows(mesh_path, *_sliver(h))
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n")
     result = CliRunner().invoke(main, ["mass", "--config", str(cfg_path),
@@ -147,9 +160,10 @@ def test_fill_in_ball_geometry():
     assert np.allclose(vol.vertices[:V],
                        mesh.vertices / np.linalg.norm(
                            mesh.vertices, axis=1, keepdims=True))
-    assert np.array_equal(vol.boundary_faces, mesh.faces)
-    assert np.array_equal(vol.boundary_map, np.arange(mesh.n_faces))
+    assert np.array_equal(vol.boundary_surface.faces, mesh.faces)
     assert np.array_equal(vol.boundary_vertices, np.arange(V))
+    # the surface handed in is the one derived from the tets
+    assert _same_boundary(vol, VolumeMesh(vol.vertices, vol.tets))
     # total volume approximates the ball
     total = vol.tet_volumes.sum()
     assert abs(total - 4.0 * np.pi / 3.0) < 0.02 * 4.0 * np.pi / 3.0
@@ -187,28 +201,31 @@ def test_volume_mesh_file_round_trip(tmp_path):
     back = read_volume_mesh(path)
     assert np.array_equal(back.vertices, vol.vertices)
     assert np.array_equal(back.tets, vol.tets)
-    assert np.array_equal(back.boundary_faces, vol.boundary_faces)
-    assert np.array_equal(back.boundary_map, vol.boundary_map)
     assert np.array_equal(back.times, vol.times)
+    # the reader derives the boundary in the tets' vertex order
+    derived = VolumeMesh(vol.vertices, vol.tets)
+    assert np.array_equal(back.boundary_surface.faces,
+                          derived.boundary_surface.faces)
+    assert _same_boundary(back, vol)
 
 
 def test_volume_mesh_file_round_trip_past_packed_tet_keys(tmp_path):
     # 24^3 separate regular tets have 55,296 vertices: past 55,109, one
-    # int64 key per sorted 4-vertex row overflows, so the check for a
-    # repeated tet must not pack the rows
+    # int64 key per sorted 4-vertex row overflows, so no tet check may
+    # pack the rows; the face table packs 3-vertex rows
     corners = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                         [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
     offsets = 3.0 * np.argwhere(np.ones((24, 24, 24)))
     vertices = (offsets[:, None, :] + corners).reshape(-1, 3)
     tets = np.arange(len(vertices)).reshape(-1, 4)
-    faces = tets[:, volume._TET_FACES].reshape(-1, 3)
-    vol = VolumeMesh(vertices, tets, faces, np.arange(len(faces)))
+    vol = VolumeMesh(vertices, tets)
     path = tmp_path / "many.vmesh"
     write_volume_mesh(path, vol)
     back = read_volume_mesh(path)
     assert back.n_vertices == 55296
     assert np.array_equal(back.tets, vol.tets)
-    assert np.array_equal(back.boundary_faces, vol.boundary_faces)
+    assert np.array_equal(_boundary_faces(back),
+                          vol.tets[:, volume._TET_FACES].reshape(-1, 3))
 
 
 def test_volume_mesh_file_malformed(tmp_path):
@@ -228,9 +245,7 @@ def _pinched_solids():
                          [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
     tets = [[0, 2, 3, 4], [1, 0, 3, 4], [1, 2, 0, 4], [1, 2, 3, 0],
             [1, 2, 5, 6]]
-    faces = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4],
-             [1, 2, 5], [1, 2, 6], [1, 5, 6], [2, 5, 6]]
-    return VolumeMesh(vertices, tets, faces, np.arange(len(faces)))
+    return vertices, tets
 
 
 @pytest.mark.parametrize("command", ["admissibility", "mass",
@@ -241,7 +256,7 @@ def test_pinched_boundary_is_refused_on_read(tmp_path, command):
     # route would call the solids admissible, and verify-identity reads
     # no boundary surface at all
     path = tmp_path / "pinched.vmesh"
-    write_volume_mesh(path, _pinched_solids())
+    _write_rows(path, *_pinched_solids())
     message = ("boundary surface: mesh is not closed/manifold: 1 edge(s) "
                "not shared by exactly 2 faces (first: (1, 2), in 4)")
     with pytest.raises(VolumeError) as err:
@@ -253,6 +268,100 @@ def test_pinched_boundary_is_refused_on_read(tmp_path, command):
                                        "--out", str(tmp_path / "run")])
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+def _pinched_tets():
+    """Two corner tets that share only volume vertex 0."""
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                         [0.0, 0.0, -1.0]])
+    return vertices, [[0, 1, 2, 3], [0, 4, 5, 6]]
+
+
+@pytest.mark.parametrize("command", ["admissibility", "mass",
+                                     "verify-identity"])
+def test_pinched_vertex_is_refused_on_read(tmp_path, command):
+    # every edge of the boundary has two faces, consistently oriented, but
+    # the faces around vertex 0 form two fans; the boundary route would
+    # call every direction admissible
+    path = tmp_path / "pinched.vmesh"
+    _write_rows(path, *_pinched_tets())
+    message = ("boundary vertex 0 is pinched: its faces form 2 fans, not "
+               "one cycle")
+    with pytest.raises(VolumeError) as err:
+        read_volume_mesh(path)
+    assert str(err.value) == message
+    cfg = tmp_path / "pinched.cfg"
+    cfg.write_text(f"mesh.level = 1\nvolume.mesh_file = {path}\n")
+    result = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                       "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_lone_tet_listed_twice_has_no_boundary(tmp_path):
+    # each face belongs to both copies, so no face is a face of one tet
+    vertices, tets = _pinched_tets()
+    path = tmp_path / "twice.vmesh"
+    _write_rows(path, vertices[:4], [tets[0], [1, 0, 2, 3]])
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"mesh.level = 1\nvolume.mesh_file = {path}\n")
+    result = CliRunner().invoke(main, ["admissibility", "--config", str(cfg),
+                                       "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "volume mesh has no boundary faces" in result.output
+    assert "internal error" not in result.output
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(1, 3), layers=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.2))
+def test_built_boundary_is_the_one_derived_from_the_tets(
+        tmp_path_factory, level, layers, seed, amplitude):
+    # build_fill_in hands in the surface it was built from; deriving the
+    # boundary from its tets must give the same vertices and faces, and a
+    # file, which carries no boundary, must give it back
+    mesh, pos = _unit_sphere(level)
+    rng = np.random.default_rng(seed)
+    radii = 1.0 + amplitude * rng.uniform(-1.0, 1.0, len(pos))
+    try:
+        vol = build_fill_in(radii[:, None] * pos, mesh=mesh, layers=layers)
+    except VolumeError:
+        assume(False)
+    derived = VolumeMesh(vol.vertices, vol.tets)
+    assert _same_boundary(vol, derived)
+    times = rng.uniform(-0.1, 0.1, vol.n_vertices)
+    times[vol.boundary_vertices] = 0.0
+    timed = VolumeMesh(vol.vertices, vol.tets, times=times)
+    path = tmp_path_factory.mktemp("vmesh") / "fill.vmesh"
+    write_volume_mesh(path, timed)
+    back = read_volume_mesh(path)
+    for name in ("vertices", "tets", "times", "boundary_vertices"):
+        assert np.array_equal(getattr(back, name), getattr(timed, name))
+    assert np.array_equal(back.boundary_surface.faces,
+                          derived.boundary_surface.faces)
+
+
+def test_build_then_mass_or_solve_reads_no_face_table(monkeypatch):
+    # the builder hands in its surface, so neither the mass search nor
+    # the interior solve hashes the tet faces
+    def unread(vol):
+        raise AssertionError("face_table read")
+
+    monkeypatch.setattr(VolumeMesh, "face_table", property(unread))
+    mesh = icosphere(2)
+    bd = extract_boundary_data(FlatData(), 1.0, mesh=mesh)
+    emb = align_embedding(embed_metric(mesh, bd.geom.metric, degree=12,
+                                       tol=1e-10), bd.positions)
+    fill = build_fill_in(emb, layers=3)
+    report = mass_infimum(SurfaceData.from_embedding(emb),
+                          SurfaceData.from_boundary(bd), emb, fill_in=fill,
+                          grid_n=8, refine_iters=2)
+    assert np.isfinite(report.mass_value)
+    fill = build_fill_in(bd.positions, mesh=mesh, layers=3)
+    sol = solve_spacetime_harmonic(fill, FlatData(),
+                                   fill.vertices[fill.boundary_vertices, 2])
+    assert sol.residual_norm < 1e-10
 
 
 def _cross_normals(vertices, tets):
@@ -289,8 +398,7 @@ def test_rebuilt_fill_in_reproduces_volumes_and_solves():
     # build_fill_in flips negatively oriented tets; a mesh rebuilt from
     # the flipped tets must compute the same volumes and solutions
     _, vol = _ball_fill_in(3)
-    rebuilt = VolumeMesh(vol.vertices, vol.tets, vol.boundary_faces,
-                         vol.boundary_map)
+    rebuilt = VolumeMesh(vol.vertices, vol.tets)
     assert np.array_equal(rebuilt.tets, vol.tets)
     assert np.array_equal(rebuilt.tet_volumes, vol.tet_volumes)
     assert np.array_equal(rebuilt.hat_gradients[0], vol.hat_gradients[0])
@@ -298,14 +406,6 @@ def test_rebuilt_fill_in_reproduces_volumes_and_solves():
     data = UniformExpansionData(1.0)
     assert np.array_equal(solve_spacetime_harmonic(rebuilt, data, bvals).u,
                           solve_spacetime_harmonic(vol, data, bvals).u)
-
-
-def test_volume_mesh_rejects_boundary_map_length_mismatch():
-    _, vol = _ball_fill_in(1)
-    with pytest.raises(VolumeError, match="boundary_map has 79 entries "
-                                          "for 80 boundary faces"):
-        VolumeMesh(vol.vertices, vol.tets, vol.boundary_faces,
-                   vol.boundary_map[:-1])
 
 
 # the per-prism split rule, kept as the oracle of the vectorized split
@@ -367,8 +467,7 @@ def test_fill_in_tets_match_per_prism_reference(level):
     tets.extend((lo + a, lo + b, lo + c, layers * V)
                 for a, b, c in mesh.faces)
     # the mesh orients the reference tets as it oriented the fill-in's
-    reference = VolumeMesh(vol.vertices, np.array(tets, dtype=np.int64),
-                           vol.boundary_faces, vol.boundary_map)
+    reference = VolumeMesh(vol.vertices, np.array(tets, dtype=np.int64))
     assert np.array_equal(vol.tets, reference.tets)
 
 
@@ -909,7 +1008,7 @@ def _trace_curve_oracle(vol, u, levels):
     marching-triangles faces: the sphere minus k disjoint curves has k + 1
     pieces, and the pieces are the components of the boundary vertex
     subgraphs induced by u > s and by u < s."""
-    f = vol.boundary_faces
+    f = _boundary_faces(vol)
     edges = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
     bverts = vol.boundary_vertices
     n = vol.n_vertices
@@ -973,7 +1072,7 @@ def _component_count(n_items, links):
 def _boundary_edge_pairs(vol):
     """(sorted boundary faces, every boundary edge, the two boundary faces
     that share it) of a closed boundary, paired by np.unique."""
-    bfaces = np.sort(vol.boundary_faces, axis=1)
+    bfaces = np.sort(_boundary_faces(vol), axis=1)
     raw = np.vstack([bfaces[:, [0, 1]], bfaces[:, [0, 2]], bfaces[:, [1, 2]]])
     inv = np.unique(raw, axis=0, return_inverse=True)[1].ravel()
     assert np.all(np.bincount(inv) == 2)
@@ -1283,7 +1382,7 @@ def test_verdict_builds_only_the_trace_curve_graph(monkeypatch):
     assert report["route"] == "boundary"
     assert len(calls) == 1
     # its nodes are (boundary face, level) pairs
-    assert len(calls[0][0]) == len(_SMALL_BALL.boundary_faces)
+    assert len(calls[0][0]) == len(_SMALL_BALL.boundary_surface.faces)
 
 
 def test_admissibility_command_rows_match_per_level_reference(tmp_path):
@@ -1342,7 +1441,6 @@ def test_verdict_invariant_under_rigid_motion(torus24, a, rotvec, shift):
     R = Rotation.from_rotvec(np.pi * np.asarray(rotvec)).as_matrix()
     vol = torus24
     moved = VolumeMesh(vol.vertices @ R.T + np.asarray(shift), vol.tets,
-                       vol.boundary_faces, vol.boundary_map,
                        times=vol.times)
     base = admissibility_verdict(vol, SimpleNamespace(a=a), n_levels=16)
     motion = admissibility_verdict(moved, SimpleNamespace(a=R @ a),
@@ -1363,9 +1461,7 @@ def _spherical_shell(level=2, inner=0.5, n_layers=4):
     shells = V * np.arange(n_layers)[:, None, None]
     prisms = np.concatenate([mesh.faces + shells, mesh.faces + shells + V],
                             axis=2)
-    bfaces = np.vstack([mesh.faces, mesh.faces + n_layers * V])
-    return VolumeMesh(verts, _split_prism(prisms.reshape(-1, 6)), bfaces,
-                      np.arange(len(bfaces)))
+    return VolumeMesh(verts, _split_prism(prisms.reshape(-1, 6)))
 
 
 def _peanut(level=2):
@@ -1600,8 +1696,7 @@ def test_dec_margin_point_survives_a_rebuilt_fill_in():
     _, vol = _ball_fill_in(3, radius=radius)
     sol = solve_spacetime_harmonic(vol, data,
                                    vol.vertices[vol.boundary_vertices, 2])
-    rebuilt = VolumeMesh(vol.vertices, vol.tets[:, [1, 2, 0, 3]],
-                         vol.boundary_faces, vol.boundary_map)
+    rebuilt = VolumeMesh(vol.vertices, vol.tets[:, [1, 2, 0, 3]])
     first, second = (integral_identity_check(data, v, sol, radius,
                                              n_levels=16)
                      for v in (vol, rebuilt))
