@@ -391,6 +391,7 @@ def verify_identity(**kwargs):
         from .volume import (
             build_fill_in,
             integral_identity_check,
+            require_on_sphere,
             solve_spacetime_harmonic,
         )
 
@@ -413,6 +414,7 @@ def verify_identity(**kwargs):
                                  layers=cfg["volume.layers"])
             manifest.record("fillIn")
             bvals = make_observer(emb, a).uA
+        require_on_sphere(fill, cfg["radius"])
         delta = cfg["harmonic.delta"] or None
         sol = solve_spacetime_harmonic(fill, data, bvals, delta=delta,
                                        tol=cfg["harmonic.tol"],

@@ -5,8 +5,10 @@ Both sides of the energy (reference and physical) are reduced to the same
 SurfaceData form: a surface geometry plus the mean curvature vector norm,
 its slice-gauge decomposition (H, trK), and the connection 1-form pairings
 on edges, on one surface with one metric, whose operators and observer
-fields both sides share.  All integrals reduce over a fixed vertex order,
-so results are bit-stable.
+fields both sides share.  u = a.x is linear in a: an `ObserverKernel`
+holds the parts linear in a, and a call for N directions runs only the
+nonlinear part, on (N, F) and (N, V) arrays; `energy` is its N = 1 case.
+All integrals reduce over a fixed vertex order, so results are bit-stable.
 """
 
 from collections import namedtuple
@@ -32,18 +34,26 @@ class Observer:
     Attributes
     ----------
     a : unit 3-vector.
+    positions : (V, 3) vertex points of the embedding.
     uA : per-vertex observer function on the embedding.
     """
 
     def __init__(self, embedding, a):
-        a = np.asarray(a, dtype=float)
-        norm = np.linalg.norm(a)
-        if norm < 1e-12:
-            raise EnergyError("observer direction must be nonzero")
-        if abs(norm - 1.0) > 1e-6:
-            raise EnergyError(f"observer direction far from unit: |a| = {norm}")
-        self.a = a / norm
-        self.uA = embedding.positions @ self.a
+        self.a = unit_rows(a)[0]
+        self.positions = embedding.positions
+        self.uA = self.positions @ self.a
+
+
+def unit_rows(dirs):
+    """The observer directions, rows of `dirs` (N, 3), scaled to unit
+    length; raises EnergyError naming the first row whose length is not
+    within 1e-6 of 1 (a zero row included)."""
+    a = np.atleast_2d(np.asarray(dirs, dtype=float))
+    norm = np.linalg.norm(a, axis=1)
+    for i in np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-6))[:1]:
+        raise EnergyError(f"observer direction {i} is not a unit vector: "
+                          f"|a| = {norm[i]}")
+    return a / norm[:, None]
 
 
 def make_observer(embedding, a):
@@ -110,20 +120,23 @@ class SurfaceData:
         return self.ops.face_covector(self.alpha_edges)
 
 
-# hyperbolic frame angle f from the mean-curvature gauge, with the squared
-# observer gradient gsq, the vertices the integrands skip, and the masked
-# critical faces (None for eps > 0)
+# the canonical frames of every side for N observers: hyperbolic frame
+# angle f (sides, N, V) from the mean-curvature gauge, with the squared
+# observer gradient gsq (N, V), the vertices the integrands skip, and the
+# masked critical faces (N, F; None for eps > 0)
 FrameField = namedtuple("FrameField", "f eps gsq dead_vertices mask")
 
 
 def _vertex_grad_sq(ops, grad, face_mask=None):
-    """Vertex-averaged squared magnitude of a per-face gradient,
-    optionally ignoring masked faces."""
-    gsq = np.einsum("fk,fk->f", grad, grad)
-    w = ops.face_areas.copy()
+    """Vertex averages (N, V) of the squared magnitudes of per-face
+    gradients (N, F, 2), optionally ignoring masked faces (N, F), with the
+    vertices that no weighted face reaches."""
+    gsq = grad[..., 0] ** 2 + grad[..., 1] ** 2
+    w = np.broadcast_to(ops.face_areas, gsq.shape)
     if face_mask is not None:
-        w[face_mask] = 0.0
-    num, den = (ops.S @ np.column_stack([w * gsq, w])).T
+        w = np.where(face_mask, 0.0, w)
+    sums = (ops.S @ np.vstack([w * gsq, w]).T).T
+    num, den = sums[:len(gsq)], sums[len(gsq):]
     ok = den > 0.0
     out = np.divide(num, den, out=np.zeros_like(num), where=ok)
     return np.maximum(out, 0.0), ~ok
@@ -131,23 +144,72 @@ def _vertex_grad_sq(ops, grad, face_mask=None):
 
 # the eps = 0 frame masks faces whose |grad u| is below this share of its
 # median; the default eps sequence has EPS_COUNT values; the radii of the
-# Euler-Lagrange charge caps and mollifier are shares of the area radius
+# Euler-Lagrange charge caps and mollifier are shares of the area radius;
+# a block of directions holds at most OBSERVER_BLOCK face values (and at
+# least one direction), which bounds its memory at every mesh level
 CRITICAL_FRACTION = 1e-3
 EPS_COUNT = 7
 CAP_FRACTION = 0.2
 MOLLIFICATION_FRACTION = 0.15
+OBSERVER_BLOCK = 2**15
+
+
+class ObserverKernel:
+    """The parts of the observer fields linear in the direction a, for the
+    `sides` (SurfaceData) on one surface with reference vertex `positions`
+    (V, 3): grad x (2F, 3), laplace(x) and K x (V, 3) of the coordinate
+    fields x, each side's gauge covector paired with grad x (sides, 3, F),
+    |H_vec| (sides, 1, V), and `block`, the directions per block.  Raises
+    EnergyError unless the sides' meshes and edge lengths agree."""
+
+    def __init__(self, positions, sides):
+        ops = sides[0].ops
+        for sd in sides[1:]:
+            if sd.ops is not ops and not (
+                    np.array_equal(ops.mesh.faces, sd.ops.mesh.faces)
+                    and np.array_equal(ops.metric.edge_lengths,
+                                       sd.ops.metric.edge_lengths)):
+                raise EnergyError("the sides differ in mesh or edge lengths")
+        x = np.asarray(positions, dtype=float)
+        grad = ops.gradient(x)
+        self.ops, self.sides = ops, sides
+        self.grad = grad.reshape(-1, 3)
+        self.lap = ops.laplace(x)
+        self.Kx = ops.stiffness @ x
+        self.gauge = np.stack([np.einsum("fk,fkj->jf", sd.gauge_covector,
+                                         grad) for sd in sides])
+        self.norm = np.stack([sd.field_norm for sd in sides])[:, None]
+        self.block = max(1, OBSERVER_BLOCK // ops.mesh.n_faces)
+
+    def fields(self, dirs):
+        """The `ObserverFields` of the directions, rows of `dirs` (N, 3)."""
+        return ObserverFields(self, unit_rows(dirs))
+
+    def energies(self, dirs):
+        """Explicit-mode energies (N,) of the directions, rows of `dirs`
+        (N, 3), and the side terms (sides, N) whose difference they are,
+        one block of directions at a time."""
+        a = unit_rows(dirs)
+        terms = np.hstack([
+            ObserverFields(self, a[i:i + self.block]).terms(0.0).sum(axis=1)
+            for i in range(0, len(a), self.block)]) / (8.0 * np.pi)
+        return terms[0] - terms[1], terms
 
 
 class ObserverFields:
-    """The observer function u on the surface and its fields, computed
-    once for both sides and every frame: grad u and laplace(u) on
-    construction, |grad u|^2 with and without the critical-set mask when
-    first read."""
+    """The observer functions u = a.x of N unit directions, the rows of
+    `a`, on the surface of `kernel`, with the fields its sides and every
+    frame share: grad u (N, F, 2), laplace(u) and K u (N, V) and the
+    sides' gauge pairings (sides, N, F), products of the kernel's on
+    construction; |grad u|^2 at the vertices with and without the
+    critical-set mask when first read."""
 
-    def __init__(self, ops, obs):
-        self.ops, self.u = ops, obs.uA
-        self.grad = ops.gradient(self.u)
-        self.lap = ops.laplace(self.u)
+    def __init__(self, kernel, a):
+        self.kernel, self.ops = kernel, kernel.ops
+        self.grad = (a @ kernel.grad.T).reshape(len(a), -1, 2)
+        self.lap = a @ kernel.lap.T
+        self.Ku = a @ kernel.Kx.T
+        self.gauge = a @ kernel.gauge
 
     @cached_property
     def masked(self):
@@ -160,92 +222,62 @@ class ObserverFields:
         """(gsq, dead vertices) over every face."""
         return _vertex_grad_sq(self.ops, self.grad)
 
+    def frame(self, eps):
+        """Energy-minimizing frame angles of every side from the
+        mean-curvature gauge:
+        sinh f = laplace(u) / (|H_vec| sqrt(|grad u|^2 + eps^2)).
 
-class SideFields:
-    """One side under one observer: the side `sd`, the observer fields of
-    its surface (its own unless shared with the other side), and grad u
-    paired with the side's connection forms, the gauge one on
-    construction and the slice one when first read."""
+        With eps = 0 the critical set is masked and f is zero on the
+        vertices it leaves without gradient.
+        """
+        if eps < 0:
+            raise EnergyError("eps must be nonnegative")
+        if eps == 0.0:
+            mask, _, gsq, dead = self.masked
+        else:
+            mask, (gsq, dead) = None, self.unmasked
+        norm = self.kernel.norm
+        if np.any((norm < 1e-14) & ~dead):
+            raise EnergyError("degenerate mean curvature vector on the "
+                              "unmasked set")
+        live = ~dead & (gsq + eps**2 > 0.0)
+        ratio = np.divide(self.lap, norm * np.sqrt(gsq + eps**2),
+                          out=np.zeros(norm.shape[:1] + gsq.shape),
+                          where=live)
+        return FrameField(np.arcsinh(ratio), eps, gsq, ~live, mask)
 
-    def __init__(self, sd, obs, fields=None):
-        self.sd = sd
-        self.fields = ObserverFields(sd.ops, obs) if fields is None else fields
-        self.gauge_pairing = self.fields.ops.pair_fields(sd.gauge_covector,
-                                                         self.fields.grad)
+    def side_terms(self, frame):
+        """The three integrals (sides, 3, N) of every side in `frame`:
+        sqrt term, frame-gradient term by parts, gauge term; masked
+        vertices and faces carry zero weight."""
+        w, fa = _weights(self.ops, frame)
+        sqrt_vals = (np.sqrt(frame.gsq + frame.eps**2) * self.kernel.norm
+                     * np.cosh(frame.f))
+        return np.stack([(w * sqrt_vals).sum(axis=-1),
+                         (self.Ku * frame.f).sum(axis=-1),
+                         (fa * self.gauge).sum(axis=-1)], axis=1)
 
-    @cached_property
-    def slice_pairing(self):
-        return self.fields.ops.pair_fields(self.sd.slice_covector,
-                                           self.fields.grad)
-
-
-def _sides(ref_sd, phys_sd, obs):
-    """The observer fields of the one surface both sides lie on and the
-    two sides under them; raises EnergyError unless the sides' meshes and
-    edge lengths agree."""
-    a, b = ref_sd.ops, phys_sd.ops
-    if a is not b and not (
-            np.array_equal(a.mesh.faces, b.mesh.faces)
-            and np.array_equal(a.metric.edge_lengths, b.metric.edge_lengths)):
-        raise EnergyError("the sides differ in mesh or edge lengths")
-    fields = ObserverFields(a, obs)
-    return fields, [SideFields(sd, obs, fields) for sd in (ref_sd, phys_sd)]
-
-
-def canonical_frame(side, eps):
-    """Energy-minimizing frame angle from the mean-curvature gauge:
-    sinh f = laplace(u) / (|H_vec| sqrt(|grad u|^2 + eps^2)).
-
-    With eps = 0 the critical set is masked and f is zero on the vertices
-    it leaves without gradient.
-    """
-    if eps < 0:
-        raise EnergyError("eps must be nonnegative")
-    fields = side.fields
-    if eps == 0.0:
-        mask, _, gsq, dead = fields.masked
-    else:
-        mask, (gsq, dead) = None, fields.unmasked
-    norm = side.sd.field_norm
-    if np.any(norm[~dead] < 1e-14):
-        raise EnergyError("degenerate mean curvature vector on the "
-                          "unmasked set")
-    live = ~dead & (gsq + eps**2 > 0.0)
-    f = np.zeros(len(gsq))
-    f[live] = np.arcsinh(
-        fields.lap[live] / (norm[live] * np.sqrt(gsq[live] + eps**2))
-    )
-    return FrameField(f, eps, gsq, ~live, mask)
+    def terms(self, eps):
+        """The side terms (sides, 3, N) in the canonical frames at eps."""
+        return self.side_terms(self.frame(eps))
 
 
 def _weights(ops, frame):
     """Vertex and face areas, zero on the frame's dead and masked parts."""
-    w = ops.vertex_areas.copy()
-    w[frame.dead_vertices] = 0.0
-    fa = ops.face_areas.copy()
+    w = np.where(frame.dead_vertices, 0.0, ops.vertex_areas)
+    fa = ops.face_areas
     if frame.mask is not None:
-        fa[frame.mask] = 0.0
+        fa = np.where(frame.mask, 0.0, fa)
     return w, fa
 
 
-def _side_terms(side, frame):
-    """The three integrals of one side: (sqrt term, frame-gradient term by
-    parts, gauge term); masked vertices and faces carry zero weight."""
-    fields = side.fields
-    w, fa = _weights(fields.ops, frame)
-    sqrt_vals = (np.sqrt(frame.gsq + frame.eps**2) * side.sd.field_norm
-                 * np.cosh(frame.f))
-    sqrt_int = float(sqrt_vals @ w)
-    grad_int = fields.ops.dirichlet_pairing(fields.u, frame.f)
-    gauge_int = float(side.gauge_pairing @ fa)
-    return sqrt_int, grad_int, gauge_int
-
-
 def side_integral(sd, obs, eps):
-    """(Hamiltonian integral of one side in its canonical frame, frame)."""
-    side = SideFields(sd, obs)
-    frame = canonical_frame(side, eps)
-    return sum(_side_terms(side, frame)), frame
+    """(Hamiltonian integral of one side in its canonical frame, frame),
+    the frame's arrays those of the one observer."""
+    fields = ObserverKernel(obs.positions, [sd]).fields(obs.a)
+    frame = fields.frame(eps)
+    return float(fields.side_terms(frame).sum()), FrameField(
+        *(np.ravel(x) if isinstance(x, np.ndarray) else x for x in frame))
 
 
 class EnergyReport:
@@ -279,7 +311,7 @@ class EnergyReport:
 
 def default_eps_list(fields):
     """Geometric sequence of EPS_COUNT values 1e-1 .. 1e-4 times the mean
-    gradient scale of the observer fields."""
+    gradient scale of the fields of one observer."""
     gsq, _ = fields.unmasked
     scale = float(np.sqrt(gsq).mean())
     return list(scale * np.logspace(-1, -4, EPS_COUNT))
@@ -300,14 +332,13 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
     warnings = []
     eps_sequence = []
 
-    fields, sides = _sides(ref_sd, phys_sd, obs)
-    terms_r, terms_p = (_side_terms(side, canonical_frame(side, 0.0))
-                        for side in sides)
-    breakdown = {"reference": list(terms_r), "physical": list(terms_p)}
+    fields = ObserverKernel(obs.positions, [ref_sd, phys_sd]).fields(obs.a)
+    terms_r, terms_p = fields.terms(0.0)[..., 0].tolist()
+    breakdown = {"reference": terms_r, "physical": terms_p}
     ref_term = sum(terms_r) / (8.0 * np.pi)
     phys_term = sum(terms_p) / (8.0 * np.pi)
     e_explicit = ref_term - phys_term
-    crit_frac = fields.masked[1]
+    crit_frac = float(fields.masked[1][0])
 
     e_val = e_explicit
     if mode != "explicit":
@@ -317,8 +348,7 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
             raise EnergyError(f"energy mode {mode!r} needs at least one eps, "
                               f"got an empty eps_list")
         for eps in eps_list:
-            r, p = (sum(_side_terms(side, canonical_frame(side, eps)))
-                    for side in sides)
+            r, p = map(sum, fields.terms(eps)[..., 0].tolist())
             eps_sequence.append((float(eps), (r - p) / (8.0 * np.pi)))
         e_limit = _extrapolate_eps(eps_sequence)
         scale = max(abs(ref_term), abs(phys_term), 1e-30)
@@ -358,14 +388,12 @@ def _extrapolate_eps(seq):
 def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
     """Cross-check of the density route against the surface-Hamiltonian
     route (slice gauge with the total frame angle), per eps."""
-    _, sides = _sides(ref_sd, phys_sd, obs)
+    fields = ObserverKernel(obs.positions, [ref_sd, phys_sd]).fields(obs.a)
     rows = []
     for eps in eps_list:
-        density, hamiltonian = [], []
-        for side in sides:
-            frame = canonical_frame(side, eps)
-            density.append(sum(_side_terms(side, frame)))
-            hamiltonian.append(_slice_gauge_integral(side, frame))
+        frame = fields.frame(eps)
+        density = fields.side_terms(frame).sum(axis=1)[:, 0].tolist()
+        hamiltonian = _slice_gauge_integrals(fields, frame)[:, 0].tolist()
         ea = (density[0] - density[1]) / (8.0 * np.pi)
         eb = (hamiltonian[0] - hamiltonian[1]) / (8.0 * np.pi)
         scale = max(map(abs, density + hamiltonian))
@@ -379,28 +407,31 @@ def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):
     return rows
 
 
-def _slice_gauge_integral(side, frame):
-    """One side evaluated entirely in the slice gauge, given its canonical
-    frame: the frame angle from the slice normal is phi - f and the
-    connection form is alpha_nu."""
-    sd, fields = side.sd, side.fields
+def _slice_gauge_integrals(fields, frame):
+    """Every side (sides, N) evaluated entirely in the slice gauge, given
+    its canonical frame: the frame angle from the slice normal is phi - f
+    and the connection form is alpha_nu."""
+    sides = fields.kernel.sides
     w, fa = _weights(fields.ops, frame)
-    q = sd.phi - frame.f
+    H, trk, phi = (np.stack([getattr(sd, key) for sd in sides])[:, None]
+                   for key in ("H", "trk", "phi"))
+    q = phi - frame.f
     vals = np.sqrt(frame.gsq + frame.eps**2) * (
-        sd.H * np.cosh(q) + sd.trk * np.sinh(q)
-    )
-    return (float(vals @ w) - fields.ops.dirichlet_pairing(fields.u, q)
-            + float(side.slice_pairing @ fa))
+        H * np.cosh(q) + trk * np.sinh(q))
+    slice_pairing = np.stack([np.einsum("fk,nfk->nf", sd.slice_covector,
+                                        fields.grad) for sd in sides])
+    return ((w * vals).sum(axis=-1) - (fields.Ku * q).sum(axis=-1)
+            + (fa * slice_pairing).sum(axis=-1))
 
 
 def optimal_frame_gap(sd, obs, eps, trial_frames):
-    """Functional gaps of trial frame angles against the canonical frame;
-    convexity makes every gap nonnegative up to round-off."""
-    side = SideFields(sd, obs)
-    base_frame = canonical_frame(side, eps)
-    base = sum(_side_terms(side, base_frame))
-    return [sum(_side_terms(side, base_frame._replace(f=f))) - base
-            for f in trial_frames]
+    """Functional gaps of trial frame angles (V,) against the canonical
+    frame; convexity makes every gap nonnegative up to round-off."""
+    fields = ObserverKernel(obs.positions, [sd]).fields(obs.a)
+    frame = fields.frame(eps)
+    base = fields.side_terms(frame).sum()
+    return [float(fields.side_terms(frame._replace(
+        f=np.reshape(f, (1, 1, -1)))).sum() - base) for f in trial_frames]
 
 
 def euler_lagrange_residual(sd, obs):
@@ -416,16 +447,14 @@ def euler_lagrange_residual(sd, obs):
     at the fixed physical scale MOLLIFICATION_FRACTION * (area radius);
     the raw field stays noisy at fourth-difference level by construction.
     """
-    side = SideFields(sd, obs)
-    fields = side.fields
-    u, ops = fields.u, fields.ops
-    frame = canonical_frame(side, 0.0)
-    gmag = np.maximum(np.linalg.norm(fields.grad, axis=1), 1e-300)
-    coshf_face = ops.face_average(np.cosh(frame.f))
+    fields = ObserverKernel(obs.positions, [sd]).fields(obs.a)
+    u, ops, grad = obs.uA, fields.ops, fields.grad[0]
+    f = fields.frame(0.0).f[0, 0]
+    gmag = np.maximum(np.linalg.norm(grad, axis=1), 1e-300)
+    coshf_face = ops.face_average(np.cosh(f))
     hvec_face = ops.face_average(sd.field_norm)
-    gf = ops.gradient(frame.f)
     flux = (
-        (hvec_face * coshf_face / gmag)[:, None] * fields.grad + gf
+        (hvec_face * coshf_face / gmag)[:, None] * grad + ops.gradient(f)
         + sd.gauge_covector
     )
     residual = ops.divergence(flux)

@@ -163,8 +163,9 @@ class OperatorSet:
     # -- core operators -------------------------------------------------
 
     def gradient(self, u):
-        """Per-face gradient of a vertex scalar, in the face chart frame."""
-        return (self.D @ np.asarray(u, dtype=float)).reshape(-1, 2)
+        """Per-face chart gradients (F, 2, ...) of vertex values (V, ...)."""
+        u = np.asarray(u, dtype=float)
+        return (self.D @ u).reshape(-1, 2, *u.shape[1:])
 
     def divergence(self, X):
         """Vertex divergence of a per-face tangent field: minus the
@@ -173,8 +174,9 @@ class OperatorSet:
         return -(self.D.T @ X.ravel()) / self.vertex_areas
 
     def laplace(self, u):
-        """Pointwise Laplace-Beltrami (negative semidefinite, kernel = constants)."""
-        return -(self.stiffness @ np.asarray(u, dtype=float)) / self.vertex_areas
+        """Pointwise Laplace-Beltrami of vertex scalars u (V, ...)."""
+        Ku = self.stiffness @ np.asarray(u, dtype=float)
+        return -(Ku.T / self.vertex_areas).T
 
     def integrate(self, field):
         """Area integral of a vertex scalar field."""
@@ -209,10 +211,6 @@ class OperatorSet:
         return (-b0[:, None] * self.grad_phi[:, 0]
                 + b1[:, None] * self.grad_phi[:, 2])
 
-    def pair_fields(self, cov, X):
-        """Pointwise pairing of per-face covector and tangent fields."""
-        return np.einsum("fk,fk->f", cov, X)
-
     def face_average(self, u):
         """Mean of the three vertex values on each face."""
         return np.asarray(u, dtype=float)[self.mesh.faces].mean(axis=1)
@@ -235,18 +233,21 @@ class OperatorSet:
 
     def critical_set_mask(self, grad, threshold_fraction=1e-3):
         """Face mask marking the (approximate) complement of {|grad u| != 0}
-        from the per-face gradient `grad` of u (as `gradient` returns it).
+        from the per-face gradients `grad` (..., F, 2) of scalars u (as
+        `gradient` returns one).
 
-        Returns (mask, masked_area_fraction); True marks faces where the
-        gradient magnitude falls below threshold_fraction times its median.
+        Returns (mask, masked_area_fraction) per scalar; True marks faces
+        where |grad u| is below threshold_fraction times its median (all
+        faces when that is 0).
         """
         if not 0.0 < threshold_fraction < 1.0:
             raise ValueError("threshold_fraction must lie in (0, 1)")
-        gmag = np.linalg.norm(grad, axis=1)
-        med = np.median(gmag)
-        if med == 0.0:
-            mask = np.ones(self.mesh.n_faces, dtype=bool)
-        else:
-            mask = gmag < threshold_fraction * med
-        frac = float(self.face_areas[mask].sum() / self.total_area)
-        return mask, frac
+        gmag = np.sqrt(grad[..., 0] ** 2 + grad[..., 1] ** 2)
+        # the median from one partition: the mean of the two middle values
+        n = gmag.shape[-1]
+        part = np.partition(gmag, n // 2, axis=-1)
+        low = part[..., n // 2] if n % 2 else part[..., :n // 2].max(-1)
+        med = 0.5 * (low + part[..., n // 2])[..., None]
+        mask = (gmag < threshold_fraction * med) | (med == 0.0)
+        masked = np.where(mask, self.face_areas, 0.0).sum(axis=-1)
+        return mask, masked / self.total_area

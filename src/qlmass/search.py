@@ -6,7 +6,8 @@ the best feasible point with a local Nelder-Mead search in tangent
 coordinates.  asymptotics_driver tabulates energies of coordinate
 spheres over a radius ladder, fits E_inf + c / r + d / r^2 to each row by
 linear least squares and sets the limit against the asymptotic energy and
-momentum surface integrals.
+momentum surface integrals.  Both take all the energies of one surface
+from one `ObserverKernel` call.
 """
 
 import csv
@@ -15,7 +16,7 @@ import json
 import numpy as np
 
 from .embedding import EmbeddingError, align_embedding, embed_metric
-from .energy import EnergyError, SurfaceData, energy, make_observer
+from .energy import EnergyError, ObserverKernel, SurfaceData, unit_rows
 from .initialdata import (
     InitialDataError,
     adm_integrals,
@@ -143,31 +144,32 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     Evaluates the energy on a Fibonacci direction grid, filters by the
     per-direction admissibility verdict, then refines around the best
     feasible direction by Nelder-Mead in local tangent coordinates
-    (renormalizing the direction at every iterate).  Each verdict is the
-    `verdict_of` the `admissibility_table` of the fill-in or, without one,
-    of the embedded surface, which must then be star-shaped about its
-    centroid as `build_fill_in` requires.  Deterministic for fixed
-    arguments.  Raises SearchError with per-point diagnostics when no grid
-    direction is admissible.  A note says when the spread of the
-    admissible grid energies is at most 1e-12 of the largest side term:
-    then argmin_a is undetermined.
+    (renormalizing the direction at every iterate), each iterate a
+    one-direction call of the grid's `ObserverKernel`.  The verdicts are
+    the `verdict_of` the `admissibility_table` of a block of directions,
+    on the fill-in or, without one, on the embedded surface, which must
+    then be star-shaped about its centroid as `build_fill_in` requires.
+    Deterministic for fixed arguments.  Raises SearchError with per-point
+    diagnostics when no grid direction is admissible.  A note says when
+    the spread of the admissible grid energies is at most 1e-12 of the
+    largest side term: then argmin_a is undetermined.
     """
     surface = (star_shaped_surface(emb.positions, emb.mesh)
                if fill_in is None else None)
 
-    def verdict(obs):
-        return verdict_of(admissibility_table(
-            obs.a, fill_in, surface, n_levels=admissibility_levels)[1])
+    def verdicts(dirs):
+        a = unit_rows(dirs)
+        return [verdict_of(table) for i in range(0, len(a), kernel.block)
+                for table in admissibility_table(
+                    a[i:i + kernel.block], fill_in, surface,
+                    n_levels=admissibility_levels)[1]]
 
+    kernel = ObserverKernel(emb.positions, [ref_sd, phys_sd])
     dirs = fibonacci_directions(grid_n, rotation=grid_rotation)
-    rows = []
-    largest_term = 0.0
-    for a in dirs:
-        obs = make_observer(emb, a)
-        rep = energy(ref_sd, phys_sd, obs)
-        largest_term = max(largest_term, abs(rep.reference_term),
-                           abs(rep.physical_term))
-        rows.append({"a": a, "E": rep.E, "admissible": verdict(obs)})
+    energies, terms = kernel.energies(dirs)
+    largest_term = float(np.abs(terms).max())
+    rows = [{"a": a, "E": float(e), "admissible": v}
+            for a, e, v in zip(dirs, energies, verdicts(dirs))]
 
     feasible = [r for r in rows if r["admissible"] == "admissible"]
     if not feasible:
@@ -194,9 +196,9 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
 
     def objective(v):
         a = direction(v)
-        rep = energy(ref_sd, phys_sd, make_observer(emb, a))
-        trace.append({"a": a, "E": rep.E})
-        return rep.E
+        e = float(kernel.energies(a[None])[0][0])
+        trace.append({"a": a, "E": e})
+        return e
 
     notes = []
     if refine_iters > 0:
@@ -209,7 +211,7 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     if trace:
         refined = min(trace, key=lambda it: it["E"])
         if refined["E"] < mass_value:
-            if verdict(make_observer(emb, refined["a"])) == "not admissible":
+            if verdicts(refined["a"][None]) == ["not admissible"]:
                 notes.append(
                     "refined direction rejected as not admissible; "
                     "grid minimum reported"
@@ -284,10 +286,10 @@ def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
             emb = embed_metric(bd.geom.mesh, bd.geom.metric, degree=degree,
                                tol=tol, max_iterations=max_iterations)
             emb = align_embedding(emb, bd.positions)
-            ref_sd = SurfaceData.from_embedding(emb)
-            phys_sd = SurfaceData.from_boundary(bd)
-            col = [energy(ref_sd, phys_sd, make_observer(emb, a)).E
-                   for a in a_list]
+            sides = [SurfaceData.from_embedding(emb),
+                     SurfaceData.from_boundary(bd)]
+            col = ObserverKernel(emb.positions, sides).energies(
+                np.array(a_list))[0].tolist()
         except (InitialDataError, EmbeddingError, EnergyError) as exc:
             notices.append(f"radius {r} dropped: {exc}")
             continue

@@ -733,12 +733,14 @@ class LevelSetTopology:
 def _cut_ranges(rank, simplices):
     """Index range [first, stop) of the ascending levels s that cut each
     simplex, from the count rank[v] of levels below u[v]: min u <= s <
-    max u over its vertices, so that u > s at some but not all of them."""
-    first = stop = rank[simplices[:, 0]]
+    max u over its vertices, so that u > s at some but not all of them.
+    For the rows of rank (N, V), the ranges of each row's simplices, row
+    after row."""
+    first = stop = rank.take(simplices[:, 0], axis=-1)
     for j in range(1, simplices.shape[1]):
-        col = rank[simplices[:, j]]
+        col = rank.take(simplices[:, j], axis=-1)
         first, stop = np.minimum(first, col), np.maximum(stop, col)
-    return first, stop
+    return first.ravel(), stop.ravel()
 
 
 def _component_labels(first, stop, a, b, link_first, link_stop):
@@ -787,24 +789,42 @@ def _crossings(below, above, u, s, points):
 
 def _critical_gap_levels(u, faces):
     """One level in each gap between consecutive distinct critical values
-    of u on a closed surface: the midpoint between the gap's lower end and
-    the next distinct vertex value.  Vertices are ordered by (u, index)
-    (simulation of simplicity, Edelsbrunner & Muecke 1990); a vertex is
-    critical when the number of its link edges whose two ends lie on
-    different sides of it is not 2."""
-    rank = np.empty(len(u), dtype=np.int64)
-    rank[np.argsort(u, kind="stable")] = np.arange(len(u))
+    of each row of u (N, V) on a closed surface: the midpoint between the
+    gap's lower end and the next distinct vertex value.  Vertices are
+    ordered by (u, index) (simulation of simplicity, Edelsbrunner & Muecke
+    1990); a vertex is critical when the number of its link edges whose
+    two ends lie on different sides of it is not 2.  Returns the levels
+    row after row, the row of each, and the count (N, V) of the levels of
+    a row and the rows before it below each value (u = s is below s)."""
+    n, V = u.shape
+    order = np.argsort(u, axis=1, kind="stable")
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(V), axis=1)
     # the link edge of corner m is (m + 1, m + 2); its ends lie on
     # different sides of m when (m + 1 above m) equals (m above m + 2)
-    up = rank[faces[:, [1, 2, 0]]] > rank[faces]
-    changes = np.bincount(faces[up == up[:, [2, 0, 1]]], minlength=len(u))
-    critical = np.unique(u[changes != 2])
-    values = np.unique(u)
-    low = critical[:-1]
-    above = values[np.searchsorted(values, low, side="right")]
-    mid = 0.5 * (low + above)
+    corner = pos.take(faces, axis=1)
+    up = corner[..., [1, 2, 0]] > corner
+    hit = np.flatnonzero(up == up[..., [2, 0, 1]])
+    changes = np.bincount(faces.ravel()[hit % faces.size]
+                          + V * (hit // faces.size), minlength=n * V)
+    # the values in ascending order row after row; the first place of each
+    # run of equal values in a row, and the runs that hold a critical vertex
+    value = np.take_along_axis(u, order, axis=1).ravel()
+    new = np.r_[True, value[1:] != value[:-1]]
+    new[::V] = True
+    runs = np.flatnonzero(new)
+    critical = np.take_along_axis(changes.reshape(n, V), order, axis=1) != 2
+    k = np.flatnonzero(np.logical_or.reduceat(critical.ravel(), runs))
+    # each critical run but the last of its row is the lower end of a gap,
+    # whose upper end is the next run
+    k = k[:-1][runs[k[1:]] // V == runs[k[:-1]] // V]
+    low, high = runs[k], runs[k + 1]
+    mid = 0.5 * (value[low] + value[high])
     # between adjacent floats the rank rule still counts u = low as below
-    return np.where(mid < above, mid, low)
+    levels = np.where(mid < value[high], mid, value[low])
+    # a level lies below the values from the upper end of its gap on
+    below = np.bincount(high, minlength=n * V).cumsum().reshape(n, V)
+    return levels, low // V, np.take_along_axis(below, pos, axis=1)
 
 
 class BoundarySurface:
@@ -838,9 +858,12 @@ class BoundarySurface:
     def trace_loops(self, rank):
         """The loops of the ascending levels s on the surface, from the
         count rank[v] of levels below u at each vertex: cut faces linked
-        through cut edges, as `_component_labels` returns them."""
-        return _component_labels(*_cut_ranges(rank, self.faces), self._f1,
-                                 self._f2, *_cut_ranges(rank, self.mesh.edges))
+        through cut edges, as `_component_labels` returns them; for rows
+        of rank (N, V), with the faces of row i numbered on by i F."""
+        shift = len(self.faces) * np.arange(len(np.atleast_2d(rank)))
+        f1, f2 = ((f + shift[:, None]).ravel() for f in (self._f1, self._f2))
+        return _component_labels(*_cut_ranges(rank, self.faces), f1, f2,
+                                 *_cut_ranges(rank, self.mesh.edges))
 
     def sections(self, a):
         """The level table of the sections a.x = s at the critical-gap
@@ -848,14 +871,19 @@ class BoundarySurface:
         boundary_components, n_components) and the smallest signed loop
         area per level in the plane normal to a (`smallest_loop_area`).  A
         loop that shrinks onto vertices at s has area 0 and is a hole or
-        not as the loop just above s is."""
-        a = np.asarray(a, dtype=float)
-        u = self.positions @ a
-        levels = _critical_gap_levels(u, self.faces)
-        # rank[v] levels lie below u[v]; u = s counts as below s
-        rank = np.searchsorted(levels, u)
+        not as the loop just above s is.  For an (N, 3) `a`, the tables of
+        its rows, in one pass that takes every product with a row as for
+        the row alone, so that each equals the row's own bit for bit."""
+        dirs = np.atleast_2d(np.asarray(a, dtype=float))
+        n, F = len(dirs), len(self.faces)
+        points = np.tile(self.positions, (n, 1))
+        u = np.stack([self.positions @ d for d in dirs])
+        levels, level_row, rank = _critical_gap_levels(u, self.faces)
         face, level, labels, comp_level = self.trace_loops(rank)
-        tri = self.faces[face]
+        # the faces' vertices and values numbered on from row to row
+        row = face // F
+        tri = self.faces[face % F] + len(self.positions) * row[:, None]
+        rank, u = rank.ravel(), u.ravel()
         above = rank[tri] > level[:, None]
         after = above[:, [1, 2, 0]]
         rows = np.arange(len(tri))
@@ -866,21 +894,25 @@ class BoundarySurface:
         p_below, p_above = tri[rows, (down + 1) % 3], tri[rows, down]
         q_below, q_above = tri[rows, up], tri[rows, (up + 1) % 3]
         s = levels[level]
-        p_near, p, dp = _crossings(p_below, p_above, u, s, self.positions)
-        q_near, q, dq = _crossings(q_below, q_above, u, s, self.positions)
+        p_near, p, dp = _crossings(p_below, p_above, u, s, points)
+        q_near, q, dq = _crossings(q_below, q_above, u, s, points)
         # shoelace terms about a vertex of each loop, each point taken from
         # its edge's end nearer to s: the area does not depend on the
         # origin, its rounding does, and a loop close to a vertex value is
         # small
         origin = np.empty(len(comp_level), dtype=np.int64)
         origin[labels] = p_near
-        origin = self.positions[origin[labels]]
-        p += self.positions[p_near] - origin
-        q += self.positions[q_near] - origin
+        origin = points[origin[labels]]
+        p += points[p_near] - origin
+        q += points[q_near] - origin
+        # the cut faces of a row are one run
+        bounds = np.searchsorted(row, np.arange(n + 1))
 
         def loop_sums(v, w):
-            return np.bincount(labels, weights=np.cross(v, w) @ a,
-                               minlength=len(comp_level))
+            c = np.cross(v, w)
+            return np.bincount(labels, weights=np.concatenate([
+                c[i:j] @ d for i, j, d in zip(bounds, bounds[1:], dirs)]),
+                minlength=len(comp_level))
 
         # twice the area of the loops at s + e, a polynomial in e; a level
         # pinned to a vertex value (no float lies between it and the next)
@@ -890,16 +922,20 @@ class BoundarySurface:
                           + loop_sums(dp, q), loop_sums(dp, dq)])
         sign = terms[np.argmax(terms != 0.0, axis=0),
                      np.arange(len(comp_level))]
-        area = terms[0] / (2.0 * np.linalg.norm(a))
+        norm = np.array([np.linalg.norm(d) for d in dirs])
+        area = terms[0] / (2.0 * norm[level_row[comp_level]])
         smallest = np.full(len(levels), np.inf)
         np.minimum.at(smallest, comp_level, area)
         loops = np.bincount(comp_level, minlength=len(levels))
         holes = np.bincount(comp_level[sign <= 0.0], minlength=len(levels))
         # every piece of a planar section has one outer loop
-        return SimpleNamespace(levels=levels, chi=loops - 2 * holes,
-                               boundary_components=loops,
-                               n_components=loops - holes,
-                               smallest_loop_area=smallest)
+        cuts = np.cumsum(np.bincount(level_row, minlength=n))[:-1]
+        tables = [SimpleNamespace(levels=s, chi=k - 2 * h,
+                                  boundary_components=k, n_components=k - h,
+                                  smallest_loop_area=m)
+                  for s, k, h, m in zip(*(np.split(x, cuts) for x in (
+                      levels, loops, holes, smallest)))]
+        return tables if np.ndim(a) == 2 else tables[0]
 
 
 def star_shaped_surface(positions, mesh):
@@ -925,9 +961,12 @@ def admissibility_table(a, fill_in=None, surface=None,
     sections: the table is `surface.sections(a)` (route "boundary";
     `surface` defaults to the fill-in's).  Otherwise it is the
     marching-tetrahedra table of `n_levels` sampled levels (route
-    "sampledTets")."""
+    "sampledTets").  For the rows of an (N, 3) `a`, the list of their
+    tables."""
     if fill_in is not None and np.any(fill_in.times):
-        return "sampledTets", sampled_table(fill_in, a, n_levels)
+        tables = [sampled_table(fill_in, row, n_levels)
+                  for row in np.atleast_2d(a)]
+        return "sampledTets", tables if np.ndim(a) == 2 else tables[0]
     return "boundary", (surface or fill_in.boundary_surface).sections(a)
 
 
@@ -1376,6 +1415,20 @@ def _bulk_terms(data, points, weight, du, hess, gamma, delta):
             float(low), points[worst].tolist())
 
 
+def require_on_sphere(vol, radius):
+    """Raises VolumeError unless every boundary vertex of the fill-in lies
+    on the sphere |x| = radius, which the identity integrates over, to
+    1e-9 relative."""
+    bv = vol.boundary_vertices
+    r = np.linalg.norm(vol.vertices[bv], axis=1)
+    off = np.flatnonzero(np.abs(r - radius) > 1e-9 * radius)
+    if len(off):
+        v, rv = bv[off[0]], float(r[off[0]])
+        raise VolumeError(f"boundary vertex {v} has |x| = {rv!r}, off the "
+                          f"sphere of radius {radius!r} that the identity "
+                          f"integrates over (config key `radius`)")
+
+
 def integral_identity_check(data, vol, sol, radius,
                             n_levels=TOPOLOGY_LEVELS):
     """All terms of the level-set integral identity for a spacetime
@@ -1397,17 +1450,10 @@ def integral_identity_check(data, vol, sol, radius,
     carries discretization error; the report then names the reason under
     harmonicFitUnavailable.
 
-    The boundary integrals are taken on the sphere |x| = radius, so every
-    boundary vertex of the fill-in must lie on it to 1e-9 relative.
+    The boundary integrals are taken on the sphere |x| = radius, so the
+    fill-in must pass `require_on_sphere`.
     """
-    bv = vol.boundary_vertices
-    r = np.linalg.norm(vol.vertices[bv], axis=1)
-    off = np.flatnonzero(np.abs(r - radius) > 1e-9 * radius)
-    if len(off):
-        v, rv = bv[off[0]], float(r[off[0]])
-        raise VolumeError(f"boundary vertex {v} has |x| = {rv!r}, off the "
-                          f"sphere of radius {radius!r} that the identity "
-                          f"integrates over (config key `radius`)")
+    require_on_sphere(vol, radius)
     # each route gives (rhsEuler, the bulk sample for _bulk_terms, the
     # boundary solution fields, delta, its own report keys)
     try:

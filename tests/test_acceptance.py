@@ -9,8 +9,8 @@ from scipy.spatial import Delaunay
 
 from qlmass.embedding import align_embedding, embed_metric
 from qlmass.energy import (
+    ObserverKernel,
     SurfaceData,
-    energy,
     euler_lagrange_residual,
     hamilton_jacobi_check,
     make_observer,
@@ -29,11 +29,13 @@ from qlmass.search import asymptotics_driver
 from qlmass.volume import (
     VolumeMesh,
     _split_prism,
+    admissibility_table,
     admissibility_verdict,
     build_fill_in,
     integral_identity_check,
     level_set_topology,
     solve_spacetime_harmonic,
+    verdict_of,
 )
 
 # independent 1D axisymmetric quadrature values for exterior spheres of
@@ -98,9 +100,9 @@ def test_criterion_01_ground_state_zero():
     peaks = {}
     for level in (3, 4):
         _, emb, ref, phys = _surface(FlatData(), 1.0, level)
-        es = [energy(ref, phys, make_observer(emb, a)).E
-              for a in fibonacci_directions(16)]
-        peaks[level] = max(abs(e) for e in es)
+        es = ObserverKernel(emb.positions, [ref, phys]).energies(
+            fibonacci_directions(16))[0]
+        peaks[level] = float(np.abs(es).max())
     ratio = peaks[3] / peaks[4]
     ok = peaks[4] <= 5e-3 and ratio >= 3.5
     _report(1, "ground state zero", ok,
@@ -312,16 +314,15 @@ def test_criterion_10_positivity():
         fill = build_fill_in(emb)
         h = float(np.mean(ref.ops.metric.edge_lengths))
         area_radius = np.sqrt(ref.ops.total_area / (4.0 * np.pi))
-        for a in fibonacci_directions(16):
-            obs = make_observer(emb, a)
-            verdict = admissibility_verdict(fill, obs,
-                                            n_levels=16)["verdict"]
-            if verdict != "admissible":
+        dirs = fibonacci_directions(16)
+        energies, terms = ObserverKernel(emb.positions,
+                                         [ref, phys]).energies(dirs)
+        _, tables = admissibility_table(dirs, fill, n_levels=16)
+        for e, side_terms, table in zip(energies, terms.T, tables):
+            if verdict_of(table) != "admissible":
                 continue
-            rep = energy(ref, phys, obs)
-            disc = (h / area_radius) ** 2 * max(abs(rep.reference_term),
-                                                abs(rep.physical_term))
-            worst = min(worst, rep.E / disc)
+            disc = (h / area_radius) ** 2 * np.abs(side_terms).max()
+            worst = min(worst, e / disc)
     ok = worst >= -5.0
     _report(10, "positivity", ok,
             f"min E / (discretization estimate) = {worst:.2f} (tol -5)",

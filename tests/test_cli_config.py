@@ -526,6 +526,40 @@ def test_verify_identity_refuses_a_ball_off_its_radius(runner, tmp_path,
     assert not (out / "identity.json").exists()
 
 
+def test_verify_identity_checks_the_radius_before_the_solve(runner, tmp_path,
+                                                           monkeypatch):
+    # a ball off the sphere |x| = radius is refused before the interior
+    # solve, whose work the refusal would throw away
+    import qlmass.volume as volume_mod
+    from qlmass.config import RunManifest
+
+    steps = []
+    record = RunManifest.record
+
+    def spy(self, operation):
+        steps.append(operation)
+        record(self, operation)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solve_spacetime_harmonic called")
+
+    monkeypatch.setattr(RunManifest, "record", spy)
+    monkeypatch.setattr(volume_mod, "solve_spacetime_harmonic", solve)
+    mesh = icosphere(2)
+    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                         keepdims=True)
+    mesh_path = tmp_path / "ball.vmesh"
+    write_volume_mesh(mesh_path, build_fill_in(pos, mesh=mesh, layers=3))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"mesh.level = 2\nvolume.mesh_file = {mesh_path}\n")
+    result = runner.invoke(main, ["verify-identity", "--config",
+                                  str(cfg_path), "--radius", "2",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "off the sphere of radius 2.0" in result.output
+    assert steps == ["extractAndEmbed", "fillIn"]
+
+
 def test_el_residual_command(runner, tmp_path):
     out = tmp_path / "run"
     result = runner.invoke(main, ["el-residual", "--level", "3",

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from qlmass.embedding import EmbeddingResult, align_embedding, embed_metric
 from qlmass.energy import (
     EnergyError,
-    ObserverFields,
-    SideFields,
+    ObserverKernel,
     SurfaceData,
-    canonical_frame,
     default_eps_list,
     energy,
     euler_lagrange_residual,
@@ -25,6 +23,7 @@ from qlmass.initialdata import (
     FlatData,
     SchwarzschildData,
     extract_boundary_data,
+    fibonacci_directions,
 )
 from qlmass.mesh import icosphere
 
@@ -74,7 +73,7 @@ def test_canonical_frame_closed_form(flat3):
     _, emb = flat3
     sd = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    frame = canonical_frame(SideFields(sd, obs), 0.0)
+    _, frame = side_integral(sd, obs, 0.0)
     z = emb.positions[:, 2]
     s = np.sqrt(np.maximum(1.0 - z**2, 0.0))
     sel = (~frame.dead_vertices) & (s > 0.3)
@@ -86,9 +85,8 @@ def test_frame_vanishes_for_large_eps(flat3):
     _, emb = flat3
     sd = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    side = SideFields(sd, obs)
-    f_small = canonical_frame(side, 1.0).f
-    f_tiny = canonical_frame(side, 100.0).f
+    f_small = side_integral(sd, obs, 1.0)[1].f
+    f_tiny = side_integral(sd, obs, 100.0)[1].f
     # f decays like 1/eps once eps dominates the gradient scale
     assert np.abs(f_tiny).max() < np.abs(f_small).max() / 50.0
     assert np.abs(f_tiny).max() < 1.5e-2
@@ -125,7 +123,7 @@ def test_integration_by_parts_identity(flat3):
     sd = SurfaceData.from_embedding(emb)
     ops = sd.ops
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    frame = canonical_frame(SideFields(sd, obs), 0.1)
+    _, frame = side_integral(sd, obs, 0.1)
     gu = ops.gradient(obs.uA)
     gf = ops.gradient(frame.f)
     direct = float(np.einsum("fk,fk->f", gu, gf) @ ops.face_areas)
@@ -153,7 +151,8 @@ def test_hamilton_jacobi_identity():
     phys = SurfaceData.from_boundary(bd)
     ref = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    eps_list = default_eps_list(ObserverFields(phys.ops, obs)) + [
+    eps_list = default_eps_list(
+        ObserverKernel(obs.positions, [phys]).fields(obs.a)) + [
         10.0 * float(np.abs(obs.uA).max())
     ]
     rows = hamilton_jacobi_check(ref, phys, obs, eps_list)
@@ -441,3 +440,82 @@ def test_non_convex_reference_image_rejected():
     with pytest.raises(EmbeddingError, match="non-convex image: H0 <= 0 at "
                                              "vertex 0"):
         SurfaceData.from_embedding(dented)
+
+
+# -- the observer kernel: many directions in one call ---------------------
+
+@pytest.fixture(scope="module")
+def kernels2(sides2):
+    """(embedding, observer kernel) of the level-2 Bowen-York sphere and of
+    the level-2 Schwarzschild sphere at r = 10."""
+    emb, ref, physicals = sides2
+    mesh = icosphere(2)
+    schw = extract_boundary_data(SchwarzschildData(1.0), 10.0, mesh=mesh)
+    schw_emb = align_embedding(embed_metric(mesh, schw.geom.metric, degree=12,
+                                            tol=1e-10), schw.positions)
+    return [(emb, ObserverKernel(emb.positions, [ref, physicals[1]])),
+            (schw_emb, ObserverKernel(schw_emb.positions, [
+                SurfaceData.from_embedding(schw_emb),
+                SurfaceData.from_boundary(schw)]))]
+
+
+_DIRECTION_SETS = st.lists(_DIRECTIONS, min_size=1, max_size=8)
+
+
+def _unit_rows(dirs):
+    a = np.asarray(dirs, dtype=float)
+    norm = np.linalg.norm(a, axis=1)
+    assume(np.all(norm > 0.1))
+    return a / norm[:, None]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DIRECTION_SETS)
+def test_batched_energies_equal_one_direction_energies(kernels2, dirs):
+    # E is the difference of two side terms ~200 times larger, so the
+    # rounding bound is relative to the largest side term
+    dirs = _unit_rows(dirs)
+    for emb, kernel in kernels2:
+        E, terms = kernel.energies(dirs)
+        assert E.shape == (len(dirs),) and terms.shape == (2, len(dirs))
+        one = [kernel.energies(a[None])[0][0] for a in dirs]
+        reports = [energy(*kernel.sides, make_observer(emb, a)) for a in dirs]
+        bound = 1e-13 * np.abs(terms).max()
+        assert np.abs(E - one).max() <= bound
+        assert np.abs(E - [rep.E for rep in reports]).max() <= bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DIRECTION_SETS)
+def test_identical_sides_cancel_exactly_in_every_column(sides2, dirs):
+    emb, ref, _ = sides2
+    E, terms = ObserverKernel(emb.positions, [ref, ref]).energies(
+        _unit_rows(dirs))
+    assert np.all(E == 0.0)
+    assert np.array_equal(terms[0], terms[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DIRECTION_SETS, st.data(),
+       st.sampled_from([0.0, 1e-13, 0.5, 1.0 + 1e-5, 3.0]))
+def test_zero_or_non_unit_direction_is_named(kernels2, dirs, data, scale):
+    dirs = _unit_rows(dirs)
+    i = data.draw(st.integers(0, len(dirs) - 1))
+    dirs[i] *= scale
+    with pytest.raises(EnergyError, match=f"observer direction {i} is not a "
+                                          f"unit vector: "):
+        kernels2[0][1].energies(dirs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 40), st.floats(0.0, 2.0 * np.pi))
+def test_directions_beyond_one_block_equal_the_blocks(kernels2, n_blocks,
+                                                      extra, rotation):
+    kernel = kernels2[1][1]
+    n = kernel.block * n_blocks + extra
+    dirs = fibonacci_directions(n, rotation=rotation)
+    E, terms = kernel.energies(dirs)
+    blocks = [kernel.energies(dirs[i:i + kernel.block])
+              for i in range(0, n, kernel.block)]
+    assert np.array_equal(E, np.concatenate([b[0] for b in blocks]))
+    assert np.array_equal(terms, np.hstack([b[1] for b in blocks]))

@@ -158,14 +158,15 @@ def test_timed_fill_in_takes_sampled_levels(flat3, monkeypatch):
     table_of = search.admissibility_table
 
     def spy(a, fill_in, surface, n_levels):
-        route, table = table_of(a, fill_in, surface, n_levels=n_levels)
-        routes.append((route, len(table.levels)))
-        return route, table
+        route, tables = table_of(a, fill_in, surface, n_levels=n_levels)
+        routes.append((route, [len(table.levels) for table in tables]))
+        return route, tables
 
     monkeypatch.setattr(search, "admissibility_table", spy)
     rep = mass_infimum(ref, phys, emb, fill_in=timed, grid_n=8,
                        refine_iters=0, admissibility_levels=12)
-    assert routes == [("sampledTets", 12)] * 8
+    # the grid's eight directions in one call
+    assert routes == [("sampledTets", [12] * 8)]
     assert all(r["admissible"] == "admissible" for r in rep.energy_grid)
 
 

@@ -27,6 +27,7 @@ from qlmass.initialdata import (
     SchwarzschildData,
     UniformExpansionData,
     extract_boundary_data,
+    fibonacci_directions,
 )
 from qlmass.mesh import SurfaceMesh, icosphere
 from qlmass.operators import gradient_matrix, incidence
@@ -1515,6 +1516,45 @@ def test_exact_verdict_matches_tet_oracle(name, a, seed, amplitude):
     topo = LevelSetTopology(vol, vol.vertices @ a, table.levels)
     for count in ("chi", "boundary_components", "n_components"):
         assert np.array_equal(getattr(table, count), getattr(topo, count))
+
+
+def _assert_bitwise_equal_tables(tables, alone):
+    assert len(tables) == len(alone)
+    for table, own in zip(tables, alone):
+        for key in ("levels", "chi", "boundary_components", "n_components",
+                    "smallest_loop_area"):
+            got, want = getattr(table, key), getattr(own, key)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), key
+
+
+_SECTION_SURFACES = {
+    "sphere": star_shaped_surface(*_unit_sphere(3)[::-1]),
+    **{name: vol.boundary_surface for name, vol in _EXACT_CASES.items()}}
+
+
+def test_batched_sections_equal_the_tables_of_each_direction():
+    # one pass over 256 directions gives each direction's own table, bit
+    # for bit, on a convex sphere and on surfaces whose sections have holes
+    dirs = fibonacci_directions(256, rotation=0.7)
+    for surface in _SECTION_SURFACES.values():
+        _assert_bitwise_equal_tables(surface.sections(dirs),
+                                     [surface.sections(a) for a in dirs])
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["sphere", *_EXACT_CASES]),
+       dirs=st.lists(st.sampled_from([(0.0, 0.0, 1.0), (1.0, 1.0, 1.0),
+                                      (1.0, 0.0, 0.0)]) | _VECTORS,
+                     min_size=1, max_size=8))
+def test_batched_sections_with_tied_values_equal_each_direction(name, dirs):
+    # axis and diagonal directions tie whole rings of vertex values
+    dirs = np.asarray(dirs)
+    assume(np.all(np.linalg.norm(dirs, axis=1) > 0.1))
+    dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    surface = _SECTION_SURFACES[name]
+    _assert_bitwise_equal_tables(surface.sections(dirs),
+                                 [surface.sections(a) for a in dirs])
 
 
 @settings(max_examples=40, deadline=None)
