@@ -1,9 +1,10 @@
 """Command line interface: experiment orchestration with reproducible
 configs, manifests, and plot-ready CSV outputs.
 
-Exit codes: 0 on success, 2 on precondition or verdict failures (bad
-config, non-spacelike mean curvature, empty feasible set, non-admissible
-verdict, negative identity slack), 1 on internal errors.
+Exit codes: 0 on success; 2 on a `config.InputError`, the base of every
+error bad input causes (config, unreadable input file or output.dir,
+non-spacelike mean curvature, empty feasible set), on a non-admissible
+verdict and on a negative identity slack; 1 on internal errors.
 """
 
 import os
@@ -31,6 +32,7 @@ import numpy as np
 from .config import (
     SCHEMA,
     ConfigError,
+    InputError,
     RunManifest,
     _parse_value,
     default_config,
@@ -41,23 +43,6 @@ from .config import (
 )
 
 _IMPORT_SECONDS = time.perf_counter() - _IMPORTS_STARTED
-
-
-def _import_numerical_layers():
-    """Import the numerical layers, which only the commands that compute
-    need (`qlm print-config` loads no scipy); returns the errors that mean
-    bad input (exit 2)."""
-    from .embedding import EmbeddingError
-    from .energy import EnergyError
-    from .initialdata import InitialDataError
-    from .mesh import MeshError
-    from .operators import MetricError
-    from .search import SearchError
-    from .volume import VolumeError
-
-    return (ConfigError, InitialDataError, EmbeddingError, EnergyError,
-            VolumeError, SearchError, MetricError, MeshError,
-            FileNotFoundError)
 
 
 _FLAGS = [
@@ -132,27 +117,23 @@ def _boundary(cfg):
     level = cfg["mesh.level"]
     data = _provider(cfg)
     if data is None:
-        path = cfg["provider.boundary_file"]
-        if not path or not os.path.exists(path):
-            raise FileNotFoundError(
-                f"provider.boundary_file not found: {path!r}"
-            )
         # file fields live on the round coordinate sphere of the radius
         round_geom = extract_boundary_data(FlatData(), radius,
                                            level=level).geom
-        return read_boundary_fields(path, round_geom, radius=radius), None
-    return extract_boundary_data(data, radius, level=level), data
+        return _read_input(cfg, "provider.boundary_file",
+                           read_boundary_fields, round_geom, radius=radius)
+    return extract_boundary_data(data, radius, level=level)
 
 
 def _surface(cfg):
     from .embedding import align_embedding, embed_metric
 
-    bd, data = _boundary(cfg)
+    bd = _boundary(cfg)
     emb = embed_metric(bd.geom.mesh, bd.geom.metric,
                        degree=cfg["embedding.degree"],
                        tol=cfg["embedding.tol"],
                        max_iterations=cfg["embedding.max_iterations"])
-    return bd, data, align_embedding(emb, bd.positions)
+    return bd, align_embedding(emb, bd.positions)
 
 
 def _resolution_context(cfg):
@@ -180,32 +161,44 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _read_input(cfg, key, reader, *args, **kwargs):
+    """reader(path, ...) of the file that config key `key` names; a file
+    that is missing or not UTF-8 text is a ConfigError naming both."""
+    path = cfg[key]
+    try:
+        return reader(path, *args, **kwargs)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{key} not found or unreadable: {path!r}: "
+                          f"{reason}") from None
+
+
 def _fill_in(cfg, manifest):
     """The fill-in of `volume.mesh_file`, step `fillIn`; None without."""
     from .volume import read_volume_mesh
 
-    path = cfg["volume.mesh_file"]
-    if not path:
+    if not cfg["volume.mesh_file"]:
         return None
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"volume.mesh_file not found: {path!r}")
-    fill = read_volume_mesh(path)
+    fill = _read_input(cfg, "volume.mesh_file", read_volume_mesh)
     manifest.record("fillIn")
     return fill
 
 
 def _execute(command, kwargs, body):
     started = time.perf_counter()
-    precondition_errors = _import_numerical_layers()
+    from . import search  # noqa: F401 (imports every numerical layer)
     import_seconds = _IMPORT_SECONDS + time.perf_counter() - started
     try:
         cfg = _build_config(kwargs)
         outdir = Path(cfg["output.dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output.dir: {exc}") from None
         manifest = RunManifest(command, cfg, import_seconds=import_seconds)
         code = body(cfg, outdir, manifest) or 0
         manifest.write(outdir / "manifest.json")
-    except precondition_errors as exc:
+    except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except Exception as exc:  # internal
@@ -232,7 +225,7 @@ def embed(**kwargs):
     def body(cfg, outdir, manifest):
         from .embedding import write_embedding
 
-        bd, _, emb = _surface(cfg)
+        _, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         write_embedding(outdir / "embedding.txt", emb)
         manifest.add_output(outdir / "embedding.txt")
@@ -257,7 +250,7 @@ def energy_cmd(**kwargs):
     def body(cfg, outdir, manifest):
         from .energy import SurfaceData, energy, make_observer
 
-        bd, _, emb = _surface(cfg)
+        bd, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         obs = make_observer(emb, observer_vector(cfg))
         rep = energy(SurfaceData.from_embedding(emb),
@@ -279,7 +272,7 @@ def mass(**kwargs):
         from .energy import SurfaceData
         from .search import mass_infimum, write_mass_grid_csv
 
-        bd, _, emb = _surface(cfg)
+        bd, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         # without a mesh file the verdict needs only the embedded surface
         fill = _fill_in(cfg, manifest)
@@ -344,21 +337,22 @@ def asymptotics(**kwargs):
 def admissibility(**kwargs):
     """Level-set topology verdict for one observer direction."""
     def body(cfg, outdir, manifest):
-        from .energy import make_observer
+        from .energy import unit_rows
         from .volume import (
             admissibility_table,
             star_shaped_surface,
             verdict_of,
         )
 
-        bd, _, emb = _surface(cfg)
-        manifest.record("extractAndEmbed")
-        # without a mesh file the sections of the embedded surface decide
+        # a mesh file decides alone; else the embedded surface's sections do
         fill = _fill_in(cfg, manifest)
-        surface = (star_shaped_surface(emb.positions, emb.mesh)
-                   if fill is None else None)
-        obs = make_observer(emb, observer_vector(cfg))
-        route, table = admissibility_table(obs.a, fill, surface,
+        surface = None
+        if fill is None:
+            _, emb = _surface(cfg)
+            manifest.record("extractAndEmbed")
+            surface = star_shaped_surface(emb.positions, emb.mesh)
+        a = unit_rows(observer_vector(cfg))[0]  # the bits of make_observer
+        route, table = admissibility_table(a, fill, surface,
                                            n_levels=cfg["topology.levels"])
         verdict = verdict_of(table)
         levels = [
@@ -400,8 +394,6 @@ def verify_identity(**kwargs):
             raise ConfigError(
                 "verify-identity needs an analytic provider, not files"
             )
-        bd, _, emb = _surface(cfg)
-        manifest.record("extractAndEmbed")
         a = observer_vector(cfg)
         fill = _fill_in(cfg, manifest)
         if fill is not None:
@@ -410,6 +402,8 @@ def verify_identity(**kwargs):
             # the data live on the coordinate ball, whose boundary is the
             # sphere the identity is checked on; u there is the observer
             # function of the reference side, vertex by vertex
+            bd, emb = _surface(cfg)
+            manifest.record("extractAndEmbed")
             fill = build_fill_in(bd.positions, mesh=bd.geom.mesh,
                                  layers=cfg["volume.layers"])
             manifest.record("fillIn")
@@ -452,7 +446,7 @@ def el_residual(**kwargs):
             make_observer,
         )
 
-        bd, _, emb = _surface(cfg)
+        bd, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         obs = make_observer(emb, observer_vector(cfg))
         out = euler_lagrange_residual(SurfaceData.from_boundary(bd), obs)

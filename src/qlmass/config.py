@@ -17,7 +17,11 @@ import numpy as np
 from . import __version__
 
 
-class ConfigError(ValueError):
+class InputError(Exception):
+    """Base of every error that bad input causes; `qlm` exits 2 on it."""
+
+
+class ConfigError(ValueError, InputError):
     pass
 
 
@@ -87,6 +91,7 @@ SCHEMA = {
 
 # key -> (rule, test) for the values a key admits
 LIMITS = {
+    "seed": (">= 0", lambda v: v >= 0),
     "radius": ("> 0", lambda v: v > 0.0),
     "radii": ("> 0 each and distinct",
               lambda v: all(r > 0.0 for r in v) and len(set(v)) == len(v)),
@@ -186,7 +191,7 @@ def read_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config(text, source=str(path))
 

@@ -16,11 +16,12 @@ from scipy import linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import lsqr
 
+from .config import InputError
 from .mesh import pairs_within, unique_rows
 from .operators import SurfaceMetric
 
 
-class EmbeddingError(RuntimeError):
+class EmbeddingError(RuntimeError, InputError):
     """Raised when the embedding iteration fails to converge."""
 
 
@@ -116,8 +117,7 @@ class EmbeddingResult:
 
     @cached_property
     def mean_curvature(self):
-        lap = np.column_stack([self.ops.laplace(self.positions[:, k])
-                               for k in range(3)])
+        lap = self.ops.laplace(self.positions)
         return -np.einsum("vk,vk->v", lap, self.normals)
 
     def consistency_residual(self, metric):

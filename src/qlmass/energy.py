@@ -19,11 +19,11 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 
-from .config import ENERGY_MODES
+from .config import ENERGY_MODES, InputError
 from .embedding import EmbeddingError
 
 
-class EnergyError(RuntimeError):
+class EnergyError(RuntimeError, InputError):
     """Raised for degenerate frames or invalid observer input."""
 
 

@@ -9,13 +9,14 @@ coordinate sphere for the energy machinery.
 
 import numpy as np
 
+from .config import InputError
 from .mesh import icosphere
 from .operators import SurfaceMetric
 
 FD_STEP = 1e-3
 
 
-class InitialDataError(ValueError):
+class InitialDataError(ValueError, InputError):
     """Raised for out-of-domain evaluation or invalid provider input."""
 
 

@@ -6,8 +6,10 @@ All edge/face tables are built once and cached on the instance.
 
 import numpy as np
 
+from .config import InputError
 
-class MeshError(ValueError):
+
+class MeshError(ValueError, InputError):
     """Raised for non-manifold, non-closed, or degenerate mesh input."""
 
 

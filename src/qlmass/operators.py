@@ -18,6 +18,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .config import InputError
+
 DEGENERATE_AREA_FRACTION = 1e-14
 
 
@@ -56,7 +58,7 @@ def stiffness_matrix(D, weighted):
     return K
 
 
-class MetricError(ValueError):
+class MetricError(ValueError, InputError):
     """Raised for metric data violating triangle inequalities or positivity."""
 
 

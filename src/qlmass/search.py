@@ -25,11 +25,11 @@ from .initialdata import (
     growing_differences,
     radius_fit,
 )
-from .config import TOPOLOGY_LEVELS
+from .config import TOPOLOGY_LEVELS, InputError
 from .volume import admissibility_table, star_shaped_surface, verdict_of
 
 
-class SearchError(RuntimeError):
+class SearchError(RuntimeError, InputError):
     pass
 
 

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .config import TOPOLOGY_LEVELS
+from .config import TOPOLOGY_LEVELS, InputError
 from .initialdata import (
     _sphere_quadrature,
     central_partials,
@@ -39,7 +39,7 @@ from .mesh import (
 from .operators import gradient_matrix, incidence, stiffness_matrix
 
 
-class VolumeError(RuntimeError):
+class VolumeError(RuntimeError, InputError):
     pass
 
 

@@ -88,6 +88,7 @@ def _valid_configs():
         "vec3": st.tuples(finite, finite, finite),
     }
     limited = {
+        "seed": st.integers(min_value=0),
         "radius": positive,
         "radii": st.lists(positive, min_size=1, max_size=4,
                           unique=True).map(tuple),
@@ -468,8 +469,10 @@ def test_verify_identity_mesh_file_keeps_the_vertex_times(runner, tmp_path,
     (vol, bvals, sol), = solved
     assert np.array_equal(vol.times, times)
     assert vol.times.any()
+    # the mesh file replaces the extracted sphere, so none is built
     manifest = json.loads((out / "manifest.json").read_text())
-    assert list(manifest["wallTimes"]) == _IDENTITY_STEPS
+    assert list(manifest["wallTimes"]) == ["imports", "fillIn",
+                                           "harmonicSolve", "identity"]
     x = vol.vertices[vol.boundary_vertices]
     np.testing.assert_array_equal(bvals, x @ np.array([0.0, 0.6, 0.8]))
     report = json.loads((out / "identity.json").read_text())
@@ -557,7 +560,7 @@ def test_verify_identity_checks_the_radius_before_the_solve(runner, tmp_path,
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 2, result.output
     assert "off the sphere of radius 2.0" in result.output
-    assert steps == ["extractAndEmbed", "fillIn"]
+    assert steps == ["fillIn"]
 
 
 def test_el_residual_command(runner, tmp_path):
@@ -663,8 +666,7 @@ def test_admissibility_reads_the_mesh_file(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert read == [str(mesh_path)]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert list(manifest["wallTimes"]) == ["imports", "extractAndEmbed",
-                                           "fillIn", "topology"]
+    assert list(manifest["wallTimes"]) == ["imports", "fillIn", "topology"]
     table = reader(mesh_path).boundary_surface.sections(a)
     report = json.loads((out / "admissibility.json").read_text())
     assert report["levels"] == [
@@ -674,6 +676,24 @@ def test_admissibility_reads_the_mesh_file(runner, tmp_path, monkeypatch):
                                     table.boundary_components,
                                     table.n_components,
                                     table.smallest_loop_area)]
+
+
+def test_admissibility_with_a_mesh_file_extracts_no_sphere(runner,
+                                                          tmp_path):
+    # the sphere of radius 0.3 lies inside the Schwarzschild horizon, where
+    # its mean curvature vector is not spacelike; the mesh file decides
+    # the verdict, so that sphere is never extracted
+    mesh_path = tmp_path / "ball.vmesh"
+    _timed_ball_mesh_file(mesh_path, lambda ball: np.zeros(ball.n_vertices))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"volume.mesh_file = {mesh_path}\n")
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["admissibility", "--config", str(cfg_path),
+                                  "--provider", "schwarzschild",
+                                  "--radius", "0.3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "admissibility.json").read_text())
+    assert report["verdict"] == "admissible"
 
 
 def test_admissibility_on_a_timed_mesh_reports_the_sampled_levels(
@@ -827,6 +847,71 @@ def test_missing_provider_file_exits_two(runner, tmp_path):
     assert "not found" in result.output
 
 
+def _config_of(tmp_path, text):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    return str(cfg_path)
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("radius = 1.0  # \u00e9\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("args, named", [
+    (lambda p: ["admissibility", "--config", _config_of(
+        p, f"volume.mesh_file = {p}\n")], "volume.mesh_file"),
+    (lambda p: ["admissibility", "--config", _config_of(
+        p, f"volume.mesh_file = {_not_utf8(p)}\n")], "volume.mesh_file"),
+    (lambda p: ["energy", "--provider", "file", "--boundary-file", str(p),
+                "--level", "1"], "provider.boundary_file"),
+    (lambda p: ["energy", "--provider", "file", "--boundary-file",
+                str(_not_utf8(p)), "--level", "1"], "provider.boundary_file"),
+    (lambda p: ["energy", "--config", str(_not_utf8(p))], "latin1.txt"),
+    (lambda p: ["energy", "--level", "1", "--out",
+                str(_not_utf8(p))], "output.dir"),
+], ids=["mesh-file-directory", "mesh-file-not-utf8",
+        "boundary-file-directory", "boundary-file-not-utf8",
+        "config-not-utf8", "out-names-a-file"])
+def test_unreadable_input_exits_two_naming_it(runner, tmp_path, args,
+                                              named):
+    argv = args(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "run")]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+    assert "internal error" not in result.output
+
+
+def test_every_qlmass_error_is_an_input_error():
+    # `qlm` exits 2 on InputError alone, so an error class outside it
+    # would fall through to exit 1 as an internal error
+    import importlib
+    import inspect
+    import pkgutil
+
+    import qlmass
+    from qlmass.config import InputError
+
+    bases = {}
+    for info in pkgutil.iter_modules(qlmass.__path__):
+        module = importlib.import_module(f"qlmass.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls,
+                                                                Exception):
+                assert issubclass(cls, InputError), name
+                bases[name] = cls.__mro__[1]
+    assert bases == {
+        "InputError": Exception, "ConfigError": ValueError,
+        "MeshError": ValueError, "MetricError": ValueError,
+        "InitialDataError": ValueError, "EmbeddingError": RuntimeError,
+        "EnergyError": RuntimeError, "VolumeError": RuntimeError,
+        "SearchError": RuntimeError,
+    }
+
+
 def test_unknown_provider_exits_two(runner, tmp_path):
     result = runner.invoke(main, ["energy", "--provider", "nosuch",
                                   "--out", str(tmp_path / "run")])
@@ -912,6 +997,8 @@ def test_topology_levels_below_one_rejected(runner, tmp_path, levels):
     ("harmonic.delta", "-1.0", ">= 0"),
     ("harmonic.tol", "-1.0", "> 0"),
     ("harmonic.max_picard", "0", ">= 1"),
+    # numpy.random.default_rng, which draws the grid rotation, takes none
+    ("seed", "-1", ">= 0"),
 ])
 def test_solver_setting_out_of_range_rejected(runner, tmp_path, key, raw,
                                               rule):

@@ -160,6 +160,15 @@ def test_ellipsoid_mean_curvature_oracle():
     assert rel.max() < 2e-2
 
 
+def test_mean_curvature_takes_one_laplacian_of_the_positions(mesh3):
+    # the (V, 3) Laplacian gives the bits of one call per coordinate
+    pos = mesh3.vertices * np.array([1.0, 0.9, 0.7])
+    res = EmbeddingResult(mesh3, pos, 0.0, 0)
+    lap = np.column_stack([res.ops.laplace(pos[:, k]) for k in range(3)])
+    np.testing.assert_array_equal(
+        res.mean_curvature, -np.einsum("vk,vk->v", lap, res.normals))
+
+
 def test_perturbed_sphere_consistency():
     mesh = icosphere(3)
     v = mesh.vertices
