@@ -64,8 +64,8 @@ SCHEMA = {
                    "observer direction for single-observer commands"),
     "observers.grid": ("int", 256, "direction grid size for mass search"),
     "observers.refine_iters": ("int", 50,
-                               "local refinement iterations for mass "
-                               "search"),
+                               "local refinement rounds for mass search, "
+                               "each one energy call of six directions"),
     "asymptotics.observers": ("int", 8,
                               "observer directions per radius in the "
                               "asymptotics command"),
@@ -210,11 +210,16 @@ def config_hash(cfg):
 
 
 def observer_vector(cfg):
+    """The unit vector of observer.a, scaled by a power of two to a
+    largest component in [0.5, 1) first, so its norm neither overflows nor
+    underflows; raises ConfigError for the zero vector."""
     a = np.asarray(cfg["observer.a"], dtype=float)
-    norm = np.linalg.norm(a)
-    if norm < 1e-12:
-        raise ConfigError("observer.a must be nonzero")
-    return a / norm
+    top = np.abs(a).max()
+    if top == 0.0:
+        raise ConfigError(f"observer.a must be nonzero, got "
+                          f"{_format_value('vec3', a)}")
+    a = np.ldexp(a, -np.frexp(top)[1])
+    return a / np.linalg.norm(a)
 
 
 def file_hash(path):

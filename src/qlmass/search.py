@@ -2,7 +2,7 @@
 
 mass_infimum minimizes the energy over a deterministic direction grid on
 the observer sphere, filters by the admissibility verdict, and polishes
-the best feasible point with a local Nelder-Mead search in tangent
+the best feasible point with a local model-based search in tangent
 coordinates.  asymptotics_driver tabulates energies of coordinate
 spheres over a radius ladder, fits E_inf + c / r + d / r^2 to each row by
 linear least squares and sets the limit against the asymptotic energy and
@@ -39,12 +39,13 @@ class MassReport:
     Attributes
     ----------
     mass_value : minimum energy over admissible grid points and the
-        local refinement iterates.
+        directions the local polish evaluated.
     energy_spread : max minus min of the energy over the admissible grid
         points; how far apart the candidates for mass_value are.
     argmin_a : observer direction attaining mass_value.
     energy_grid : list of {a, E, admissible} rows in grid order.
-    refinement_trace : list of {a, E} local-search iterates.
+    refinement_trace : list of {a, E}, every direction the local polish
+        evaluated, in call order (six per round).
     """
 
     def __init__(self, mass_value, energy_spread, argmin_a, energy_grid,
@@ -85,55 +86,60 @@ def _tangent_basis(a):
     return t1, np.cross(a, t1)
 
 
-def _nelder_mead(func, simplex, maxiter, xatol, fatol):
-    """Minimize `func` from the (N+1, N) `simplex` by Nelder-Mead with
-    reflection 1, expansion 2, contraction 1/2 and shrink 1/2; returns the
-    best vertex and its value.
+# the polish stencil in units of h: centre, +-h along both axes, diagonal
+_STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                    dtype=float)
 
-    The loop is that of scipy 1.17's `minimize(method="Nelder-Mead")` with
-    an initial simplex: the vertices are re-sorted by np.argsort after
-    every step, the search stops when every vertex lies within `xatol` of
-    the best in each coordinate and every value within `fatol` of the
-    best, and the evaluation of the start counts as iteration 1 of
-    `maxiter`, so both make the same calls of `func` in the same order.
+
+def _polish(func, h, rounds, xatol=1e-10, fatol=1e-14, h_min=1e-3):
+    """Minimize `func`, which maps k points (k, 2) to their values (k,),
+    from the origin with a first stencil of size h; returns the last
+    centre and its value, never above the origin's.
+
+    Each round evaluates the `_STENCIL` about the centre in one call of
+    `func` and fits the quadratic through its six values.  When the
+    model's Hessian is positive definite the centre takes its Newton step,
+    clipped to 2h, and h becomes the step's length within [h_min, h] (a
+    smaller stencil would difference rounding); otherwise the centre moves
+    to the best stencil point, and h shrinks fourfold when that is the
+    centre.  A centre above the one before sends the next round back there
+    with a quarter of its h.  The search stops after a step of at most
+    `xatol`, one round after a model that promised at most `fatol` (its
+    Newton decrease, or the spread of the six values), or after `rounds`
+    rounds.
     """
-    sim = np.array(simplex, dtype=float)
-    fsim = np.array([func(x) for x in sim])
-    for _ in range(maxiter - 1):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+    x, fx, hx = np.zeros(2), np.inf, h  # the last centre not uphill
+    centre, done = x, False
+    for _ in range(rounds):
+        f = func(centre + h * _STENCIL)
+        if f[0] > fx:
+            hx /= 4.0
+            centre, h = x, hx
+            continue
+        x, fx, hx = centre, f[0], h
+        if done:
             break
-        xbar = sim[:-1].sum(axis=0) / (len(sim) - 1)
-        xr = 2.0 * xbar - sim[-1]
-        fxr = func(xr)
-        if fxr < fsim[0]:
-            xe = 3.0 * xbar - 2.0 * sim[-1]
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        g = np.array([f[1] - f[2], f[3] - f[4]]) / 2.0
+        cross = f[5] - f[1] - f[3] + f[0]
+        hess = np.array([[f[1] + f[2] - 2.0 * f[0], cross],
+                         [cross, f[3] + f[4] - 2.0 * f[0]]])
+        newton = hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0
+        if newton:
+            step = np.linalg.solve(hess, -g)
+            step *= 2.0 / max(2.0, np.hypot(*step))
+            gain = -(g @ step + step @ hess @ step / 2.0)
         else:
-            # outside contraction when the reflection improved on the
-            # worst vertex, inside contraction otherwise; shrink when it
-            # does not help
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = func(xc)
-                accept = fxc <= fxr
-            else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = func(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, len(sim)):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
-    best = np.argmin(fsim)
-    return sim[best], fsim[best]
+            step, gain = _STENCIL[np.argmin(f)], np.ptp(f)
+        length = h * np.hypot(*step)
+        centre = x + h * step
+        if length == 0.0:
+            h /= 4.0
+        elif newton:
+            h = min(h, max(length, h_min))
+        done = gain <= fatol
+        if 0.0 < length <= xatol:
+            break
+    return x, fx
 
 
 def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
@@ -142,13 +148,14 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     """Minimum energy over admissible observer directions.
 
     Evaluates the energy on a Fibonacci direction grid, filters by the
-    per-direction admissibility verdict, then refines around the best
-    feasible direction by Nelder-Mead in local tangent coordinates
-    (renormalizing the direction at every iterate), each iterate a
-    one-direction call of the grid's `ObserverKernel`.  The verdicts are
-    the `verdict_of` the `admissibility_table` of a block of directions,
-    on the fill-in or, without one, on the embedded surface, which must
-    then be star-shaped about its centroid as `build_fill_in` requires.
+    per-direction admissibility verdict, then polishes around the best
+    feasible direction in local tangent coordinates (exponential map,
+    first stencil the grid spacing): at most `refine_iters` rounds of
+    `_polish`, each six directions in one call of the grid's
+    `ObserverKernel`.  The verdicts are the `verdict_of` the
+    `admissibility_table` of a block of directions, on the fill-in or,
+    without one, on the embedded surface, which must then be star-shaped
+    about its centroid as `build_fill_in` requires.
     Deterministic for fixed arguments.  Raises SearchError with per-point
     diagnostics when no grid direction is admissible.  A note says when
     the spread of the admissible grid energies is at most 1e-12 of the
@@ -187,25 +194,18 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
 
     trace = []
 
-    def direction(v):
-        theta = float(np.hypot(v[0], v[1]))
-        if theta < 1e-14:
-            return a0
-        tang = (v[0] * t1 + v[1] * t2) / theta
-        return np.cos(theta) * a0 + np.sin(theta) * tang
-
     def objective(v):
-        a = direction(v)
-        e = float(kernel.energies(a[None])[0][0])
-        trace.append({"a": a, "E": e})
+        theta = np.hypot(v[:, 0], v[:, 1])
+        sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta),
+                         where=theta > 0.0)
+        a = (np.cos(theta)[:, None] * a0
+             + sinc[:, None] * (v[:, :1] * t1 + v[:, 1:] * t2))
+        e = kernel.energies(a)[0]
+        trace.extend({"a": ai, "E": float(ei)} for ai, ei in zip(a, e))
         return e
 
     notes = []
-    if refine_iters > 0:
-        h = 2.0 / np.sqrt(grid_n)  # grid spacing in radians
-        simplex = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
-        _nelder_mead(objective, simplex, refine_iters, xatol=1e-10,
-                     fatol=1e-14)
+    _polish(objective, 2.0 / np.sqrt(grid_n), refine_iters)  # grid spacing
 
     mass_value, argmin = best["E"], a0
     if trace:

@@ -944,6 +944,31 @@ def _rejected(runner, tmp_path, args, config_text=None):
     return result.output
 
 
+@pytest.mark.parametrize("huge_or_tiny, ordinary", [
+    ("1e300,1e300,1e300", "1,1,1"),
+    ("1e-13,0,0", "1,0,0"),
+])
+def test_observer_direction_of_any_finite_scale(runner, tmp_path,
+                                                huge_or_tiny, ordinary):
+    # the norm of the first would overflow, that of the second is below
+    # any fixed threshold; both scale to the direction of the second
+    energies = []
+    for name, a in (("a", huge_or_tiny), ("b", ordinary)):
+        out = tmp_path / name
+        result = runner.invoke(main, ["energy", "--provider",
+                                      "schwarzschild", "--radius", "10",
+                                      "--level", "2", f"--a={a}",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        energies.append(json.loads((out / "energy.json").read_text())["E"])
+    assert abs(energies[0] - energies[1]) <= 1e-14 * abs(energies[1])
+
+
+def test_zero_observer_direction_rejected(runner, tmp_path):
+    out = _rejected(runner, tmp_path, ["--a=0,0,-0.0", "--level", "2"])
+    assert "observer.a must be nonzero, got 0.0,0.0,-0.0" in out
+
+
 def test_nonpositive_radius_rejected(runner, tmp_path):
     out = _rejected(runner, tmp_path, ["--radius", "-1", "--level", "2"])
     assert "<flag>: bad value for key radius: -1.0 (must be > 0)" in out

@@ -6,10 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlmass import search
 from qlmass.embedding import align_embedding, embed_metric
-from qlmass.energy import SurfaceData
+from qlmass.energy import ObserverKernel, SurfaceData
 from qlmass.initialdata import (
     BowenYorkData,
     FlatData,
@@ -19,7 +21,7 @@ from qlmass.initialdata import (
 from qlmass.mesh import icosphere
 from qlmass.search import (
     SearchError,
-    _nelder_mead,
+    _polish,
     asymptotics_driver,
     mass_infimum,
     write_asymptotics_csv,
@@ -192,67 +194,133 @@ def test_mass_grid_csv(flat3, tmp_path):
     assert rows[1][4] == "admissible"
 
 
-# -- the local search against scipy's Nelder-Mead -------------------------
+# -- the local polish ------------------------------------------------------
 
-def _scipy_nelder_mead(func, simplex, maxiter, xatol, fatol, callback=None):
-    """scipy.optimize.minimize with the arguments of _nelder_mead."""
+def _scipy_nelder_mead(func, simplex, maxiter, xatol, fatol):
+    """Best value of scipy.optimize.minimize(method="Nelder-Mead") from
+    `simplex`, the search `mass_infimum` made before the polish."""
     from scipy.optimize import minimize
 
-    res = minimize(func, np.zeros(simplex.shape[1]), method="Nelder-Mead",
-                   callback=callback,
-                   options={"maxiter": maxiter, "xatol": xatol,
-                            "fatol": fatol, "initial_simplex": simplex})
-    return res.x, res.fun
-
-
-def _rosenbrock(x):
-    return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    return minimize(func, np.zeros(simplex.shape[1]), method="Nelder-Mead",
+                    options={"maxiter": maxiter, "xatol": xatol,
+                             "fatol": fatol,
+                             "initial_simplex": simplex}).fun
 
 
 def _cusp(x):
-    return np.sqrt(abs(x[0] - 0.3)) + np.sqrt(abs(x[1] + 0.1))
+    return np.sqrt(abs(x[..., 0] - 0.3)) + np.sqrt(abs(x[..., 1] + 0.1))
 
 
-@pytest.mark.parametrize("func, maxiter", [(_rosenbrock, 5),
-                                           (_rosenbrock, 50),
-                                           (_rosenbrock, 400),
-                                           (_cusp, 200)])
-def test_nelder_mead_evaluates_as_scipy_does(func, maxiter):
-    simplex = np.array([[-1.2, 1.0], [-1.0, 1.0], [-1.2, 1.2]])
-    seen = {"ours": [], "scipy": []}
-    marks = []  # evaluations made when scipy finishes each iteration
+@pytest.mark.parametrize("provider, radius, level", [
+    (BowenYorkData(np.array([0.0, 0.0, 0.1])), 40.0, 2),
+    (BowenYorkData(np.array([0.0, 0.0, 0.1])), 40.0, 3),
+    (BowenYorkData(np.array([0.3, -0.2, 0.5])), 10.0, 3),
+    (SchwarzschildData(1.0), 10.0, 3),
+    (FlatData(), 1.0, 3),
+], ids=["bowen_york_z-40-2", "bowen_york_z-40-3", "bowen_york_xyz-10-3",
+        "schwarzschild-10-3", "flat-1-3"])
+def test_polish_reaches_scipy_nelder_mead(provider, radius, level):
+    # the oracle: scipy's Nelder-Mead on the one-direction energy in the
+    # same chart about the best grid direction, from the grid-spacing
+    # simplex, with the iteration cap and tolerances it had in mass_infimum
+    ref, phys, emb = _setup(provider, radius, level)
+    grid = mass_infimum(ref, phys, emb, grid_n=32, refine_iters=0)
+    ours = mass_infimum(ref, phys, emb, grid_n=32, refine_iters=50)
+    kernel = ObserverKernel(emb.positions, [ref, phys])
+    a0 = grid.argmin_a
+    t1, t2 = search._tangent_basis(a0)
 
-    def recorded(name):
-        def f(x):
-            seen[name].append(np.array(x))
-            return func(x)
-        return f
+    def energy(v):
+        theta = np.hypot(*v)
+        a = (np.cos(theta) * a0 + np.sin(theta) / theta * (v[0] * t1
+                                                          + v[1] * t2)
+             if theta > 0.0 else a0)
+        return kernel.energies(a[None])[0][0]
 
-    x, fx = _nelder_mead(recorded("ours"), simplex, maxiter, 1e-10, 1e-14)
-    x_ref, fx_ref = _scipy_nelder_mead(
-        recorded("scipy"), simplex, maxiter, 1e-10, 1e-14,
-        callback=lambda _: marks.append(len(seen["scipy"])))
-    assert np.array_equal(np.array(seen["ours"]), np.array(seen["scipy"]))
-    assert np.array_equal(x, x_ref) and fx == fx_ref
-    # the cap stops the short searches (the start counts as iteration 1),
-    # the xatol/fatol test the long ones
-    assert (len(marks) + 1 == maxiter) == (maxiter <= 50)
-    # a step evaluates once or twice, or four times when it shrinks
-    per_step = np.diff([3] + marks)
-    assert (4 in per_step) == (func is _cusp)
+    h = 2.0 / np.sqrt(32)
+    oracle = min(grid.mass_value, _scipy_nelder_mead(
+        energy, np.array([[0.0, 0.0], [h, 0.0], [0.0, h]]), 50, 1e-10,
+        1e-14))
+    grid_a = np.array([row["a"] for row in grid.energy_grid])
+    largest_term = np.abs(kernel.energies(grid_a)[1]).max()
+    assert ours.mass_value <= oracle + 1e-14 * largest_term
+    assert ours.mass_value <= grid.mass_value
 
 
-def test_mass_refinement_trace_matches_scipy(monkeypatch):
-    ref, phys, emb = _setup(BowenYorkData(np.array([0.0, 0.0, 0.1])),
-                            40.0, 2)
-    fill = build_fill_in(emb, layers=4)
-    ours = mass_infimum(ref, phys, emb, fill_in=fill, grid_n=16,
-                        refine_iters=50, admissibility_levels=16)
-    monkeypatch.setattr(search, "_nelder_mead", _scipy_nelder_mead)
-    theirs = mass_infimum(ref, phys, emb, fill_in=fill, grid_n=16,
-                          refine_iters=50, admissibility_levels=16)
-    assert len(ours.refinement_trace) > 20
-    assert json.dumps(ours.to_dict()) == json.dumps(theirs.to_dict())
+def test_polish_finds_the_bowen_york_direction(by3):
+    # P || z: the energy's minimum is at a = z to the mesh's symmetry
+    ref, phys, emb = by3
+    rep = mass_infimum(ref, phys, emb, grid_n=24, refine_iters=50)
+    assert np.arccos(min(1.0, rep.argmin_a[2])) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.05, 2.0), st.floats(0.05, 2.0),
+       st.floats(0.0, np.pi), st.floats(-0.25, 0.25),
+       st.floats(-0.25, 0.25), st.floats(0.0, 0.1), st.floats(-1.0, 1.0))
+def test_polish_finds_the_minimum_of_a_smooth_bowl(l1, l2, angle, x1, x2,
+                                                   quartic, offset):
+    # a positive-definite quadratic plus a quartic at most a tenth of its
+    # smaller curvature, minimized at x* inside the first stencil
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    hess = rot @ np.diag([l1, l2]) @ rot.T
+    x_min = np.array([x1, x2])
+    calls = []
+
+    def bowl(points):
+        calls.append(len(points))
+        d = points - x_min
+        return (offset + 0.5 * np.einsum("ki,ij,kj->k", d, hess, d)
+                + quartic * min(l1, l2) * (d ** 4).sum(axis=1))
+
+    x, fx = _polish(bowl, 0.25, 20)
+    assert np.hypot(*(x - x_min)) <= 1e-8
+    assert len(calls) <= 20 and set(calls) == {6}
+
+
+@pytest.mark.parametrize("rounds", [1, 5, 50, 400])
+def test_polish_never_climbs_on_a_cusp(rounds):
+    calls = []
+
+    def cusp(points):
+        calls.append(len(points))
+        return _cusp(points)
+
+    x, fx = _polish(cusp, 0.5, rounds)
+    assert fx <= _cusp(np.zeros(2)) and fx == _cusp(x)
+    assert len(calls) <= rounds
+
+
+def test_polish_makes_one_kernel_call_per_round(by3, monkeypatch):
+    ref, phys, emb = by3
+    energies = ObserverKernel.energies
+    sizes = []
+
+    def spy(kernel, dirs):
+        sizes.append(len(dirs))
+        return energies(kernel, dirs)
+
+    monkeypatch.setattr(ObserverKernel, "energies", spy)
+    for cap in (3, 50):
+        sizes.clear()
+        rep = mass_infimum(ref, phys, emb, grid_n=24, refine_iters=cap)
+        rounds = sizes[1:]  # after the grid's call
+        assert sizes[0] == 24
+        assert 1 <= len(rounds) <= cap and max(rounds) <= 6
+        assert len(rep.refinement_trace) == sum(rounds)
+    assert len(rounds) < 50  # the search stopped before its cap
+
+
+def test_identical_sides_keep_the_grid_direction(by3):
+    # every energy is exactly 0: the polish must not move, nor divide by
+    # its flat model (RuntimeWarnings are errors)
+    ref, _, emb = by3
+    grid = mass_infimum(ref, ref, emb, grid_n=16, refine_iters=0)
+    rep = mass_infimum(ref, ref, emb, grid_n=16, refine_iters=50)
+    assert rep.mass_value == 0.0 and not np.signbit(rep.mass_value)
+    assert np.array_equal(rep.argmin_a, grid.argmin_a)
+    assert {it["E"] for it in rep.refinement_trace} == {0.0}
 
 
 # -- asymptotics -----------------------------------------------------------
