@@ -45,33 +45,33 @@ from .config import (
 _IMPORT_SECONDS = time.perf_counter() - _IMPORTS_STARTED
 
 
+# (flag, config key); each flag shows its key's help from SCHEMA
 _FLAGS = [
-    ("--provider", "provider", "initial data provider"),
-    ("--mass", "provider.mass", "schwarzschild mass parameter"),
-    ("--momentum", "provider.momentum", "bowen_york momentum x,y,z"),
-    ("--boundary-file", "provider.boundary_file",
-     "boundary fields file for provider=file"),
-    ("--radius", "radius", "coordinate sphere radius"),
-    ("--radii", "radii", "comma separated radius ladder"),
-    ("--level", "mesh.level", "icosphere refinement level"),
-    ("--a", "observer.a", "observer direction x,y,z"),
-    ("--grid", "observers.grid", "mass-search grid size"),
-    ("--seed", "seed", "seed for grid rotation"),
-    ("--out", "output.dir", "output directory"),
+    ("--provider", "provider"),
+    ("--mass", "provider.mass"),
+    ("--momentum", "provider.momentum"),
+    ("--boundary-file", "provider.boundary_file"),
+    ("--radius", "radius"),
+    ("--radii", "radii"),
+    ("--level", "mesh.level"),
+    ("--a", "observer.a"),
+    ("--grid", "observers.grid"),
+    ("--seed", "seed"),
+    ("--out", "output.dir"),
 ]
 
 
-_FLAG_KEYS = {"flag_" + key.replace(".", "_"): key for _, key, _ in _FLAGS}
+_FLAG_KEYS = {"flag_" + key.replace(".", "_"): key for _, key in _FLAGS}
 
 
 def _with_flags(fn):
     fn = click.option("--config", "config_path",
                       type=click.Path(), default=None,
                       help="config file (key = value lines)")(fn)
-    for flag, key, help_text in _FLAGS:
+    for flag, key in _FLAGS:
+        help_text = f"{SCHEMA[key][3]} (overrides config key {key})"
         fn = click.option(flag, "flag_" + key.replace(".", "_"),
-                          default=None,
-                          help=f"{help_text} (overrides config)")(fn)
+                          default=None, help=help_text)(fn)
     return fn
 
 
@@ -136,17 +136,10 @@ def _surface(cfg):
     return bd, align_embedding(emb, bd.positions)
 
 
-def _resolution_context(cfg):
-    return {
-        "meshLevel": cfg["mesh.level"],
-        "embeddingDegree": cfg["embedding.degree"],
-        "embeddingTol": cfg["embedding.tol"],
-        "harmonicTol": cfg["harmonic.tol"],
-        "topologyLevels": cfg["topology.levels"],
-    }
-
-
 def _write_json(manifest, path, payload):
+    """Writes the report `payload` as JSON with the manifest's resolution
+    block as its last key, and records the file in the manifest."""
+    payload = {**payload, "resolution": manifest.resolution}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=_json_default)
         fh.write("\n")
@@ -234,7 +227,6 @@ def embed(**kwargs):
             "defectMax": emb.defect_max,
             "iterations": emb.iterations,
             "radius": cfg["radius"],
-            "resolution": _resolution_context(cfg),
         }
         _write_json(manifest, outdir / "embed.json", payload)
         click.echo(f"defectL2={emb.defect_l2:.3e} "
@@ -255,8 +247,7 @@ def energy_cmd(**kwargs):
         obs = make_observer(emb, observer_vector(cfg))
         rep = energy(SurfaceData.from_embedding(emb),
                      SurfaceData.from_boundary(bd), obs,
-                     mode=cfg["energy.mode"],
-                     context=_resolution_context(cfg))
+                     mode=cfg["energy.mode"])
         manifest.record("energy")
         _write_json(manifest, outdir / "energy.json", rep.to_dict())
         click.echo(f"E={rep.E:.10e}")
@@ -283,7 +274,6 @@ def mass(**kwargs):
             refine_iters=cfg["observers.refine_iters"],
             grid_rotation=_grid_rotation(cfg),
             admissibility_levels=cfg["topology.levels"],
-            context=_resolution_context(cfg),
         )
         manifest.record("massSearch")
         write_mass_grid_csv(outdir / "mass_grid.csv", report)
@@ -317,7 +307,6 @@ def asymptotics(**kwargs):
             mesh_level=cfg["mesh.level"],
             degree=cfg["embedding.degree"], tol=cfg["embedding.tol"],
             max_iterations=cfg["embedding.max_iterations"],
-            context=_resolution_context(cfg),
         )
         manifest.record("asymptotics")
         write_asymptotics_csv(outdir / "asymptotics.csv", report)
@@ -366,8 +355,7 @@ def admissibility(**kwargs):
             for row, area in zip(levels, table.smallest_loop_area):
                 row["smallestLoopArea"] = float(area)
         manifest.record("topology")
-        payload = {"verdict": verdict, "route": route, "levels": levels,
-                   "resolution": _resolution_context(cfg)}
+        payload = {"verdict": verdict, "route": route, "levels": levels}
         _write_json(manifest, outdir / "admissibility.json", payload)
         click.echo(f"verdict={verdict}")
         return 0 if verdict == "admissible" else 2
@@ -426,7 +414,6 @@ def verify_identity(**kwargs):
             "residualNorm": sol.residual_norm,
             "delta": sol.delta,
         }
-        report["resolution"] = _resolution_context(cfg)
         _write_json(manifest, outdir / "identity.json", report)
         click.echo(f"slack={report['slack']:.3e} scale={report['scale']:.3e} "
                    f"method={report['method']}")
@@ -456,7 +443,6 @@ def el_residual(**kwargs):
             "interiorL2": out["interiorL2"],
             "totalIntegral": out["totalIntegral"],
             "warnings": out["warnings"],
-            "resolution": _resolution_context(cfg),
         }
         _write_json(manifest, outdir / "el_residual.json", payload)
         click.echo(f"charges={out['distributionalCharges']} "

@@ -2,10 +2,11 @@
 
 Config files are `key = value` lines with `#` comments.  Every key has a
 default; unknown or duplicate keys, non-finite numbers, strings holding
-`#`, a line break or surrounding whitespace, and values outside LIMITS
-are rejected with the offending line number (or `<flag>`).  Every
-accepted config round-trips: parse_config(serialize_config(cfg)) == cfg
-(floats round-trip through repr), so its hash names what ran.
+`#`, a line break or surrounding whitespace, and values outside the
+limit of their SCHEMA row are rejected with the offending line number
+(or `<flag>`).  Every accepted config round-trips:
+parse_config(serialize_config(cfg)) == cfg (floats round-trip through
+repr), so its hash, which leaves out the help comments, names what ran.
 """
 
 import hashlib
@@ -34,81 +35,70 @@ ENERGY_MODES = ("explicit", "epsLimit", "both")
 # the default of topology.levels and of every sampled topology scan
 TOPOLOGY_LEVELS = 64
 
-# key -> (type, default, help); types: int, float, str, floats (comma
-# separated list), vec3 (comma separated triple)
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_POSITIVE = ("> 0", lambda v: v > 0.0)
+
+# key -> (type, default, limit, help), the limit None or (rule, test) as
+# above; types: int, float, str, floats (comma separated list), vec3
+# (comma separated triple)
 SCHEMA = {
-    "schemaVersion": ("int", SCHEMA_VERSION, "config schema version"),
-    "seed": ("int", 0, "seed for all randomized sweeps and grid rotations"),
-    "provider": ("str", "flat",
+    "schemaVersion": ("int", SCHEMA_VERSION, None, "config schema version"),
+    "seed": ("int", 0, _AT_LEAST_0,
+             "seed for all randomized sweeps and grid rotations"),
+    "provider": ("str", "flat", None,
                  "initial data provider: flat, schwarzschild, bowen_york, "
                  "or file"),
-    "provider.mass": ("float", 1.0, "mass parameter of the "
-                                    "schwarzschild provider"),
-    "provider.momentum": ("vec3", (0.0, 0.0, 0.1),
-                          "momentum vector of the bowen_york provider"),
-    "provider.boundary_file": ("str", "",
+    "provider.mass": ("float", 1.0, None,
+                      "mass parameter of the schwarzschild provider"),
+    "provider.momentum": ("vec3", (0.0, 0.0, 0.1), None,
+                          "momentum x,y,z of the bowen_york provider"),
+    "provider.boundary_file": ("str", "", None,
                                "boundary fields file for provider = file "
                                "(four columns: H trK a1 a2 on the round "
                                "sphere of the configured radius)"),
-    "radius": ("float", 1.0, "coordinate sphere radius for single-surface "
-                             "commands"),
+    "radius": ("float", 1.0, _POSITIVE,
+               "coordinate sphere radius for single-surface commands"),
     "radii": ("floats", (10.0, 20.0, 40.0, 80.0),
-              "radius ladder for the asymptotics command"),
-    "mesh.level": ("int", 3, "icosphere refinement level"),
-    "embedding.degree": ("int", 16,
+              ("> 0 each and distinct",
+               lambda v: all(r > 0.0 for r in v) and len(set(v)) == len(v)),
+              "comma separated radius ladder for the asymptotics command"),
+    "mesh.level": ("int", 3, _AT_LEAST_0, "icosphere refinement level"),
+    "embedding.degree": ("int", 16, _AT_LEAST_1,
                          "spherical-harmonic degree of the embedding solve"),
-    "embedding.tol": ("float", 1e-8, "embedding defect tolerance"),
-    "embedding.max_iterations": ("int", 200,
+    "embedding.tol": ("float", 1e-8, _POSITIVE, "embedding defect tolerance"),
+    "embedding.max_iterations": ("int", 200, _AT_LEAST_1,
                                  "embedding Gauss-Newton iteration cap"),
-    "observer.a": ("vec3", (0.0, 0.0, 1.0),
-                   "observer direction for single-observer commands"),
-    "observers.grid": ("int", 256, "direction grid size for mass search"),
-    "observers.refine_iters": ("int", 50,
+    "observer.a": ("vec3", (0.0, 0.0, 1.0), None,
+                   "observer direction x,y,z for single-observer commands"),
+    "observers.grid": ("int", 256, _AT_LEAST_1,
+                       "direction grid size for mass search"),
+    "observers.refine_iters": ("int", 50, _AT_LEAST_0,
                                "local refinement rounds for mass search, "
                                "each one energy call of six directions"),
-    "asymptotics.observers": ("int", 8,
+    "asymptotics.observers": ("int", 8, _AT_LEAST_1,
                               "observer directions per radius in the "
                               "asymptotics command"),
     "energy.mode": ("str", "explicit",
+                    ("one of " + ", ".join(ENERGY_MODES),
+                     lambda v: v in ENERGY_MODES),
                     "energy evaluation mode: explicit, epsLimit, or both"),
-    "volume.layers": ("int", 8, "interior shell layers of the fill-in"),
-    "volume.mesh_file": ("str", "",
+    "volume.layers": ("int", 8, _AT_LEAST_1,
+                      "interior shell layers of the fill-in"),
+    "volume.mesh_file": ("str", "", None,
                          "tetrahedral fill-in file overriding the built "
                          "star-shaped fill-in (empty selects the builder)"),
-    "harmonic.delta": ("float", 0.0,
+    "harmonic.delta": ("float", 0.0, _AT_LEAST_0,
                        "gradient regularization of the interior solver "
                        "(0 selects the automatic scale)"),
-    "harmonic.tol": ("float", 1e-10,
+    "harmonic.tol": ("float", 1e-10, _POSITIVE,
                      "interior solver stop on the fixed-point step, the "
                      "largest change of u that one Picard step makes"),
-    "harmonic.max_picard": ("int", 100,
+    "harmonic.max_picard": ("int", 100, _AT_LEAST_1,
                             "interior solver fixed-point iteration cap"),
-    "topology.levels": ("int", TOPOLOGY_LEVELS,
+    "topology.levels": ("int", TOPOLOGY_LEVELS, _AT_LEAST_1,
                         "sampled level sets per topology scan"),
-    "output.dir": ("str", "out", "output directory"),
-}
-
-
-# key -> (rule, test) for the values a key admits
-LIMITS = {
-    "seed": (">= 0", lambda v: v >= 0),
-    "radius": ("> 0", lambda v: v > 0.0),
-    "radii": ("> 0 each and distinct",
-              lambda v: all(r > 0.0 for r in v) and len(set(v)) == len(v)),
-    "mesh.level": (">= 0", lambda v: v >= 0),
-    "embedding.degree": (">= 1", lambda v: v >= 1),
-    "embedding.tol": ("> 0", lambda v: v > 0.0),
-    "embedding.max_iterations": (">= 1", lambda v: v >= 1),
-    "observers.grid": (">= 1", lambda v: v >= 1),
-    "observers.refine_iters": (">= 0", lambda v: v >= 0),
-    "asymptotics.observers": (">= 1", lambda v: v >= 1),
-    "volume.layers": (">= 1", lambda v: v >= 1),
-    "harmonic.delta": (">= 0", lambda v: v >= 0.0),
-    "harmonic.tol": ("> 0", lambda v: v > 0.0),
-    "harmonic.max_picard": (">= 1", lambda v: v >= 1),
-    "topology.levels": (">= 1", lambda v: v >= 1),
-    "energy.mode": ("one of " + ", ".join(ENERGY_MODES),
-                    lambda v: v in ENERGY_MODES),
+    "output.dir": ("str", "out", None, "output directory"),
 }
 
 
@@ -142,7 +132,7 @@ def _parse_value(key, kind, raw, where):
             raise ValueError(f"{raw!r} is not finite")
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for key {key}: {exc}")
-    rule, test = LIMITS.get(key, (None, None))
+    rule, test = SCHEMA[key][2] or (None, None)
     if rule is not None and not test(value):
         raise ConfigError(f"{where}: bad value for key {key}: {value!r} "
                           f"(must be {rule})")
@@ -199,14 +189,18 @@ def read_config(path):
 def serialize_config(cfg):
     """Canonical text form, keys in schema order with help comments."""
     lines = []
-    for key, (kind, _, help_text) in SCHEMA.items():
+    for key, (kind, _, _, help_text) in SCHEMA.items():
         lines.append(f"# {help_text}")
         lines.append(f"{key} = {_format_value(kind, cfg[key])}")
     return "\n".join(lines) + "\n"
 
 
 def config_hash(cfg):
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    """SHA-256 of the `key = value` lines of serialize_config, without the
+    help comments, so that it names the values alone."""
+    lines = serialize_config(cfg).splitlines(keepends=True)
+    values = "".join(line for line in lines if not line.startswith("#"))
+    return hashlib.sha256(values.encode()).hexdigest()
 
 
 def observer_vector(cfg):
@@ -233,7 +227,8 @@ def file_hash(path):
 class RunManifest:
     """Reproducibility record of one command invocation: the config hash,
     the code version, wall times per operation, and content hashes of
-    every written output.
+    every written output.  `resolution` holds the discretization keys of
+    the config, which every report of the run repeats.
 
     `import_seconds`, the time the program took to import its modules,
     is the first wall time, `imports`, and counts toward totalSeconds.
@@ -242,6 +237,13 @@ class RunManifest:
     def __init__(self, command, cfg, import_seconds):
         self.command = command
         self.config_hash = config_hash(cfg)
+        self.resolution = {
+            "meshLevel": cfg["mesh.level"],
+            "embeddingDegree": cfg["embedding.degree"],
+            "embeddingTol": cfg["embedding.tol"],
+            "harmonicTol": cfg["harmonic.tol"],
+            "topologyLevels": cfg["topology.levels"],
+        }
         self.code_version = __version__
         self.started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         self.wall_times = {"imports": import_seconds}

@@ -284,8 +284,7 @@ class EnergyReport:
     """Energy evaluation record; E = reference_term - physical_term."""
 
     def __init__(self, E, reference_term, physical_term, term_breakdown,
-                 eps_sequence, critical_area_fraction, warnings=None,
-                 context=None):
+                 eps_sequence, critical_area_fraction, warnings=None):
         self.E = E
         self.reference_term = reference_term
         self.physical_term = physical_term
@@ -293,7 +292,6 @@ class EnergyReport:
         self.eps_sequence = eps_sequence
         self.critical_area_fraction = critical_area_fraction
         self.warnings = warnings or []
-        self.context = context or {}
 
     def to_dict(self):
         return {
@@ -305,7 +303,6 @@ class EnergyReport:
             "criticalAreaFraction": self.critical_area_fraction,
             "admissibleFlag": "unchecked",
             "warnings": self.warnings,
-            "context": self.context,
         }
 
 
@@ -317,8 +314,7 @@ def default_eps_list(fields):
     return list(scale * np.logspace(-1, -4, EPS_COUNT))
 
 
-def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
-           context=None):
+def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit"):
     """Quasi-local energy of the observer; both sides must lie on one mesh
     with one set of edge lengths.
 
@@ -364,10 +360,8 @@ def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit",
             # terms reported from the last (smallest) eps of the sequence
             e_val = e_limit
             ref_term, phys_term = r / (8.0 * np.pi), p / (8.0 * np.pi)
-    return EnergyReport(
-        e_val, ref_term, phys_term, breakdown, eps_sequence, crit_frac,
-        warnings=warnings, context=context,
-    )
+    return EnergyReport(e_val, ref_term, phys_term, breakdown, eps_sequence,
+                        crit_frac, warnings=warnings)
 
 
 def _extrapolate_eps(seq):

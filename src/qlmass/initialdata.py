@@ -382,19 +382,17 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
 
 def _sphere_quadrature(radius=1.0, n_theta=48, n_phi=96):
     """Gauss-Legendre in cos(theta) times the midpoint rule in phi: points
-    on the sphere of the given radius, unit-sphere weights, and the
-    sin(theta) and cos(theta) columns of the points."""
+    on the sphere of the given radius and unit-sphere weights."""
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(nodes)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
-    st, ct = np.sin(th), np.cos(th)
-    points = radius * np.stack(
-        [st * np.cos(ph), st * np.sin(ph), ct], axis=-1
-    ).reshape(-1, 3)
+    st = np.sin(th)
+    points = radius * np.stack([st * np.cos(ph), st * np.sin(ph),
+                                np.cos(th)], axis=-1).reshape(-1, 3)
     # leggauss weights absorb sin(theta) d theta through the cos substitution
     w = (weights[:, None] * np.full(n_phi, 2.0 * np.pi / n_phi)).reshape(-1)
-    return points, w, st.reshape(-1), ct.reshape(-1)
+    return points, w
 
 
 def radius_fit(radii, values):
@@ -437,7 +435,7 @@ def adm_integrals(data, radii):
     energy differences between successive radii grow
     (`growing_differences`)."""
     radii = sorted(radii)
-    dirs, w, _, _ = _sphere_quadrature()
+    dirs, w = _sphere_quadrature()
     energies, momenta = [], []
     for R in radii:
         X = R * dirs

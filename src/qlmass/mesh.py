@@ -130,9 +130,12 @@ class SurfaceMesh:
                 f"mesh is not closed/manifold: {np.sum(counts != 2)} edge(s) "
                 f"not shared by exactly 2 faces (first: "
                 f"{tuple(names[self.edges[bad]].tolist())}, in {counts[bad]})")
-        # opposite orientation: each undirected edge appears once per direction
-        directed = halfedges[:, 0] * len(self.vertices) + halfedges[:, 1]
-        if len(np.unique(directed)) != len(directed):
+        # edge_halfedges[e] = the two halfedges of edge e, lower index first;
+        # halfedge k F + i runs from faces[i, k] to faces[i, k + 1].  A
+        # consistent orientation runs the two in opposite directions.
+        self.edge_halfedges = np.argsort(inv, kind="stable").reshape(-1, 2)
+        tails = halfedges[self.edge_halfedges, 0]
+        if np.any(tails[:, 0] == tails[:, 1]):
             raise MeshError("inconsistent face orientation (repeated halfedge)")
 
     @property

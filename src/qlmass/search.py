@@ -49,14 +49,13 @@ class MassReport:
     """
 
     def __init__(self, mass_value, energy_spread, argmin_a, energy_grid,
-                 refinement_trace, notes=None, context=None):
+                 refinement_trace, notes=None):
         self.mass_value = float(mass_value)
         self.energy_spread = float(energy_spread)
         self.argmin_a = np.asarray(argmin_a, dtype=float)
         self.energy_grid = energy_grid
         self.refinement_trace = refinement_trace
         self.notes = notes or []
-        self.context = context or {}
 
     def to_dict(self):
         return {
@@ -73,7 +72,6 @@ class MassReport:
                 for it in self.refinement_trace
             ],
             "notes": self.notes,
-            "context": self.context,
         }
 
 
@@ -144,7 +142,7 @@ def _polish(func, h, rounds, xatol=1e-10, fatol=1e-14, h_min=1e-3):
 
 def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
                  refine_iters=50, grid_rotation=0.0,
-                 admissibility_levels=TOPOLOGY_LEVELS, context=None):
+                 admissibility_levels=TOPOLOGY_LEVELS):
     """Minimum energy over admissible observer directions.
 
     Evaluates the energy on a Fibonacci direction grid, filters by the
@@ -224,8 +222,7 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
                      f"(spread {spread:.2e}, largest side term "
                      f"{largest_term:.6g}): the energy does not determine "
                      f"argminA")
-    return MassReport(mass_value, spread, argmin, rows, trace, notes=notes,
-                      context=context)
+    return MassReport(mass_value, spread, argmin, rows, trace, notes=notes)
 
 
 # -- asymptotics -----------------------------------------------------------
@@ -241,7 +238,7 @@ class AsymptoticsReport:
     """
 
     def __init__(self, radii, a_list, energies, fits, adm_target,
-                 adm_report, notices, context=None):
+                 adm_report, notices):
         self.radii = list(map(float, radii))
         self.a_list = [np.asarray(a, dtype=float) for a in a_list]
         self.energies = energies
@@ -249,7 +246,6 @@ class AsymptoticsReport:
         self.adm_target = adm_target
         self.adm_report = adm_report
         self.notices = notices
-        self.context = context or {}
 
     def to_dict(self):
         return {
@@ -260,12 +256,11 @@ class AsymptoticsReport:
             "admTarget": list(map(float, self.adm_target)),
             "admIntegrals": self.adm_report,
             "notices": self.notices,
-            "context": self.context,
         }
 
 
 def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
-                       tol=1e-10, max_iterations=200, context=None):
+                       tol=1e-10, max_iterations=200):
     """Energy of coordinate spheres per observer direction and radius,
     with the fitted limit E(r) = E_inf + c / r + d / r^2 of `radius_fit`.
 
@@ -310,7 +305,7 @@ def asymptotics_driver(data, a_list, radii, mesh_level=3, degree=16,
     adm = adm_integrals(data, used_radii)
     target = [adm["E"] - float(a @ np.asarray(adm["P"])) for a in a_list]
     return AsymptoticsReport(used_radii, a_list, energies, fits, target,
-                             adm, notices, context=context)
+                             adm, notices)
 
 
 # -- CSV emission ----------------------------------------------------------

@@ -24,6 +24,7 @@ from scipy.sparse.linalg import splu
 from .config import TOPOLOGY_LEVELS, InputError
 from .initialdata import (
     _sphere_quadrature,
+    _unit_normal,
     central_partials,
     dec_margin,
     fibonacci_directions,
@@ -97,9 +98,9 @@ def _require_one_fan(mesh, names):
     halfedge after its twin starts at the same vertex, so the orbits of
     that map are the fans of faces around the vertices."""
     F = mesh.n_faces
-    pairs = np.argsort(mesh.face_edges.T.ravel(), kind="stable")
+    first, second = mesh.edge_halfedges.T
     twin = np.empty(3 * F, dtype=np.int64)
-    twin[pairs[0::2]], twin[pairs[1::2]] = pairs[1::2], pairs[0::2]
+    twin[first], twin[second] = second, first
     n_fans, labels = connected_components(csr_matrix(
         (np.ones(3 * F), (np.arange(3 * F), (twin + F) % (3 * F))),
         shape=(3 * F, 3 * F)), directed=False)
@@ -851,9 +852,7 @@ class BoundarySurface:
     def __init__(self, positions, mesh):
         self.positions, self.mesh, self.faces = positions, mesh, mesh.faces
         # the two faces of each edge, in the order the faces name it
-        owner = (np.argsort(mesh.face_edges.T.ravel(), kind="stable")
-                 % len(self.faces))
-        self._f1, self._f2 = owner[0::2], owner[1::2]
+        self._f1, self._f2 = (mesh.edge_halfedges % len(self.faces)).T
 
     def trace_loops(self, rank):
         """The loops of the ascending levels s on the surface, from the
@@ -1292,11 +1291,11 @@ def _boundary_identity_integral(data, radius, solution_fields, delta=0.0):
     """Both boundary integrals of the identity on the coordinate sphere,
     by smooth (48 x 96) quadrature; solution_fields(points) -> (grad u,
     Hess u)."""
-    points, wq, st, ct = _sphere_quadrature(radius)
+    points, wq = _sphere_quadrature(radius)
     dU, HU = solution_fields(points)
 
-    gq, ginv_q, _, kq = _point_fields(data, points)
-    nu = data.sphere_normal(points)
+    _, ginv_q, sqrtdet, kq = _point_fields(data, points)
+    nu = _unit_normal(points, ginv_q)
     Hq = data.sphere_mean_curvature(points)
     trk_full = np.einsum("nij,nij->n", ginv_q, kq)
     k_nn = np.einsum("nij,ni,nj->n", kq, nu, nu)
@@ -1325,26 +1324,18 @@ def _boundary_identity_integral(data, radius, solution_fields, delta=0.0):
     w_w2 = w_gu2 - 2.0 * nu_u * w_nuu
     term2 = (w_nuu - nu_u * w_w2 / (2.0 * w2)) / gu
 
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
-    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros(len(points))],
-                    axis=-1)
-    e_th = radius * that
-    e_ph = radius * st[:, None] * phat
-    s11 = np.einsum("ni,nij,nj->n", e_th, gq, e_th)
-    s22 = np.einsum("ni,nij,nj->n", e_ph, gq, e_ph)
-    s12 = np.einsum("ni,nij,nj->n", e_th, gq, e_ph)
-    # area density relative to sin(theta) d theta d phi
-    dens = np.sqrt(np.maximum(s11 * s22 - s12**2, 0.0)) / np.maximum(
-        st, 1e-300
-    )
+    # area density relative to sin(theta) d theta d phi: r^2 sqrt(det g)
+    # times the g^-1 length of the Euclidean unit normal n = x / r
+    n = points / radius
+    dens = radius**2 * sqrtdet * np.sqrt(
+        np.einsum("ni,nij,nj->n", n, ginv_q, n))
     return float(((term1 + term2) * dens) @ wq)
 
 
 def _ball_quadrature(radius):
     """Points and weights for the coordinate ball, radially graded toward
     the center (integrands may be merely Lipschitz at the origin)."""
-    dirs, w_ang, _, _ = _sphere_quadrature(1.0, *BALL_ANGLES)
+    dirs, w_ang = _sphere_quadrature(1.0, *BALL_ANGLES)
     edges = radius * 2.0 ** -np.arange(BALL_PANELS + 1, dtype=float)
     edges = np.append(edges, 0.0)[::-1]
     nodes, gw = leggauss(BALL_GAUSS)

@@ -9,9 +9,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlmass.cli import main
+from qlmass.cli import _FLAGS, main
 from qlmass.config import (
-    LIMITS,
     SCHEMA,
     SCHEMA_VERSION,
     ConfigError,
@@ -106,11 +105,12 @@ def _valid_configs():
         "topology.levels": st.integers(min_value=1),
         "energy.mode": st.sampled_from(["explicit", "epsLimit", "both"]),
     }
-    assert set(LIMITS) <= set(limited)
+    # a key that gains a limit in SCHEMA needs a strategy here
+    assert set(limited) == {key for key, row in SCHEMA.items() if row[2]}
     limited["schemaVersion"] = st.just(SCHEMA_VERSION)
     return st.fixed_dictionaries({
         key: limited.get(key, by_kind[kind])
-        for key, (kind, _, _) in SCHEMA.items()
+        for key, (kind, *_) in SCHEMA.items()
     })
 
 
@@ -120,6 +120,25 @@ def test_valid_configs_round_trip(cfg):
     back = parse_config(serialize_config(cfg))
     assert back == cfg
     assert config_hash(back) == config_hash(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_valid_configs(), other=_valid_configs(),
+       key=st.sampled_from(sorted(SCHEMA)),
+       help_text=st.text(st.characters(
+           exclude_categories=("Cc", "Cs", "Zl", "Zp"))))
+def test_config_hash_names_the_values_not_the_help(cfg, other, key,
+                                                   help_text):
+    before = config_hash(cfg)
+    kind, default, limit, _ = SCHEMA[key]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(SCHEMA, key, (kind, default, limit, help_text))
+        assert config_hash(cfg) == before
+    # a value that serializes differently (repr tells -0.0 from 0.0) moves
+    # the hash; one that serializes the same does not
+    for k in SCHEMA:
+        same = repr(other[k]) == repr(cfg[k])
+        assert (config_hash({**cfg, k: other[k]}) == before) == same
 
 
 @pytest.mark.parametrize("key, raw", [("provider.mass", "nan"),
@@ -264,7 +283,7 @@ def test_energy_command_writes_report_and_manifest(runner, tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads((out / "energy.json").read_text())
     assert abs(report["E"]) < 1e-3
-    assert report["context"]["meshLevel"] == 2
+    assert report["resolution"]["meshLevel"] == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "energy"
     # the clock starts with the imports, which are the first wall time
@@ -300,6 +319,40 @@ def test_config_file_with_flag_override(runner, tmp_path):
     result = runner.invoke(main, ["energy", "--config", str(cfg_path),
                                   "--a", "1,0,0", "--out", str(out)])
     assert result.exit_code == 0, result.output
+
+
+def test_every_report_ends_with_the_resolution_of_its_config(runner,
+                                                             tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("mesh.level = 2\nembedding.tol = 1e-9\n"
+                        "harmonic.tol = 1e-9\ntopology.levels = 16\n"
+                        "observers.grid = 8\nobservers.refine_iters = 2\n"
+                        "radii = 10,20\n")
+    expected = {"meshLevel": 2, "embeddingDegree": 16, "embeddingTol": 1e-9,
+                "harmonicTol": 1e-9, "topologyLevels": 16}
+    reports = {"embed": "embed.json", "energy": "energy.json",
+               "mass": "mass.json", "asymptotics": "asymptotics.json",
+               "admissibility": "admissibility.json",
+               "verify-identity": "identity.json",
+               "el-residual": "el_residual.json"}
+    for command, name in reports.items():
+        out = tmp_path / command
+        result = runner.invoke(main, [command, "--config", str(cfg_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, (command, result.output)
+        report = json.loads((out / name).read_text())
+        assert list(report)[-1] == "resolution", name
+        assert report["resolution"] == expected, name
+        assert "context" not in report, name
+
+
+@pytest.mark.parametrize("flag, key", _FLAGS)
+def test_flag_help_is_the_help_of_its_key(runner, flag, key):
+    result = runner.invoke(main, ["energy", "--help"])
+    assert result.exit_code == 0, result.output
+    # click rewraps the help; compare without the whitespace
+    text = "".join(result.output.split())
+    assert "".join(f"{flag} TEXT {SCHEMA[key][3]}".split()) in text
 
 
 def test_mass_command(runner, tmp_path):

@@ -39,6 +39,27 @@ def test_non_manifold_rejected():
         SurfaceMesh(verts, faces)
 
 
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from([0.0, 0.02, 0.5, 1.0]))
+def test_orientation_check_is_the_repeated_halfedge_check(level, seed,
+                                                          share):
+    base = icosphere(level)
+    flip = np.random.default_rng(seed).random(base.n_faces) < share
+    faces = np.where(flip[:, None], base.faces[:, ::-1], base.faces)
+    halfedges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                                faces[:, [2, 0]]])
+    if len(np.unique(halfedges, axis=0)) < len(halfedges):
+        with pytest.raises(MeshError, match="inconsistent face orientation"):
+            SurfaceMesh(base.vertices, faces)
+        return
+    mesh = SurfaceMesh(base.vertices, faces)
+    # the two halfedges of each edge join its vertices in opposite ways
+    pairs = halfedges[mesh.edge_halfedges]
+    assert np.array_equal(np.sort(pairs[:, 0], axis=1), mesh.edges)
+    assert np.array_equal(pairs[:, 0], pairs[:, 1, ::-1])
+
+
 def test_degenerate_face_rejected():
     m = icosphere(1)
     lengths = SurfaceMetric.from_positions(m, m.vertices).edge_lengths.copy()
