@@ -246,8 +246,7 @@ def energy_cmd(**kwargs):
         manifest.record("extractAndEmbed")
         obs = make_observer(emb, observer_vector(cfg))
         rep = energy(SurfaceData.from_embedding(emb),
-                     SurfaceData.from_boundary(bd), obs,
-                     mode=cfg["energy.mode"])
+                     SurfaceData.from_boundary(bd), obs)
         manifest.record("energy")
         _write_json(manifest, outdir / "energy.json", rep.to_dict())
         click.echo(f"E={rep.E:.10e}")
@@ -262,11 +261,14 @@ def mass(**kwargs):
     def body(cfg, outdir, manifest):
         from .energy import SurfaceData
         from .search import mass_infimum, write_mass_grid_csv
+        from .volume import require_bounded_by
 
         bd, emb = _surface(cfg)
         manifest.record("extractAndEmbed")
         # without a mesh file the verdict needs only the embedded surface
         fill = _fill_in(cfg, manifest)
+        if fill is not None:
+            require_bounded_by(fill, emb.positions)
         report = mass_infimum(
             SurfaceData.from_embedding(emb),
             SurfaceData.from_boundary(bd), emb, fill_in=fill,
@@ -397,8 +399,7 @@ def verify_identity(**kwargs):
             manifest.record("fillIn")
             bvals = make_observer(emb, a).uA
         require_on_sphere(fill, cfg["radius"])
-        delta = cfg["harmonic.delta"] or None
-        sol = solve_spacetime_harmonic(fill, data, bvals, delta=delta,
+        sol = solve_spacetime_harmonic(fill, data, bvals,
                                        tol=cfg["harmonic.tol"],
                                        max_picard=cfg["harmonic.max_picard"])
         manifest.record("harmonicSolve")

@@ -28,10 +28,6 @@ class ConfigError(ValueError, InputError):
 
 SCHEMA_VERSION = 1
 
-# the values of energy.mode, named here so that reading a config loads no
-# numerical layer
-ENERGY_MODES = ("explicit", "epsLimit", "both")
-
 # the default of topology.levels and of every sampled topology scan
 TOPOLOGY_LEVELS = 64
 
@@ -79,18 +75,11 @@ SCHEMA = {
     "asymptotics.observers": ("int", 8, _AT_LEAST_1,
                               "observer directions per radius in the "
                               "asymptotics command"),
-    "energy.mode": ("str", "explicit",
-                    ("one of " + ", ".join(ENERGY_MODES),
-                     lambda v: v in ENERGY_MODES),
-                    "energy evaluation mode: explicit, epsLimit, or both"),
     "volume.layers": ("int", 8, _AT_LEAST_1,
                       "interior shell layers of the fill-in"),
     "volume.mesh_file": ("str", "", None,
                          "tetrahedral fill-in file overriding the built "
                          "star-shaped fill-in (empty selects the builder)"),
-    "harmonic.delta": ("float", 0.0, _AT_LEAST_0,
-                       "gradient regularization of the interior solver "
-                       "(0 selects the automatic scale)"),
     "harmonic.tol": ("float", 1e-10, _POSITIVE,
                      "interior solver stop on the fixed-point step, the "
                      "largest change of u that one Picard step makes"),

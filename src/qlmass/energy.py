@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 
-from .config import ENERGY_MODES, InputError
+from .config import InputError
 from .embedding import EmbeddingError
 
 
@@ -69,7 +69,7 @@ class SurfaceData:
     oriented mesh edges.
     """
 
-    def __init__(self, ops, H, trk, alpha_edges, name=""):
+    def __init__(self, ops, H, trk, alpha_edges):
         self.ops = ops
         self.mesh = ops.mesh
         self.H = np.asarray(H, dtype=float)
@@ -85,7 +85,6 @@ class SurfaceData:
         if alpha_edges is None:
             alpha_edges = np.zeros(self.mesh.n_edges)
         self.alpha_edges = np.asarray(alpha_edges, dtype=float)
-        self.name = name
 
     @classmethod
     def from_boundary(cls, bd):
@@ -93,8 +92,7 @@ class SurfaceData:
         # slice normal of the provider convention; the density formulas
         # take the opposite time orientation so that the large-sphere
         # energy limit comes out as (ADM energy) - <a, ADM momentum>.
-        return cls(bd.geom, bd.H, -bd.trk, -bd.alpha_edge_values(),
-                   name=bd.name)
+        return cls(bd.geom, bd.H, -bd.trk, -bd.alpha_edge_values())
 
     @classmethod
     def from_embedding(cls, emb):
@@ -104,7 +102,7 @@ class SurfaceData:
             raise EmbeddingError(
                 f"non-convex image: H0 <= 0 at vertex {int(np.argmin(H0))}"
             )
-        return cls(emb.ops, H0, np.zeros(len(H0)), None, name="reference")
+        return cls(emb.ops, H0, np.zeros(len(H0)), None)
 
     @cached_property
     def gauge_covector(self):
@@ -143,12 +141,11 @@ def _vertex_grad_sq(ops, grad, face_mask=None):
 
 
 # the eps = 0 frame masks faces whose |grad u| is below this share of its
-# median; the default eps sequence has EPS_COUNT values; the radii of the
-# Euler-Lagrange charge caps and mollifier are shares of the area radius;
-# a block of directions holds at most OBSERVER_BLOCK face values (and at
-# least one direction), which bounds its memory at every mesh level
+# median; the radii of the Euler-Lagrange charge caps and mollifier are
+# shares of the area radius; a block of directions holds at most
+# OBSERVER_BLOCK face values (and at least one direction), which bounds
+# its memory at every mesh level
 CRITICAL_FRACTION = 1e-3
-EPS_COUNT = 7
 CAP_FRACTION = 0.2
 MOLLIFICATION_FRACTION = 0.15
 OBSERVER_BLOCK = 2**15
@@ -186,7 +183,7 @@ class ObserverKernel:
         return ObserverFields(self, unit_rows(dirs))
 
     def energies(self, dirs):
-        """Explicit-mode energies (N,) of the directions, rows of `dirs`
+        """Energies (N,) of the directions, rows of `dirs`
         (N, 3), and the side terms (sides, N) whose difference they are,
         one block of directions at a time."""
         a = unit_rows(dirs)
@@ -284,14 +281,12 @@ class EnergyReport:
     """Energy evaluation record; E = reference_term - physical_term."""
 
     def __init__(self, E, reference_term, physical_term, term_breakdown,
-                 eps_sequence, critical_area_fraction, warnings=None):
+                 critical_area_fraction):
         self.E = E
         self.reference_term = reference_term
         self.physical_term = physical_term
         self.term_breakdown = term_breakdown
-        self.eps_sequence = eps_sequence
         self.critical_area_fraction = critical_area_fraction
-        self.warnings = warnings or []
 
     def to_dict(self):
         return {
@@ -299,84 +294,23 @@ class EnergyReport:
             "referenceTerm": self.reference_term,
             "physicalTerm": self.physical_term,
             "termBreakdown": self.term_breakdown,
-            "epsSequence": self.eps_sequence,
             "criticalAreaFraction": self.critical_area_fraction,
             "admissibleFlag": "unchecked",
-            "warnings": self.warnings,
         }
 
 
-def default_eps_list(fields):
-    """Geometric sequence of EPS_COUNT values 1e-1 .. 1e-4 times the mean
-    gradient scale of the fields of one observer."""
-    gsq, _ = fields.unmasked
-    scale = float(np.sqrt(gsq).mean())
-    return list(scale * np.logspace(-1, -4, EPS_COUNT))
-
-
-def energy(ref_sd, phys_sd, obs, eps_list=None, mode="explicit"):
-    """Quasi-local energy of the observer; both sides must lie on one mesh
-    with one set of edge lengths.
-
-    mode "explicit" evaluates the limit formula on the complement of the
-    critical set; mode "epsLimit" extrapolates the regularized sequence;
-    mode "both" reports the explicit value with the sequence attached and
-    warns when the routes disagree beyond the discretization estimate.
-    """
-    if mode not in ENERGY_MODES:
-        raise EnergyError(f"energy mode {mode!r} not in {ENERGY_MODES}")
-    warnings = []
-    eps_sequence = []
-
+def energy(ref_sd, phys_sd, obs):
+    """Quasi-local energy of the observer, with its side terms and
+    critical area fraction: the limit formula on the complement of the
+    critical set, as `ObserverKernel.energies` takes it for N directions;
+    both sides must lie on one mesh with one set of edge lengths."""
     fields = ObserverKernel(obs.positions, [ref_sd, phys_sd]).fields(obs.a)
     terms_r, terms_p = fields.terms(0.0)[..., 0].tolist()
-    breakdown = {"reference": terms_r, "physical": terms_p}
     ref_term = sum(terms_r) / (8.0 * np.pi)
     phys_term = sum(terms_p) / (8.0 * np.pi)
-    e_explicit = ref_term - phys_term
-    crit_frac = float(fields.masked[1][0])
-
-    e_val = e_explicit
-    if mode != "explicit":
-        if eps_list is None:
-            eps_list = default_eps_list(fields)
-        if len(eps_list) == 0:
-            raise EnergyError(f"energy mode {mode!r} needs at least one eps, "
-                              f"got an empty eps_list")
-        for eps in eps_list:
-            r, p = map(sum, fields.terms(eps)[..., 0].tolist())
-            eps_sequence.append((float(eps), (r - p) / (8.0 * np.pi)))
-        e_limit = _extrapolate_eps(eps_sequence)
-        scale = max(abs(ref_term), abs(phys_term), 1e-30)
-        h = float(np.mean(fields.ops.metric.edge_lengths))
-        diam = float(np.ptp(obs.uA)) + 1e-30
-        disc = (h / diam) ** 2 * scale
-        if abs(e_limit - e_explicit) > 10.0 * max(disc, 1e-14 * scale):
-            warnings.append(
-                f"explicit and eps-limit routes disagree: "
-                f"{e_explicit:.6e} vs {e_limit:.6e}"
-            )
-        if mode == "epsLimit":
-            # terms reported from the last (smallest) eps of the sequence
-            e_val = e_limit
-            ref_term, phys_term = r / (8.0 * np.pi), p / (8.0 * np.pi)
-    return EnergyReport(e_val, ref_term, phys_term, breakdown, eps_sequence,
-                        crit_frac, warnings=warnings)
-
-
-def _extrapolate_eps(seq):
-    """Aitken delta-squared extrapolation of the (eps, E_eps) sequence."""
-    if len(seq) < 3:
-        return seq[-1][1]
-    e = np.array([v for _, v in seq[-3:]])
-    d1, d2 = e[1] - e[0], e[2] - e[1]
-    if abs(d1) < 1e-15 or abs(d2) < 1e-15 or abs(d1 - d2) < 1e-15:
-        return float(e[-1])
-    # geometric eps sequence: Aitken acceleration on the energy tail
-    accel = e[2] - d2**2 / (d2 - d1)
-    if not np.isfinite(accel):
-        return float(e[-1])
-    return float(accel)
+    return EnergyReport(ref_term - phys_term, ref_term, phys_term,
+                        {"reference": terms_r, "physical": terms_p},
+                        float(fields.masked[1][0]))
 
 
 def hamilton_jacobi_check(ref_sd, phys_sd, obs, eps_list):

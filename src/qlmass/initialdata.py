@@ -65,7 +65,6 @@ def metric_inverse(g):
 class InitialDataSample:
     """Closed-form initial data (g, k)."""
 
-    name = "abstract"
     # punctured providers are singular at the origin
     excludes_origin = False
 
@@ -231,8 +230,6 @@ class FlatMetricData(InitialDataSample):
 class FlatData(FlatMetricData):
     """Euclidean slice: g = delta, k = 0."""
 
-    name = "flat"
-
     def extrinsic(self, x):
         return self._zeros(x, (3, 3))
 
@@ -246,7 +243,6 @@ class UniformExpansionData(FlatMetricData):
 
     def __init__(self, c=1.0):
         self.c = float(c)
-        self.name = "uniform_expansion"
 
     def extrinsic(self, x):
         return self.c * self.metric(x)
@@ -261,7 +257,6 @@ class SchwarzschildData(InitialDataSample):
         if mass <= 0:
             raise InitialDataError("mass must be positive")
         self.mass = float(mass)
-        self.name = "schwarzschild"
 
     def conformal_factor(self, r):
         return 1.0 + self.mass / (2.0 * np.asarray(r, dtype=float))
@@ -289,7 +284,6 @@ class BowenYorkData(FlatMetricData):
         if momentum.shape != (3,) or not np.all(np.isfinite(momentum)):
             raise InitialDataError("momentum must be a finite 3-vector")
         self.momentum = momentum
-        self.name = "bowen_york"
 
     def extrinsic(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -318,13 +312,12 @@ class QuasiLocalBoundaryData:
     covector tangent to the coordinate sphere at `positions`.
     """
 
-    def __init__(self, geom, H, trk, alpha, positions, name=""):
+    def __init__(self, geom, H, trk, alpha, positions):
         self.geom = geom
         self.H = np.asarray(H, dtype=float)
         self.trk = np.asarray(trk, dtype=float)
         self.alpha = np.asarray(alpha, dtype=float)
         self.positions = positions
-        self.name = name
         bad = self.H <= np.abs(self.trk)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -362,7 +355,7 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
     g = data.metric(X)
     ginv = metric_inverse(g)[0]
     k = data.extrinsic(X)
-    nu = data.sphere_normal(X)
+    nu = _unit_normal(X, ginv)
     trk_full = np.einsum("nij,nij->n", ginv, k)
     knn = np.einsum("nij,ni,nj->n", k, nu, nu)
     trk = trk_full - knn
@@ -371,10 +364,7 @@ def extract_boundary_data(data, radius, mesh=None, level=4):
     a = -np.einsum("nij,nj->ni", k, nu)
     nu_low = np.einsum("nij,nj->ni", g, nu)
     a = a - np.einsum("ni,ni->n", a, nu)[:, None] * nu_low
-    return QuasiLocalBoundaryData(
-        geom, H, trk, a, positions=X,
-        name=f"{data.name}_r{radius:g}",
-    )
+    return QuasiLocalBoundaryData(geom, H, trk, a, positions=X)
 
 
 # -- ADM surface integrals --------------------------------------------------
@@ -510,10 +500,8 @@ def read_boundary_fields(path, geom, radius=None):
         radius = 1.0
     amb = (data[:, 2, None] * e_th + data[:, 3, None] * e_ph) / radius
     verts = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
-    return QuasiLocalBoundaryData(
-        geom, data[:, 0], data[:, 1], amb,
-        positions=radius * verts, name="file",
-    )
+    return QuasiLocalBoundaryData(geom, data[:, 0], data[:, 1], amb,
+                                  positions=radius * verts)
 
 
 def _sphere_frames(vertices):

@@ -156,7 +156,7 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
     about its centroid as `build_fill_in` requires.
     Deterministic for fixed arguments.  Raises SearchError with per-point
     diagnostics when no grid direction is admissible.  A note says when
-    the spread of the admissible grid energies is at most 1e-12 of the
+    two or more admissible grid energies spread by at most 1e-12 of the
     largest side term: then argmin_a is undetermined.
     """
     surface = (star_shaped_surface(emb.positions, emb.mesh)
@@ -217,7 +217,7 @@ def mass_infimum(ref_sd, phys_sd, emb, fill_in=None, grid_n=256,
             else:
                 mass_value, argmin = refined["E"], refined["a"]
     spread = max(r["E"] for r in feasible) - min(r["E"] for r in feasible)
-    if spread <= 1e-12 * largest_term:
+    if len(feasible) > 1 and spread <= 1e-12 * largest_term:
         notes.append(f"the admissible grid energies agree to rounding "
                      f"(spread {spread:.2e}, largest side term "
                      f"{largest_term:.6g}): the energy does not determine "

@@ -489,10 +489,11 @@ class SpacetimeHarmonicSolution:
         self.splu_fallbacks = splu_fallbacks
 
 
-def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
-                             tol=1e-10, max_picard=100):
+def solve_spacetime_harmonic(vol, data, boundary_values, tol=1e-10,
+                             max_picard=100):
     """Picard iteration for Lap_g u = -(Tr_g k) sqrt(|grad u|^2 + delta^2)
-    with Dirichlet boundary trace.
+    with Dirichlet boundary trace, where the regularization
+    delta = 1e-6 ptp(boundary values) / diameter is taken from the data.
 
     One Picard step evaluates G(x), the solution of the linear problem
     whose source is taken at the current iterate x, and its fixed-point
@@ -542,9 +543,7 @@ def solve_spacetime_harmonic(vol, data, boundary_values, delta=None,
     K = stiffness_matrix(D, ((ginv * weight[:, None, None])
                              @ grads.swapaxes(1, 2)).reshape(-1))
 
-    if delta is None:
-        rng = float(np.ptp(boundary_values))
-        delta = 1e-6 * rng / vol.diameter()
+    delta = 1e-6 * float(np.ptp(boundary_values)) / vol.diameter()
     # the equation is homogeneous of degree one in (u, delta), so it is
     # solved for the boundary values divided by the power of two just
     # above their largest magnitude: that moves no bit of the arithmetic
@@ -1418,6 +1417,23 @@ def require_on_sphere(vol, radius):
         raise VolumeError(f"boundary vertex {v} has |x| = {rv!r}, off the "
                           f"sphere of radius {radius!r} that the identity "
                           f"integrates over (config key `radius`)")
+
+
+def require_bounded_by(vol, positions):
+    """Raises VolumeError, naming `volume.mesh_file`, unless the fill-in's
+    boundary vertices, in ascending id order, are the embedded surface's
+    vertices `positions` (V, 3), each to 1e-9 of the surface's extent
+    (its bounding box diagonal)."""
+    bv = vol.boundary_vertices
+    if len(bv) != len(positions):
+        raise VolumeError(f"volume.mesh_file has {len(bv)} boundary "
+                          f"vertices, the embedded surface {len(positions)}")
+    extent = np.linalg.norm(np.ptp(positions, axis=0))
+    off = np.linalg.norm(vol.vertices[bv] - positions, axis=1) > 1e-9 * extent
+    for i in np.flatnonzero(off)[:1]:
+        raise VolumeError(f"volume.mesh_file boundary vertex {bv[i]} is at "
+                          f"{vol.vertices[bv[i]].tolist()}, off embedded "
+                          f"vertex {i} at {positions[i].tolist()}")
 
 
 def integral_identity_check(data, vol, sol, radius,

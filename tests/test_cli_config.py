@@ -99,11 +99,9 @@ def _valid_configs():
         "observers.refine_iters": st.integers(min_value=0),
         "asymptotics.observers": st.integers(min_value=1),
         "volume.layers": st.integers(min_value=1),
-        "harmonic.delta": st.floats(min_value=0.0, max_value=1e300),
         "harmonic.tol": positive,
         "harmonic.max_picard": st.integers(min_value=1),
         "topology.levels": st.integers(min_value=1),
-        "energy.mode": st.sampled_from(["explicit", "epsLimit", "both"]),
     }
     # a key that gains a limit in SCHEMA needs a strategy here
     assert set(limited) == {key for key, row in SCHEMA.items() if row[2]}
@@ -370,6 +368,57 @@ def test_mass_command(runner, tmp_path):
                 if row["admissible"] != "not admissible"]
     assert report["energySpread"] == max(energies) - min(energies)
     assert list(report)[:3] == ["massValue", "energySpread", "argminA"]
+
+
+def _ball(level, scale, center):
+    mesh = icosphere(level)
+    pos = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1,
+                                         keepdims=True)
+    return build_fill_in(scale * pos + np.asarray(center), mesh=mesh,
+                         layers=3)
+
+
+@pytest.mark.parametrize("level, named", [
+    (1, lambda ball: "volume.mesh_file has 42 boundary vertices, the "
+                     "embedded surface 642"),
+    (3, lambda ball: f"volume.mesh_file boundary vertex 0 is at "
+                     f"{ball.vertices[0].tolist()}, off embedded vertex 0 "
+                     f"at ["),
+], ids=["count", "position"])
+def test_mass_refuses_a_mesh_file_off_the_embedded_surface(runner, tmp_path,
+                                                           level, named):
+    # the verdict is about a fill-in of the embedded level-3 surface, not
+    # of a ball of radius 7 about (50, 0, 0)
+    mesh_path, out = tmp_path / "far.vmesh", tmp_path / "run"
+    ball = _ball(level, 7.0, (50.0, 0.0, 0.0))
+    write_volume_mesh(mesh_path, ball)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"volume.mesh_file = {mesh_path}\n")
+    result = runner.invoke(main, ["mass", "--config", str(cfg_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert named(ball) in result.output
+    assert "internal error" not in result.output
+    assert not (out / "mass.json").exists()
+
+
+def test_mass_mesh_file_of_the_embedded_surface_changes_no_output(runner,
+                                                                  tmp_path):
+    from qlmass.cli import _surface
+
+    _, emb = _surface(default_config())
+    mesh_path = tmp_path / "fill.vmesh"
+    write_volume_mesh(mesh_path, build_fill_in(emb))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"volume.mesh_file = {mesh_path}\n")
+    runs = []
+    for config in ([], ["--config", str(cfg_path)]):
+        out = tmp_path / f"run{len(runs)}"
+        result = runner.invoke(main, ["mass", *config, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        runs.append([(out / name).read_bytes()
+                     for name in ("mass.json", "mass_grid.csv")])
+    assert runs[0] == runs[1]
 
 
 def test_asymptotics_command(runner, tmp_path):
@@ -1072,7 +1121,6 @@ def test_topology_levels_below_one_rejected(runner, tmp_path, levels):
     ("embedding.max_iterations", "0", ">= 1"),
     ("asymptotics.observers", "0", ">= 1"),
     ("observers.refine_iters", "-5", ">= 0"),
-    ("harmonic.delta", "-1.0", ">= 0"),
     ("harmonic.tol", "-1.0", "> 0"),
     ("harmonic.max_picard", "0", ">= 1"),
     # numpy.random.default_rng, which draws the grid rotation, takes none
@@ -1132,11 +1180,30 @@ def test_bad_boundary_fields_file_exits_two(runner, tmp_path, bad, message):
     assert not (out / "energy.json").exists()
 
 
-def test_unknown_energy_mode_rejected(runner, tmp_path):
-    out = _rejected(runner, tmp_path, [],
-                    "radius = 2.0\nenergy.mode = epslimit\n")
-    assert "exp.cfg:2: bad value for key energy.mode: 'epslimit'" in out
-    assert "one of explicit, epsLimit, both" in out
+@pytest.mark.parametrize("line", ["energy.mode = explicit",
+                                  "harmonic.delta = 0.0"],
+                         ids=["energy.mode", "harmonic.delta"])
+def test_removed_key_rejected(runner, tmp_path, line):
+    # the energy and the interior solve derive their regularizations, so
+    # neither is a setting any more
+    out = _rejected(runner, tmp_path, [], f"radius = 2.0\n{line}\n")
+    assert f"exp.cfg:2: unknown key {line.split()[0]}" in out
+
+
+def test_every_key_has_a_reader():
+    # a key whose reader is deleted would be accepted and ignored
+    import inspect
+
+    import qlmass.cli as cli_mod
+    import qlmass.config as config_mod
+
+    config_src = inspect.getsource(config_mod)
+    start = config_src.index("SCHEMA = {")
+    outside = (inspect.getsource(cli_mod) + config_src[:start]
+               + config_src[config_src.index("\n}\n", start):])
+    unread = [key for key in SCHEMA
+              if f'"{key}"' not in outside and f"'{key}'" not in outside]
+    assert unread == []
 
 
 def test_out_dir_with_hash_rejected(runner, tmp_path):

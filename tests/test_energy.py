@@ -10,7 +10,6 @@ from qlmass.energy import (
     EnergyError,
     ObserverKernel,
     SurfaceData,
-    default_eps_list,
     energy,
     euler_lagrange_residual,
     hamilton_jacobi_check,
@@ -38,6 +37,13 @@ def _flat_setup(level):
     emb = embed_metric(mesh, bd.geom.metric, degree=16, tol=1e-10)
     emb = align_embedding(emb, bd.positions)
     return bd, emb
+
+
+def _eps_list(fields):
+    """Seven eps values s 10^-1 .. s 10^-4, geometric, with s the mean
+    |grad u| at the vertices of the fields of one observer."""
+    gsq, _ = fields.unmasked
+    return list(float(np.sqrt(gsq).mean()) * np.logspace(-1, -4, 7))
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +157,7 @@ def test_hamilton_jacobi_identity():
     phys = SurfaceData.from_boundary(bd)
     ref = SurfaceData.from_embedding(emb)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    eps_list = default_eps_list(
+    eps_list = _eps_list(
         ObserverKernel(obs.positions, [phys]).fields(obs.a)) + [
         10.0 * float(np.abs(obs.uA).max())
     ]
@@ -180,14 +186,15 @@ def test_eps_limit_route_agrees(schw4):
     ref = SurfaceData.from_embedding(emb)
     phys = SurfaceData.from_boundary(bd)
     obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    rep = energy(ref, phys, obs, mode="both")
-    assert rep.warnings == []
-    errs = [abs(e - rep.E) for _, e in rep.eps_sequence]
-    # regularized sequence approaches the explicit value on the tail
+    E = energy(ref, phys, obs).E
+    fields = ObserverKernel(obs.positions, [ref, phys]).fields(obs.a)
+    errs = []
+    for eps in _eps_list(fields):
+        r, p = fields.terms(eps).sum(axis=1)[:, 0] / (8.0 * np.pi)
+        errs.append(abs(r - p - E))
+    # the regularized energies approach the explicit value on the tail
     assert errs[-1] < errs[0]
-    assert errs[-1] < 1e-3 * rep.E
-    rep2 = energy(ref, phys, obs, mode="epsLimit")
-    assert abs(rep2.E - rep.E) < 1e-3 * rep.E
+    assert errs[-1] < 1e-3 * E
 
 
 def test_bowen_york_antisymmetry():
@@ -250,11 +257,11 @@ def test_report_serialization(flat3):
     phys = SurfaceData.from_boundary(bd)
     for a in (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])):
         obs = make_observer(emb, a)
-        rep = energy(ref, phys, obs, mode="both")
+        rep = energy(ref, phys, obs)
         d = rep.to_dict()
-        assert set(d) >= {
+        assert set(d) == {
             "E", "referenceTerm", "physicalTerm", "termBreakdown",
-            "epsSequence", "criticalAreaFraction", "admissibleFlag",
+            "criticalAreaFraction", "admissibleFlag",
         }
         assert abs(d["E"] - (d["referenceTerm"] - d["physicalTerm"])) < 1e-14
         assert "reference" in d["termBreakdown"]
@@ -318,12 +325,12 @@ def test_identical_data_energy_is_exactly_zero(sides2, a):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_DIRECTIONS, st.sampled_from(["explicit", "both"]))
-def test_term_breakdown_sums_to_side_terms(sides2, a, mode):
+@given(_DIRECTIONS)
+def test_term_breakdown_sums_to_side_terms(sides2, a):
     emb, ref, physicals = sides2
     obs = make_observer(emb, _unit(a))
     for phys in physicals:
-        rep = energy(ref, phys, obs, mode=mode)
+        rep = energy(ref, phys, obs)
         for side, term in (("reference", rep.reference_term),
                            ("physical", rep.physical_term)):
             parts = rep.term_breakdown[side]
@@ -357,7 +364,7 @@ def _count_calls(monkeypatch):
 
 def _fresh(sd):
     """The same side with none of its fields computed yet."""
-    return SurfaceData(sd.ops, sd.H, sd.trk, sd.alpha_edges, name=sd.name)
+    return SurfaceData(sd.ops, sd.H, sd.trk, sd.alpha_edges)
 
 
 def test_each_side_builds_its_observer_fields_once(monkeypatch, sides2):
@@ -365,10 +372,9 @@ def test_each_side_builds_its_observer_fields_once(monkeypatch, sides2):
     ref, phys = _fresh(ref), _fresh(physicals[1])
     obs = make_observer(emb, np.array([0.0, 0.6, 0.8]))
     counts = _count_calls(monkeypatch)
-    rep = energy(ref, phys, obs, mode="both")
-    assert len(rep.eps_sequence) == 7
+    energy(ref, phys, obs)
     # one set of observer fields for both sides, with one critical set
-    assert counts == {"_vertex_grad_sq": 2, "gradient": 1, "laplace": 1,
+    assert counts == {"_vertex_grad_sq": 1, "gradient": 1, "laplace": 1,
                       "critical_set_mask": 1, "face_covector": 2}
     counts.update(dict.fromkeys(counts, 0))
     eps_list = list(np.logspace(-1, -4, 7))
@@ -386,26 +392,11 @@ def test_side_covectors_are_built_once_for_every_observer(monkeypatch,
     counts = _count_calls(monkeypatch)
     for a in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.8, 0.6]):
         obs = make_observer(emb, np.array(a))
-        energy(ref, phys, obs, mode="both")
+        energy(ref, phys, obs)
         hamilton_jacobi_check(ref, phys, obs, [0.1, 0.01])
         optimal_frame_gap(phys, obs, 0.1, [])
     # one gauge and one slice covector per side
     assert counts["face_covector"] == 4
-
-
-def test_unknown_energy_mode_raises(sides2):
-    emb, ref, physicals = sides2
-    obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(EnergyError, match="energy mode 'epslimit' not in"):
-        energy(ref, physicals[0], obs, mode="epslimit")
-
-
-@pytest.mark.parametrize("mode", ["epsLimit", "both"])
-def test_empty_eps_list_raises(sides2, mode):
-    emb, ref, physicals = sides2
-    obs = make_observer(emb, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(EnergyError, match="empty eps_list"):
-        energy(ref, physicals[1], obs, eps_list=[], mode=mode)
 
 
 @settings(max_examples=20, deadline=None)

@@ -100,6 +100,8 @@ def test_rounding_spread_notes_an_undetermined_argmin(flat3, schw4, by3):
     notes = mass_infimum(ref, phys, emb, grid_n=16, refine_iters=0).notes
     assert len(notes) == 1
     assert "the energy does not determine argminA" in notes[0]
+    # one admissible direction has a spread of 0 but no second candidate
+    assert mass_infimum(ref, phys, emb, grid_n=1).notes == []
     for ref, phys, emb in (schw4, by3):
         assert mass_infimum(ref, phys, emb, grid_n=16,
                             refine_iters=0).notes == []

@@ -919,8 +919,6 @@ def test_solver_default_regularization_scales_with_data():
     sol = solve_spacetime_harmonic(vol, FlatData(), bvals)
     expected = 1e-6 * np.ptp(bvals) / vol.diameter()
     assert np.isclose(sol.delta, expected)
-    custom = solve_spacetime_harmonic(vol, FlatData(), bvals, delta=1e-3)
-    assert custom.delta == 1e-3
 
 
 def test_solver_input_validation():
